@@ -83,36 +83,31 @@ fn bench_fleet_scan(c: &mut Criterion) {
         });
     }
 
-    // Checkpointed sweeps: the durable state plane's two persistence
-    // modes at pool-4, priced against the in-memory pool-4 run above.
-    // WAL mode appends one framed record per completed shard (O(1) in the
-    // fleet size); rewrite mode commits the whole fleet checkpoint via
-    // temp+rename after every shard (O(fleet) × shards). A fresh store
-    // per iteration keeps every run a cold start — resuming would skip
-    // the sweeps entirely.
+    // Checkpointed sweep: the durable state plane's write-ahead log at
+    // pool-4, priced against the in-memory pool-4 run above. Each
+    // completed shard appends one framed record (O(1) in the fleet size).
+    // A fresh store per iteration keeps every run a cold start — resuming
+    // would skip the sweeps entirely.
     let durable_dir =
         std::env::temp_dir().join(format!("strider-bench-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&durable_dir);
     std::fs::create_dir_all(&durable_dir).expect("bench store dir");
-    for (label, mode) in [
-        ("checkpointed-wal", DurabilityMode::WalAppend),
-        ("checkpointed-rewrite", DurabilityMode::FullRewrite),
-    ] {
-        let scheduler = FleetScheduler::new(detector()).with_workers(4);
-        let mut run = 0u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                arm_device_latency(&mut fleet);
-                run += 1;
-                let path = durable_dir.join(format!("{label}-{run}.wal"));
-                let store = RecordStore::open(path).expect("bench store");
-                let report = scheduler.sweep_durable(&mut fleet, &store, mode).unwrap();
-                assert_eq!(report.swept, u64::from(MACHINES));
-                assert_eq!(report.infected, 16);
-                report.swept
-            });
+    let scheduler = FleetScheduler::new(detector()).with_workers(4);
+    let mut run = 0u64;
+    group.bench_function("checkpointed-wal", |b| {
+        b.iter(|| {
+            arm_device_latency(&mut fleet);
+            run += 1;
+            let path = durable_dir.join(format!("checkpointed-wal-{run}.wal"));
+            let store = RecordStore::open(path).expect("bench store");
+            let report = scheduler
+                .sweep_durable(&mut fleet, &store, DurabilityMode::WalAppend)
+                .unwrap();
+            assert_eq!(report.swept, u64::from(MACHINES));
+            assert_eq!(report.infected, 16);
+            report.swept
         });
-    }
+    });
     let _ = std::fs::remove_dir_all(&durable_dir);
     group.finish();
 }

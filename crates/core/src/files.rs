@@ -2,7 +2,7 @@
 
 use crate::diff::cross_view_diff;
 use crate::harden::{file_scan_decoys, DecoyPump, PassCounter};
-use crate::instrument::{record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{query_chain, record_chain, record_view_entries, LatencyProbe};
 use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
 use crate::snapshot::{FileFact, ScanMeta, Snapshot, ViewKind};
@@ -117,23 +117,12 @@ impl FileScanner {
             snap.meta.io.record_seek();
             let query = Query::DirectoryEnum { path: dir };
             let query_started = probe.start();
-            let rows = if span.is_recording() {
-                match machine.query_traced(ctx, &query, entry) {
-                    Ok((rows, trace)) => {
-                        chain.absorb(&trace);
-                        rows
-                    }
-                    // A directory deleted mid-walk is normal churn.
-                    Err(NtStatus::ObjectNameNotFound) => continue,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                match machine.query(ctx, &query, entry) {
-                    Ok(rows) => rows,
-                    // A directory deleted mid-walk is normal churn, not an error.
-                    Err(NtStatus::ObjectNameNotFound) => continue,
-                    Err(e) => return Err(e),
-                }
+            let sink = span.is_recording().then_some(&mut chain);
+            let rows = match query_chain(machine, ctx, &query, entry, sink) {
+                Ok(rows) => rows,
+                // A directory deleted mid-walk is normal churn, not an error.
+                Err(NtStatus::ObjectNameNotFound) => continue,
+                Err(e) => return Err(e),
             };
             probe.finish(query_started);
             pump.tick(machine, ctx);

@@ -2,7 +2,7 @@
 //! remediation.
 
 use crate::files::FileScanner;
-use crate::policy::{PipelineStatus, ScanPolicy, SweepHealth};
+use crate::policy::{Pipeline, PipelineStatus, ScanPolicy, SweepHealth};
 use crate::process::{AdvancedSource, ProcessScanner};
 use crate::registry::{OutsideRegistryMode, RegistryScanner};
 use crate::report::DiffReport;
@@ -50,6 +50,40 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
+    /// A report from each pipeline's diff and status, in [`Pipeline::ALL`]
+    /// order, with no telemetry and no black boxes.
+    pub fn from_pipelines(outcomes: [(DiffReport, PipelineStatus); 4]) -> Self {
+        let [files, hooks, processes, modules] = outcomes;
+        SweepReport {
+            files: files.0,
+            hooks: hooks.0,
+            processes: processes.0,
+            modules: modules.0,
+            health: SweepHealth {
+                files: files.1,
+                registry: hooks.1,
+                processes: processes.1,
+                modules: modules.1,
+            },
+            telemetry: None,
+            black_boxes: Vec::new(),
+        }
+    }
+
+    /// One pipeline's diff report.
+    pub fn diff(&self, pipeline: Pipeline) -> &DiffReport {
+        match pipeline {
+            Pipeline::Files => &self.files,
+            Pipeline::Registry => &self.hooks,
+            Pipeline::Processes => &self.processes,
+            Pipeline::Modules => &self.modules,
+        }
+    }
+
+    fn diffs(&self) -> impl Iterator<Item = &DiffReport> {
+        Pipeline::ALL.into_iter().map(|p| self.diff(p))
+    }
+
     /// The black box snapshotted when `pipeline` degraded, if any.
     pub fn black_box(&self, pipeline: &str) -> Option<&FlightDump> {
         self.black_boxes
@@ -60,18 +94,12 @@ impl SweepReport {
 
     /// Whether anything suspicious (post-noise-classification) was found.
     pub fn is_infected(&self) -> bool {
-        !self.files.net_detections().is_empty()
-            || !self.hooks.net_detections().is_empty()
-            || !self.processes.net_detections().is_empty()
-            || !self.modules.net_detections().is_empty()
+        self.diffs().any(|d| !d.net_detections().is_empty())
     }
 
     /// Total suspicious findings.
     pub fn suspicious_count(&self) -> usize {
-        self.files.net_detections().len()
-            + self.hooks.net_detections().len()
-            + self.processes.net_detections().len()
-            + self.modules.net_detections().len()
+        self.diffs().map(|d| d.net_detections().len()).sum()
     }
 
     /// Wall time each pipeline spent scanning (summed across stabilization
@@ -83,7 +111,7 @@ impl SweepReport {
         let mut durations = std::collections::BTreeMap::new();
         if let Some(report) = &self.telemetry {
             let totals = report.phase_totals();
-            for pipeline in ["files", "registry", "processes", "modules"] {
+            for pipeline in Pipeline::ALL {
                 let span_name = format!("{pipeline}.scan_inside");
                 durations.insert(
                     pipeline.to_string(),
@@ -100,10 +128,7 @@ impl SweepReport {
     /// [`EvasionHardening`](crate::policy::EvasionHardening) (single-shot
     /// diffs cannot observe flicker).
     pub fn flicker_score(&self) -> usize {
-        self.files.flicker_score()
-            + self.hooks.flicker_score()
-            + self.processes.flicker_score()
-            + self.modules.flicker_score()
+        self.diffs().map(DiffReport::flicker_score).sum()
     }
 
     /// The sweep's critical-path attribution report — self-time hotspots,
@@ -120,10 +145,7 @@ impl SweepReport {
 
     /// Total noise-classified findings (false-positive candidates).
     pub fn noise_count(&self) -> usize {
-        self.files.noise_detections().len()
-            + self.hooks.noise_detections().len()
-            + self.processes.noise_detections().len()
-            + self.modules.noise_detections().len()
+        self.diffs().map(|d| d.noise_detections().len()).sum()
     }
 }
 
@@ -153,7 +175,7 @@ impl fmt::Display for SweepReport {
                 None => writeln!(f, "black box {name}: empty")?,
             }
         }
-        for report in [&self.files, &self.hooks, &self.processes, &self.modules] {
+        for report in self.diffs() {
             write!(f, "{report}")?;
         }
         // Output is byte-identical to the untelemetered report when
@@ -191,8 +213,9 @@ strider_support::impl_json!(struct PipelineCheckpoint { report, status });
 /// a timeout or cancellation is a reason to re-run, not a result).
 ///
 /// Serialize with [`SweepCheckpoint::serialize`] after a sweep dies, and
-/// hand the parsed checkpoint to [`GhostBuster::resume`] to re-run only the
-/// unfinished pipelines.
+/// hand the parsed checkpoint back to
+/// [`GhostBuster::inside_sweep_checkpointed`] to re-run only the unfinished
+/// pipelines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepCheckpoint {
     /// The machine the sweep was observing — resuming against a different
@@ -227,25 +250,38 @@ impl SweepCheckpoint {
         }
     }
 
+    /// One pipeline's recorded outcome.
+    pub fn slot(&self, pipeline: Pipeline) -> &Option<PipelineCheckpoint> {
+        match pipeline {
+            Pipeline::Files => &self.files,
+            Pipeline::Registry => &self.registry,
+            Pipeline::Processes => &self.processes,
+            Pipeline::Modules => &self.modules,
+        }
+    }
+
+    /// One pipeline's recorded outcome, mutably.
+    pub fn slot_mut(&mut self, pipeline: Pipeline) -> &mut Option<PipelineCheckpoint> {
+        match pipeline {
+            Pipeline::Files => &mut self.files,
+            Pipeline::Registry => &mut self.registry,
+            Pipeline::Processes => &mut self.processes,
+            Pipeline::Modules => &mut self.modules,
+        }
+    }
+
     /// Whether every pipeline has a recorded outcome.
     pub fn is_complete(&self) -> bool {
-        self.files.is_some()
-            && self.registry.is_some()
-            && self.processes.is_some()
-            && self.modules.is_some()
+        Pipeline::ALL.into_iter().all(|p| self.slot(p).is_some())
     }
 
     /// The pipelines still to run, in sweep order.
     pub fn unfinished(&self) -> Vec<&'static str> {
-        [
-            ("files", self.files.is_some()),
-            ("registry", self.registry.is_some()),
-            ("processes", self.processes.is_some()),
-            ("modules", self.modules.is_some()),
-        ]
-        .into_iter()
-        .filter_map(|(name, done)| (!done).then_some(name))
-        .collect()
+        Pipeline::ALL
+            .into_iter()
+            .filter(|&p| self.slot(p).is_none())
+            .map(Pipeline::name)
+            .collect()
     }
 
     /// Renders the checkpoint as a JSON document.
@@ -303,43 +339,33 @@ impl SweepCheckpoint {
 /// share breaker state, so the same `SweepBreakers` (via a cloned
 /// [`GhostBuster`]) accumulates failures across successive sweeps.
 #[derive(Debug, Clone)]
-pub struct SweepBreakers {
-    files: CircuitBreaker,
-    registry: CircuitBreaker,
-    processes: CircuitBreaker,
-    modules: CircuitBreaker,
-}
+pub struct SweepBreakers([CircuitBreaker; 4]);
 
 impl SweepBreakers {
     /// Breakers configured from the policy's threshold/cool-down knobs,
     /// ticking on the policy clock.
     pub fn from_policy(policy: &ScanPolicy) -> Self {
-        let make = || {
+        SweepBreakers(Pipeline::ALL.map(|_| {
             CircuitBreaker::new(
                 policy.clock().clone(),
                 policy.breaker_threshold,
                 policy.breaker_cooldown_ns,
             )
-        };
-        SweepBreakers {
-            files: make(),
-            registry: make(),
-            processes: make(),
-            modules: make(),
-        }
+        }))
     }
 
-    /// The named pipeline's breaker state.
-    pub fn state_of(&self, pipeline: &str) -> Option<BreakerState> {
-        match pipeline {
-            "files" => Some(self.files.state()),
-            "registry" => Some(self.registry.state()),
-            "processes" => Some(self.processes.state()),
-            "modules" => Some(self.modules.state()),
-            _ => None,
-        }
+    fn get(&self, pipeline: Pipeline) -> &CircuitBreaker {
+        &self.0[pipeline as usize]
+    }
+
+    /// One pipeline's breaker state.
+    pub fn state_of(&self, pipeline: Pipeline) -> BreakerState {
+        self.get(pipeline).state()
     }
 }
+
+/// One pipeline's scan, re-run once per stabilization or quorum pass.
+type PipelineScan<'a> = Box<dyn FnMut() -> Result<DiffReport, NtStatus> + Send + 'a>;
 
 /// What one supervised pipeline run produced. `interrupted` marks a timeout
 /// or cancellation: the pipeline's (empty) report still flows into the
@@ -542,9 +568,9 @@ impl GhostBuster {
         Supervision::new(self.cancellation.clone(), deadline)
     }
 
-    fn count_degraded(&self, name: &str) {
+    fn count_degraded(&self, pipeline: Pipeline) {
         if let Some(t) = &self.telemetry {
-            t.counter_add(&format!("sweep.degraded.{name}"), 1);
+            t.counter_add(&format!("sweep.degraded.{pipeline}"), 1);
         }
     }
 
@@ -555,23 +581,23 @@ impl GhostBuster {
     /// graceful-degradation seam.
     fn run_pipeline(
         &self,
-        name: &str,
-        truth_view: ViewKind,
+        pipeline: Pipeline,
         now: Tick,
         span: &MaybeSpan,
-        breaker: Option<&CircuitBreaker>,
         scan: impl FnMut() -> Result<DiffReport, NtStatus> + Send,
     ) -> PipelineOutcome {
+        let name = pipeline.name();
+        let breaker = self.breakers.as_ref().map(|b| b.get(pipeline));
         let recorder = self.telemetry.as_ref().map(Telemetry::recorder);
         if let Some(b) = breaker {
             if !b.try_acquire() {
-                self.count_degraded(name);
+                self.count_degraded(pipeline);
                 let flight = recorder.map(|r| {
                     r.breaker(name, "circuit breaker open: pipeline rejected");
                     r.snapshot()
                 });
                 return PipelineOutcome {
-                    report: degraded_report(truth_view, now),
+                    report: DiffReport::empty(pipeline.truth_view(), now),
                     status: PipelineStatus::Degraded {
                         reason: "circuit breaker open".to_string(),
                     },
@@ -581,7 +607,7 @@ impl GhostBuster {
             }
         }
         let degrade = |reason: String, interrupted: bool| {
-            self.count_degraded(name);
+            self.count_degraded(pipeline);
             if let Some(b) = breaker {
                 if b.record_failure() == BreakerState::Open {
                     if let Some(t) = &self.telemetry {
@@ -599,7 +625,7 @@ impl GhostBuster {
                 r.snapshot()
             });
             PipelineOutcome {
-                report: degraded_report(truth_view, now),
+                report: DiffReport::empty(pipeline.truth_view(), now),
                 status: PipelineStatus::Degraded { reason },
                 interrupted,
                 flight,
@@ -612,7 +638,7 @@ impl GhostBuster {
                 if let Some(b) = breaker {
                     b.record_success();
                 }
-                let status = pipeline_status(&report);
+                let status = pipeline_status(report.truth_meta.io.defects);
                 PipelineOutcome {
                     report,
                     status,
@@ -663,34 +689,21 @@ impl GhostBuster {
     /// Fails only when the scanner cannot even enter the machine.
     pub fn inside_sweep(&self, machine: &mut Machine) -> Result<SweepReport, NtStatus> {
         let mut checkpoint = SweepCheckpoint::new(machine);
-        self.sweep_core(machine, &mut checkpoint)
+        self.inside_sweep_checkpointed(machine, &mut checkpoint)
     }
 
-    /// [`GhostBuster::inside_sweep`], but recording each pipeline's outcome
-    /// into `checkpoint` as it finishes — serialize the checkpoint if the
-    /// sweep dies and [`GhostBuster::resume`] from it later.
-    ///
-    /// # Errors
-    ///
-    /// Fails only when the scanner cannot even enter the machine.
-    pub fn inside_sweep_checkpointed(
-        &self,
-        machine: &mut Machine,
-        checkpoint: &mut SweepCheckpoint,
-    ) -> Result<SweepReport, NtStatus> {
-        self.sweep_core(machine, checkpoint)
-    }
-
-    /// Resumes a sweep from a checkpoint: pipelines with a recorded outcome
-    /// are *not* re-run (their reports are restored verbatim, and no scan
-    /// spans are emitted for them); the rest run normally and the checkpoint
-    /// is updated in place.
+    /// [`GhostBuster::inside_sweep`], checkpoint-aware: pipelines with an
+    /// outcome already recorded in `checkpoint` are *not* re-run (their
+    /// reports are restored verbatim, and no scan spans are emitted for
+    /// them); the rest run normally and record their outcomes into
+    /// `checkpoint` as they finish. Serialize the checkpoint if the sweep
+    /// dies and pass it back here to resume.
     ///
     /// # Errors
     ///
     /// [`NtStatus::InvalidParameter`] when the checkpoint was taken on a
     /// different machine; otherwise as [`GhostBuster::inside_sweep`].
-    pub fn resume(
+    pub fn inside_sweep_checkpointed(
         &self,
         machine: &mut Machine,
         checkpoint: &mut SweepCheckpoint,
@@ -698,14 +711,6 @@ impl GhostBuster {
         if checkpoint.machine != machine.name() {
             return Err(NtStatus::InvalidParameter);
         }
-        self.sweep_core(machine, checkpoint)
-    }
-
-    fn sweep_core(
-        &self,
-        machine: &mut Machine,
-        checkpoint: &mut SweepCheckpoint,
-    ) -> Result<SweepReport, NtStatus> {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "sweep.inside");
         // The machine's low-level read paths log injected faults into the
         // sweep's black box, so a degraded pipeline's dump shows the
@@ -713,7 +718,7 @@ impl GhostBuster {
         if let Some(t) = &self.telemetry {
             machine.set_flight_recorder(t.recorder().clone());
         }
-        let ctx = self.enter(machine)?;
+        let ctx = &self.enter(machine)?;
         let machine = &*machine;
         let now = machine.now();
         let root = self.root_supervision();
@@ -725,133 +730,52 @@ impl GhostBuster {
         // adversary watching the query stream cannot rely on "files first,
         // modules last" to schedule its lies. The order is a pure function
         // of the hardening seed — fixed seed, byte-identical sweep.
-        let mut order = ["files", "registry", "processes", "modules"];
+        let mut order = Pipeline::ALL;
         if let Some(h) = self.policy.hardening {
             h.stream("pipeline-order").shuffle(&mut order);
         }
-        let mut slot_files = None;
-        let mut slot_registry = None;
-        let mut slot_processes = None;
-        let mut slot_modules = None;
-        for name in order {
-            match name {
-                "files" => {
-                    slot_files = Some(match &checkpoint.files {
-                        Some(done) => (done.report.clone(), done.status.clone()),
-                        None => {
-                            let scanner = self
-                                .files
-                                .clone()
-                                .with_supervision(root.child(clock.clone(), budget));
-                            let outcome = self.run_pipeline(
-                                "files",
-                                ViewKind::LowLevelMft,
-                                now,
-                                &span,
-                                self.breakers.as_ref().map(|b| &b.files),
-                                || scanner.scan_inside(machine, &ctx),
-                            );
-                            outcome.save(&mut checkpoint.files);
-                            if let Some(flight) = outcome.flight {
-                                black_boxes.push(("files".to_string(), flight));
-                            }
-                            (outcome.report, outcome.status)
+        let mut outcomes: [Option<(DiffReport, PipelineStatus)>; 4] = Default::default();
+        for p in order {
+            let outcome = match checkpoint.slot(p) {
+                Some(done) => (done.report.clone(), done.status.clone()),
+                None => {
+                    // Only the scanner call differs per pipeline. The scanner
+                    // is cloned once per run, so its stabilization or quorum
+                    // passes share one deadline and one pass counter.
+                    let sup = root.child(clock.clone(), budget);
+                    let scan: PipelineScan<'_> = match p {
+                        Pipeline::Files => {
+                            let s = self.files.clone().with_supervision(sup);
+                            Box::new(move || s.scan_inside(machine, ctx))
                         }
-                    });
-                }
-                "registry" => {
-                    slot_registry = Some(match &checkpoint.registry {
-                        Some(done) => (done.report.clone(), done.status.clone()),
-                        None => {
-                            let scanner = self
-                                .registry
-                                .clone()
-                                .with_supervision(root.child(clock.clone(), budget));
-                            let outcome = self.run_pipeline(
-                                "registry",
-                                ViewKind::LowLevelHiveParse,
-                                now,
-                                &span,
-                                self.breakers.as_ref().map(|b| &b.registry),
-                                || scanner.scan_inside(machine, &ctx),
-                            );
-                            outcome.save(&mut checkpoint.registry);
-                            if let Some(flight) = outcome.flight {
-                                black_boxes.push(("registry".to_string(), flight));
-                            }
-                            (outcome.report, outcome.status)
+                        Pipeline::Registry => {
+                            let s = self.registry.clone().with_supervision(sup);
+                            Box::new(move || s.scan_inside(machine, ctx))
                         }
-                    });
-                }
-                "processes" => {
-                    slot_processes = Some(match &checkpoint.processes {
-                        Some(done) => (done.report.clone(), done.status.clone()),
-                        None => {
-                            let scanner = self
-                                .processes
-                                .clone()
-                                .with_supervision(root.child(clock.clone(), budget));
-                            let outcome = self.run_pipeline(
-                                "processes",
-                                ViewKind::LowLevelApl,
-                                now,
-                                &span,
-                                self.breakers.as_ref().map(|b| &b.processes),
-                                || scanner.scan_inside(machine, &ctx, self.advanced),
-                            );
-                            outcome.save(&mut checkpoint.processes);
-                            if let Some(flight) = outcome.flight {
-                                black_boxes.push(("processes".to_string(), flight));
-                            }
-                            (outcome.report, outcome.status)
+                        Pipeline::Processes => {
+                            let s = self.processes.clone().with_supervision(sup);
+                            Box::new(move || s.scan_inside(machine, ctx, self.advanced))
                         }
-                    });
-                }
-                _ => {
-                    slot_modules = Some(match &checkpoint.modules {
-                        Some(done) => (done.report.clone(), done.status.clone()),
-                        None => {
-                            let scanner = self
-                                .processes
-                                .clone()
-                                .with_supervision(root.child(clock.clone(), budget));
-                            let outcome = self.run_pipeline(
-                                "modules",
-                                ViewKind::LowLevelKernelModules,
-                                now,
-                                &span,
-                                self.breakers.as_ref().map(|b| &b.modules),
-                                || scanner.scan_modules_inside(machine, &ctx),
-                            );
-                            outcome.save(&mut checkpoint.modules);
-                            if let Some(flight) = outcome.flight {
-                                black_boxes.push(("modules".to_string(), flight));
-                            }
-                            (outcome.report, outcome.status)
+                        Pipeline::Modules => {
+                            let s = self.processes.clone().with_supervision(sup);
+                            Box::new(move || s.scan_modules_inside(machine, ctx))
                         }
-                    });
+                    };
+                    let outcome = self.run_pipeline(p, now, &span, scan);
+                    outcome.save(checkpoint.slot_mut(p));
+                    black_boxes.extend(outcome.flight.map(|flight| (p.to_string(), flight)));
+                    (outcome.report, outcome.status)
                 }
-            }
+            };
+            outcomes[p as usize] = Some(outcome);
         }
-        let (files, files_status) = slot_files.expect("files pipeline always runs");
-        let (hooks, registry_status) = slot_registry.expect("registry pipeline always runs");
-        let (processes, processes_status) = slot_processes.expect("processes pipeline always runs");
-        let (modules, modules_status) = slot_modules.expect("modules pipeline always runs");
         drop(span);
-        Ok(SweepReport {
-            files,
-            hooks,
-            processes,
-            modules,
-            health: SweepHealth {
-                files: files_status,
-                registry: registry_status,
-                processes: processes_status,
-                modules: modules_status,
-            },
-            telemetry: self.telemetry.as_ref().map(Telemetry::report),
-            black_boxes,
-        })
+        let mut report = SweepReport::from_pipelines(
+            outcomes.map(|outcome| outcome.expect("every pipeline ran or was restored")),
+        );
+        report.telemetry = self.telemetry.as_ref().map(Telemetry::report);
+        report.black_boxes = black_boxes;
+        Ok(report)
     }
 
     /// The WinPE CD outside-the-box flow: take the high-level scans and a
@@ -872,15 +796,6 @@ impl GhostBuster {
         if let Some(t) = &self.telemetry {
             machine.set_flight_recorder(t.recorder().clone());
         }
-        // Snapshots the black box for a pipeline whose truth source was
-        // lost, marking the failure as the dump's final event.
-        let snap_failure = |pipeline: &str, reason: &str| -> Option<(String, FlightDump)> {
-            self.telemetry.as_ref().map(|t| {
-                let recorder = t.recorder();
-                recorder.mark(pipeline, &format!("pipeline degraded: {reason}"));
-                (pipeline.to_string(), recorder.snapshot())
-            })
-        };
         let mut black_boxes: Vec<(String, FlightDump)> = Vec::new();
         let ctx = self.enter(machine)?;
         // Under a hardened policy the pre-reboot lie is the *intersection*
@@ -913,40 +828,39 @@ impl GhostBuster {
 
         machine.tick(reboot_ticks);
         let image = machine.snapshot_disk()?;
-        let mut health = SweepHealth::default();
+        // A pipeline whose truth source was lost: counted, its black box
+        // snapshotted with the failure as the final event, and an empty
+        // report in its place.
+        let mut degrade = |pipeline: Pipeline, view: ViewKind, error: NtStatus| {
+            let reason = error.to_string();
+            self.count_degraded(pipeline);
+            if let Some(t) = &self.telemetry {
+                let recorder = t.recorder();
+                recorder.mark(pipeline.name(), &format!("pipeline degraded: {reason}"));
+                black_boxes.push((pipeline.to_string(), recorder.snapshot()));
+            }
+            (
+                DiffReport::empty(view, image.taken_at),
+                PipelineStatus::Degraded { reason },
+            )
+        };
+        let completed = |report: DiffReport| {
+            let status = pipeline_status(report.truth_meta.io.defects);
+            (report, status)
+        };
 
         let files = match self.files.outside_scan(&image) {
-            Ok(file_truth) => {
-                let report = self.files.diff(&file_truth, &file_lie);
-                health.files = pipeline_status(&report);
-                report
-            }
-            Err(e) => {
-                health.files = PipelineStatus::Degraded {
-                    reason: e.to_string(),
-                };
-                black_boxes.extend(snap_failure("files", &e.to_string()));
-                degraded_report(ViewKind::OutsideDisk, image.taken_at)
-            }
+            Ok(file_truth) => completed(self.files.diff(&file_truth, &file_lie)),
+            Err(e) => degrade(Pipeline::Files, ViewKind::OutsideDisk, e),
         };
         let hooks = match self
             .registry
             .outside_scan(&image, OutsideRegistryMode::MountedWin32)
         {
-            Ok(hook_truth) => {
-                let report = self.registry.diff(&hook_truth, &hook_lie);
-                health.registry = pipeline_status(&report);
-                report
-            }
-            Err(e) => {
-                health.registry = PipelineStatus::Degraded {
-                    reason: e.to_string(),
-                };
-                black_boxes.extend(snap_failure("registry", &e.to_string()));
-                degraded_report(ViewKind::OutsideMountedHives, image.taken_at)
-            }
+            Ok(hook_truth) => completed(self.registry.diff(&hook_truth, &hook_lie)),
+            Err(e) => degrade(Pipeline::Registry, ViewKind::OutsideMountedHives, e),
         };
-        let (processes, modules) = match dump {
+        let [processes, modules] = match dump {
             Ok((dump, dump_defects)) => {
                 let proc_truth = self.processes.outside_scan(&dump, self.advanced.is_some());
                 // Outside module truth: the dump's kernel-side lists for
@@ -974,48 +888,25 @@ impl GhostBuster {
                         }
                     }
                 }
-                if dump_defects > 0 {
-                    health.processes = PipelineStatus::Salvaged {
-                        defects: dump_defects,
-                    };
-                    health.modules = PipelineStatus::Salvaged {
-                        defects: dump_defects,
-                    };
-                }
-                (
-                    self.processes.diff(&proc_truth, &proc_lie),
-                    self.processes.diff_modules(&module_truth, &module_lie),
-                )
+                let status = pipeline_status(dump_defects);
+                [
+                    (self.processes.diff(&proc_truth, &proc_lie), status.clone()),
+                    (
+                        self.processes.diff_modules(&module_truth, &module_lie),
+                        status,
+                    ),
+                ]
             }
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.counter_add("sweep.degraded.processes", 1);
-                    t.counter_add("sweep.degraded.modules", 1);
-                }
-                health.processes = PipelineStatus::Degraded {
-                    reason: e.to_string(),
-                };
-                health.modules = PipelineStatus::Degraded {
-                    reason: e.to_string(),
-                };
-                black_boxes.extend(snap_failure("processes", &e.to_string()));
-                black_boxes.extend(snap_failure("modules", &e.to_string()));
-                (
-                    degraded_report(ViewKind::OutsideDump, image.taken_at),
-                    degraded_report(ViewKind::OutsideDump, image.taken_at),
-                )
-            }
+            Err(e) => [
+                degrade(Pipeline::Processes, ViewKind::OutsideDump, e.clone()),
+                degrade(Pipeline::Modules, ViewKind::OutsideDump, e),
+            ],
         };
         drop(span);
-        Ok(SweepReport {
-            files,
-            hooks,
-            processes,
-            modules,
-            health,
-            telemetry: self.telemetry.as_ref().map(Telemetry::report),
-            black_boxes,
-        })
+        let mut report = SweepReport::from_pipelines([files, hooks, processes, modules]);
+        report.telemetry = self.telemetry.as_ref().map(Telemetry::report);
+        report.black_boxes = black_boxes;
+        Ok(report)
     }
 
     /// Reads and parses the crash dump per the policy: transient device
@@ -1165,22 +1056,10 @@ fn intersect_captures<T: Clone>(
     out
 }
 
-/// An empty report standing in for a pipeline whose truth source was lost:
-/// both metas are present (so downstream consumers need no special case) but
-/// nothing was compared.
-fn degraded_report(truth_view: ViewKind, now: Tick) -> DiffReport {
-    DiffReport {
-        truth_meta: ScanMeta::new(truth_view, now),
-        lie_meta: ScanMeta::new(ViewKind::HighLevelWin32, now),
-        detections: Vec::new(),
-        phantom_in_lie: Vec::new(),
-    }
-}
-
 /// A completed pipeline's status: clean, or salvaged with however many
 /// defects its truth-side parse recorded.
-fn pipeline_status(report: &DiffReport) -> PipelineStatus {
-    match report.truth_meta.io.defects {
+fn pipeline_status(defects: u64) -> PipelineStatus {
+    match defects {
         0 => PipelineStatus::Ok,
         defects => PipelineStatus::Salvaged { defects },
     }

@@ -4,8 +4,31 @@
 
 use crate::snapshot::ViewKind;
 use std::sync::Arc;
+use strider_nt_core::NtStatus;
 use strider_support::obs::{Clock, MaybeSpan, Telemetry};
-use strider_winapi::ChainStats;
+use strider_winapi::{CallContext, ChainEntry, ChainStats, Machine, Query, Row};
+
+/// Runs one query through the machine's hook chain, folding its
+/// [`ChainTrace`](strider_winapi::ChainTrace) into `chain` when the caller
+/// is recording attribution. Without a sink this is plain
+/// [`Machine::query`]: no trace, no row clones.
+pub(crate) fn query_chain(
+    machine: &Machine,
+    ctx: &CallContext,
+    query: &Query,
+    entry: ChainEntry,
+    chain: Option<&mut ChainStats>,
+) -> Result<Vec<Row>, NtStatus> {
+    match chain {
+        Some(chain) => machine
+            .query_traced(ctx, query, entry)
+            .map(|(rows, trace)| {
+                chain.absorb(&trace);
+                rows
+            }),
+        None => machine.query(ctx, query, entry),
+    }
+}
 
 /// Feeds per-iteration latencies from a hot scan loop into a named
 /// bounded [`HistogramSketch`](strider_support::obs::HistogramSketch).

@@ -33,10 +33,12 @@
 //! cooperative cancellation, and circuit breakers
 //! ([`ScanPolicy::supervised`] is the production posture). A sweep records
 //! per-pipeline progress into a [`SweepCheckpoint`]
-//! ([`GhostBuster::inside_sweep_checkpointed`]) that serializes to JSON and
-//! [`resume`](GhostBuster::resume)s after a kill — interrupted pipelines
-//! are deliberately *not* checkpointed: a timeout is a reason to re-run,
-//! not a result. [`SweepMonitor`] runs the loop continuously against a
+//! ([`GhostBuster::inside_sweep_checkpointed`]) that serializes to JSON;
+//! passing the parsed checkpoint back to the same method resumes after a
+//! kill — interrupted pipelines are deliberately *not* checkpointed: a
+//! timeout is a reason to re-run, not a result. Every per-pipeline table
+//! (reports, health, checkpoint slots, breakers) is keyed by [`Pipeline`].
+//! [`SweepMonitor`] runs the loop continuously against a
 //! recorded baseline and raises [`MonitorIncident`]s, each carrying the
 //! flight-recorder dump of the pass that tripped it. Fleet-scale fan-out of
 //! these supervised sweeps lives upstream in `strider-fleet`.
@@ -127,9 +129,11 @@ pub use ghostbuster::{
 pub use hookscan::{install_benign_wrapper, HookFinding, HookScanner};
 pub use inject::{injected_sweep, InjectedSweepReport, PerProcessReport};
 pub use monitor::{
-    MetricSeries, MonitorConfig, MonitorIncident, MonitorObservation, SweepBaseline, SweepMonitor,
+    MonitorConfig, MonitorIncident, MonitorObservation, SweepBaseline, SweepMonitor,
 };
-pub use policy::{interrupt_status, EvasionHardening, PipelineStatus, ScanPolicy, SweepHealth};
+pub use policy::{
+    interrupt_status, EvasionHardening, Pipeline, PipelineStatus, ScanPolicy, SweepHealth,
+};
 pub use process::{AdvancedSource, ProcessScanner};
 pub use registry::{OutsideRegistryMode, RegistryScanner};
 pub use report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
@@ -157,7 +161,7 @@ pub mod prelude {
         CircuitBreaker, CrossTimeDiff, Deadline, Detection, DiffReport, DriverScanner,
         EvasionHardening, FileCategory, FileScanner, FlightDump, FlightRecorder, GhostBuster,
         HistogramSketch, HookScanner, InjectedSweepReport, MonitorConfig, MonitorIncident,
-        NoiseClass, NoiseFilter, OutsideRegistryMode, PipelineCheckpoint, PipelineStatus,
+        NoiseClass, NoiseFilter, OutsideRegistryMode, Pipeline, PipelineCheckpoint, PipelineStatus,
         ProcessScanner, RegistryScanner, ResourceKind, ScanMeta, ScanPolicy, Severity,
         SignatureScanner, Snapshot, Supervision, SweepBaseline, SweepBreakers, SweepCheckpoint,
         SweepHealth, SweepMonitor, SweepReport, Telemetry, TelemetryReport, TimeBudget, TimeSeries,

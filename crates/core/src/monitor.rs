@@ -38,7 +38,7 @@
 //! golden sweep per machine and diff against it for months.
 
 use crate::ghostbuster::{GhostBuster, SweepReport};
-use crate::policy::{PipelineStatus, SweepHealth};
+use crate::policy::{Pipeline, PipelineStatus};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -50,16 +50,6 @@ use strider_support::alert::{
 };
 use strider_support::obs::{fmt_ns, Clock, FlightDump, Telemetry, TelemetryReport};
 use strider_winapi::Machine;
-
-/// The rolling per-sweep series type. The untimestamped `MetricSeries`
-/// of earlier releases is now the timestamped
-/// [`strider_support::alert::TimeSeries`] — same bounded-ring behaviour
-/// and queries, but each sample carries the policy-clock reading it was
-/// observed at, which is what windowed alert conditions key on.
-pub type MetricSeries = TimeSeries;
-
-/// The four inside-sweep pipelines, in sweep order.
-const PIPELINES: [&str; 4] = ["files", "registry", "processes", "modules"];
 
 /// Tuning knobs for a [`SweepMonitor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +64,7 @@ pub struct MonitorConfig {
     /// baseline (idle machine, fake clock) doesn't flag noise-level
     /// variation as a regression.
     pub latency_floor_ns: u64,
-    /// How many sweeps each rolling [`MetricSeries`] retains.
+    /// How many sweeps each rolling [`TimeSeries`] retains.
     pub history: usize,
 }
 
@@ -155,8 +145,11 @@ impl SweepBaseline {
             taken_at_ns,
             pipeline_duration_ns: report.pipeline_durations(),
             findings: finding_keys(report).collect(),
-            degraded: degraded_pipelines(&report.health)
-                .map(|(name, _)| name.to_string())
+            degraded: report
+                .health
+                .degraded_pipelines()
+                .into_iter()
+                .map(str::to_string)
                 .collect(),
             suspicious: report.suspicious_count() as u64,
             noise: report.noise_count() as u64,
@@ -457,7 +450,7 @@ impl SweepMonitor {
     }
 
     /// The rolling series for a metric, if it has been observed.
-    pub fn series(&self, name: &str) -> Option<&MetricSeries> {
+    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.get(name)
     }
 
@@ -487,10 +480,10 @@ impl SweepMonitor {
     fn rebuild_engine(&mut self) {
         let mut rules = Vec::new();
         if let Some(baseline) = &self.baseline {
-            for pipeline in PIPELINES {
+            for pipeline in Pipeline::ALL {
                 let base = baseline
                     .pipeline_duration_ns
-                    .get(pipeline)
+                    .get(pipeline.name())
                     .copied()
                     .unwrap_or(0);
                 rules.push(
@@ -706,33 +699,31 @@ impl SweepMonitor {
         }
 
         let durations = report.pipeline_durations();
-        for pipeline in PIPELINES {
+        for pipeline in Pipeline::ALL {
             if self.engine.is_firing(&format!("latency.{pipeline}")) {
                 incidents.push(MonitorIncident::LatencyRegression {
                     pipeline: pipeline.to_string(),
                     baseline_ns: baseline
                         .pipeline_duration_ns
-                        .get(pipeline)
+                        .get(pipeline.name())
                         .copied()
                         .unwrap_or(0),
-                    observed_ns: durations.get(pipeline).copied().unwrap_or(0),
+                    observed_ns: durations.get(pipeline.name()).copied().unwrap_or(0),
                     flight: flight.clone(),
                 });
             }
         }
 
         if self.engine.is_firing("health_downgrade") {
-            for (pipeline, status) in degraded_pipelines(&report.health) {
-                if !baseline.degraded.iter().any(|p| p == pipeline) {
-                    let reason = match status {
-                        PipelineStatus::Degraded { reason } => reason.clone(),
-                        _ => unreachable!("degraded_pipelines yields Degraded only"),
-                    };
-                    incidents.push(MonitorIncident::HealthDowngrade {
-                        pipeline: pipeline.to_string(),
-                        reason,
-                        flight: flight.clone(),
-                    });
+            for (pipeline, status) in report.health.each() {
+                if let PipelineStatus::Degraded { reason } = status {
+                    if !baseline.degraded.iter().any(|p| p == pipeline.name()) {
+                        incidents.push(MonitorIncident::HealthDowngrade {
+                            pipeline: pipeline.to_string(),
+                            reason: reason.clone(),
+                            flight: flight.clone(),
+                        });
+                    }
                 }
             }
         }
@@ -747,9 +738,11 @@ impl SweepMonitor {
                 .filter(|key| !baseline.findings.contains(key))
                 .count()
         });
+        let degraded = report.health.degraded_pipelines();
         let downgrades = self.baseline.as_ref().map(|baseline| {
-            degraded_pipelines(&report.health)
-                .filter(|(pipeline, _)| !baseline.degraded.iter().any(|p| p == pipeline))
+            degraded
+                .iter()
+                .filter(|pipeline| !baseline.degraded.iter().any(|p| p == *pipeline))
                 .count()
         });
         let history = self.config.history;
@@ -762,18 +755,15 @@ impl SweepMonitor {
         push("sweep.suspicious", report.suspicious_count() as f64);
         push("sweep.noise", report.noise_count() as f64);
         push("evasion.flicker_score", report.flicker_score() as f64);
-        push(
-            "sweep.degraded",
-            degraded_pipelines(&report.health).count() as f64,
-        );
+        push("sweep.degraded", degraded.len() as f64);
         // Every pipeline gets a sample every sweep (0 when it produced no
         // span), so baseline-relative latency rules never compare against
         // a stale value.
         let durations = report.pipeline_durations();
-        for pipeline in PIPELINES {
+        for pipeline in Pipeline::ALL {
             push(
                 &format!("{pipeline}.duration_ns"),
-                durations.get(pipeline).copied().unwrap_or(0) as f64,
+                durations.get(pipeline.name()).copied().unwrap_or(0) as f64,
             );
         }
         if let Some(telemetry) = &report.telemetry {
@@ -796,55 +786,36 @@ impl SweepMonitor {
 }
 
 /// Every suspicious finding with its owning pipeline.
-fn findings(report: &SweepReport) -> impl Iterator<Item = (&'static str, &crate::Detection)> {
-    let per = [
-        ("files", &report.files),
-        ("registry", &report.hooks),
-        ("processes", &report.processes),
-        ("modules", &report.modules),
-    ];
-    per.into_iter()
-        .flat_map(|(name, diff)| diff.net_detections().into_iter().map(move |d| (name, d)))
+fn findings(report: &SweepReport) -> impl Iterator<Item = (Pipeline, &crate::Detection)> {
+    Pipeline::ALL.into_iter().flat_map(move |p| {
+        report
+            .diff(p)
+            .net_detections()
+            .into_iter()
+            .map(move |d| (p, d))
+    })
 }
 
 /// Every [`NoiseClass::Flickering`] finding with its owning pipeline.
 ///
 /// [`NoiseClass::Flickering`]: crate::report::NoiseClass::Flickering
-fn flickering(report: &SweepReport) -> impl Iterator<Item = (&'static str, &crate::Detection)> {
-    let per = [
-        ("files", &report.files),
-        ("registry", &report.hooks),
-        ("processes", &report.processes),
-        ("modules", &report.modules),
-    ];
-    per.into_iter().flat_map(|(name, diff)| {
-        diff.detections
+fn flickering(report: &SweepReport) -> impl Iterator<Item = (Pipeline, &crate::Detection)> {
+    Pipeline::ALL.into_iter().flat_map(move |p| {
+        report
+            .diff(p)
+            .detections
             .iter()
             .filter(|d| matches!(d.noise, crate::report::NoiseClass::Flickering))
-            .map(move |d| (name, d))
+            .map(move |d| (p, d))
     })
 }
 
-fn finding_key(pipeline: &str, identity: &str) -> String {
+fn finding_key(pipeline: Pipeline, identity: &str) -> String {
     format!("{pipeline}|{identity}")
 }
 
 fn finding_keys(report: &SweepReport) -> impl Iterator<Item = String> + '_ {
     findings(report).map(|(pipeline, d)| finding_key(pipeline, &d.identity))
-}
-
-/// The degraded pipelines of a health record, in sweep order.
-fn degraded_pipelines(
-    health: &SweepHealth,
-) -> impl Iterator<Item = (&'static str, &PipelineStatus)> {
-    [
-        ("files", &health.files),
-        ("registry", &health.registry),
-        ("processes", &health.processes),
-        ("modules", &health.modules),
-    ]
-    .into_iter()
-    .filter(|(_, status)| matches!(status, PipelineStatus::Degraded { .. }))
 }
 
 #[cfg(test)]
@@ -911,7 +882,7 @@ mod tests {
 
     #[test]
     fn metric_series_is_bounded_and_queries_work() {
-        let mut series = MetricSeries::new(3);
+        let mut series = TimeSeries::new(3);
         for (i, v) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
             series.push(i as u64 * 100, v);
         }
@@ -921,7 +892,7 @@ mod tests {
         assert_eq!(series.mean(), Some(3.0));
         assert_eq!(series.quantile(0.0), Some(2.0));
         assert_eq!(series.quantile(100.0), Some(4.0));
-        assert!(MetricSeries::new(2).quantile(50.0).is_none());
+        assert!(TimeSeries::new(2).quantile(50.0).is_none());
     }
 
     #[test]

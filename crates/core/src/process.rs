@@ -1,7 +1,7 @@
 //! Hidden-process and hidden-module detection (paper, Section 4).
 
 use crate::diff::cross_view_diff;
-use crate::instrument::{record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{query_chain, record_chain, record_view_entries, LatencyProbe};
 use crate::policy::interrupt_status;
 use crate::report::{Detection, DiffReport, NoiseClass, ResourceKind};
 use crate::snapshot::{ModuleFact, ProcessFact, ScanMeta, Snapshot, ViewKind};
@@ -68,15 +68,10 @@ impl ProcessScanner {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.high_scan");
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         snap.meta.io.record_api_call();
-        let rows = if span.is_recording() {
-            let (rows, trace) = machine.query_traced(ctx, &Query::ProcessList, entry)?;
-            let mut chain = ChainStats::default();
-            chain.absorb(&trace);
-            record_chain(&span, &chain);
-            rows
-        } else {
-            machine.query(ctx, &Query::ProcessList, entry)?
-        };
+        let mut chain = ChainStats::default();
+        let sink = span.is_recording().then_some(&mut chain);
+        let rows = query_chain(machine, ctx, &Query::ProcessList, entry, sink)?;
+        record_chain(&span, &chain);
         snap.meta.io.record_entries(rows.len() as u64);
         for row in rows {
             if let Row::Process(p) = row {
@@ -277,16 +272,8 @@ impl ProcessScanner {
             snap.meta.io.record_api_call();
             let query = Query::ModuleList { pid: proc_fact.pid };
             let query_started = probe.start();
-            let result = if span.is_recording() {
-                machine
-                    .query_traced(ctx, &query, entry)
-                    .map(|(rows, trace)| {
-                        chain.absorb(&trace);
-                        rows
-                    })
-            } else {
-                machine.query(ctx, &query, entry)
-            };
+            let sink = span.is_recording().then_some(&mut chain);
+            let result = query_chain(machine, ctx, &query, entry, sink);
             probe.finish(query_started);
             let rows = match result {
                 Ok(rows) => rows,

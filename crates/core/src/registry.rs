@@ -2,7 +2,7 @@
 
 use crate::diff::cross_view_diff;
 use crate::harden::{registry_scan_decoys, DecoyPump, PassCounter};
-use crate::instrument::{record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{query_chain, record_chain, record_view_entries, LatencyProbe};
 use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, NoiseClass, ResourceKind};
 use crate::snapshot::{HookFact, ScanMeta, Snapshot, ViewKind};
@@ -41,19 +41,14 @@ impl<'a> ApiKeyView<'a> {
     fn query(&self, query: Query) -> Vec<Row> {
         let mut io = self.io.borrow_mut();
         io.record_api_call();
-        let rows = match &self.chain {
-            Some(chain) => match self.machine.query_traced(self.ctx, &query, self.entry) {
-                Ok((rows, trace)) => {
-                    chain.borrow_mut().absorb(&trace);
-                    rows
-                }
-                Err(_) => Vec::new(),
-            },
-            None => self
-                .machine
-                .query(self.ctx, &query, self.entry)
-                .unwrap_or_default(),
-        };
+        let rows = query_chain(
+            self.machine,
+            self.ctx,
+            &query,
+            self.entry,
+            self.chain.as_ref().map(|c| c.borrow_mut()).as_deref_mut(),
+        )
+        .unwrap_or_default();
         io.record_entries(rows.len() as u64);
         drop(io);
         if let Some(pump) = &self.pump {
@@ -242,16 +237,14 @@ impl RegistryScanner {
                 // The key must be enumerable for the view to exist.
                 let probe = Query::RegEnumValues { key: path.clone() };
                 let probe_started = latency.start();
-                let reachable = match &chain {
-                    Some(chain) => match machine.query_traced(ctx, &probe, entry) {
-                        Ok((_, trace)) => {
-                            chain.borrow_mut().absorb(&trace);
-                            true
-                        }
-                        Err(_) => false,
-                    },
-                    None => machine.query(ctx, &probe, entry).is_ok(),
-                };
+                let reachable = query_chain(
+                    machine,
+                    ctx,
+                    &probe,
+                    entry,
+                    chain.as_ref().map(|c| c.borrow_mut()).as_deref_mut(),
+                )
+                .is_ok();
                 latency.finish(probe_started);
                 if let Some(pump) = &pump {
                     pump.borrow_mut().tick(machine, ctx);

@@ -1,7 +1,8 @@
 //! Detection reports, categorization, and the noise classifier.
 
-use crate::snapshot::ScanMeta;
+use crate::snapshot::{ScanMeta, ViewKind};
 use std::fmt;
+use strider_nt_core::Tick;
 
 /// Which resource type a detection concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,6 +189,18 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
+    /// An empty report standing in for a pipeline whose truth source was
+    /// lost: both metas are present (so downstream consumers need no
+    /// special case) but nothing was compared.
+    pub fn empty(truth_view: ViewKind, at: Tick) -> Self {
+        DiffReport {
+            truth_meta: ScanMeta::new(truth_view, at),
+            lie_meta: ScanMeta::new(ViewKind::HighLevelWin32, at),
+            detections: Vec::new(),
+            phantom_in_lie: Vec::new(),
+        }
+    }
+
     /// Whether anything at all was hidden.
     pub fn has_detections(&self) -> bool {
         !self.detections.is_empty()

@@ -3,16 +3,10 @@
 //! A durable fleet sweep journals its progress into a
 //! [`RecordStore`](strider_support::store::RecordStore) so the process can
 //! be killed at *any* byte of *any* write and a restarted process resumes
-//! to the same merged result. Two persistence shapes are supported:
-//!
-//! * [`DurabilityMode::WalAppend`] — one base record holding the fresh
-//!   [`FleetCheckpoint`], then one O(1) appended record per completed
-//!   shard. This is the production shape: per-shard cost is independent
-//!   of fleet size.
-//! * [`DurabilityMode::FullRewrite`] — every shard completion commits the
-//!   entire merged checkpoint through an atomic temp-write + rename. This
-//!   is the naive shape kept as a benchmark baseline; its per-shard cost
-//!   grows with the fleet.
+//! to the same merged result. The journal is a write-ahead log
+//! ([`DurabilityMode::WalAppend`]): one base record holding the fresh
+//! [`FleetCheckpoint`], then one O(1) appended record per completed shard,
+//! so per-shard cost is independent of fleet size.
 //!
 //! Recovery ([`recover_state`]) replays the journal: the last intact
 //! `fleet` record is the base, and every later `shard` / `quarantine`
@@ -32,15 +26,13 @@ use strider_support::obs::FlightDump;
 use strider_support::rng::SplitMix64;
 use strider_support::store::RecordStore;
 
-/// How a durable sweep persists per-shard completions.
+/// How a durable sweep persists per-shard completions. The write-ahead
+/// log is the only shape; the parameter remains for API stability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
     /// Append one journal record per completed shard — O(1) per shard.
     #[default]
     WalAppend,
-    /// Rewrite the whole merged checkpoint per completed shard through an
-    /// atomic commit — O(fleet) per shard; benchmark baseline.
-    FullRewrite,
 }
 
 /// The self-healing budget for one fleet sweep: how many attempts each
@@ -199,9 +191,8 @@ impl From<CheckpointMismatch> for DurableSweepError {
     }
 }
 
-/// Renders the journal's base/full record: the merged checkpoint plus the
-/// quarantine set. Written once at sweep start in WAL mode, and on every
-/// shard completion in [`DurabilityMode::FullRewrite`].
+/// Renders the journal's base record: the merged checkpoint plus the
+/// quarantine set, written once at sweep start.
 pub(crate) fn fleet_record(
     checkpoint: &FleetCheckpoint,
     quarantined: &BTreeMap<u32, QuarantineRecord>,
@@ -217,7 +208,7 @@ pub(crate) fn fleet_record(
     .render()
 }
 
-/// Renders a per-shard completion record (WAL mode).
+/// Renders a per-shard completion record.
 pub(crate) fn shard_record(shard: u32, checkpoint: &SweepCheckpoint) -> String {
     JsonValue::Obj(vec![
         ("kind".to_string(), JsonValue::Str("shard".to_string())),
@@ -227,7 +218,7 @@ pub(crate) fn shard_record(shard: u32, checkpoint: &SweepCheckpoint) -> String {
     .render()
 }
 
-/// Renders a quarantine record (WAL mode).
+/// Renders a quarantine record.
 pub(crate) fn quarantine_record(record: &QuarantineRecord) -> String {
     JsonValue::Obj(vec![
         ("kind".to_string(), JsonValue::Str("quarantine".to_string())),

@@ -23,10 +23,8 @@
 //! [`FleetScheduler::sweep_durable`] journals per-shard progress into a
 //! checksummed, generational
 //! [`RecordStore`](strider_support::store::RecordStore) — one O(1)
-//! appended record per completed shard ([`DurabilityMode::WalAppend`]) or
-//! a whole-checkpoint atomic rewrite per shard
-//! ([`DurabilityMode::FullRewrite`], the benchmark baseline) — so the
-//! process can be killed at any write byte and a rerun resumes to a
+//! appended record per completed shard ([`DurabilityMode::WalAppend`]) — so
+//! the process can be killed at any write byte and a rerun resumes to a
 //! merged report whose [`FleetReport::result_digest`] is byte-identical
 //! to an uninterrupted run's. A [`FleetHealPolicy`] adds per-shard retry
 //! budgets with seeded exponential backoff; a shard that exhausts its

@@ -10,7 +10,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use strider_ghostbuster::{
-    GhostBuster, MetricSeries, MonitorConfig, MonitorIncident, MonitorObservation, SweepMonitor,
+    GhostBuster, MonitorConfig, MonitorIncident, MonitorObservation, SweepMonitor,
 };
 use strider_nt_core::NtStatus;
 use strider_support::alert::{
@@ -245,7 +245,7 @@ impl FleetObservation {
 }
 
 /// Drives one [`SweepMonitor`] per fleet machine and rolls their signals
-/// up into fleet-level [`MetricSeries`], with a fleet-scope
+/// up into fleet-level [`TimeSeries`], with a fleet-scope
 /// [`AlertEngine`] on top.
 ///
 /// Per-shard baselines matter because machines differ: a 30 s file scan is
@@ -273,7 +273,7 @@ pub struct FleetMonitor {
     recorder: FlightRecorder,
     shards: Vec<SweepMonitor>,
     machines: Vec<String>,
-    series: BTreeMap<String, MetricSeries>,
+    series: BTreeMap<String, TimeSeries>,
     passes_run: u64,
     quarantine_after: u32,
     failure_streaks: Vec<u32>,
@@ -409,7 +409,7 @@ impl FleetMonitor {
     }
 
     /// The fleet-level rolling series for a metric, if observed.
-    pub fn series(&self, name: &str) -> Option<&MetricSeries> {
+    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
         self.series.get(name)
     }
 

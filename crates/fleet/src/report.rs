@@ -238,13 +238,7 @@ impl FleetReport {
                 entry.detected += 1;
             }
         }
-        let health = &result.report.health;
-        for (pipeline, status) in [
-            ("files", &health.files),
-            ("registry", &health.registry),
-            ("processes", &health.processes),
-            ("modules", &health.modules),
-        ] {
+        for (pipeline, status) in result.report.health.each() {
             let rollup = self.health.entry(pipeline.to_string()).or_default();
             match status {
                 PipelineStatus::Ok => rollup.ok += 1,
@@ -346,23 +340,23 @@ impl FleetReport {
                 );
                 continue;
             }
-            let h = &result.report.health;
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "shard|{:03}|{}|seeded={}|infected={}|files={}:{}|registry={}:{}|processes={}:{}|modules={}:{}",
+                "shard|{:03}|{}|seeded={}|infected={}",
                 result.shard.0,
                 result.machine,
                 result.seeded_infected,
                 result.report.is_infected(),
-                status_kind(&h.files),
-                result.report.files.net_detections().len(),
-                status_kind(&h.registry),
-                result.report.hooks.net_detections().len(),
-                status_kind(&h.processes),
-                result.report.processes.net_detections().len(),
-                status_kind(&h.modules),
-                result.report.modules.net_detections().len(),
             );
+            for (pipeline, status) in result.report.health.each() {
+                let _ = write!(
+                    out,
+                    "|{pipeline}={}:{}",
+                    status_kind(status),
+                    result.report.diff(pipeline).net_detections().len()
+                );
+            }
+            out.push('\n');
         }
         let unswept: Vec<String> = self.unswept.iter().map(|s| s.0.to_string()).collect();
         let _ = writeln!(out, "unswept|{}", unswept.join(","));

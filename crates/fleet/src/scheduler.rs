@@ -11,8 +11,7 @@ use crate::report::{FleetCheckpoint, FleetReport, ShardDisposition, ShardResult}
 use crate::trace::{FleetTrace, SchedEventKind, ShardTrace, TraceSink};
 use std::collections::{BTreeMap, VecDeque};
 use strider_ghostbuster::{
-    DiffReport, GhostBuster, PipelineStatus, ScanMeta, SweepCheckpoint, SweepHealth, SweepReport,
-    ViewKind,
+    DiffReport, GhostBuster, Pipeline, PipelineStatus, SweepCheckpoint, SweepReport,
 };
 use strider_nt_core::NtStatus;
 use strider_support::obs::{FlightRecorder, Telemetry};
@@ -249,30 +248,13 @@ impl FleetScheduler {
         &self,
         fleet: &mut FleetRegistry,
     ) -> Result<(FleetReport, FleetTrace), NtStatus> {
-        let mut checkpoint = FleetCheckpoint::new(fleet);
-        self.sweep_traced_checkpointed(fleet, &mut checkpoint)
-    }
-
-    /// [`FleetScheduler::sweep_traced`] with checkpoint/resume semantics:
-    /// shards already complete in `checkpoint` are restored without
-    /// appearing in the timeline (they never reach a worker).
-    ///
-    /// # Errors
-    ///
-    /// [`NtStatus::InvalidParameter`] when the checkpoint was taken on a
-    /// different fleet.
-    pub fn sweep_traced_checkpointed(
-        &self,
-        fleet: &mut FleetRegistry,
-        checkpoint: &mut FleetCheckpoint,
-    ) -> Result<(FleetReport, FleetTrace), NtStatus> {
         let clock = self.detector.policy().clock().clone();
         let sink = TraceSink::new(clock.clone());
         let start_ns = clock.now_ns();
         let mut observer = |_: &ShardResult| FleetControl::Continue;
         let report = self.sweep_core(
             fleet,
-            checkpoint,
+            &mut FleetCheckpoint::new(fleet),
             &mut observer,
             &BTreeMap::new(),
             None,
@@ -312,10 +294,8 @@ impl FleetScheduler {
     /// [`FleetReport::result_digest`] is byte-identical to an
     /// uninterrupted run's.
     ///
-    /// In [`DurabilityMode::WalAppend`] a fresh sweep writes one base
-    /// record and then one O(1) appended record per shard;
-    /// [`DurabilityMode::FullRewrite`] re-commits the whole merged
-    /// checkpoint per shard (the naive baseline the bench quantifies).
+    /// A fresh sweep writes one base record and then one O(1) appended
+    /// record per shard ([`DurabilityMode::WalAppend`], the only mode).
     ///
     /// # Errors
     ///
@@ -330,58 +310,41 @@ impl FleetScheduler {
         &self,
         fleet: &mut FleetRegistry,
         store: &RecordStore,
-        mode: DurabilityMode,
+        _mode: DurabilityMode,
     ) -> Result<FleetReport, DurableSweepError> {
         let (mut checkpoint, fenced) = match FleetCheckpoint::resume(fleet, store)? {
             Some(state) => (state.checkpoint, state.quarantined),
             None => (FleetCheckpoint::new(fleet), BTreeMap::new()),
         };
         // A fresh WAL needs its base record before any shard record can
-        // land; a resumed store already has one. FullRewrite's base is
-        // simply its first whole-checkpoint commit.
-        if mode == DurabilityMode::WalAppend && store.recover()?.records.is_empty() {
+        // land; a resumed store already has one.
+        if store.recover()?.records.is_empty() {
             store.append(fleet_record(&checkpoint, &fenced).as_bytes())?;
         }
-        // The journaling closure keeps its own merged view (`shadow`) so
-        // FullRewrite can re-commit the whole state while the live
-        // checkpoint is mutably held by the worker slots.
-        let mut shadow = checkpoint.clone();
-        let mut shadow_fenced = fenced.clone();
         let mut io_failure: Option<std::io::Error> = None;
         let mut persist = |shard: u32,
                            snapshot: Option<&SweepCheckpoint>,
                            result: &ShardResult|
          -> std::io::Result<()> {
-            let outcome = (|| -> std::io::Result<()> {
-                if let ShardDisposition::Quarantined {
-                    attempts,
-                    reason,
-                    evidence,
-                } = &result.disposition
-                {
-                    let q = QuarantineRecord {
-                        shard,
-                        machine: result.machine.clone(),
-                        attempts: *attempts,
-                        reason: reason.clone(),
-                        evidence: evidence.clone(),
-                    };
-                    if mode == DurabilityMode::WalAppend {
-                        store.append(quarantine_record(&q).as_bytes())?;
-                    }
-                    shadow_fenced.insert(shard, q);
-                } else if let Some(cp) = snapshot {
-                    if mode == DurabilityMode::WalAppend {
-                        store.append(shard_record(shard, cp).as_bytes())?;
-                    }
-                    shadow.shards[shard as usize] = cp.clone();
-                }
-                if mode == DurabilityMode::FullRewrite {
-                    store.commit(fleet_record(&shadow, &shadow_fenced).as_bytes())?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = outcome {
+            let record = if let ShardDisposition::Quarantined {
+                attempts,
+                reason,
+                evidence,
+            } = &result.disposition
+            {
+                quarantine_record(&QuarantineRecord {
+                    shard,
+                    machine: result.machine.clone(),
+                    attempts: *attempts,
+                    reason: reason.clone(),
+                    evidence: evidence.clone(),
+                })
+            } else if let Some(cp) = snapshot {
+                shard_record(shard, cp)
+            } else {
+                return Ok(());
+            };
+            if let Err(e) = store.append(record.as_bytes()) {
                 let stub = std::io::Error::new(e.kind(), "journal write failed");
                 io_failure = Some(e);
                 return Err(stub);
@@ -732,14 +695,10 @@ fn take_shard(own: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<(usize, O
 /// re-scans exactly what failed while keeping the healthy pipelines'
 /// recorded outcomes.
 fn clear_degraded(checkpoint: &mut SweepCheckpoint) {
-    for entry in [
-        &mut checkpoint.files,
-        &mut checkpoint.registry,
-        &mut checkpoint.processes,
-        &mut checkpoint.modules,
-    ] {
-        if entry.as_ref().is_some_and(|cp| cp.status.is_degraded()) {
-            *entry = None;
+    for p in Pipeline::ALL {
+        let slot = checkpoint.slot_mut(p);
+        if slot.as_ref().is_some_and(|cp| cp.status.is_degraded()) {
+            *slot = None;
         }
     }
 }
@@ -747,52 +706,22 @@ fn clear_degraded(checkpoint: &mut SweepCheckpoint) {
 /// Rebuilds a [`SweepReport`] from a complete checkpoint — the restored
 /// shard's reports and health verbatim, no telemetry, no black boxes.
 fn restore_report(checkpoint: &SweepCheckpoint) -> SweepReport {
-    let files = checkpoint.files.clone().expect("complete checkpoint");
-    let registry = checkpoint.registry.clone().expect("complete checkpoint");
-    let processes = checkpoint.processes.clone().expect("complete checkpoint");
-    let modules = checkpoint.modules.clone().expect("complete checkpoint");
-    SweepReport {
-        files: files.report,
-        hooks: registry.report,
-        processes: processes.report,
-        modules: modules.report,
-        health: SweepHealth {
-            files: files.status,
-            registry: registry.status,
-            processes: processes.status,
-            modules: modules.status,
-        },
-        telemetry: None,
-        black_boxes: Vec::new(),
-    }
+    SweepReport::from_pipelines(Pipeline::ALL.map(|p| {
+        let done = checkpoint.slot(p).clone().expect("complete checkpoint");
+        (done.report, done.status)
+    }))
 }
 
 /// The all-degraded report for a machine the scanner could not enter.
 fn entry_failure_report(machine: &Machine, reason: &str) -> SweepReport {
-    let now = machine.now();
-    let empty = |view: ViewKind| DiffReport {
-        truth_meta: ScanMeta::new(view, now),
-        lie_meta: ScanMeta::new(ViewKind::HighLevelWin32, now),
-        detections: Vec::new(),
-        phantom_in_lie: Vec::new(),
-    };
-    let degraded = || PipelineStatus::Degraded {
-        reason: format!("could not enter machine: {reason}"),
-    };
-    SweepReport {
-        files: empty(ViewKind::LowLevelMft),
-        hooks: empty(ViewKind::LowLevelHiveParse),
-        processes: empty(ViewKind::LowLevelApl),
-        modules: empty(ViewKind::LowLevelKernelModules),
-        health: SweepHealth {
-            files: degraded(),
-            registry: degraded(),
-            processes: degraded(),
-            modules: degraded(),
-        },
-        telemetry: None,
-        black_boxes: Vec::new(),
-    }
+    SweepReport::from_pipelines(Pipeline::ALL.map(|p| {
+        (
+            DiffReport::empty(p.truth_view(), machine.now()),
+            PipelineStatus::Degraded {
+                reason: format!("could not enter machine: {reason}"),
+            },
+        )
+    }))
 }
 
 #[cfg(test)]

@@ -514,18 +514,7 @@ impl Machine {
         query: &Query,
         entry: ChainEntry,
     ) -> Result<Vec<Row>, NtStatus> {
-        self.tap.record_query(query.kind(), &ctx.image_name);
-        let mut rows = self.truth_rows(query)?;
-        for level in Level::ALL {
-            if entry == ChainEntry::Native && !level.applies_to_native_calls() {
-                continue;
-            }
-            rows = self.apply_level(level, ctx, query, rows);
-        }
-        if entry == ChainEntry::Win32 {
-            rows = win32_marshal(rows);
-        }
-        Ok(rows)
+        self.walk_chain(ctx, query, entry, None)
     }
 
     /// Like [`Machine::query`], but also records a [`ChainTrace`]: the row
@@ -543,36 +532,60 @@ impl Machine {
         query: &Query,
         entry: ChainEntry,
     ) -> Result<(Vec<Row>, ChainTrace), NtStatus> {
-        self.tap.record_query(query.kind(), &ctx.image_name);
-        let mut rows = self.truth_rows(query)?;
         let mut trace = ChainTrace {
             kind: query.kind(),
             entry,
-            truth_rows: rows.len() as u64,
+            truth_rows: 0,
             hops: Vec::new(),
             marshal_mutated: false,
             final_rows: 0,
         };
+        let rows = self.walk_chain(ctx, query, entry, Some(&mut trace))?;
+        Ok((rows, trace))
+    }
+
+    /// The one chain walk behind [`Machine::query`] and
+    /// [`Machine::query_traced`]: truth rows, then every applicable hook
+    /// level, then Win32 marshalling. Rows are cloned for comparison only
+    /// when `trace` is present.
+    fn walk_chain(
+        &self,
+        ctx: &CallContext,
+        query: &Query,
+        entry: ChainEntry,
+        mut trace: Option<&mut ChainTrace>,
+    ) -> Result<Vec<Row>, NtStatus> {
+        self.tap.record_query(query.kind(), &ctx.image_name);
+        let mut rows = self.truth_rows(query)?;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.truth_rows = rows.len() as u64;
+        }
         for level in Level::ALL {
             if entry == ChainEntry::Native && !level.applies_to_native_calls() {
                 continue;
             }
-            let before = rows.clone();
+            let before = trace.is_some().then(|| rows.clone());
             rows = self.apply_level(level, ctx, query, rows);
-            trace.hops.push(LevelHop {
-                level,
-                rows_in: before.len() as u64,
-                rows_out: rows.len() as u64,
-                mutated: before != rows,
-            });
+            if let (Some(trace), Some(before)) = (trace.as_deref_mut(), before) {
+                trace.hops.push(LevelHop {
+                    level,
+                    rows_in: before.len() as u64,
+                    rows_out: rows.len() as u64,
+                    mutated: before != rows,
+                });
+            }
         }
         if entry == ChainEntry::Win32 {
-            let before = rows.clone();
+            let before = trace.is_some().then(|| rows.clone());
             rows = win32_marshal(rows);
-            trace.marshal_mutated = before != rows;
+            if let (Some(trace), Some(before)) = (trace.as_deref_mut(), before) {
+                trace.marshal_mutated = before != rows;
+            }
         }
-        trace.final_rows = rows.len() as u64;
-        Ok((rows, trace))
+        if let Some(trace) = trace {
+            trace.final_rows = rows.len() as u64;
+        }
+        Ok(rows)
     }
 
     /// Simulates a debugger taking a call-stack trace of one API call from

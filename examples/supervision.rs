@@ -51,12 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ncheckpoint ({} bytes of JSON) saved", saved.len());
 
     // The operator clears the wedged handle (reboot, new session, …) and a
-    // fresh detector resumes: only the file pipeline re-runs.
+    // fresh detector resumes from the same checkpoint-aware sweep: only the
+    // file pipeline re-runs.
     machine.clear_fault_injector();
     let mut restored = SweepCheckpoint::deserialize(&saved)?;
     let resumed = GhostBuster::new()
         .with_policy(policy)
-        .resume(&mut machine, &mut restored)?;
+        .inside_sweep_checkpointed(&mut machine, &mut restored)?;
     println!("\nresumed sweep (files only):");
     println!("  health: {}", resumed.health);
     println!(

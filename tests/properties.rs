@@ -1093,9 +1093,9 @@ fn crash_dir(name: &str) -> std::path::PathBuf {
 
 /// Runs a durable sweep into `store` on a fresh fleet and returns the
 /// merged report's digest.
-fn durable_digest(store: &RecordStore, mode: DurabilityMode) -> String {
+fn durable_digest(store: &RecordStore) -> String {
     crash_scheduler()
-        .sweep_durable(&mut crash_fleet(), store, mode)
+        .sweep_durable(&mut crash_fleet(), store, DurabilityMode::WalAppend)
         .unwrap()
         .result_digest()
 }
@@ -1111,7 +1111,7 @@ fn fault_crash_matrix_wal_sweep_resumes_to_identical_digest_at_every_kill_class(
     let store = RecordStore::open(dir.join("ref.wal"))
         .unwrap()
         .with_crash_plan(plan.clone());
-    let reference = durable_digest(&store, DurabilityMode::WalAppend);
+    let reference = durable_digest(&store);
     let total = plan.written();
     let recovered = store.recover().unwrap();
     assert!(recovered.defects.is_empty());
@@ -1155,59 +1155,9 @@ fn fault_crash_matrix_wal_sweep_resumes_to_identical_digest_at_every_kill_class(
         // Restart: reopen (repairing any torn tail), fresh fleet, same
         // sweep. The merged digest must match the uninterrupted run.
         let store = RecordStore::open(&path).unwrap();
-        let resumed = durable_digest(&store, DurabilityMode::WalAppend);
+        let resumed = durable_digest(&store);
         assert_eq!(resumed, reference, "offset {offset} diverged");
     }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn fault_crash_matrix_rewrite_sweep_survives_torn_writes_and_mid_rename_kills() {
-    let dir = crash_dir("rewrite-matrix");
-
-    let plan = Arc::new(CrashPlan::never());
-    let store = RecordStore::open(dir.join("ref.wal"))
-        .unwrap()
-        .with_crash_plan(plan.clone());
-    let reference = durable_digest(&store, DurabilityMode::FullRewrite);
-    let total = plan.written();
-
-    // Torn-write spot checks across the rewrite stream (the full matrix
-    // runs in WAL mode above; rewrites share the same recovery path).
-    for offset in [1, total / 4, total / 2, (total * 3) / 4, total - 1] {
-        let path = dir.join(format!("kill-{offset}.wal"));
-        let store = RecordStore::open(&path)
-            .unwrap()
-            .with_crash_plan(Arc::new(CrashPlan::at_write_byte(offset)));
-        let err = crash_scheduler()
-            .sweep_durable(&mut crash_fleet(), &store, DurabilityMode::FullRewrite)
-            .unwrap_err();
-        assert!(err.is_injected_crash(), "offset {offset}: {err}");
-        let store = RecordStore::open(&path).unwrap();
-        assert_eq!(
-            durable_digest(&store, DurabilityMode::FullRewrite),
-            reference,
-            "offset {offset} diverged"
-        );
-    }
-
-    // The mid-rename class: the temp file is fully written but the
-    // atomic swap never happens. The stale temp must not confuse the
-    // resume.
-    let path = dir.join("kill-rename.wal");
-    let store = RecordStore::open(&path)
-        .unwrap()
-        .with_crash_plan(Arc::new(CrashPlan::before_rename()));
-    let err = crash_scheduler()
-        .sweep_durable(&mut crash_fleet(), &store, DurabilityMode::FullRewrite)
-        .unwrap_err();
-    assert!(err.is_injected_crash(), "{err}");
-    let store = RecordStore::open(&path).unwrap();
-    assert_eq!(
-        durable_digest(&store, DurabilityMode::FullRewrite),
-        reference,
-        "mid-rename kill diverged"
-    );
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -186,8 +186,8 @@ fn breaker_trips_after_threshold_and_admits_a_probe_after_cooldown() {
         assert!(report.health.registry.is_degraded());
     }
     assert_eq!(
-        gb.breakers().unwrap().state_of("registry"),
-        Some(BreakerState::Open)
+        gb.breakers().unwrap().state_of(Pipeline::Registry),
+        BreakerState::Open
     );
     assert_eq!(telemetry.report().counters["breaker.open"], 1);
 
@@ -212,8 +212,8 @@ fn breaker_trips_after_threshold_and_admits_a_probe_after_cooldown() {
     // device is still stalled, so the probe fails and it re-opens.
     clock.advance(50_000_000);
     assert_eq!(
-        gb.breakers().unwrap().state_of("registry"),
-        Some(BreakerState::HalfOpen)
+        gb.breakers().unwrap().state_of(Pipeline::Registry),
+        BreakerState::HalfOpen
     );
     let report = gb.inside_sweep(&mut m).unwrap();
     assert_eq!(
@@ -224,8 +224,8 @@ fn breaker_trips_after_threshold_and_admits_a_probe_after_cooldown() {
         "the probe ran (and timed out) rather than being rejected"
     );
     assert_eq!(
-        gb.breakers().unwrap().state_of("registry"),
-        Some(BreakerState::Open)
+        gb.breakers().unwrap().state_of(Pipeline::Registry),
+        BreakerState::Open
     );
 }
 
@@ -266,7 +266,9 @@ fn interrupted_pipeline_is_not_checkpointed_and_reruns_on_resume() {
         .with_policy(supervised_policy(clock))
         .with_telemetry(telemetry.clone());
     let mut restored = restored;
-    let resumed = gb2.resume(&mut m, &mut restored).unwrap();
+    let resumed = gb2
+        .inside_sweep_checkpointed(&mut m, &mut restored)
+        .unwrap();
     assert!(resumed.health.is_all_ok(), "{}", resumed.health);
     assert!(restored.is_complete());
 
@@ -315,7 +317,9 @@ fn checkpoint_after_two_pipelines_resumes_into_an_identical_report() {
     let gb2 = GhostBuster::new()
         .with_policy(ScanPolicy::resilient())
         .with_telemetry(telemetry.clone());
-    let resumed = gb2.resume(&mut m, &mut restored).unwrap();
+    let resumed = gb2
+        .inside_sweep_checkpointed(&mut m, &mut restored)
+        .unwrap();
 
     assert_eq!(resumed.files, full.files);
     assert_eq!(resumed.hooks, full.hooks);
@@ -334,14 +338,18 @@ fn checkpoint_after_two_pipelines_resumes_into_an_identical_report() {
 
 #[test]
 fn resume_rejects_a_checkpoint_from_another_machine() {
+    // A *complete* checkpoint from a clean machine: accepting it would
+    // restore the clean machine's reports for the infected one.
     let mut other = Machine::with_base_system("other").unwrap();
-    let checkpoint = SweepCheckpoint::new(&other);
+    let gb = GhostBuster::new();
+    let mut cp = SweepCheckpoint::new(&other);
+    gb.inside_sweep_checkpointed(&mut other, &mut cp).unwrap();
+    assert!(cp.is_complete());
     let mut m = infected_machine();
-    let mut cp = checkpoint;
-    let err = GhostBuster::new().resume(&mut m, &mut cp).unwrap_err();
+    let err = gb.inside_sweep_checkpointed(&mut m, &mut cp).unwrap_err();
     assert_eq!(err, NtStatus::InvalidParameter);
     // The right machine accepts it.
-    assert!(GhostBuster::new().resume(&mut other, &mut cp).is_ok());
+    assert!(gb.inside_sweep_checkpointed(&mut other, &mut cp).is_ok());
 }
 
 // ---------------------------------------------------------------------
@@ -356,4 +364,62 @@ fn pipelines_run_isolated_from_scanner_panics() {
         panic!("parser invariant violated")
     });
     assert_eq!(result.unwrap_err(), "parser invariant violated");
+}
+
+// ---------------------------------------------------------------------
+// Pinned shapes: hardened pipeline order and the checkpoint JSON
+// ---------------------------------------------------------------------
+
+/// A checkpoint in its on-disk JSON shape: files clean, registry
+/// salvaged, processes degraded, modules unfinished.
+const CHECKPOINT_JSON: &str = r#"{"machine":"lab","taken_at":7,"files":{"report":{"truth_meta":{"view":"LowLevelMft","taken_at":0,"io":{"bytes_read":4225,"seeks":0,"api_calls":0,"entries":34,"defects":0}},"lie_meta":{"view":"HighLevelWin32","taken_at":0,"io":{"bytes_read":0,"seeks":13,"api_calls":13,"entries":34,"defects":0}},"detections":[],"phantom_in_lie":[]},"status":"Ok"},"registry":{"report":{"truth_meta":{"view":"LowLevelHiveParse","taken_at":0,"io":{"bytes_read":1638,"seeks":0,"api_calls":0,"entries":7,"defects":0}},"lie_meta":{"view":"HighLevelWin32","taken_at":0,"io":{"bytes_read":0,"seeks":0,"api_calls":10,"entries":14,"defects":0}},"detections":[],"phantom_in_lie":[]},"status":{"Salvaged":{"defects":2}}},"processes":{"report":{"truth_meta":{"view":"LowLevelApl","taken_at":0,"io":{"bytes_read":0,"seeks":0,"api_calls":0,"entries":10,"defects":0}},"lie_meta":{"view":"HighLevelWin32","taken_at":0,"io":{"bytes_read":0,"seeks":0,"api_calls":1,"entries":10,"defects":0}},"detections":[],"phantom_in_lie":[]},"status":{"Degraded":{"reason":"operation timed out"}}},"modules":null}"#;
+
+#[test]
+fn hardened_pipeline_order_and_checkpoint_json_are_pinned() {
+    // Seed 42 shuffles the pipelines to registry, files, modules,
+    // processes; each runs its five quorum passes before the next starts.
+    let mut m = infected_machine();
+    let telemetry = Telemetry::new();
+    let policy = ScanPolicy::hardened()
+        .with_hardening(Some(EvasionHardening::with_seed(42)))
+        .with_clock(Arc::new(FakeClock::new()));
+    GhostBuster::new()
+        .with_policy(policy)
+        .with_telemetry(telemetry.clone())
+        .inside_sweep(&mut m)
+        .unwrap();
+    let tel = telemetry.report();
+    let sweep = tel.find_span("sweep.inside").unwrap();
+    let order: Vec<&str> = sweep
+        .children
+        .iter()
+        .map(|c| c.name.as_str())
+        .filter(|name| name.ends_with(".scan_inside"))
+        .collect();
+    let expected: Vec<&str> = [
+        "registry.scan_inside",
+        "files.scan_inside",
+        "modules.scan_inside",
+        "processes.scan_inside",
+    ]
+    .into_iter()
+    .flat_map(|name| std::iter::repeat_n(name, 5))
+    .collect();
+    assert_eq!(order, expected);
+
+    // The on-disk checkpoint shape is unchanged: the literal parses, maps
+    // onto the per-pipeline slots, and re-serializes byte for byte.
+    let checkpoint = SweepCheckpoint::deserialize(CHECKPOINT_JSON).unwrap();
+    assert_eq!(checkpoint.serialize(), CHECKPOINT_JSON);
+    assert_eq!(checkpoint.unfinished(), vec!["modules"]);
+    assert_eq!(
+        checkpoint.slot(Pipeline::Registry).as_ref().unwrap().status,
+        PipelineStatus::Salvaged { defects: 2 }
+    );
+    assert!(checkpoint
+        .slot(Pipeline::Processes)
+        .as_ref()
+        .unwrap()
+        .status
+        .is_degraded());
 }
