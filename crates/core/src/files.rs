@@ -2,7 +2,9 @@
 
 use crate::diff::cross_view_diff;
 use crate::harden::{file_scan_decoys, DecoyPump, PassCounter};
-use crate::instrument::{query_chain, record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{
+    query_chain, record_chain, record_decoys, record_defects, record_view_entries, LatencyProbe,
+};
 use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
 use crate::snapshot::{FileFact, ScanMeta, Snapshot, ViewKind};
@@ -91,10 +93,7 @@ impl FileScanner {
         ctx: &CallContext,
         entry: ChainEntry,
     ) -> Result<Snapshot<FileFact>, NtStatus> {
-        let view = match entry {
-            ChainEntry::Win32 => ViewKind::HighLevelWin32,
-            ChainEntry::Native => ViewKind::HighLevelNative,
-        };
+        let view = ViewKind::high_level(entry);
         let span = MaybeSpan::start(self.telemetry.as_ref(), "files.high_scan");
         let probe = LatencyProbe::new(self.telemetry.as_ref(), "files.dir_query_ns");
         let mut chain = ChainStats::default();
@@ -149,12 +148,8 @@ impl FileScanner {
             }
             stack.extend(subdirs);
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "files", view, snap.len());
-        if pump.issued() > 0 {
-            if let Some(t) = &self.telemetry {
-                t.counter_add("files.decoys", pump.issued());
-            }
-        }
+        record_view_entries(self.telemetry.as_ref(), &span, "files", &snap);
+        record_decoys(self.telemetry.as_ref(), "files", pump.issued());
         span.set_attr("api_calls", snap.meta.io.api_calls);
         record_chain(&span, &chain);
         Ok(snap)
@@ -196,23 +191,18 @@ impl FileScanner {
             _ => "files.low_scan",
         };
         let span = MaybeSpan::start(self.telemetry.as_ref(), span_name);
-        let (raw, defects) = if self.policy.salvage {
-            let salvaged = VolumeImage::parse_salvage(bytes);
-            (salvaged.value, salvaged.defects)
-        } else {
-            let raw =
-                VolumeImage::parse(bytes).map_err(|e| NtStatus::CorruptStructure(e.to_string()))?;
-            (raw, Vec::new())
-        };
+        let (raw, defects) =
+            self.policy
+                .parse_image(bytes, VolumeImage::parse, VolumeImage::parse_salvage)?;
         let mut snap = Snapshot::new(ScanMeta::new(view, taken_at));
         snap.meta.io.record_sequential(raw.image_len());
-        if !defects.is_empty() {
-            snap.meta.io.record_defects(defects.len() as u64);
-            span.set_attr("defects", defects.len());
-            if let Some(t) = &self.telemetry {
-                t.counter_add("files.defects", defects.len() as u64);
-            }
-        }
+        record_defects(
+            self.telemetry.as_ref(),
+            &span,
+            "files",
+            &mut snap.meta.io,
+            defects,
+        );
         for (path, entry) in raw.all_paths() {
             snap.meta.io.record_entries(1);
             if self.detect_ads {
@@ -243,7 +233,7 @@ impl FileScanner {
                 },
             );
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "files", view, snap.len());
+        record_view_entries(self.telemetry.as_ref(), &span, "files", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }

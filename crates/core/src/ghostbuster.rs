@@ -6,7 +6,7 @@ use crate::policy::{Pipeline, PipelineStatus, ScanPolicy, SweepHealth};
 use crate::process::{AdvancedSource, ProcessScanner};
 use crate::registry::{OutsideRegistryMode, RegistryScanner};
 use crate::report::DiffReport;
-use crate::snapshot::{ScanMeta, ViewKind};
+use crate::snapshot::ViewKind;
 use std::fmt;
 use strider_hive::prelude::AsepHook;
 use strider_kernel::MemoryDump;
@@ -299,40 +299,6 @@ impl SweepCheckpoint {
         use strider_support::json::{FromJson, JsonValue};
         Self::from_json(&JsonValue::parse(text)?)
     }
-
-    /// Commits the checkpoint to `store` as a new generation — an atomic
-    /// temp+rename publish that also retains the previous generation, so
-    /// post-crash corruption of the newest record falls back instead of
-    /// losing the sweep's progress.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O errors (including injected crashes).
-    pub fn save_to(&self, store: &strider_support::store::RecordStore) -> std::io::Result<u64> {
-        store.commit(self.serialize().as_bytes())
-    }
-
-    /// Loads the newest recoverable checkpoint from `store`. `Ok(None)`
-    /// means no usable checkpoint survived — a first run, or damage past
-    /// every generation — which callers treat as a cold start, never a
-    /// panic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O errors; damaged records fall back silently to
-    /// the previous generation.
-    pub fn load_from(store: &strider_support::store::RecordStore) -> std::io::Result<Option<Self>> {
-        let recovered = store.recover()?;
-        for record in recovered.records.iter().rev() {
-            if let Some(checkpoint) = std::str::from_utf8(&record.payload)
-                .ok()
-                .and_then(|text| Self::deserialize(text).ok())
-            {
-                return Ok(Some(checkpoint));
-            }
-        }
-        Ok(None)
-    }
 }
 
 /// The four per-pipeline circuit breakers of a supervised sweep. Clones
@@ -388,6 +354,17 @@ impl PipelineOutcome {
             });
         }
     }
+}
+
+/// Why a pipeline produced no report.
+enum Degradation {
+    /// Its open circuit breaker rejected it.
+    Rejected,
+    /// It failed; `opened_breaker` when this failure tripped its breaker.
+    Failed {
+        reason: String,
+        opened_breaker: bool,
+    },
 }
 
 /// The detector.
@@ -527,17 +504,6 @@ impl GhostBuster {
         self.registry.scan_inside(machine, &ctx)
     }
 
-    /// Inside-the-box full-Registry hidden-key/value detection: walks every
-    /// hive entirely instead of just the ASEP catalog — slower, broader.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scan failures.
-    pub fn scan_registry_full_inside(&self, machine: &mut Machine) -> Result<DiffReport, NtStatus> {
-        let ctx = self.enter(machine)?;
-        self.registry.scan_full_inside(machine, &ctx)
-    }
-
     /// Inside-the-box hidden-process detection (honours advanced mode).
     ///
     /// # Errors
@@ -568,10 +534,62 @@ impl GhostBuster {
         Supervision::new(self.cancellation.clone(), deadline)
     }
 
-    fn count_degraded(&self, pipeline: Pipeline) {
+    /// An empty report for `view` at `at` standing in for a lost pipeline,
+    /// counted on `sweep.degraded.<pipeline>`, with a black box whose
+    /// final event is the failure.
+    fn degraded(
+        &self,
+        pipeline: Pipeline,
+        view: ViewKind,
+        at: Tick,
+        degradation: Degradation,
+    ) -> PipelineOutcome {
+        let name = pipeline.name();
+        let recorder = self.telemetry.as_ref().map(Telemetry::recorder);
         if let Some(t) = &self.telemetry {
             t.counter_add(&format!("sweep.degraded.{pipeline}"), 1);
         }
+        let reason = match degradation {
+            Degradation::Rejected => {
+                if let Some(r) = recorder {
+                    r.breaker(name, "circuit breaker open: pipeline rejected");
+                }
+                "circuit breaker open".to_string()
+            }
+            Degradation::Failed {
+                reason,
+                opened_breaker,
+            } => {
+                if let (true, Some(t)) = (opened_breaker, &self.telemetry) {
+                    t.counter_add("breaker.open", 1);
+                    t.recorder().breaker(name, "opened after repeated failures");
+                }
+                if let Some(r) = recorder {
+                    r.mark(name, &format!("pipeline degraded: {reason}"));
+                }
+                reason
+            }
+        };
+        PipelineOutcome {
+            report: DiffReport::empty(view, at),
+            status: PipelineStatus::Degraded { reason },
+            interrupted: false,
+            flight: recorder.map(|r| r.snapshot()),
+        }
+    }
+
+    /// Closes the sweep's span and assembles its report.
+    fn finish_sweep(
+        &self,
+        span: MaybeSpan,
+        outcomes: [(DiffReport, PipelineStatus); 4],
+        black_boxes: Vec<(String, FlightDump)>,
+    ) -> SweepReport {
+        drop(span);
+        let mut report = SweepReport::from_pipelines(outcomes);
+        report.telemetry = self.telemetry.as_ref().map(Telemetry::report);
+        report.black_boxes = black_boxes;
+        report
     }
 
     /// Runs one pipeline as a supervised task: gated by its circuit breaker,
@@ -589,46 +607,18 @@ impl GhostBuster {
         let name = pipeline.name();
         let breaker = self.breakers.as_ref().map(|b| b.get(pipeline));
         let recorder = self.telemetry.as_ref().map(Telemetry::recorder);
-        if let Some(b) = breaker {
-            if !b.try_acquire() {
-                self.count_degraded(pipeline);
-                let flight = recorder.map(|r| {
-                    r.breaker(name, "circuit breaker open: pipeline rejected");
-                    r.snapshot()
-                });
-                return PipelineOutcome {
-                    report: DiffReport::empty(pipeline.truth_view(), now),
-                    status: PipelineStatus::Degraded {
-                        reason: "circuit breaker open".to_string(),
-                    },
-                    interrupted: false,
-                    flight,
-                };
-            }
+        if breaker.is_some_and(|b| !b.try_acquire()) {
+            return self.degraded(pipeline, pipeline.truth_view(), now, Degradation::Rejected);
         }
         let degrade = |reason: String, interrupted: bool| {
-            self.count_degraded(pipeline);
-            if let Some(b) = breaker {
-                if b.record_failure() == BreakerState::Open {
-                    if let Some(t) = &self.telemetry {
-                        t.counter_add("breaker.open", 1);
-                    }
-                    if let Some(r) = recorder {
-                        r.breaker(name, "opened after repeated failures");
-                    }
-                }
-            }
-            // The degradation mark goes in last, so the snapshot's final
-            // event *is* the failure.
-            let flight = recorder.map(|r| {
-                r.mark(name, &format!("pipeline degraded: {reason}"));
-                r.snapshot()
-            });
+            let opened_breaker = breaker.is_some_and(|b| b.record_failure() == BreakerState::Open);
+            let failed = Degradation::Failed {
+                reason,
+                opened_breaker,
+            };
             PipelineOutcome {
-                report: DiffReport::empty(pipeline.truth_view(), now),
-                status: PipelineStatus::Degraded { reason },
                 interrupted,
-                flight,
+                ..self.degraded(pipeline, pipeline.truth_view(), now, failed)
             }
         };
         // `quorum_diff` is plain stabilization when hardening is off, and
@@ -769,13 +759,8 @@ impl GhostBuster {
             };
             outcomes[p as usize] = Some(outcome);
         }
-        drop(span);
-        let mut report = SweepReport::from_pipelines(
-            outcomes.map(|outcome| outcome.expect("every pipeline ran or was restored")),
-        );
-        report.telemetry = self.telemetry.as_ref().map(Telemetry::report);
-        report.black_boxes = black_boxes;
-        Ok(report)
+        let outcomes = outcomes.map(|outcome| outcome.expect("every pipeline ran or was restored"));
+        Ok(self.finish_sweep(span, outcomes, black_boxes))
     }
 
     /// The WinPE CD outside-the-box flow: take the high-level scans and a
@@ -822,27 +807,28 @@ impl GhostBuster {
         let proc_lie = intersect_captures(proc_caps);
         let module_lie = intersect_captures(module_caps);
         // The dump is captured pre-reboot, while the ghostware (and any
-        // injected dump faults) are live. A permanently failing or
+        // injected dump faults) are live: transient failures are retried,
+        // stalled reads polled under the sweep's supervision, and a damaged
+        // dump salvaged per the policy. A permanently failing or
         // unparseable dump degrades the two volatile pipelines only.
-        let dump = self.capture_dump(machine);
+        let dump = self
+            .policy
+            .supervised_retry(&self.root_supervision(), || machine.try_crash_dump())
+            .and_then(|bytes| {
+                self.policy
+                    .parse_image(&bytes, MemoryDump::parse, MemoryDump::parse_salvage)
+            });
 
         machine.tick(reboot_ticks);
         let image = machine.snapshot_disk()?;
-        // A pipeline whose truth source was lost: counted, its black box
-        // snapshotted with the failure as the final event, and an empty
-        // report in its place.
         let mut degrade = |pipeline: Pipeline, view: ViewKind, error: NtStatus| {
-            let reason = error.to_string();
-            self.count_degraded(pipeline);
-            if let Some(t) = &self.telemetry {
-                let recorder = t.recorder();
-                recorder.mark(pipeline.name(), &format!("pipeline degraded: {reason}"));
-                black_boxes.push((pipeline.to_string(), recorder.snapshot()));
-            }
-            (
-                DiffReport::empty(view, image.taken_at),
-                PipelineStatus::Degraded { reason },
-            )
+            let failed = Degradation::Failed {
+                reason: error.to_string(),
+                opened_breaker: false,
+            };
+            let lost = self.degraded(pipeline, view, image.taken_at, failed);
+            black_boxes.extend(lost.flight.map(|flight| (pipeline.to_string(), flight)));
+            (lost.report, lost.status)
         };
         let completed = |report: DiffReport| {
             let status = pipeline_status(report.truth_meta.io.defects);
@@ -863,31 +849,9 @@ impl GhostBuster {
         let [processes, modules] = match dump {
             Ok((dump, dump_defects)) => {
                 let proc_truth = self.processes.outside_scan(&dump, self.advanced.is_some());
-                // Outside module truth: the dump's kernel-side lists for
-                // processes the high-level view could see.
-                let mut module_truth = crate::snapshot::Snapshot::new(ScanMeta::new(
-                    ViewKind::OutsideDump,
-                    image.taken_at,
-                ));
-                for (_, pf) in proc_lie.iter() {
-                    if let Some(p) = dump.process(pf.pid) {
-                        for m in &p.kernel_modules {
-                            module_truth.insert(
-                                format!(
-                                    "pid:{}|{}",
-                                    pf.pid.0,
-                                    m.name.to_win32_lossy().to_ascii_lowercase()
-                                ),
-                                crate::snapshot::ModuleFact {
-                                    pid: pf.pid,
-                                    process_name: pf.image_name.clone(),
-                                    module: m.name.to_win32_lossy(),
-                                    path: m.path.to_win32_lossy(),
-                                },
-                            );
-                        }
-                    }
-                }
+                let module_truth =
+                    self.processes
+                        .outside_module_scan(&dump, &proc_lie, image.taken_at);
                 let status = pipeline_status(dump_defects);
                 [
                     (self.processes.diff(&proc_truth, &proc_lie), status.clone()),
@@ -902,31 +866,7 @@ impl GhostBuster {
                 degrade(Pipeline::Modules, ViewKind::OutsideDump, e),
             ],
         };
-        drop(span);
-        let mut report = SweepReport::from_pipelines([files, hooks, processes, modules]);
-        report.telemetry = self.telemetry.as_ref().map(Telemetry::report);
-        report.black_boxes = black_boxes;
-        Ok(report)
-    }
-
-    /// Reads and parses the crash dump per the policy: transient device
-    /// failures are retried with backoff, stalled reads are polled under the
-    /// sweep's supervision (so a stalled dump device cannot hang the flow
-    /// past its budget), and a damaged dump is salvaged (returning the
-    /// defect count) when salvage is on.
-    fn capture_dump(&self, machine: &Machine) -> Result<(MemoryDump, u64), NtStatus> {
-        let sup = self.root_supervision();
-        let bytes = self
-            .policy
-            .supervised_retry(&sup, || machine.try_crash_dump())?;
-        if self.policy.salvage {
-            let salvaged = MemoryDump::parse_salvage(&bytes);
-            Ok((salvaged.value, salvaged.defects.len() as u64))
-        } else {
-            let dump =
-                MemoryDump::parse(&bytes).map_err(|e| NtStatus::CorruptStructure(e.to_string()))?;
-            Ok((dump, 0))
-        }
+        Ok(self.finish_sweep(span, [files, hooks, processes, modules], black_boxes))
     }
 
     /// The RIS (network-boot) outside flow of Section 5: identical scans to

@@ -2,9 +2,9 @@
 //! the attribute/counter vocabulary every pipeline shares, so the telemetry
 //! report reads uniformly across files, registry, processes, and modules.
 
-use crate::snapshot::ViewKind;
+use crate::snapshot::Snapshot;
 use std::sync::Arc;
-use strider_nt_core::NtStatus;
+use strider_nt_core::{IoStats, NtStatus};
 use strider_support::obs::{Clock, MaybeSpan, Telemetry};
 use strider_winapi::{CallContext, ChainEntry, ChainStats, Machine, Query, Row};
 
@@ -66,17 +66,45 @@ impl LatencyProbe {
 
 /// Records a scan's per-view entry count as both span attributes and a
 /// `<pipeline>.entries.<View>` counter.
-pub(crate) fn record_view_entries(
+pub(crate) fn record_view_entries<T>(
     telemetry: Option<&Telemetry>,
     span: &MaybeSpan,
     pipeline: &str,
-    view: ViewKind,
-    entries: usize,
+    snap: &Snapshot<T>,
 ) {
+    let view = snap.meta.view;
     span.set_attr("view", format!("{view:?}"));
-    span.set_attr("entries", entries);
+    span.set_attr("entries", snap.len());
     if let Some(t) = telemetry {
-        t.counter_add(&format!("{pipeline}.entries.{view:?}"), entries as u64);
+        t.counter_add(&format!("{pipeline}.entries.{view:?}"), snap.len() as u64);
+    }
+}
+
+/// Records a truth parse's salvage defects into its I/O stats and, if
+/// any, as the span's `defects` attribute and the `<pipeline>.defects`
+/// counter.
+pub(crate) fn record_defects(
+    telemetry: Option<&Telemetry>,
+    span: &MaybeSpan,
+    pipeline: &str,
+    io: &mut IoStats,
+    defects: u64,
+) {
+    io.record_defects(defects);
+    if defects > 0 {
+        span.set_attr("defects", defects);
+        if let Some(t) = telemetry {
+            t.counter_add(&format!("{pipeline}.defects"), defects);
+        }
+    }
+}
+
+/// Counts a hardened high scan's decoy queries, if any, on `<pipeline>.decoys`.
+pub(crate) fn record_decoys(telemetry: Option<&Telemetry>, pipeline: &str, issued: u64) {
+    if issued > 0 {
+        if let Some(t) = telemetry {
+            t.counter_add(&format!("{pipeline}.decoys"), issued);
+        }
     }
 }
 

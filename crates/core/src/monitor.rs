@@ -86,14 +86,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Sets the latency-regression threshold (multiplier over baseline
-    /// plus absolute floor).
-    pub fn with_latency_threshold(mut self, factor: f64, floor_ns: u64) -> Self {
-        self.latency_factor = factor;
-        self.latency_floor_ns = floor_ns;
-        self
-    }
-
     /// Sets how many sweeps of history each metric series keeps.
     pub fn with_history(mut self, history: usize) -> Self {
         self.history = history.max(1);
@@ -170,38 +162,6 @@ impl SweepBaseline {
     pub fn deserialize(text: &str) -> Result<Self, strider_support::json::JsonError> {
         use strider_support::json::{FromJson, JsonValue};
         Self::from_json(&JsonValue::parse(text)?)
-    }
-
-    /// Commits the baseline to `store` as a new generation (atomic
-    /// temp+rename, previous generation retained as fallback). A baseline
-    /// the adversary can truncate mid-write is a baseline the adversary
-    /// controls — this is the door that closes it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O errors (including injected crashes).
-    pub fn save_to(&self, store: &strider_support::store::RecordStore) -> std::io::Result<u64> {
-        store.commit(self.serialize().as_bytes())
-    }
-
-    /// Loads the newest recoverable baseline from `store`; `Ok(None)`
-    /// means none survived (first run, or damage past every generation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O errors; damaged records fall back silently to
-    /// the previous generation.
-    pub fn load_from(store: &strider_support::store::RecordStore) -> std::io::Result<Option<Self>> {
-        let recovered = store.recover()?;
-        for record in recovered.records.iter().rev() {
-            if let Some(baseline) = std::str::from_utf8(&record.payload)
-                .ok()
-                .and_then(|text| Self::deserialize(text).ok())
-            {
-                return Ok(Some(baseline));
-            }
-        }
-        Ok(None)
     }
 }
 

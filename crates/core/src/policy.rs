@@ -27,6 +27,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use strider_nt_core::NtStatus;
+use strider_support::fault::Salvaged;
 use strider_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use strider_support::obs::{Clock, MonotonicClock};
 use strider_support::rng::{fnv1a, SplitMix64};
@@ -276,12 +277,6 @@ impl ScanPolicy {
         self
     }
 
-    /// Enables or disables salvage-mode parsing.
-    pub fn with_salvage(mut self, salvage: bool) -> Self {
-        self.salvage = salvage;
-        self
-    }
-
     /// Sets the pending-poll schedule: sleep `interval_ns` between polls of
     /// a stalled ([`NtStatus::Pending`]) read, and give up after `budget`
     /// polls when no deadline supervises the read.
@@ -341,39 +336,20 @@ impl ScanPolicy {
             .min(self.backoff_max_ns)
     }
 
-    /// Runs `op`, retrying [`NtStatus::DeviceNotReady`] up to
-    /// [`retries`](Self::retries) times with exponential backoff. Every other
-    /// error — and a genuinely exhausted device — propagates immediately.
-    ///
-    /// # Errors
-    ///
-    /// The last error once the retry budget is spent, or any
-    /// non-transient error at once.
-    pub fn retry<T>(&self, mut op: impl FnMut() -> Result<T, NtStatus>) -> Result<T, NtStatus> {
-        let mut attempt = 0;
-        loop {
-            match op() {
-                Err(NtStatus::DeviceNotReady) if attempt < self.retries => {
-                    self.clock.sleep_ns(self.backoff_for(attempt));
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// [`ScanPolicy::retry`] under supervision: additionally polls
-    /// [`NtStatus::Pending`] reads (sleeping
-    /// [`poll_interval_ns`](Self::poll_interval_ns) between polls) and
-    /// consults `sup` before every attempt, so a cancelled or out-of-time
+    /// Runs `op` under supervision, retrying [`NtStatus::DeviceNotReady`]
+    /// up to [`retries`](Self::retries) times with exponential backoff and
+    /// polling [`NtStatus::Pending`] reads (sleeping
+    /// [`poll_interval_ns`](Self::poll_interval_ns) between polls). `sup`
+    /// is consulted before every attempt, so a cancelled or out-of-time
     /// task abandons the read instead of waiting out a stalled device.
+    /// Every other error propagates immediately.
     ///
     /// # Errors
     ///
     /// [`NtStatus::Cancelled`]/[`NtStatus::TimedOut`] when supervision
     /// interrupts; [`NtStatus::TimedOut`] when an unsupervised read exhausts
-    /// the [`poll_budget`](Self::poll_budget); otherwise as
-    /// [`ScanPolicy::retry`].
+    /// the [`poll_budget`](Self::poll_budget); the last error once the
+    /// retry budget is spent; any non-transient error at once.
     pub fn supervised_retry<T>(
         &self,
         sup: &Supervision,
@@ -399,6 +375,24 @@ impl ScanPolicy {
                 }
                 other => return other,
             }
+        }
+    }
+
+    /// Parses a raw truth image strictly (an error becomes
+    /// [`NtStatus::CorruptStructure`]) or, per [`salvage`](Self::salvage),
+    /// in salvage mode. Returns the value and its defect count.
+    pub(crate) fn parse_image<T, E: fmt::Display>(
+        &self,
+        bytes: &[u8],
+        parse: impl FnOnce(&[u8]) -> Result<T, E>,
+        parse_salvage: impl FnOnce(&[u8]) -> Salvaged<T>,
+    ) -> Result<(T, u64), NtStatus> {
+        if self.salvage {
+            let salvaged = parse_salvage(bytes);
+            Ok((salvaged.value, salvaged.defects.len() as u64))
+        } else {
+            let value = parse(bytes).map_err(|e| NtStatus::CorruptStructure(e.to_string()))?;
+            Ok((value, 0))
         }
     }
 
@@ -757,7 +751,7 @@ mod tests {
     fn strict_policy_never_retries() {
         let policy = ScanPolicy::strict();
         let mut calls = 0;
-        let result: Result<(), _> = policy.retry(|| {
+        let result: Result<(), _> = policy.supervised_retry(&Supervision::unsupervised(), || {
             calls += 1;
             Err(NtStatus::DeviceNotReady)
         });
@@ -773,7 +767,7 @@ mod tests {
             .with_clock(clock.clone());
         let mut calls = 0;
         let value = policy
-            .retry(|| {
+            .supervised_retry(&Supervision::unsupervised(), || {
                 calls += 1;
                 if calls < 4 {
                     Err(NtStatus::DeviceNotReady)
@@ -796,7 +790,7 @@ mod tests {
             .with_backoff(10, 1_000)
             .with_clock(clock.clone());
         let mut calls = 0;
-        let result: Result<(), _> = policy.retry(|| {
+        let result: Result<(), _> = policy.supervised_retry(&Supervision::unsupervised(), || {
             calls += 1;
             Err(NtStatus::DeviceNotReady)
         });
@@ -809,7 +803,7 @@ mod tests {
     fn retry_does_not_mask_permanent_errors() {
         let policy = ScanPolicy::resilient();
         let mut calls = 0;
-        let result: Result<(), _> = policy.retry(|| {
+        let result: Result<(), _> = policy.supervised_retry(&Supervision::unsupervised(), || {
             calls += 1;
             Err(NtStatus::AccessDenied)
         });

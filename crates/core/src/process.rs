@@ -5,8 +5,8 @@ use crate::instrument::{query_chain, record_chain, record_view_entries, LatencyP
 use crate::policy::interrupt_status;
 use crate::report::{Detection, DiffReport, NoiseClass, ResourceKind};
 use crate::snapshot::{ModuleFact, ProcessFact, ScanMeta, Snapshot, ViewKind};
-use strider_kernel::MemoryDump;
-use strider_nt_core::{NtStatus, Pid};
+use strider_kernel::{MemoryDump, ModuleEntry};
+use strider_nt_core::{NtStatus, NtString, Pid, Tick};
 use strider_support::obs::{MaybeSpan, Telemetry};
 use strider_support::task::Supervision;
 use strider_winapi::{CallContext, ChainEntry, ChainStats, Machine, Query, Row};
@@ -61,10 +61,7 @@ impl ProcessScanner {
         ctx: &CallContext,
         entry: ChainEntry,
     ) -> Result<Snapshot<ProcessFact>, NtStatus> {
-        let view = match entry {
-            ChainEntry::Win32 => ViewKind::HighLevelWin32,
-            ChainEntry::Native => ViewKind::HighLevelNative,
-        };
+        let view = ViewKind::high_level(entry);
         let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.high_scan");
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         snap.meta.io.record_api_call();
@@ -75,23 +72,10 @@ impl ProcessScanner {
         snap.meta.io.record_entries(rows.len() as u64);
         for row in rows {
             if let Row::Process(p) = row {
-                snap.insert(
-                    format!("pid:{}", p.pid.0),
-                    ProcessFact {
-                        pid: p.pid,
-                        image_name: p.image_name.to_win32_lossy(),
-                        image_path: p.image_path,
-                    },
-                );
+                insert_process(&mut snap, p.pid, &p.image_name, p.image_path);
             }
         }
-        record_view_entries(
-            self.telemetry.as_ref(),
-            &span,
-            "processes",
-            view,
-            snap.len(),
-        );
+        record_view_entries(self.telemetry.as_ref(), &span, "processes", &snap);
         Ok(snap)
     }
 
@@ -100,18 +84,8 @@ impl ProcessScanner {
     /// this list is only the truth *approximation* the APIs themselves use.
     pub fn low_scan_apl(&self, machine: &Machine) -> Snapshot<ProcessFact> {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.low_scan");
-        let mut snap = Snapshot::new(ScanMeta::new(ViewKind::LowLevelApl, machine.now()));
-        for pid in machine.kernel().active_process_list() {
-            self.push_kernel_fact(machine, pid, &mut snap);
-        }
-        record_view_entries(
-            self.telemetry.as_ref(),
-            &span,
-            "processes",
-            ViewKind::LowLevelApl,
-            snap.len(),
-        );
-        snap
+        let pids = machine.kernel().active_process_list();
+        self.kernel_scan(&span, machine, ViewKind::LowLevelApl, pids)
     }
 
     /// The advanced-mode low-level scan: traverse a kernel structure that
@@ -139,42 +113,33 @@ impl ProcessScanner {
         pids.extend(machine.kernel().active_process_list());
         pids.sort();
         pids.dedup();
-        let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
-        for pid in pids {
-            self.push_kernel_fact(machine, pid, &mut snap);
-        }
-        record_view_entries(
-            self.telemetry.as_ref(),
-            &span,
-            "processes",
-            view,
-            snap.len(),
-        );
-        snap
+        self.kernel_scan(&span, machine, view, pids)
     }
 
-    fn push_kernel_fact(&self, machine: &Machine, pid: Pid, snap: &mut Snapshot<ProcessFact>) {
-        if let Some(p) = machine.kernel().process(pid) {
-            snap.meta.io.record_entries(1);
-            snap.insert(
-                format!("pid:{}", pid.0),
-                ProcessFact {
-                    pid,
-                    image_name: p.image_name.to_win32_lossy(),
-                    image_path: p.image_path.to_string(),
-                },
-            );
+    /// The live kernel's processes among `pids`, as a `view` snapshot.
+    fn kernel_scan(
+        &self,
+        span: &MaybeSpan,
+        machine: &Machine,
+        view: ViewKind,
+        pids: Vec<Pid>,
+    ) -> Snapshot<ProcessFact> {
+        let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
+        for pid in pids {
+            if let Some(p) = machine.kernel().process(pid) {
+                snap.meta.io.record_entries(1);
+                insert_process(&mut snap, pid, &p.image_name, p.image_path.to_string());
+            }
         }
+        record_view_entries(self.telemetry.as_ref(), span, "processes", &snap);
+        snap
     }
 
     /// The outside-the-box scan over a crash-dump image.
     pub fn outside_scan(&self, dump: &MemoryDump, advanced: bool) -> Snapshot<ProcessFact> {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.outside_scan");
         span.set_attr("advanced", advanced);
-        let mut snap = Snapshot::new(ScanMeta::new(
-            ViewKind::OutsideDump,
-            strider_nt_core::Tick::ZERO,
-        ));
+        let mut snap = Snapshot::new(ScanMeta::new(ViewKind::OutsideDump, Tick::ZERO));
         snap.meta.io.record_sequential(dump.byte_len());
         let mut pids = dump.processes_via_apl();
         if advanced {
@@ -185,23 +150,10 @@ impl ProcessScanner {
         for pid in pids {
             if let Some(p) = dump.process(pid) {
                 snap.meta.io.record_entries(1);
-                snap.insert(
-                    format!("pid:{}", pid.0),
-                    ProcessFact {
-                        pid,
-                        image_name: p.image_name.to_win32_lossy(),
-                        image_path: p.image_path.to_string(),
-                    },
-                );
+                insert_process(&mut snap, pid, &p.image_name, p.image_path.to_string());
             }
         }
-        record_view_entries(
-            self.telemetry.as_ref(),
-            &span,
-            "processes",
-            ViewKind::OutsideDump,
-            snap.len(),
-        );
+        record_view_entries(self.telemetry.as_ref(), &span, "processes", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         snap
     }
@@ -259,10 +211,7 @@ impl ProcessScanner {
         entry: ChainEntry,
     ) -> Result<Snapshot<ModuleFact>, NtStatus> {
         let procs = self.high_scan(machine, ctx, entry)?;
-        let view = match entry {
-            ChainEntry::Win32 => ViewKind::HighLevelWin32,
-            ChainEntry::Native => ViewKind::HighLevelNative,
-        };
+        let view = ViewKind::high_level(entry);
         let span = MaybeSpan::start(self.telemetry.as_ref(), "modules.high_scan");
         let probe = LatencyProbe::new(self.telemetry.as_ref(), "modules.proc_query_ns");
         let mut chain = ChainStats::default();
@@ -283,19 +232,11 @@ impl ProcessScanner {
             snap.meta.io.record_entries(rows.len() as u64);
             for row in rows {
                 if let Row::Module(m) = row {
-                    snap.insert(
-                        module_key(proc_fact.pid, &m.name.to_win32_lossy()),
-                        ModuleFact {
-                            pid: proc_fact.pid,
-                            process_name: proc_fact.image_name.clone(),
-                            module: m.name.to_win32_lossy(),
-                            path: m.path.to_win32_lossy(),
-                        },
-                    );
+                    insert_module(&mut snap, proc_fact, &m.name, &m.path);
                 }
             }
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "modules", view, snap.len());
+        record_view_entries(self.telemetry.as_ref(), &span, "modules", &snap);
         span.set_attr("api_calls", snap.meta.io.api_calls);
         record_chain(&span, &chain);
         Ok(snap)
@@ -314,30 +255,27 @@ impl ProcessScanner {
             ViewKind::LowLevelKernelModules,
             machine.now(),
         ));
-        for (_, proc_fact) in visible.iter() {
-            let Some(p) = machine.kernel().process(proc_fact.pid) else {
-                continue;
-            };
-            for m in &p.kernel_modules {
-                snap.meta.io.record_entries(1);
-                snap.insert(
-                    module_key(p.pid, &m.name.to_win32_lossy()),
-                    ModuleFact {
-                        pid: p.pid,
-                        process_name: proc_fact.image_name.clone(),
-                        module: m.name.to_win32_lossy(),
-                        path: m.path.to_win32_lossy(),
-                    },
-                );
-            }
-        }
-        record_view_entries(
-            self.telemetry.as_ref(),
-            &span,
-            "modules",
-            ViewKind::LowLevelKernelModules,
-            snap.len(),
-        );
+        let kernel = machine.kernel();
+        let entries = insert_kernel_modules(&mut snap, visible, |pid| {
+            kernel.process(pid).map(|p| p.kernel_modules.as_slice())
+        });
+        snap.meta.io.record_entries(entries);
+        record_view_entries(self.telemetry.as_ref(), &span, "modules", &snap);
+        snap
+    }
+
+    /// The outside-the-box module truth: the dump's kernel module lists
+    /// for the processes in `visible`. No span and no I/O of its own.
+    pub(crate) fn outside_module_scan(
+        &self,
+        dump: &MemoryDump,
+        visible: &Snapshot<ProcessFact>,
+        taken_at: Tick,
+    ) -> Snapshot<ModuleFact> {
+        let mut snap = Snapshot::new(ScanMeta::new(ViewKind::OutsideDump, taken_at));
+        insert_kernel_modules(&mut snap, visible, |pid| {
+            dump.process(pid).map(|p| p.kernel_modules.as_slice())
+        });
         snap
     }
 
@@ -382,8 +320,55 @@ impl ProcessScanner {
     }
 }
 
+/// Inserts one process under its `pid:<n>` key.
+fn insert_process(snap: &mut Snapshot<ProcessFact>, pid: Pid, name: &NtString, path: String) {
+    let image_name = name.to_win32_lossy();
+    let fact = ProcessFact {
+        pid,
+        image_name,
+        image_path: path,
+    };
+    snap.insert(format!("pid:{}", pid.0), fact);
+}
+
 fn module_key(pid: Pid, module: &str) -> String {
     format!("pid:{}|{}", pid.0, module.to_ascii_lowercase())
+}
+
+/// Inserts one module of the process `owner` under its [`module_key`].
+fn insert_module(
+    snap: &mut Snapshot<ModuleFact>,
+    owner: &ProcessFact,
+    name: &NtString,
+    path: &NtString,
+) {
+    let module = name.to_win32_lossy();
+    snap.insert(
+        module_key(owner.pid, &module),
+        ModuleFact {
+            pid: owner.pid,
+            process_name: owner.image_name.clone(),
+            module,
+            path: path.to_win32_lossy(),
+        },
+    );
+}
+
+/// Inserts the kernel module list `modules_of` finds for each process in
+/// `visible`, returning how many modules it visited.
+fn insert_kernel_modules<'a>(
+    snap: &mut Snapshot<ModuleFact>,
+    visible: &Snapshot<ProcessFact>,
+    modules_of: impl Fn(Pid) -> Option<&'a [ModuleEntry]>,
+) -> u64 {
+    let mut visited = 0;
+    for (_, owner) in visible.iter() {
+        for m in modules_of(owner.pid).unwrap_or_default() {
+            visited += 1;
+            insert_module(snap, owner, &m.name, &m.path);
+        }
+    }
+    visited
 }
 
 #[cfg(test)]

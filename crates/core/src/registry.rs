@@ -2,7 +2,9 @@
 
 use crate::diff::cross_view_diff;
 use crate::harden::{registry_scan_decoys, DecoyPump, PassCounter};
-use crate::instrument::{query_chain, record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{
+    query_chain, record_chain, record_decoys, record_defects, record_view_entries, LatencyProbe,
+};
 use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, NoiseClass, ResourceKind};
 use crate::snapshot::{HookFact, ScanMeta, Snapshot, ViewKind};
@@ -210,10 +212,7 @@ impl RegistryScanner {
         ctx: &CallContext,
         entry: ChainEntry,
     ) -> Snapshot<HookFact> {
-        let view = match entry {
-            ChainEntry::Win32 => ViewKind::HighLevelWin32,
-            ChainEntry::Native => ViewKind::HighLevelNative,
-        };
+        let view = ViewKind::high_level(entry);
         let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.high_scan");
         let latency = LatencyProbe::new(self.telemetry.as_ref(), "registry.key_probe_ns");
         let io = Rc::new(RefCell::new(IoStats::default()));
@@ -266,14 +265,9 @@ impl RegistryScanner {
         for hook in hooks {
             snap.insert(hook.identity(), hook);
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "registry", view, snap.len());
+        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
         if let Some(pump) = &pump {
-            let issued = pump.borrow().issued();
-            if issued > 0 {
-                if let Some(t) = &self.telemetry {
-                    t.counter_add("registry.decoys", issued);
-                }
-            }
+            record_decoys(self.telemetry.as_ref(), "registry", pump.borrow().issued());
         }
         span.set_attr("api_calls", snap.meta.io.api_calls);
         if let Some(chain) = &chain {
@@ -282,25 +276,13 @@ impl RegistryScanner {
         snap
     }
 
-    /// Parses hive bytes per the policy: strict, or salvage mode with the
-    /// defect count accumulated into `defects`.
+    /// Parses hive bytes per the policy, accumulating salvage defects.
     fn parse_hive(&self, bytes: &[u8], defects: &mut u64) -> Result<RawHive, NtStatus> {
-        if self.policy.salvage {
-            let salvaged = RawHive::parse_salvage(bytes);
-            *defects += salvaged.defects.len() as u64;
-            Ok(salvaged.value)
-        } else {
-            RawHive::parse(bytes).map_err(|e| NtStatus::CorruptStructure(e.to_string()))
-        }
-    }
-
-    fn record_defect_counter(&self, span: &MaybeSpan, defects: u64) {
-        if defects > 0 {
-            span.set_attr("defects", defects);
-            if let Some(t) = &self.telemetry {
-                t.counter_add("registry.defects", defects);
-            }
-        }
+        let (raw, found) =
+            self.policy
+                .parse_image(bytes, RawHive::parse, RawHive::parse_salvage)?;
+        *defects += found;
+        Ok(raw)
     }
 
     /// The low-level inside-the-box scan: copy each hive's bytes (a step
@@ -326,8 +308,7 @@ impl RegistryScanner {
             let raw = self.parse_hive(&bytes, &mut defects)?;
             parsed.push((mount, raw));
         }
-        io.record_defects(defects);
-        self.record_defect_counter(&span, defects);
+        record_defects(self.telemetry.as_ref(), &span, "registry", &mut io, defects);
         let hooks = asep::extract_raw(&parsed, &self.catalog);
         let mut snap = Snapshot::new(ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now()));
         snap.meta.io = io;
@@ -335,13 +316,7 @@ impl RegistryScanner {
         for hook in hooks {
             snap.insert(hook.identity(), hook);
         }
-        record_view_entries(
-            self.telemetry.as_ref(),
-            &span,
-            "registry",
-            ViewKind::LowLevelHiveParse,
-            snap.len(),
-        );
+        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }
@@ -365,8 +340,7 @@ impl RegistryScanner {
             let raw = self.parse_hive(bytes, &mut defects)?;
             parsed.push((mount.clone(), raw));
         }
-        io.record_defects(defects);
-        self.record_defect_counter(&span, defects);
+        record_defects(self.telemetry.as_ref(), &span, "registry", &mut io, defects);
         let hooks = match mode {
             OutsideRegistryMode::RawParse => asep::extract_raw(&parsed, &self.catalog),
             OutsideRegistryMode::MountedWin32 => asep::extract_hooks_with(
@@ -390,7 +364,7 @@ impl RegistryScanner {
         for hook in hooks {
             snap.insert(hook.identity(), hook);
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "registry", view, snap.len());
+        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }
@@ -456,10 +430,7 @@ impl RegistryScanner {
         ctx: &CallContext,
         entry: ChainEntry,
     ) -> Snapshot<String> {
-        let view = match entry {
-            ChainEntry::Win32 => ViewKind::HighLevelWin32,
-            ChainEntry::Native => ViewKind::HighLevelNative,
-        };
+        let view = ViewKind::high_level(entry);
         let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.full_high_scan");
         let io = Rc::new(RefCell::new(IoStats::default()));
         let chain = span
@@ -483,7 +454,7 @@ impl RegistryScanner {
             );
         }
         snap.meta.io = *io.borrow();
-        record_view_entries(self.telemetry.as_ref(), &span, "registry", view, snap.len());
+        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
         span.set_attr("api_calls", snap.meta.io.api_calls);
         if let Some(chain) = &chain {
             record_chain(&span, &chain.borrow());
@@ -511,15 +482,9 @@ impl RegistryScanner {
             let root = asep::RawKeyView(raw.root());
             walk_key_view(&root, &mount.to_string().to_ascii_lowercase(), &mut snap);
         }
-        snap.meta.io.record_defects(defects);
-        self.record_defect_counter(&span, defects);
-        record_view_entries(
-            self.telemetry.as_ref(),
-            &span,
-            "registry",
-            ViewKind::LowLevelHiveParse,
-            snap.len(),
-        );
+        let telemetry = self.telemetry.as_ref();
+        record_defects(telemetry, &span, "registry", &mut snap.meta.io, defects);
+        record_view_entries(telemetry, &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use strider_nt_core::{IoStats, Pid, Tick};
+use strider_winapi::ChainEntry;
 
 /// Which view produced a snapshot — the axis of the cross-view diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +38,14 @@ impl ViewKind {
     /// Whether this view is "the truth side" relative to a high-level scan.
     pub fn is_truth_side(self) -> bool {
         !matches!(self, ViewKind::HighLevelWin32 | ViewKind::HighLevelNative)
+    }
+
+    /// The high-level view a query chain entered at `entry` produces.
+    pub(crate) fn high_level(entry: ChainEntry) -> Self {
+        match entry {
+            ChainEntry::Win32 => ViewKind::HighLevelWin32,
+            ChainEntry::Native => ViewKind::HighLevelNative,
+        }
     }
 }
 

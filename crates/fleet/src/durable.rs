@@ -83,12 +83,6 @@ impl FleetHealPolicy {
         self
     }
 
-    /// Sets the jitter seed.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
     /// The backoff to sleep after `attempt` (1-based) failed on `shard`:
     /// `min(base << (attempt-1), max)` plus up to 25% seeded jitter.
     pub fn backoff_ns(&self, shard: u32, attempt: u32) -> u64 {

@@ -554,11 +554,11 @@ impl std::error::Error for CheckpointMismatch {}
 
 /// Durable progress of a fleet sweep: one [`SweepCheckpoint`] per shard,
 /// updated in place as pipelines finish. Serialize it when a fleet sweep
-/// dies; a later [`FleetScheduler::sweep_checkpointed`] run against the
+/// dies; a later [`FleetScheduler::sweep_streaming`] run against the
 /// same fleet restores the complete shards verbatim and re-sweeps only the
 /// rest.
 ///
-/// [`FleetScheduler::sweep_checkpointed`]: crate::FleetScheduler::sweep_checkpointed
+/// [`FleetScheduler::sweep_streaming`]: crate::FleetScheduler::sweep_streaming
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetCheckpoint {
     /// The fleet seed the checkpoint belongs to.

@@ -137,11 +137,6 @@ impl FleetScheduler {
         self
     }
 
-    /// The self-healing policy, when one is set.
-    pub fn heal_policy(&self) -> Option<&FleetHealPolicy> {
-        self.heal.as_ref()
-    }
-
     /// Sets the worker-pool size (minimum 1). `workers = 1` serializes the
     /// fleet, which makes interleavings deterministic in tests.
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -188,29 +183,17 @@ impl FleetScheduler {
     /// as a degraded [`ShardResult`], not an error.
     pub fn sweep(&self, fleet: &mut FleetRegistry) -> Result<FleetReport, NtStatus> {
         let mut checkpoint = FleetCheckpoint::new(fleet);
-        self.sweep_checkpointed(fleet, &mut checkpoint)
+        self.sweep_streaming(fleet, &mut checkpoint, |_| FleetControl::Continue)
     }
 
     /// [`FleetScheduler::sweep`], but recording per-shard progress into
-    /// `checkpoint`: shards already complete in it are restored verbatim
-    /// (no scan, no telemetry) and everything else is swept and recorded.
-    ///
-    /// # Errors
-    ///
-    /// [`NtStatus::InvalidParameter`] when the checkpoint was taken on a
-    /// different fleet.
-    pub fn sweep_checkpointed(
-        &self,
-        fleet: &mut FleetRegistry,
-        checkpoint: &mut FleetCheckpoint,
-    ) -> Result<FleetReport, NtStatus> {
-        self.sweep_streaming(fleet, checkpoint, |_| FleetControl::Continue)
-    }
-
-    /// The streaming core: every [`ShardResult`] is shown to `observer`
-    /// (on the calling thread, in arrival order) before being merged;
-    /// returning [`FleetControl::Stop`] cancels the remaining fleet while
-    /// already-produced results keep draining into the report.
+    /// `checkpoint` and streaming results: shards already complete in the
+    /// checkpoint are restored verbatim (no scan, no telemetry) and
+    /// everything else is swept and recorded. Every [`ShardResult`] is
+    /// shown to `observer` (on the calling thread, in arrival order)
+    /// before being merged; returning [`FleetControl::Stop`] cancels the
+    /// remaining fleet while already-produced results keep draining into
+    /// the report. Pass `|_| FleetControl::Continue` to only checkpoint.
     ///
     /// # Errors
     ///
@@ -769,7 +752,7 @@ mod tests {
         let other = FleetRegistry::seeded(&FleetSpec::clean(2, 2)).unwrap();
         let mut checkpoint = FleetCheckpoint::new(&other);
         let err = scheduler()
-            .sweep_checkpointed(&mut fleet, &mut checkpoint)
+            .sweep_streaming(&mut fleet, &mut checkpoint, |_| FleetControl::Continue)
             .unwrap_err();
         assert_eq!(err, NtStatus::InvalidParameter);
     }
@@ -779,11 +762,11 @@ mod tests {
         let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(4, 21).with_infected(2)).unwrap();
         let mut checkpoint = FleetCheckpoint::new(&fleet);
         let first = scheduler()
-            .sweep_checkpointed(&mut fleet, &mut checkpoint)
+            .sweep_streaming(&mut fleet, &mut checkpoint, |_| FleetControl::Continue)
             .unwrap();
         assert!(checkpoint.is_complete());
         let second = scheduler()
-            .sweep_checkpointed(&mut fleet, &mut checkpoint)
+            .sweep_streaming(&mut fleet, &mut checkpoint, |_| FleetControl::Continue)
             .unwrap();
         assert_eq!(second.swept, 4);
         assert!(second.results().iter().all(|r| r.restored));

@@ -662,58 +662,6 @@ impl AlertLog {
     pub fn last(&self) -> Option<&AlertTransition> {
         self.entries.back()
     }
-
-    /// Appends a transition to the in-memory log *and* WAL-appends it to
-    /// `store` — one O(1) framed record per transition, so alert history
-    /// survives a crash without ever rewriting the whole file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O errors (including injected crashes); the
-    /// in-memory push only happens after the record is durable.
-    pub fn push_durable(
-        &mut self,
-        transition: AlertTransition,
-        store: &crate::store::RecordStore,
-    ) -> std::io::Result<()> {
-        store.append(transition.to_json().render().as_bytes())?;
-        self.push(transition);
-        Ok(())
-    }
-
-    /// Rebuilds a log of capacity `cap` by replaying the WAL in `store`,
-    /// oldest record first. Damage — a torn tail from a crash, a record
-    /// that no longer parses — is returned as typed defects, never a
-    /// panic: the log simply resumes from what survived.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O errors; damaged records are defects, not
-    /// errors.
-    pub fn recover(
-        store: &crate::store::RecordStore,
-        cap: usize,
-    ) -> std::io::Result<(Self, Vec<crate::fault::Defect>)> {
-        let recovered = store.recover()?;
-        let mut defects = recovered.defects.clone();
-        let mut log = AlertLog::new(cap);
-        for record in &recovered.records {
-            let parsed = std::str::from_utf8(&record.payload)
-                .ok()
-                .and_then(|text| JsonValue::parse(text).ok())
-                .and_then(|value| AlertTransition::from_json(&value).ok());
-            match parsed {
-                Some(transition) => log.push(transition),
-                None => defects.push(crate::fault::Defect::new(
-                    crate::fault::DefectKind::BadRecord,
-                    record.offset,
-                    record.payload.len() as u64,
-                    "alert log transition",
-                )),
-            }
-        }
-        Ok((log, defects))
-    }
 }
 
 impl ToJson for AlertLog {
@@ -1428,43 +1376,6 @@ mod tests {
         // Round-trip keeps the accounting.
         let parsed = AlertLog::from_json(&JsonValue::parse(&log.to_json().render()).unwrap());
         assert_eq!(parsed.unwrap(), log);
-    }
-
-    #[test]
-    fn alert_log_survives_crash_through_the_wal() {
-        let dir = std::env::temp_dir().join(format!("strider-alertwal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = crate::store::RecordStore::open(dir.join("alerts.wal")).unwrap();
-        let mut log = AlertLog::new(8);
-        for i in 0..3u64 {
-            log.push_durable(
-                AlertTransition {
-                    at_ns: i,
-                    rule: format!("rule-{i}"),
-                    severity: Severity::Warning,
-                    from: AlertState::Inactive,
-                    to: AlertState::Firing,
-                    value: Some(i as f64),
-                    detail: "breach".to_string(),
-                },
-                &store,
-            )
-            .unwrap();
-        }
-        // Tear the file mid-frame, as a crash would, then recover.
-        let path = store.path().to_path_buf();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let store = crate::store::RecordStore::open(&path).unwrap();
-        let (recovered, defects) = AlertLog::recover(&store, 8).unwrap();
-        assert_eq!(recovered.len(), 2, "torn newest entry falls away");
-        assert_eq!(recovered.last().unwrap().rule, "rule-1");
-        assert!(
-            defects.is_empty(),
-            "open() already repaired the tail: {defects:?}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -78,7 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .set_fault_injector(FaultInjector::new().stall_volume_reads(Stall::forever()));
     let serial_scheduler = FleetScheduler::new(detector.clone()).with_workers(1);
     let mut checkpoint = FleetCheckpoint::new(&fleet);
-    let stalled_run = serial_scheduler.sweep_checkpointed(&mut fleet, &mut checkpoint)?;
+    let stalled_run = serial_scheduler
+        .sweep_streaming(&mut fleet, &mut checkpoint, |_| FleetControl::Continue)?;
 
     let stalled = stalled_run.result(ShardId(7)).expect("shard reported");
     println!(
@@ -108,7 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fleet.machines_mut()[7]
         .machine
         .set_fault_injector(FaultInjector::new());
-    let resumed = serial_scheduler.sweep_checkpointed(&mut fleet, &mut parsed)?;
+    let resumed =
+        serial_scheduler.sweep_streaming(&mut fleet, &mut parsed, |_| FleetControl::Continue)?;
     assert!(parsed.is_complete());
     assert_eq!(
         resumed

@@ -77,6 +77,14 @@ STRIDER_BENCH_DIR="$OBS_DIR" cargo run -q --offline --example profiling >/dev/nu
 test -f "$OBS_DIR/SCAN_PERF_hardened.json"
 test -f "$OBS_DIR/FLEET_TRACE_fleet64.json"
 
+# Paper figures, byte for byte: every table and figure is deterministic
+# (seeded workloads, logical clock, modelled scan times), so any diff
+# against the committed output is a behaviour change to explain.
+echo "==> paper_tables all vs docs/paper_tables_output.txt"
+cargo run -q --release --offline -p strider-bench --bin paper_tables -- all \
+    >"$OBS_DIR/paper_tables_output.txt"
+diff -u docs/paper_tables_output.txt "$OBS_DIR/paper_tables_output.txt"
+
 # Bench gate smoke run: the committed BENCH_*.json baselines diffed
 # against themselves must pass the regression gate.
 echo "==> bench_diff smoke run"

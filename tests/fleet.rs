@@ -131,7 +131,7 @@ fn stalled_shard_lands_degraded_without_sinking_the_fleet_report() {
     let scheduler = FleetScheduler::new(detector(clock)).with_workers(1);
     let mut checkpoint = FleetCheckpoint::new(&fleet);
     let report = scheduler
-        .sweep_checkpointed(&mut fleet, &mut checkpoint)
+        .sweep_streaming(&mut fleet, &mut checkpoint, |_| FleetControl::Continue)
         .unwrap();
 
     // Every shard reported — the stall cost one pipeline of one shard.
@@ -163,7 +163,7 @@ fn stalled_shard_lands_degraded_without_sinking_the_fleet_report() {
         .machine
         .set_fault_injector(FaultInjector::new());
     let resumed = scheduler
-        .sweep_checkpointed(&mut fleet, &mut checkpoint)
+        .sweep_streaming(&mut fleet, &mut checkpoint, |_| FleetControl::Continue)
         .unwrap();
     assert!(checkpoint.is_complete());
     assert_eq!(resumed.swept, 8);
@@ -236,7 +236,7 @@ fn killed_fleet_sweep_resumes_only_the_unfinished_shards() {
     // (no scan, no telemetry), unfinished shards re-sweep, and the fleet
     // statistics come out exact.
     let resumed = scheduler
-        .sweep_checkpointed(&mut fleet, &mut parsed)
+        .sweep_streaming(&mut fleet, &mut parsed, |_| FleetControl::Continue)
         .unwrap();
     assert!(parsed.is_complete());
     assert_eq!(resumed.swept, 6);

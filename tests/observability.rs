@@ -357,3 +357,152 @@ fn flight_recorder_events_do_not_grow_the_report_json_unboundedly() {
         "report JSON must not grow with event volume: {after_fill} -> {after_flood}"
     );
 }
+
+// ---------------------------------------------------------------------
+// Telemetry vocabulary: the names every dashboard and alert rule keys on
+// ---------------------------------------------------------------------
+
+/// Sorted span names, sorted counter names, and each black box's last
+/// event (`pipeline kind what: detail`) of one sweep.
+fn vocabulary(report: &SweepReport) -> (Vec<String>, Vec<String>, Vec<String>) {
+    let telemetry = report.telemetry.as_ref().expect("telemetry attached");
+    let spans = telemetry.phase_totals().into_keys().collect();
+    let counters = telemetry.counters.keys().cloned().collect();
+    let black_boxes = report
+        .black_boxes
+        .iter()
+        .map(|(pipeline, dump)| {
+            let last = dump.last().expect("a black box ends at its failure");
+            format!("{pipeline} {} {}: {}", last.kind, last.what, last.detail)
+        })
+        .collect();
+    (spans, counters, black_boxes)
+}
+
+#[test]
+fn telemetry_vocabulary_of_both_sweep_flows_is_pinned() {
+    // Inside, hardened: salvage steps over a truncated volume and a
+    // damaged SOFTWARE bin (defects), and the decoy pumps fire.
+    let mut m = infected_machine();
+    let software: NtPath = "HKLM\\SOFTWARE".parse().unwrap();
+    let len = m.copy_hive_bytes(&software).unwrap().len();
+    m.set_fault_injector(
+        FaultInjector::new()
+            .corrupt_volume(FaultPlan::new(3).truncate_to(0.9))
+            .corrupt_hive(software, FaultPlan::new(7).zero_range(len / 3, 64)),
+    );
+    let clock = Arc::new(FakeClock::default());
+    let inside = GhostBuster::new()
+        .with_policy(ScanPolicy::hardened().with_clock(clock.clone()))
+        .with_telemetry(Telemetry::with_clock(clock))
+        .inside_sweep(&mut m)
+        .unwrap();
+    let (spans, counters, black_boxes) = vocabulary(&inside);
+    assert_eq!(
+        spans,
+        [
+            "files.cross_view_diff",
+            "files.diff",
+            "files.high_scan",
+            "files.low_scan",
+            "files.noise_classification",
+            "files.scan_inside",
+            "modules.diff",
+            "modules.high_scan",
+            "modules.low_scan",
+            "modules.scan_inside",
+            "processes.diff",
+            "processes.high_scan",
+            "processes.low_scan",
+            "processes.scan_inside",
+            "registry.cross_view_diff",
+            "registry.diff",
+            "registry.high_scan",
+            "registry.low_scan",
+            "registry.noise_classification",
+            "registry.scan_inside",
+            "sweep.inside",
+        ],
+        "inside spans"
+    );
+    assert_eq!(
+        counters,
+        [
+            "files.decoys",
+            "files.defects",
+            "files.entries.HighLevelWin32",
+            "files.entries.LowLevelMft",
+            "modules.entries.HighLevelWin32",
+            "modules.entries.LowLevelKernelModules",
+            "processes.entries.HighLevelWin32",
+            "processes.entries.LowLevelApl",
+            "registry.decoys",
+            "registry.defects",
+            "registry.entries.HighLevelWin32",
+            "registry.entries.LowLevelHiveParse",
+        ],
+        "inside counters"
+    );
+    assert!(
+        black_boxes.is_empty(),
+        "inside black boxes: {black_boxes:?}"
+    );
+    let telemetry = inside.telemetry.as_ref().unwrap();
+    for truth_span in ["files.low_scan", "registry.low_scan"] {
+        let span = telemetry.find_span(truth_span).expect("truth span");
+        assert!(span.attr("defects").is_some(), "{truth_span} defects attr");
+    }
+
+    // Outside, strict: the dump device never answers, so the volatile
+    // pipelines degrade while the disk-based ones complete.
+    let mut m = infected_machine();
+    m.set_fault_injector(FaultInjector::new().fail_dump_reads(100));
+    let clock = Arc::new(FakeClock::default());
+    let outside = GhostBuster::new()
+        .with_policy(ScanPolicy::strict().with_clock(clock.clone()))
+        .with_telemetry(Telemetry::with_clock(clock))
+        .winpe_outside_sweep(&mut m, 150)
+        .unwrap();
+    let (spans, counters, black_boxes) = vocabulary(&outside);
+    assert_eq!(
+        spans,
+        [
+            "files.cross_view_diff",
+            "files.diff",
+            "files.high_scan",
+            "files.noise_classification",
+            "files.outside_scan",
+            "modules.high_scan",
+            "processes.high_scan",
+            "registry.cross_view_diff",
+            "registry.diff",
+            "registry.high_scan",
+            "registry.noise_classification",
+            "registry.outside_scan",
+            "sweep.outside",
+        ],
+        "outside spans"
+    );
+    assert_eq!(
+        counters,
+        [
+            "files.entries.HighLevelWin32",
+            "files.entries.OutsideDisk",
+            "modules.entries.HighLevelWin32",
+            "processes.entries.HighLevelWin32",
+            "registry.entries.HighLevelWin32",
+            "registry.entries.OutsideMountedHives",
+            "sweep.degraded.modules",
+            "sweep.degraded.processes",
+        ],
+        "outside counters"
+    );
+    assert_eq!(
+        black_boxes,
+        [
+            "processes mark processes: pipeline degraded: device not ready",
+            "modules mark modules: pipeline degraded: device not ready",
+        ],
+        "outside black boxes"
+    );
+}

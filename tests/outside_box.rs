@@ -1,6 +1,7 @@
 //! Outside-the-box flows across crates: WinPE, VM, crash dumps, and the
 //! attacks that degrade each truth source.
 
+use std::collections::BTreeSet;
 use strider_ghostbuster_repro::prelude::*;
 
 fn victim(seed: u64) -> Machine {
@@ -209,4 +210,34 @@ fn vm_scanfile_flow_detects_and_is_fp_free() {
         .vm_outside_files_via_scanfile(&mut clean)
         .expect("flow");
     assert!(!report.has_detections());
+}
+
+#[test]
+fn winpe_flow_module_truth_comes_from_the_dump_kernel_lists() {
+    let mut m = victim(7);
+    m.tick(313);
+    Vanquish::default().infect(&mut m).expect("infects");
+    let report = GhostBuster::new()
+        .winpe_outside_sweep(&mut m, 150)
+        .expect("flow");
+    let hidden: BTreeSet<String> = report
+        .modules
+        .net_detections()
+        .iter()
+        .map(|d| d.identity.clone())
+        .collect();
+    let expected: BTreeSet<String> = [8, 12, 16, 20, 24, 28]
+        .map(|pid| format!("pid:{pid}|vanquish.dll"))
+        .into();
+    assert_eq!(
+        hidden, expected,
+        "Vanquish's DLL, hidden from each visible process's module list, stays in the dump's kernel lists"
+    );
+    let truth = &report.modules.truth_meta;
+    assert_eq!(truth.view, ViewKind::OutsideDump);
+    assert_eq!(truth.taken_at, Tick(464), "the disk image's capture time");
+    assert_eq!(
+        truth.io.entries, 0,
+        "the dump parse is charged to processes"
+    );
 }
