@@ -1,7 +1,9 @@
 //! Timing bench (Section 2): the hidden-file scan's three phases — the
-//! high-level API walk, the low-level MFT parse, and the diff — across
-//! machine sizes. The paper's wall-clock numbers scale with disk size; the
-//! throughput measured here feeds the cost model's per-entry constants.
+//! high-level API walk, the low-level MFT parse (also split into the
+//! substrate's volume capture and the detector's parse), and the diff —
+//! across machine sizes. The paper's wall-clock numbers scale with disk
+//! size; the throughput measured here feeds the cost model's per-entry
+//! constants.
 
 use std::time::Duration;
 use strider_bench::victim_machine_sized;
@@ -9,7 +11,7 @@ use strider_ghostbuster::{FileScanner, GhostBuster};
 use strider_support::bench::{BatchSize, Criterion, Throughput};
 use strider_support::obs::Telemetry;
 use strider_support::{criterion_group, criterion_main};
-use strider_winapi::ChainEntry;
+use strider_winapi::{ChainEntry, DiskImage};
 use strider_workload::WorkloadSpec;
 
 fn bench_file_scans(c: &mut Criterion) {
@@ -38,6 +40,22 @@ fn bench_file_scans(c: &mut Criterion) {
         });
         group.bench_function(format!("{label}/low_scan_mft_parse"), |b| {
             b.iter(|| scanner.low_scan(&machine).unwrap());
+        });
+        // `low_scan_mft_parse` split by layer: the substrate serialising
+        // the volume to its raw image, then the detector parsing an image
+        // captured once (not via `snapshot_disk`, which persists hives and
+        // would change the machine the other rows time).
+        group.bench_function(format!("{label}/volume_capture"), |b| {
+            b.iter(|| machine.try_read_raw_volume_image().unwrap());
+        });
+        let image = DiskImage {
+            machine_name: label.to_string(),
+            taken_at: machine.now(),
+            volume_image: machine.try_read_raw_volume_image().unwrap(),
+            hives: Vec::new(),
+        };
+        group.bench_function(format!("{label}/truth_from_image"), |b| {
+            b.iter(|| scanner.outside_scan(&image).unwrap());
         });
         let high = scanner
             .high_scan(&machine, &ctx, ChainEntry::Win32)

@@ -9,29 +9,46 @@
 
 use crate::report::{Detection, DiffReport};
 use crate::snapshot::Snapshot;
+use std::cmp::Ordering;
 
 /// Diffs a truth-side snapshot against a lie-side snapshot.
 ///
 /// * Every identity in `truth` missing from `lie` becomes a [`Detection`]
-///   via `build` — the hidden resources.
+///   via `build` — the hidden resources, in truth-key order.
 /// * Every identity in `lie` missing from `truth` is reported in
-///   [`DiffReport::phantom_in_lie`]; phantoms appear when a view renames an
-///   entry (e.g. Win32 truncating a NUL-embedded Registry name) rather than
-///   dropping it.
+///   [`DiffReport::phantom_in_lie`], in lie-key order; phantoms appear when a
+///   view renames an entry (e.g. Win32 truncating a NUL-embedded Registry
+///   name) rather than dropping it.
+///
+/// Both snapshots are key-sorted, so this is one merge-join over the two
+/// runs: O(n + m) with no lookups.
 pub fn cross_view_diff<T, F>(truth: &Snapshot<T>, lie: &Snapshot<T>, build: F) -> DiffReport
 where
     F: Fn(&str, &T) -> Detection,
 {
     let mut detections = Vec::new();
-    for (key, fact) in truth.iter() {
-        if !lie.contains(key) {
-            detections.push(build(key, fact));
-        }
-    }
     let mut phantom_in_lie = Vec::new();
-    for (key, _) in lie.iter() {
-        if !truth.contains(key) {
-            phantom_in_lie.push(key.clone());
+    let mut truth_facts = truth.iter().peekable();
+    let mut lie_keys = lie.iter().map(|(key, _)| key).peekable();
+    loop {
+        let order = match (truth_facts.peek(), lie_keys.peek()) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((t, _)), Some(l)) => t.cmp(l),
+        };
+        match order {
+            Ordering::Less => {
+                let (key, fact) = truth_facts.next().expect("peeked");
+                detections.push(build(key, fact));
+            }
+            Ordering::Greater => {
+                phantom_in_lie.push(lie_keys.next().expect("peeked").clone());
+            }
+            Ordering::Equal => {
+                truth_facts.next();
+                lie_keys.next();
+            }
         }
     }
     DiffReport {

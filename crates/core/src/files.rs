@@ -97,7 +97,8 @@ impl FileScanner {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "files.high_scan");
         let probe = LatencyProbe::new(self.telemetry.as_ref(), "files.dir_query_ns");
         let mut chain = ChainStats::default();
-        let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
+        let mut meta = ScanMeta::new(view, machine.now());
+        let mut facts = Vec::new();
         // Hardened scans shuffle descent order per pass and interleave
         // decoy queries, so the walk neither enumerates in a predictable
         // order nor emits the same-kind burst ghostware fingerprints.
@@ -112,8 +113,8 @@ impl FileScanner {
         let mut stack = vec![NtPath::root_of(machine.volume().label())];
         while let Some(dir) = stack.pop() {
             self.supervision.checkpoint().map_err(interrupt_status)?;
-            snap.meta.io.record_api_call();
-            snap.meta.io.record_seek();
+            meta.io.record_api_call();
+            meta.io.record_seek();
             let query = Query::DirectoryEnum { path: dir };
             let query_started = probe.start();
             let sink = span.is_recording().then_some(&mut chain);
@@ -125,22 +126,22 @@ impl FileScanner {
             };
             probe.finish(query_started);
             pump.tick(machine, ctx);
-            snap.meta.io.record_entries(rows.len() as u64);
+            meta.io.record_entries(rows.len() as u64);
             let mut subdirs = Vec::new();
             for row in rows {
                 if let Row::File(f) = row {
-                    if f.is_dir {
-                        subdirs.push(f.path.clone());
-                    }
-                    snap.insert(
+                    facts.push((
                         f.path.fold_key(),
                         FileFact {
-                            path: f.path.to_string(),
+                            path: f.path.to_display_string(),
                             is_dir: f.is_dir,
                             size: f.size,
                             created: None,
                         },
-                    );
+                    ));
+                    if f.is_dir {
+                        subdirs.push(f.path);
+                    }
                 }
             }
             if let Some(rng) = &mut order_rng {
@@ -148,6 +149,7 @@ impl FileScanner {
             }
             stack.extend(subdirs);
         }
+        let snap = Snapshot::from_facts(meta, facts);
         record_view_entries(self.telemetry.as_ref(), &span, "files", &snap);
         record_decoys(self.telemetry.as_ref(), "files", pump.issued());
         span.set_attr("api_calls", snap.meta.io.api_calls);
@@ -194,45 +196,43 @@ impl FileScanner {
         let (raw, defects) =
             self.policy
                 .parse_image(bytes, VolumeImage::parse, VolumeImage::parse_salvage)?;
-        let mut snap = Snapshot::new(ScanMeta::new(view, taken_at));
-        snap.meta.io.record_sequential(raw.image_len());
+        let mut meta = ScanMeta::new(view, taken_at);
+        meta.io.record_sequential(raw.image_len());
         record_defects(
             self.telemetry.as_ref(),
             &span,
             "files",
-            &mut snap.meta.io,
+            &mut meta.io,
             defects,
         );
-        for (path, entry) in raw.all_paths() {
-            snap.meta.io.record_entries(1);
+        let paths = raw.rendered_paths();
+        let mut facts = Vec::with_capacity(paths.len());
+        for (key, display, entry) in paths {
+            meta.io.record_entries(1);
             if self.detect_ads {
                 for ads in &entry.ads_names {
-                    let pseudo = format!("{}:{}", path, ads.to_display_string());
-                    snap.insert(
-                        format!(
-                            "{}:{}",
-                            path.fold_key(),
-                            String::from_utf16_lossy(&ads.fold_key())
-                        ),
+                    facts.push((
+                        format!("{key}:{}", String::from_utf16_lossy(&ads.fold_key())),
                         FileFact {
-                            path: pseudo,
+                            path: format!("{display}:{}", ads.to_display_string()),
                             is_dir: false,
                             size: 0,
                             created: Some(entry.created),
                         },
-                    );
+                    ));
                 }
             }
-            snap.insert(
-                path.fold_key(),
+            facts.push((
+                key,
                 FileFact {
-                    path: path.to_string(),
+                    path: display,
                     is_dir: entry.is_directory(),
                     size: entry.data_len,
                     created: Some(entry.created),
                 },
-            );
+            ));
         }
+        let snap = Snapshot::from_facts(meta, facts);
         record_view_entries(self.telemetry.as_ref(), &span, "files", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)

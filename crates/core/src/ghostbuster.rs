@@ -987,13 +987,12 @@ fn intersect_captures<T: Clone>(
     if captures.is_empty() {
         return last;
     }
-    let mut out = crate::snapshot::Snapshot::new(last.meta.clone());
-    for (key, fact) in last.iter() {
-        if captures.iter().all(|earlier| earlier.contains(key)) {
-            out.insert(key.clone(), fact.clone());
-        }
-    }
-    out
+    let kept = last
+        .iter()
+        .filter(|(key, _)| captures.iter().all(|earlier| earlier.contains(key)))
+        .map(|(key, fact)| (key.clone(), fact.clone()))
+        .collect();
+    crate::snapshot::Snapshot::from_facts(last.meta.clone(), kept)
 }
 
 /// A completed pipeline's status: clean, or salvaged with however many

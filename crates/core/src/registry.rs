@@ -436,7 +436,8 @@ impl RegistryScanner {
         let chain = span
             .is_recording()
             .then(|| Rc::new(RefCell::new(ChainStats::default())));
-        let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
+        let mut meta = ScanMeta::new(view, machine.now());
+        let mut facts = Vec::new();
         for hive in machine.registry().hives() {
             let root = ApiKeyView {
                 machine,
@@ -450,10 +451,13 @@ impl RegistryScanner {
             walk_key_view(
                 &root,
                 &hive.mount().to_string().to_ascii_lowercase(),
-                &mut snap,
+                &mut meta.io,
+                &mut facts,
             );
         }
-        snap.meta.io = *io.borrow();
+        // The API views' own call and row counts replace the walk's key count.
+        meta.io = *io.borrow();
+        let snap = Snapshot::from_facts(meta, facts);
         record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
         span.set_attr("api_calls", snap.meta.io.api_calls);
         if let Some(chain) = &chain {
@@ -469,7 +473,8 @@ impl RegistryScanner {
     /// Fails when a hive copy does not parse.
     pub fn full_low_scan(&self, machine: &Machine) -> Result<Snapshot<String>, NtStatus> {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.full_low_scan");
-        let mut snap = Snapshot::new(ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now()));
+        let mut meta = ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now());
+        let mut facts = Vec::new();
         let mut defects = 0;
         for hive in machine.registry().hives() {
             self.supervision.checkpoint().map_err(interrupt_status)?;
@@ -477,13 +482,15 @@ impl RegistryScanner {
             let bytes = self
                 .policy
                 .supervised_retry(&self.supervision, || machine.try_copy_hive_bytes(&mount))?;
-            snap.meta.io.record_sequential(bytes.len() as u64);
+            meta.io.record_sequential(bytes.len() as u64);
             let raw = self.parse_hive(&bytes, &mut defects)?;
             let root = asep::RawKeyView(raw.root());
-            walk_key_view(&root, &mount.to_string().to_ascii_lowercase(), &mut snap);
+            let path_key = mount.to_string().to_ascii_lowercase();
+            walk_key_view(&root, &path_key, &mut meta.io, &mut facts);
         }
         let telemetry = self.telemetry.as_ref();
-        record_defects(telemetry, &span, "registry", &mut snap.meta.io, defects);
+        record_defects(telemetry, &span, "registry", &mut meta.io, defects);
+        let snap = Snapshot::from_facts(meta, facts);
         record_view_entries(telemetry, &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
@@ -521,25 +528,31 @@ impl RegistryScanner {
     }
 }
 
-/// Walks a [`KeyView`] tree, recording one fact per key and per value.
-fn walk_key_view<V: KeyView>(view: &V, path_key: &str, snap: &mut Snapshot<String>) {
-    snap.meta.io.record_entries(1);
+/// Walks a [`KeyView`] tree, collecting one fact per key and per value and
+/// counting each key visited in `io`.
+fn walk_key_view<V: KeyView>(
+    view: &V,
+    path_key: &str,
+    io: &mut IoStats,
+    facts: &mut Vec<(String, String)>,
+) {
+    io.record_entries(1);
     for value in view.values() {
         let rendered = view.render_name(&value.name);
-        snap.insert(
+        facts.push((
             format!(
                 "val:{path_key}|{}|{}",
                 rendered.to_ascii_lowercase(),
                 value.target.to_ascii_lowercase()
             ),
             format!("{path_key}\\{rendered} = {}", value.target),
-        );
+        ));
     }
     for (name, sub) in view.subkeys() {
         let rendered = view.render_name(&name);
         let child_key = format!("{path_key}\\{}", rendered.to_ascii_lowercase());
-        snap.insert(format!("key:{child_key}"), child_key.clone());
-        walk_key_view(&sub, &child_key, snap);
+        facts.push((format!("key:{child_key}"), child_key.clone()));
+        walk_key_view(&sub, &child_key, io, facts);
     }
 }
 

@@ -129,7 +129,7 @@ pub fn parse_scan_file(bytes: &[u8]) -> Result<Snapshot<FileFact>, ScanFileError
         .ok_or(ScanFileError::BadHeader)?
         .parse()
         .map_err(|_| ScanFileError::BadHeader)?;
-    let mut snap = Snapshot::new(ScanMeta::new(view, Tick(taken)));
+    let mut facts = Vec::new();
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
         if line.is_empty() {
@@ -151,7 +151,7 @@ pub fn parse_scan_file(bytes: &[u8]) -> Result<Snapshot<FileFact>, ScanFileError
                     .map_err(|_| ScanFileError::BadNumber { line: line_no })?,
             ))
         };
-        snap.insert(
+        facts.push((
             key.to_string(),
             FileFact {
                 path: path.to_string(),
@@ -159,9 +159,12 @@ pub fn parse_scan_file(bytes: &[u8]) -> Result<Snapshot<FileFact>, ScanFileError
                 size,
                 created,
             },
-        );
+        ));
     }
-    Ok(snap)
+    Ok(Snapshot::from_facts(
+        ScanMeta::new(view, Tick(taken)),
+        facts,
+    ))
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Scan snapshots: what a view saw, when, and at what I/O cost.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use strider_nt_core::{IoStats, Pid, Tick};
+use strider_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use strider_winapi::ChainEntry;
 
 /// Which view produced a snapshot — the axis of the cross-view diff.
@@ -93,12 +93,14 @@ impl ScanMeta {
 /// A snapshot of keyed facts: the unit the diff engine consumes.
 ///
 /// Keys are view-independent identities (case-folded paths, hook
-/// identities, pids); values are display facts.
+/// identities, pids); values are display facts. The facts are one vector
+/// sorted by key with each key once, so lookups are binary searches and
+/// two snapshots diff by a single merge-join.
 #[derive(Debug, Clone)]
 pub struct Snapshot<T> {
     /// Scan metadata.
     pub meta: ScanMeta,
-    facts: BTreeMap<String, T>,
+    facts: Vec<(String, T)>,
 }
 
 impl<T> Snapshot<T> {
@@ -106,14 +108,39 @@ impl<T> Snapshot<T> {
     pub fn new(meta: ScanMeta) -> Self {
         Self {
             meta,
-            facts: BTreeMap::new(),
+            facts: Vec::new(),
         }
+    }
+
+    /// Builds a snapshot from facts in any order, sorting them once. When a
+    /// key repeats, the last fact wins, exactly as repeated
+    /// [`Snapshot::insert`]s behave. Builders whose size grows with the
+    /// machine use this rather than `insert`, which costs O(n) per call.
+    pub fn from_facts(meta: ScanMeta, mut facts: Vec<(String, T)>) -> Self {
+        // Stable: equal keys keep their arrival order, so the run's last
+        // element is the last write.
+        facts.sort_by(|a, b| a.0.cmp(&b.0));
+        facts.dedup_by(|later, kept| {
+            let repeat = later.0 == kept.0;
+            if repeat {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            repeat
+        });
+        Self { meta, facts }
     }
 
     /// Inserts a fact under its identity key. Last write wins, as with
     /// repeated directory entries in a rescan.
     pub fn insert(&mut self, key: String, fact: T) {
-        self.facts.insert(key, fact);
+        match self.position(&key) {
+            Ok(i) => self.facts[i].1 = fact,
+            Err(i) => self.facts.insert(i, (key, fact)),
+        }
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.facts.binary_search_by(|(k, _)| k.as_str().cmp(key))
     }
 
     /// Number of facts.
@@ -128,17 +155,17 @@ impl<T> Snapshot<T> {
 
     /// Whether an identity is present.
     pub fn contains(&self, key: &str) -> bool {
-        self.facts.contains_key(key)
+        self.position(key).is_ok()
     }
 
     /// Fetches a fact by identity.
     pub fn get(&self, key: &str) -> Option<&T> {
-        self.facts.get(key)
+        self.position(key).ok().map(|i| &self.facts[i].1)
     }
 
     /// Iterates `(identity, fact)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &T)> {
-        self.facts.iter()
+        self.facts.iter().map(|(key, fact)| (key, fact))
     }
 }
 
@@ -204,30 +231,33 @@ strider_support::impl_json!(
 );
 strider_support::impl_json!(struct ScanMeta { view, taken_at, io });
 // `Snapshot<T>` is generic, which `impl_json!` does not cover — spell the
-// same encoding out by hand.
-impl<T: strider_support::json::ToJson> strider_support::json::ToJson for Snapshot<T> {
-    fn to_json(&self) -> strider_support::json::JsonValue {
-        strider_support::json::JsonValue::Obj(vec![
-            (
-                "meta".to_string(),
-                strider_support::json::ToJson::to_json(&self.meta),
-            ),
-            (
-                "facts".to_string(),
-                strider_support::json::ToJson::to_json(&self.facts),
-            ),
+// encoding out by hand: `facts` is an object in key order.
+impl<T: ToJson> ToJson for Snapshot<T> {
+    fn to_json(&self) -> JsonValue {
+        let facts = self
+            .facts
+            .iter()
+            .map(|(key, fact)| (key.clone(), fact.to_json()))
+            .collect();
+        JsonValue::Obj(vec![
+            ("meta".to_string(), self.meta.to_json()),
+            ("facts".to_string(), JsonValue::Obj(facts)),
         ])
     }
 }
 
-impl<T: strider_support::json::FromJson> strider_support::json::FromJson for Snapshot<T> {
-    fn from_json(
-        value: &strider_support::json::JsonValue,
-    ) -> Result<Self, strider_support::json::JsonError> {
-        Ok(Self {
-            meta: strider_support::json::FromJson::from_json(value.field("meta")?)?,
-            facts: strider_support::json::FromJson::from_json(value.field("facts")?)?,
-        })
+impl<T: FromJson> FromJson for Snapshot<T> {
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        let facts = value
+            .field("facts")?
+            .as_obj()?
+            .iter()
+            .map(|(key, fact)| Ok((key.clone(), T::from_json(fact)?)))
+            .collect::<Result<_, JsonError>>()?;
+        Ok(Self::from_facts(
+            ScanMeta::from_json(value.field("meta")?)?,
+            facts,
+        ))
     }
 }
 strider_support::impl_json!(struct FileFact { path, is_dir, size, created });
@@ -256,6 +286,44 @@ mod tests {
         assert!(s.contains("c:\\a"));
         assert!(s.get("c:\\a").is_some());
         assert_eq!(s.meta.taken_at, Tick(3));
+    }
+
+    /// A `Snapshot<FileFact>`'s JSON encoding, pinned byte for byte: `facts`
+    /// is an object in key order, the last write to a key winning.
+    const PINNED_JSON: &str = r#"{"meta":{"view":"LowLevelMft","taken_at":7,"io":{"bytes_read":4096,"seeks":0,"api_calls":1,"entries":3,"defects":0}},"facts":{"c:\\a\"b":{"path":"C:\\a\"b","is_dir":false,"size":1,"created":null},"c:\\windows":{"path":"C:\\Windows","is_dir":true,"size":0,"created":5},"c:\\windows\\hxdef100.exe":{"path":"C:\\WINDOWS\\hxdef100.exe","is_dir":false,"size":70,"created":2},"c:\\ünï\\x":{"path":"C:\\ÜNÏ\\x","is_dir":false,"size":2,"created":null}}}"#;
+
+    #[test]
+    fn json_encoding_is_pinned_and_round_trips_byte_for_byte() {
+        let mut meta = ScanMeta::new(ViewKind::LowLevelMft, Tick(7));
+        meta.io.record_api_call();
+        meta.io.record_entries(3);
+        meta.io.record_sequential(4096);
+        let mut s: Snapshot<FileFact> = Snapshot::new(meta);
+        let fact = |path: &str, is_dir: bool, size: u64, created: Option<Tick>| FileFact {
+            path: path.to_string(),
+            is_dir,
+            size,
+            created,
+        };
+        s.insert(
+            "c:\\windows\\hxdef100.exe".into(),
+            fact("C:\\WINDOWS\\hxdef100.exe", false, 70, Some(Tick(2))),
+        );
+        s.insert(
+            "c:\\windows".into(),
+            fact("C:\\WINDOWS", true, 0, Some(Tick(1))),
+        );
+        s.insert("c:\\a\"b".into(), fact("C:\\a\"b", false, 1, None));
+        s.insert("c:\\ünï\\x".into(), fact("C:\\ÜNÏ\\x", false, 2, None));
+        s.insert(
+            "c:\\windows".into(),
+            fact("C:\\Windows", true, 0, Some(Tick(5))),
+        );
+        assert_eq!(s.to_json().render(), PINNED_JSON);
+        let parsed: Snapshot<FileFact> =
+            Snapshot::from_json(&JsonValue::parse(PINNED_JSON).unwrap()).unwrap();
+        assert_eq!(parsed.to_json().render(), PINNED_JSON);
+        assert_eq!(parsed.meta, s.meta);
     }
 
     #[test]

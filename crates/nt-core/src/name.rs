@@ -92,13 +92,26 @@ impl NtString {
     /// as `\0` escapes so the representation is never misleadingly truncated.
     pub fn to_display_string(&self) -> String {
         let mut out = String::with_capacity(self.units.len());
+        // A `String` sink never fails.
+        let _ = self.write_display(&mut out);
+        out
+    }
+
+    /// Appends the display form ([`NtString::to_display_string`]) to `out`.
+    ///
+    /// # Errors
+    ///
+    /// Only what `out` itself returns; a `String` never fails.
+    pub fn write_display<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         for (i, chunk) in self.units.split(|&u| u == 0).enumerate() {
             if i > 0 {
-                out.push_str("\\0");
+                out.write_str("\\0")?;
             }
-            out.push_str(&String::from_utf16_lossy(chunk));
+            for c in char::decode_utf16(chunk.iter().copied()) {
+                out.write_char(c.unwrap_or(char::REPLACEMENT_CHARACTER))?;
+            }
         }
-        out
+        Ok(())
     }
 
     /// A case-folded exact key for case-insensitive maps, preserving embedded
@@ -106,15 +119,22 @@ impl NtString {
     pub fn fold_key(&self) -> Vec<u16> {
         self.units
             .iter()
-            .map(|&u| {
-                // Simple-case folding is what the NT upcase table does for
-                // the BMP; ASCII folding covers the simulation's namespace.
-                match char::from_u32(u as u32) {
-                    Some(c) => c.to_ascii_lowercase() as u16,
-                    None => u,
-                }
-            })
+            .map(|&u| fold_unit(u).map_or(u, |c| c as u16))
             .collect()
+    }
+
+    /// Appends the case-folded key as text to `out`, one character per code
+    /// unit: the component form of [`NtPath::fold_key`](crate::NtPath::fold_key).
+    /// A lone surrogate, which is no character, renders as U+FFFD.
+    ///
+    /// # Errors
+    ///
+    /// Only what `out` itself returns; a `String` never fails.
+    pub fn write_fold_key<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        for &u in &self.units {
+            out.write_char(fold_unit(u).unwrap_or(char::REPLACEMENT_CHARACTER))?;
+        }
+        Ok(())
     }
 
     /// Case-insensitive equality per NT name-comparison rules.
@@ -162,6 +182,13 @@ impl NtString {
     }
 }
 
+/// Folds one code unit: simple-case folding is what the NT upcase table does
+/// for the BMP; ASCII folding covers the simulation's namespace. `None` for a
+/// lone surrogate, which is no character and folds to itself.
+fn fold_unit(u: u16) -> Option<char> {
+    char::from_u32(u as u32).map(|c| c.to_ascii_lowercase())
+}
+
 impl From<&str> for NtString {
     fn from(s: &str) -> Self {
         Self {
@@ -178,7 +205,7 @@ impl From<String> for NtString {
 
 impl fmt::Display for NtString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_display_string())
+        self.write_display(f)
     }
 }
 

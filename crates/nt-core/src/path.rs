@@ -126,17 +126,36 @@ impl NtPath {
             && self.starts_with(other)
     }
 
-    /// A case-folded key suitable for hash maps keyed case-insensitively.
+    /// A case-folded key suitable for hash maps keyed case-insensitively,
+    /// rendered into one allocation.
     pub fn fold_key(&self) -> String {
-        let mut key = self.root.to_ascii_lowercase();
+        let mut key = String::with_capacity(self.char_len());
+        key.push_str(&self.root);
+        key.make_ascii_lowercase();
         for c in &self.components {
             key.push('\\');
-            let folded = c.fold_key();
-            for u in folded {
-                key.push(char::from_u32(u as u32).unwrap_or('\u{FFFD}'));
-            }
+            // A `String` sink never fails.
+            let _ = c.write_fold_key(&mut key);
         }
         key
+    }
+
+    /// The display form (what `Display` prints), rendered into one
+    /// allocation.
+    pub fn to_display_string(&self) -> String {
+        let mut out = String::with_capacity(self.char_len());
+        // A `String` sink never fails.
+        let _ = self.write_display(&mut out);
+        out
+    }
+
+    fn write_display<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(&self.root)?;
+        for c in &self.components {
+            out.write_char('\\')?;
+            c.write_display(out)?;
+        }
+        Ok(())
     }
 
     /// Total length in characters of the rendered path, used for the Win32
@@ -155,11 +174,7 @@ impl NtPath {
 
 impl fmt::Display for NtPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.root)?;
-        for c in &self.components {
-            write!(f, "\\{}", c.to_display_string())?;
-        }
-        Ok(())
+        self.write_display(f)
     }
 }
 

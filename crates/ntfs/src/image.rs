@@ -248,7 +248,10 @@ impl VolumeImage {
     ///
     /// Entries whose parent chain is broken or cyclic are reported under the
     /// synthetic root `<orphaned>` rather than dropped: an orphaned-but-in-use
-    /// record is exactly the kind of anomaly a detector must not hide.
+    /// record is exactly the kind of anomaly a detector must not hide. A
+    /// cyclic chain stops at the first record already on it, so each record's
+    /// name appears at most once: records `a` and `b` that name each other as
+    /// parent give `<orphaned>\b\a` and `<orphaned>\a\b`.
     pub fn file_paths(&self) -> Vec<(NtPath, &RawFileEntry)> {
         self.paths_internal(false)
     }
@@ -258,43 +261,158 @@ impl VolumeImage {
         self.paths_internal(true)
     }
 
+    /// [`VolumeImage::all_paths`], rendered: each entry's
+    /// `(path.fold_key(), path.to_string(), entry)` in the same order, without
+    /// building the paths. An entry whose parent chain reaches the root
+    /// renders its strings once, from its parent's rendering; an orphaned
+    /// entry renders its [`VolumeImage::all_paths`] path.
+    pub fn rendered_paths(&self) -> Vec<(String, String, &RawFileEntry)> {
+        let mut walk = ParentWalk::new(&self.entries);
+        let mut chain = Vec::new();
+        let root_key = self.label.to_ascii_lowercase();
+        // Renderings of entries whose chains reach the root, by entry index.
+        let mut rendered: Vec<Option<(String, String)>> = vec![None; self.entries.len()];
+        for start in 0..self.entries.len() {
+            if self.entries[start].number.0 == 0 || rendered[start].is_some() {
+                continue;
+            }
+            let mut parent = match walk.walk(start, |k| rendered[k].is_some(), &mut chain) {
+                WalkEnd::Root => None,
+                WalkEnd::Known(k) => Some(k),
+                WalkEnd::Orphaned => continue,
+            };
+            // Every record on a chain that reaches the root reaches it too:
+            // render them farthest first, each from its parent.
+            for &k in chain.iter().rev().chain(std::iter::once(&start)) {
+                let (parent_key, parent_display) = match parent.and_then(|p| rendered[p].as_ref()) {
+                    Some((key, display)) => (key.as_str(), display.as_str()),
+                    None => (root_key.as_str(), self.label.as_str()),
+                };
+                let name = &self.entries[k].name;
+                let mut key = String::with_capacity(parent_key.len() + 1 + name.len());
+                key.push_str(parent_key);
+                key.push('\\');
+                let mut display = String::with_capacity(parent_display.len() + 1 + name.len());
+                display.push_str(parent_display);
+                display.push('\\');
+                // A `String` sink never fails.
+                let _ = name.write_fold_key(&mut key);
+                let _ = name.write_display(&mut display);
+                rendered[k] = Some((key, display));
+                parent = Some(k);
+            }
+        }
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| entry.number.0 != 0)
+            .map(|(i, entry)| match rendered[i].take() {
+                Some((key, display)) => (key, display, entry),
+                None => {
+                    let path = self.path_of(&mut walk, i, &mut chain);
+                    (path.fold_key(), path.to_display_string(), entry)
+                }
+            })
+            .collect()
+    }
+
     fn paths_internal(&self, include_dirs: bool) -> Vec<(NtPath, &RawFileEntry)> {
-        let by_number: HashMap<u64, &RawFileEntry> =
-            self.entries.iter().map(|e| (e.number.0, e)).collect();
+        let mut walk = ParentWalk::new(&self.entries);
+        let mut chain = Vec::new();
         let mut out = Vec::new();
-        for entry in &self.entries {
+        for (i, entry) in self.entries.iter().enumerate() {
             if entry.number.0 == 0 {
                 continue; // root itself
             }
             if entry.is_directory() && !include_dirs {
                 continue;
             }
-            let mut parts = vec![entry.name.clone()];
-            let mut cur = entry.parent;
-            let mut hops = 0usize;
-            let mut broken = false;
-            while cur.0 != 0 {
-                match by_number.get(&cur.0) {
-                    Some(p) => {
-                        parts.push(p.name.clone());
-                        cur = p.parent;
-                    }
-                    None => {
-                        broken = true;
-                        break;
-                    }
-                }
-                hops += 1;
-                if hops > self.entries.len() {
-                    broken = true;
-                    break;
-                }
-            }
-            parts.reverse();
-            let root = if broken { "<orphaned>" } else { &self.label };
-            out.push((NtPath::from_components(root, parts), entry));
+            out.push((self.path_of(&mut walk, i, &mut chain), entry));
         }
         out
+    }
+
+    /// The full path of `entries[start]`: under the label when its parent
+    /// chain reaches the root, under `<orphaned>` otherwise.
+    fn path_of(&self, walk: &mut ParentWalk<'_>, start: usize, chain: &mut Vec<usize>) -> NtPath {
+        let root = match walk.walk(start, |_| false, chain) {
+            WalkEnd::Orphaned => "<orphaned>",
+            _ => &self.label,
+        };
+        let names = chain
+            .iter()
+            .rev()
+            .chain(std::iter::once(&start))
+            .map(|&k| self.entries[k].name.clone());
+        NtPath::from_components(root, names)
+    }
+}
+
+/// How a parent walk ended.
+enum WalkEnd {
+    /// At the volume root (record 0).
+    Root,
+    /// At an ancestor the caller already knows, by entry index.
+    Known(usize),
+    /// At a missing parent, or at a record already on the chain (a cycle).
+    Orphaned,
+}
+
+/// The one parent-walk rule, shared by every path reconstruction.
+struct ParentWalk<'a> {
+    entries: &'a [RawFileEntry],
+    /// Record number → entry index (the last entry, should a damaged image
+    /// repeat a number).
+    by_number: HashMap<u64, usize>,
+    /// `on_chain[k] == walks` while entry `k` is on the current walk's chain.
+    on_chain: Vec<u64>,
+    walks: u64,
+}
+
+impl<'a> ParentWalk<'a> {
+    fn new(entries: &'a [RawFileEntry]) -> Self {
+        Self {
+            entries,
+            by_number: entries
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.number.0, i))
+                .collect(),
+            on_chain: vec![0; entries.len()],
+            walks: 0,
+        }
+    }
+
+    /// Follows parent references up from `entries[start]`, pushing each
+    /// ancestor's index (nearest first) into `chain`, until the root, an
+    /// ancestor `known` accepts (not pushed), a missing parent, or a record
+    /// already on the chain. Each record is visited at most once, so a walk
+    /// costs at most one step per entry even on a cyclic chain.
+    fn walk(
+        &mut self,
+        start: usize,
+        known: impl Fn(usize) -> bool,
+        chain: &mut Vec<usize>,
+    ) -> WalkEnd {
+        chain.clear();
+        self.walks += 1;
+        self.on_chain[start] = self.walks;
+        let mut cur = self.entries[start].parent.0;
+        while cur != 0 {
+            let Some(&k) = self.by_number.get(&cur) else {
+                return WalkEnd::Orphaned;
+            };
+            if self.on_chain[k] == self.walks {
+                return WalkEnd::Orphaned;
+            }
+            if known(k) {
+                return WalkEnd::Known(k);
+            }
+            self.on_chain[k] = self.walks;
+            chain.push(k);
+            cur = self.entries[k].parent.0;
+        }
+        WalkEnd::Root
     }
 }
 
@@ -412,7 +530,6 @@ fn get_name(buf: &mut Bytes, context: &'static str) -> Result<NtString, ImageErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strider_nt_core::NtPath;
 
     fn p(s: &str) -> NtPath {
         s.parse().unwrap()
@@ -546,6 +663,57 @@ mod tests {
             VolumeImage::parse(&[]),
             Err(ImageError::Truncated { .. })
         ));
+    }
+
+    /// Re-points `child`'s parent reference at `parent` in `image`: finds the
+    /// record by its exact header bytes and patches the parent field.
+    fn repoint_parent(image: &mut [u8], child: &RawFileEntry, parent: FileRecordNumber) {
+        let mut header = vec![1u8];
+        header.extend(child.number.0.to_le_bytes());
+        header.extend(child.sequence.to_le_bytes());
+        header.extend(child.created.0.to_le_bytes());
+        header.extend(child.modified.0.to_le_bytes());
+        header.extend(child.attributes.0.to_le_bytes());
+        let parent_at = header.len();
+        header.extend(child.parent.0.to_le_bytes());
+        header.extend((child.name.len() as u16).to_le_bytes());
+        header.extend(child.name.units().iter().flat_map(|u| u.to_le_bytes()));
+        let at = image
+            .windows(header.len())
+            .position(|w| w == header)
+            .expect("record header present");
+        image[at + parent_at..at + parent_at + 8].copy_from_slice(&parent.0.to_le_bytes());
+    }
+
+    #[test]
+    fn cyclic_parent_chain_names_each_record_once() {
+        let mut v = NtfsVolume::new("C:");
+        v.mkdir_p(&p("C:\\a\\b")).unwrap();
+        for i in 0..2001 {
+            v.create_file(&p(&format!("C:\\f{i}")), b"").unwrap();
+        }
+        let mut image = v.to_image();
+        let raw = VolumeImage::parse(&image).unwrap();
+        assert_eq!(raw.entries().len(), 2004);
+        let named = |raw: &VolumeImage, n: &str| {
+            let name = NtString::from(n);
+            raw.entries()
+                .iter()
+                .find(|e| e.name == name)
+                .unwrap()
+                .clone()
+        };
+        let (a, b) = (named(&raw, "a"), named(&raw, "b"));
+        // `a` is `b`'s parent; make `b` `a`'s parent too.
+        repoint_parent(&mut image, &a, b.number);
+        let raw = VolumeImage::parse(&image).unwrap();
+        let cyclic: Vec<String> = raw
+            .all_paths()
+            .iter()
+            .filter(|(_, e)| e.number == a.number || e.number == b.number)
+            .map(|(p, _)| p.to_string())
+            .collect();
+        assert_eq!(cyclic, vec!["<orphaned>\\b\\a", "<orphaned>\\a\\b"]);
     }
 
     #[test]

@@ -196,6 +196,149 @@ fn removed_files_never_reappear_in_the_image() {
     );
 }
 
+/// `raw.rendered_paths()` renders exactly `raw.all_paths()`: the same
+/// entries in the same order, each key `path.fold_key()` and each display
+/// `path.to_string()`. Returns how many of the entries were orphaned.
+fn rendered_paths_match_all_paths(raw: &VolumeImage) -> Result<usize, String> {
+    let paths = raw.all_paths();
+    let rendered = raw.rendered_paths();
+    prop_assert_eq!(rendered.len(), paths.len());
+    for ((path, entry), (key, display, rendered_entry)) in paths.iter().zip(&rendered) {
+        prop_assert!(std::ptr::eq(*entry, *rendered_entry));
+        prop_assert_eq!(key, &path.fold_key());
+        prop_assert_eq!(display, &path.to_string());
+    }
+    Ok(paths
+        .iter()
+        .filter(|(path, _)| path.root() == "<orphaned>")
+        .count())
+}
+
+/// A volume holding a generated tree, with odd-length components in upper
+/// case (so keys and displays differ) and `extra` NUL-embedding names at
+/// the root.
+fn tree_volume(tree: &[(Vec<String>, Vec<u8>)], extra: &[(String, Option<String>)]) -> NtfsVolume {
+    let mut vol = NtfsVolume::new("C:");
+    for (parts, data) in tree {
+        let mut path = NtPath::root_of("C:");
+        for part in parts.iter().filter(|p| !p.is_empty()) {
+            let part = if part.len() % 2 == 1 {
+                part.to_ascii_uppercase()
+            } else {
+                part.clone()
+            };
+            path = path.join(part.as_str());
+        }
+        // Rejected shapes (a component that already exists as a file, a
+        // shrunk-empty path) are skipped, as the OS would reject them.
+        if let Some(parent) = path.parent() {
+            if vol.mkdir_p(&parent).is_ok() {
+                let _ = vol.create_file(&path, data);
+            }
+        }
+    }
+    for parts in extra {
+        let _ = vol.create_file(&NtPath::root_of("C:").join(nt_name(parts)), b"");
+    }
+    vol
+}
+
+/// Re-points `child`'s parent reference at `parent` in a volume image:
+/// finds the record by its exact header bytes and patches the field.
+fn repoint_parent(image: &mut [u8], child: &RawFileEntry, parent: u64) {
+    let mut header = vec![1u8];
+    header.extend(child.number.0.to_le_bytes());
+    header.extend(child.sequence.to_le_bytes());
+    header.extend(child.created.0.to_le_bytes());
+    header.extend(child.modified.0.to_le_bytes());
+    header.extend(child.attributes.0.to_le_bytes());
+    let parent_at = header.len();
+    header.extend(child.parent.0.to_le_bytes());
+    header.extend((child.name.len() as u16).to_le_bytes());
+    header.extend(child.name.units().iter().flat_map(|u| u.to_le_bytes()));
+    if let Some(at) = image.windows(header.len()).position(|w| w == header) {
+        image[at + parent_at..at + parent_at + 8].copy_from_slice(&parent.to_le_bytes());
+    }
+}
+
+#[test]
+fn rendered_paths_equal_all_paths_on_generated_trees() {
+    check(
+        "rendered_paths_equal_all_paths_on_generated_trees",
+        Config::with_cases(64),
+        |rng| (file_tree(rng), gen::vec_of(rng, 0, 4, nt_name_parts)),
+        |(tree, extra)| {
+            let vol = tree_volume(tree, extra);
+            let raw = VolumeImage::parse(&vol.to_image()).unwrap();
+            prop_assert_eq!(rendered_paths_match_all_paths(&raw)?, 0);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn rendered_paths_equal_all_paths_on_the_large_workload() {
+    let mut machine = Machine::with_base_system("victim").unwrap();
+    populate(&mut machine, &WorkloadSpec::large(42)).unwrap();
+    let raw = VolumeImage::parse(&machine.try_read_raw_volume_image().unwrap()).unwrap();
+    assert!(raw.entries().len() > 30_000);
+    assert_eq!(rendered_paths_match_all_paths(&raw), Ok(0));
+}
+
+#[test]
+fn rendered_paths_equal_all_paths_on_mutated_and_cyclic_images() {
+    let mut orphaned = 0;
+    check(
+        "rendered_paths_equal_all_paths_on_mutated_and_cyclic_images",
+        Config::with_cases(2_000),
+        |rng| (file_tree(rng), rng.next_u64()),
+        |(tree, seed)| {
+            let vol = tree_volume(tree, &[]);
+            let mut image = vol.to_image();
+            let entries = VolumeImage::parse(&image).unwrap().entries().to_vec();
+            let mut rng = SplitMix64::seed_from_u64(*seed);
+            // Re-point a few parents at random records (cycles included),
+            // then overwrite a few random bytes (broken chains, repeated
+            // record numbers, truncated tails).
+            for _ in 0..rng.next_below(4) {
+                if entries.is_empty() {
+                    break;
+                }
+                let child = rng.choose(&entries);
+                let parent = rng.choose(&entries).number.0;
+                repoint_parent(&mut image, child, parent);
+            }
+            for _ in 0..rng.next_below(8) {
+                let at = rng.next_below(image.len() as u64) as usize;
+                image[at] = rng.next_u8();
+            }
+            orphaned += rendered_paths_match_all_paths(&VolumeImage::parse_salvage(&image).value)?;
+            Ok(())
+        },
+    );
+    assert!(
+        orphaned > 1_000,
+        "only {orphaned} orphaned entries exercised"
+    );
+
+    // The two-record cycle: `a` and `b` name each other as parent.
+    let mut vol = NtfsVolume::new("C:");
+    vol.mkdir_p(&"C:\\a\\b".parse().unwrap()).unwrap();
+    let mut image = vol.to_image();
+    let raw = VolumeImage::parse(&image).unwrap();
+    let a = raw.entries()[1].clone();
+    let b = raw.entries()[2].clone();
+    repoint_parent(&mut image, &a, b.number.0);
+    let raw = VolumeImage::parse(&image).unwrap();
+    assert_eq!(rendered_paths_match_all_paths(&raw), Ok(2));
+    let displays: Vec<String> = raw
+        .rendered_paths()
+        .into_iter()
+        .map(|(_, d, _)| d)
+        .collect();
+    assert_eq!(displays, ["<orphaned>\\b\\a", "<orphaned>\\a\\b"]);
+}
+
 // ---------------------------------------------------------------------
 // Hive format
 // ---------------------------------------------------------------------
@@ -432,6 +575,76 @@ fn diff_of_identical_snapshots_is_empty() {
             });
             prop_assert!(!report.has_detections());
             prop_assert!(report.phantom_in_lie.is_empty());
+            Ok(())
+        },
+    );
+}
+
+/// Keys from a three-letter alphabet, so multisets repeat keys often.
+fn key_multiset(rng: &mut SplitMix64) -> Vec<(String, u8)> {
+    gen::vec_of(rng, 0, 40, |r| {
+        let len = r.gen_range(0..4);
+        (gen::string_from(r, b"abc", len), r.next_u8())
+    })
+}
+
+#[test]
+fn snapshot_bulk_build_and_merge_diff_match_ordered_oracles() {
+    use std::collections::{BTreeMap, BTreeSet};
+    use strider_ghostbuster::{ScanMeta, Snapshot, ViewKind};
+    check(
+        "snapshot_bulk_build_and_merge_diff_match_ordered_oracles",
+        Config::with_cases(256),
+        |rng| (key_multiset(rng), key_multiset(rng)),
+        |(truth_facts, lie_facts)| {
+            let build = |facts: &[(String, u8)], view| {
+                let meta = ScanMeta::new(view, Tick(1));
+                let bulk = Snapshot::from_facts(meta.clone(), facts.to_vec());
+                let mut inserted = Snapshot::new(meta);
+                for (key, fact) in facts {
+                    inserted.insert(key.clone(), *fact);
+                }
+                let oracle: BTreeMap<String, u8> = facts.iter().cloned().collect();
+                (bulk, inserted, oracle)
+            };
+            let (truth, truth_inserted, truth_oracle) = build(truth_facts, ViewKind::LowLevelMft);
+            let (lie, lie_inserted, lie_oracle) = build(lie_facts, ViewKind::HighLevelWin32);
+            for (bulk, inserted, oracle) in [
+                (&truth, &truth_inserted, &truth_oracle),
+                (&lie, &lie_inserted, &lie_oracle),
+            ] {
+                let expected: Vec<(&String, &u8)> = oracle.iter().collect();
+                prop_assert_eq!(bulk.iter().collect::<Vec<_>>(), expected);
+                prop_assert_eq!(inserted.iter().collect::<Vec<_>>(), expected);
+                for (key, fact) in oracle {
+                    prop_assert_eq!(bulk.get(key), Some(fact));
+                }
+                prop_assert!(!bulk.contains("d"), "no key holds a `d`");
+            }
+            let report = cross_view_diff(&truth, &lie, |key, fact: &u8| Detection {
+                kind: ResourceKind::File,
+                identity: key.to_string(),
+                detail: fact.to_string(),
+                category: None,
+                noise: NoiseClass::Suspicious,
+            });
+            let truth_keys: BTreeSet<&String> = truth_oracle.keys().collect();
+            let lie_keys: BTreeSet<&String> = lie_oracle.keys().collect();
+            let hidden: Vec<(String, String)> = truth_keys
+                .difference(&lie_keys)
+                .map(|key| (key.to_string(), truth_oracle[*key].to_string()))
+                .collect();
+            let phantoms: Vec<String> = lie_keys
+                .difference(&truth_keys)
+                .map(|key| key.to_string())
+                .collect();
+            let detections: Vec<(String, String)> = report
+                .detections
+                .iter()
+                .map(|d| (d.identity.clone(), d.detail.clone()))
+                .collect();
+            prop_assert_eq!(detections, hidden);
+            prop_assert_eq!(report.phantom_in_lie, phantoms);
             Ok(())
         },
     );
