@@ -8,7 +8,7 @@
 use std::time::Duration;
 use strider_bench::victim_machine_sized;
 use strider_ghostbuster::{FileScanner, GhostBuster};
-use strider_support::bench::{BatchSize, Criterion, Throughput};
+use strider_support::bench::{report_dir, BatchSize, Criterion, Throughput};
 use strider_support::obs::Telemetry;
 use strider_support::{criterion_group, criterion_main};
 use strider_winapi::{ChainEntry, DiskImage};
@@ -82,7 +82,7 @@ fn bench_file_scans(c: &mut Criterion) {
             .unwrap();
         let report = telemetry.report();
         report
-            .write_chrome_trace(&format!("file_scan_{label}"))
+            .write_chrome_trace_in(&report_dir(), &format!("file_scan_{label}"))
             .expect("trace export");
         group.record_phases(label, &report);
     }

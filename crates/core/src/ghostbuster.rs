@@ -135,7 +135,7 @@ impl SweepReport {
     /// the longest root-to-leaf span chain, and the work/wait/alloc
     /// decomposition — computed over the captured telemetry span forest.
     /// `label` names the analysis (and any `SCAN_PERF_<label>.json` export
-    /// via [`PerfReport::write_json`]). `None` when the sweep ran without
+    /// via [`PerfReport::write_json_in`]). `None` when the sweep ran without
     /// telemetry: there is no span tree to attribute.
     pub fn perf_report(&self, label: &str) -> Option<PerfReport> {
         self.telemetry

@@ -142,7 +142,7 @@ pub use signature::{Signature, SignatureHit, SignatureScanner};
 pub use snapshot::{FileFact, HookFact, ModuleFact, ProcessFact, ScanMeta, Snapshot, ViewKind};
 pub use strider_support::alert::{
     AlertCondition, AlertEngine, AlertLog, AlertRule, AlertState, AlertTransition, Exposition,
-    Severity, TimeSeries,
+    MonitorCore, Severity, TimeSeries,
 };
 pub use strider_support::obs::{
     FakeClock, FlightDump, FlightEvent, FlightEventKind, FlightRecorder, HistogramSketch,

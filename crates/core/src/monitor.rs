@@ -23,15 +23,20 @@
 //!   Unlike the drift rules this one needs no baseline: an unstable lie
 //!   is evidence on its own.
 //!
-//! Callers can [`add_rule`](SweepMonitor::add_rule) their own
-//! [`AlertRule`]s (thresholds, rates, absence, quantiles, with `for_ns`
-//! hysteresis) over the same series. Every rule transition lands in the
-//! engine's bounded [`AlertLog`] *and* in the sweep's flight recorder,
-//! so each typed [`MonitorIncident`] — and any black box — carries the
-//! alert trail as evidence. [`SweepMonitor::write_prom`] snapshots the
-//! whole plane (telemetry counters/gauges/histograms, series gauges,
-//! active alerts) as a Prometheus-text `TELEMETRY_EXPO_<label>.prom`
-//! file.
+//! The series, the rules and the pass loop live in a [`MonitorCore`]
+//! shared with the fleet monitor; this module keeps the sweep-specific
+//! observe step. Callers add their own [`AlertRule`]s (thresholds,
+//! rates, absence, quantiles, with `for_ns` hysteresis) over the same
+//! series through the public [`SweepMonitor::core`]. Every rule transition
+//! lands in the engine's bounded [`AlertLog`] *and* in the sweep's
+//! flight recorder, so each typed [`MonitorIncident`] — and any black
+//! box — carries the alert trail as evidence.
+//! [`SweepMonitor::prometheus`] snapshots the whole plane (telemetry
+//! counters/gauges/histograms, series gauges, active alerts); its
+//! [`Exposition::write_in`] writes it as a Prometheus-text
+//! `TELEMETRY_EXPO_<label>.prom` file.
+//!
+//! [`AlertLog`]: strider_support::alert::AlertLog
 //!
 //! Baselines round-trip through [`crate::GhostBuster`]-independent JSON
 //! ([`SweepBaseline::serialize`]), so a fleet operator can record one
@@ -41,12 +46,10 @@ use crate::ghostbuster::{GhostBuster, SweepReport};
 use crate::policy::{Pipeline, PipelineStatus};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use strider_nt_core::NtStatus;
 use strider_support::alert::{
-    AlertCondition, AlertEngine, AlertLog, AlertRule, AlertTransition, Exposition, Severity,
-    TimeSeries,
+    AlertCondition, AlertRule, AlertTransition, Exposition, MonitorCore, Severity,
 };
 use strider_support::obs::{fmt_ns, Clock, FlightDump, Telemetry, TelemetryReport};
 use strider_winapi::Machine;
@@ -64,7 +67,7 @@ pub struct MonitorConfig {
     /// baseline (idle machine, fake clock) doesn't flag noise-level
     /// variation as a regression.
     pub latency_floor_ns: u64,
-    /// How many sweeps each rolling [`TimeSeries`] retains.
+    /// How many sweeps each rolling [`TimeSeries`](strider_support::alert::TimeSeries) retains.
     pub history: usize,
 }
 
@@ -294,18 +297,18 @@ pub struct MonitorObservation {
 }
 
 /// Drives repeated supervised sweeps on a [`Clock`] schedule and watches
-/// for sweep-over-sweep drift through an [`AlertEngine`].
+/// for sweep-over-sweep drift through a [`MonitorCore`].
 ///
 /// Each sweep runs with a *fresh* [`Telemetry`] registry on the policy's
 /// clock, so reports never bleed into each other and every observation
 /// carries its own span forest, metrics, and flight-recorder dump. After
-/// the sweep, its metrics are folded into the rolling [`TimeSeries`] and
-/// the engine evaluates every rule — the built-ins derived from the
+/// the sweep, its metrics are folded into the core's rolling series and
+/// the core evaluates every rule — the built-ins derived from the
 /// baseline plus any caller-added rules — recording transitions into the
 /// sweep's flight ring *before* the attached report is frozen.
 ///
-/// Recording or installing a baseline, replacing the configuration, or
-/// adding a rule rebuilds the engine, which resets alert states (a new
+/// Recording or installing a baseline, or replacing the configuration,
+/// rebuilds the built-in rules, which resets alert states (a new
 /// comparison anchor means old breach streaks are meaningless).
 ///
 /// # Examples
@@ -323,7 +326,7 @@ pub struct MonitorObservation {
 /// monitor.record_baseline(&mut machine)?;
 /// let observations = monitor.run(&mut machine, 3)?;
 /// assert!(observations.iter().all(|o| o.incidents.is_empty()));
-/// assert!(monitor.alerts().firing().is_empty());
+/// assert!(monitor.core.engine().firing().is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -332,9 +335,9 @@ pub struct SweepMonitor {
     detector: GhostBuster,
     config: MonitorConfig,
     baseline: Option<SweepBaseline>,
-    series: BTreeMap<String, TimeSeries>,
-    custom_rules: Vec<AlertRule>,
-    engine: AlertEngine,
+    /// The rolling series, the rules (add custom ones with
+    /// [`MonitorCore::add_rule`]) and the alert log.
+    pub core: MonitorCore,
     last_telemetry: Option<TelemetryReport>,
     sweeps_run: u64,
 }
@@ -344,47 +347,25 @@ impl SweepMonitor {
     /// [`MonitorConfig`]. Any telemetry already attached to the detector
     /// is ignored — the monitor attaches a fresh registry per sweep.
     pub fn new(detector: GhostBuster) -> Self {
-        let mut monitor = SweepMonitor {
+        let config = MonitorConfig::default();
+        SweepMonitor {
             detector,
-            config: MonitorConfig::default(),
+            // The baseline-free built-ins (evasion_suspected) are live
+            // from the first sweep, not only once a baseline is recorded.
+            core: MonitorCore::new(config.history, built_in_rules(None, &config)),
+            config,
             baseline: None,
-            series: BTreeMap::new(),
-            custom_rules: Vec::new(),
-            engine: AlertEngine::new(),
             last_telemetry: None,
             sweeps_run: 0,
-        };
-        // The baseline-free built-ins (evasion_suspected) are live from
-        // the first sweep, not only once a baseline is recorded.
-        monitor.rebuild_engine();
-        monitor
+        }
     }
 
     /// Replaces the monitor configuration (rebuilding the built-in rules,
     /// which resets alert states).
     pub fn with_config(mut self, config: MonitorConfig) -> Self {
         self.config = config;
-        self.rebuild_engine();
+        self.rebuild_rules();
         self
-    }
-
-    /// Adds a custom [`AlertRule`] evaluated after every sweep, builder
-    /// style. See [`add_rule`](Self::add_rule).
-    pub fn with_rule(mut self, rule: AlertRule) -> Self {
-        self.add_rule(rule);
-        self
-    }
-
-    /// Adds a custom [`AlertRule`] evaluated over the monitor's series
-    /// after every sweep. A rule sharing a name with an existing rule
-    /// (including a built-in) replaces it and resets its state.
-    pub fn add_rule(&mut self, rule: AlertRule) {
-        if let Some(existing) = self.custom_rules.iter_mut().find(|r| r.name == rule.name) {
-            *existing = rule.clone();
-        } else {
-            self.custom_rules.push(rule.clone());
-        }
-        self.engine.add_rule(rule);
     }
 
     /// The active configuration.
@@ -401,7 +382,7 @@ impl SweepMonitor {
     /// rebuilding the built-in rules around it.
     pub fn set_baseline(&mut self, baseline: SweepBaseline) {
         self.baseline = Some(baseline);
-        self.rebuild_engine();
+        self.rebuild_rules();
     }
 
     /// How many monitored sweeps have run (baseline excluded).
@@ -409,87 +390,13 @@ impl SweepMonitor {
         self.sweeps_run
     }
 
-    /// The rolling series for a metric, if it has been observed.
-    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Names of every metric with a rolling series, sorted.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
-    /// The alert engine: rule states, currently-firing rules, and the
-    /// bounded transition log.
-    pub fn alerts(&self) -> &AlertEngine {
-        &self.engine
-    }
-
-    /// The bounded alert-transition history (shorthand for
-    /// `alerts().log()`).
-    pub fn alert_log(&self) -> &AlertLog {
-        self.engine.log()
-    }
-
     fn clock(&self) -> Arc<dyn Clock> {
         self.detector.policy().clock().clone()
     }
 
-    /// Derives the built-in rules from the baseline and config, keeps
-    /// caller rules, and resets all alert states.
-    fn rebuild_engine(&mut self) {
-        let mut rules = Vec::new();
-        if let Some(baseline) = &self.baseline {
-            for pipeline in Pipeline::ALL {
-                let base = baseline
-                    .pipeline_duration_ns
-                    .get(pipeline.name())
-                    .copied()
-                    .unwrap_or(0);
-                rules.push(
-                    AlertRule::new(
-                        &format!("latency.{pipeline}"),
-                        &format!("{pipeline}.duration_ns"),
-                        AlertCondition::AboveBaseline {
-                            baseline: base as f64,
-                            factor: self.config.latency_factor,
-                            floor: self.config.latency_floor_ns as f64,
-                        },
-                    )
-                    .with_severity(Severity::Warning),
-                );
-            }
-            rules.push(
-                AlertRule::new(
-                    "new_hidden_resource",
-                    "sweep.new_findings",
-                    AlertCondition::Above(0.0),
-                )
-                .with_severity(Severity::Critical),
-            );
-            rules.push(
-                AlertRule::new(
-                    "health_downgrade",
-                    "sweep.downgrades",
-                    AlertCondition::Above(0.0),
-                )
-                .with_severity(Severity::Critical),
-            );
-        }
-        // Baseline-free: flicker is self-evident, no comparison anchor
-        // needed. `evasion.flicker_score` stays 0 on unhardened policies
-        // (a single-shot diff cannot observe flicker), so the rule only
-        // ever fires under EvasionHardening.
-        rules.push(
-            AlertRule::new(
-                "evasion_suspected",
-                "evasion.flicker_score",
-                AlertCondition::Above(0.0),
-            )
-            .with_severity(Severity::Critical),
-        );
-        rules.extend(self.custom_rules.iter().cloned());
-        self.engine = AlertEngine::with_rules(rules);
+    fn rebuild_rules(&mut self) {
+        let rules = built_in_rules(self.baseline.as_ref(), &self.config);
+        self.core.rebuild(self.config.history, rules);
     }
 
     /// Runs one sweep and records it as the comparison baseline (replacing
@@ -508,7 +415,7 @@ impl SweepMonitor {
             .with_telemetry(telemetry)
             .inside_sweep(machine)?;
         self.baseline = Some(SweepBaseline::from_report(machine.name(), at_ns, &report));
-        self.rebuild_engine();
+        self.rebuild_rules();
         Ok(self.baseline.as_ref().expect("just recorded"))
     }
 
@@ -530,9 +437,7 @@ impl SweepMonitor {
             .inside_sweep(machine)?;
         let now_ns = self.clock().now_ns();
         self.update_series(now_ns, &report);
-        let transitions = self
-            .engine
-            .evaluate(&self.series, now_ns, Some(telemetry.recorder()));
+        let transitions = self.core.evaluate(now_ns, Some(telemetry.recorder()));
         // Re-freeze the attached telemetry: the sweep froze its own copy
         // before the alert pass ran, and incidents should ship flight
         // dumps that include this sweep's alert transitions.
@@ -563,14 +468,8 @@ impl SweepMonitor {
         sweeps: usize,
     ) -> Result<Vec<MonitorObservation>, NtStatus> {
         let clock = self.clock();
-        let mut observations = Vec::with_capacity(sweeps);
-        for i in 0..sweeps {
-            if i > 0 {
-                clock.sleep_ns(self.config.interval_ns);
-            }
-            observations.push(self.observe(machine)?);
-        }
-        Ok(observations)
+        let interval_ns = self.config.interval_ns;
+        MonitorCore::run(&*clock, interval_ns, sweeps, || self.observe(machine))
     }
 
     /// The monitor's current state as a Prometheus-text [`Exposition`]:
@@ -583,37 +482,9 @@ impl SweepMonitor {
             .as_ref()
             .map(TelemetryReport::prometheus)
             .unwrap_or_default();
-        for (name, series) in &self.series {
-            if let Some(value) = series.last() {
-                expo.gauge(&format!("monitor.{name}"), value);
-            }
-        }
         expo.counter("strider_monitor_sweeps_total", self.sweeps_run);
-        expo.alerts(&self.engine);
+        self.core.expose(&mut expo, "monitor.");
         expo
-    }
-
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into
-    /// [`strider_support::bench::report_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
-    pub fn write_prom(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write(label)
-    }
-
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
-    pub fn write_prom_in(&self, dir: &Path, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write_in(dir, label)
     }
 
     /// Translates the built-in rules' firing states into typed incidents,
@@ -629,7 +500,7 @@ impl SweepMonitor {
 
         // Evasion incidents need no baseline: a flickering resource is
         // its own evidence.
-        if self.engine.is_firing("evasion_suspected") {
+        if self.core.engine().is_firing("evasion_suspected") {
             for (pipeline, detection) in flickering(report) {
                 incidents.push(MonitorIncident::EvasionSuspected {
                     pipeline: pipeline.to_string(),
@@ -644,7 +515,7 @@ impl SweepMonitor {
             return incidents;
         };
 
-        if self.engine.is_firing("new_hidden_resource") {
+        if self.core.engine().is_firing("new_hidden_resource") {
             for (pipeline, detection) in findings(report) {
                 let key = finding_key(pipeline, &detection.identity);
                 if !baseline.findings.contains(&key) {
@@ -660,7 +531,7 @@ impl SweepMonitor {
 
         let durations = report.pipeline_durations();
         for pipeline in Pipeline::ALL {
-            if self.engine.is_firing(&format!("latency.{pipeline}")) {
+            if self.core.engine().is_firing(&format!("latency.{pipeline}")) {
                 incidents.push(MonitorIncident::LatencyRegression {
                     pipeline: pipeline.to_string(),
                     baseline_ns: baseline
@@ -674,7 +545,7 @@ impl SweepMonitor {
             }
         }
 
-        if self.engine.is_firing("health_downgrade") {
+        if self.core.engine().is_firing("health_downgrade") {
             for (pipeline, status) in report.health.each() {
                 if let PipelineStatus::Degraded { reason } = status {
                     if !baseline.degraded.iter().any(|p| p == pipeline.name()) {
@@ -705,26 +576,22 @@ impl SweepMonitor {
                 .filter(|pipeline| !baseline.degraded.iter().any(|p| p == *pipeline))
                 .count()
         });
-        let history = self.config.history;
-        let mut push = |name: &str, value: f64| {
-            self.series
-                .entry(name.to_string())
-                .or_insert_with(|| TimeSeries::new(history))
-                .push(at_ns, value);
-        };
-        push("sweep.suspicious", report.suspicious_count() as f64);
-        push("sweep.noise", report.noise_count() as f64);
-        push("evasion.flicker_score", report.flicker_score() as f64);
-        push("sweep.degraded", degraded.len() as f64);
+        let core = &mut self.core;
+        core.push("sweep.suspicious", at_ns, report.suspicious_count() as f64);
+        core.push("sweep.noise", at_ns, report.noise_count() as f64);
+        core.push(
+            "evasion.flicker_score",
+            at_ns,
+            report.flicker_score() as f64,
+        );
+        core.push("sweep.degraded", at_ns, degraded.len() as f64);
         // Every pipeline gets a sample every sweep (0 when it produced no
         // span), so baseline-relative latency rules never compare against
         // a stale value.
         let durations = report.pipeline_durations();
         for pipeline in Pipeline::ALL {
-            push(
-                &format!("{pipeline}.duration_ns"),
-                durations.get(pipeline.name()).copied().unwrap_or(0) as f64,
-            );
+            let ns = durations.get(pipeline.name()).copied().unwrap_or(0);
+            core.push(&format!("{pipeline}.duration_ns"), at_ns, ns as f64);
         }
         if let Some(telemetry) = &report.telemetry {
             for (name, value) in &telemetry.counters {
@@ -732,17 +599,73 @@ impl SweepMonitor {
                     || name.ends_with(".defects")
                     || name == "sweep.timeouts"
                 {
-                    push(name, *value as f64);
+                    core.push(name, at_ns, *value as f64);
                 }
             }
         }
         if let Some(count) = new_findings {
-            push("sweep.new_findings", count as f64);
+            core.push("sweep.new_findings", at_ns, count as f64);
         }
         if let Some(count) = downgrades {
-            push("sweep.downgrades", count as f64);
+            core.push("sweep.downgrades", at_ns, count as f64);
         }
     }
+}
+
+/// The built-in rules: the drift rules derived from the baseline and
+/// config (none without a baseline), then `evasion_suspected`.
+fn built_in_rules(baseline: Option<&SweepBaseline>, config: &MonitorConfig) -> Vec<AlertRule> {
+    let mut rules = Vec::new();
+    if let Some(baseline) = baseline {
+        for pipeline in Pipeline::ALL {
+            let base = baseline
+                .pipeline_duration_ns
+                .get(pipeline.name())
+                .copied()
+                .unwrap_or(0);
+            rules.push(
+                AlertRule::new(
+                    &format!("latency.{pipeline}"),
+                    &format!("{pipeline}.duration_ns"),
+                    AlertCondition::AboveBaseline {
+                        baseline: base as f64,
+                        factor: config.latency_factor,
+                        floor: config.latency_floor_ns as f64,
+                    },
+                )
+                .with_severity(Severity::Warning),
+            );
+        }
+        rules.push(
+            AlertRule::new(
+                "new_hidden_resource",
+                "sweep.new_findings",
+                AlertCondition::Above(0.0),
+            )
+            .with_severity(Severity::Critical),
+        );
+        rules.push(
+            AlertRule::new(
+                "health_downgrade",
+                "sweep.downgrades",
+                AlertCondition::Above(0.0),
+            )
+            .with_severity(Severity::Critical),
+        );
+    }
+    // Baseline-free: flicker is self-evident, no comparison anchor
+    // needed. `evasion.flicker_score` stays 0 on unhardened policies (a
+    // single-shot diff cannot observe flicker), so the rule only ever
+    // fires under EvasionHardening.
+    rules.push(
+        AlertRule::new(
+            "evasion_suspected",
+            "evasion.flicker_score",
+            AlertCondition::Above(0.0),
+        )
+        .with_severity(Severity::Critical),
+    );
+    rules
 }
 
 /// Every suspicious finding with its owning pipeline.
@@ -820,13 +743,13 @@ mod tests {
         assert!(observations.iter().all(|o| o.incidents.is_empty()));
         assert!(observations.iter().all(|o| o.transitions.is_empty()));
         assert_eq!(monitor.sweeps_run(), 3);
-        let suspicious = monitor.series("sweep.suspicious").unwrap();
+        let suspicious = &monitor.core.series()["sweep.suspicious"];
         assert_eq!(suspicious.len(), 3);
         assert_eq!(suspicious.last(), Some(0.0));
         assert_eq!(suspicious.quantile(100.0), Some(0.0));
-        assert!(monitor.series("files.duration_ns").is_some());
-        assert!(monitor.alerts().firing().is_empty());
-        assert!(monitor.alert_log().is_empty());
+        assert!(monitor.core.series().contains_key("files.duration_ns"));
+        assert!(monitor.core.engine().firing().is_empty());
+        assert!(monitor.core.engine().log().is_empty());
     }
 
     #[test]
@@ -841,21 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_series_is_bounded_and_queries_work() {
-        let mut series = TimeSeries::new(3);
-        for (i, v) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
-            series.push(i as u64 * 100, v);
-        }
-        assert_eq!(series.len(), 3, "oldest point evicted");
-        assert_eq!(series.values(), vec![2.0, 3.0, 4.0]);
-        assert_eq!(series.last(), Some(4.0));
-        assert_eq!(series.mean(), Some(3.0));
-        assert_eq!(series.quantile(0.0), Some(2.0));
-        assert_eq!(series.quantile(100.0), Some(4.0));
-        assert!(TimeSeries::new(2).quantile(50.0).is_none());
-    }
-
-    #[test]
     fn zero_history_config_still_retains_the_newest_sample() {
         // `MonitorConfig { history: 0, .. }` is directly constructible,
         // bypassing `with_history`'s clamp — the series itself must clamp.
@@ -865,15 +773,15 @@ mod tests {
             ..MonitorConfig::default()
         });
         monitor.run(&mut machine, 2).unwrap();
-        let suspicious = monitor.series("sweep.suspicious").unwrap();
+        let suspicious = &monitor.core.series()["sweep.suspicious"];
         assert_eq!(suspicious.len(), 1, "capacity clamped to 1, not 0");
         assert_eq!(suspicious.last(), Some(0.0));
     }
 
     #[test]
     fn custom_rule_transitions_reach_log_and_flight_dump() {
-        let (_clock, monitor, mut machine) = baselined("lab-rule");
-        let mut monitor = monitor.with_rule(
+        let (_clock, mut monitor, mut machine) = baselined("lab-rule");
+        monitor.core.add_rule(
             AlertRule::new(
                 "always_on",
                 "sweep.suspicious",
@@ -883,8 +791,8 @@ mod tests {
         );
         let observation = monitor.observe(&mut machine).unwrap();
         assert_eq!(observation.transitions.len(), 1);
-        assert!(monitor.alerts().is_firing("always_on"));
-        assert_eq!(monitor.alert_log().len(), 1);
+        assert!(monitor.core.engine().is_firing("always_on"));
+        assert_eq!(monitor.core.engine().log().len(), 1);
         // The re-frozen report's flight dump carries the alert event.
         let flight = &observation.report.telemetry.as_ref().unwrap().flight;
         assert!(flight
@@ -909,7 +817,7 @@ mod tests {
         // No baseline on purpose: flicker needs no comparison anchor.
         let observation = monitor.observe(&mut machine).unwrap();
         assert!(observation.report.flicker_score() > 0);
-        assert!(monitor.alerts().is_firing("evasion_suspected"));
+        assert!(monitor.core.engine().is_firing("evasion_suspected"));
         let evasion: Vec<_> = observation
             .incidents
             .iter()
@@ -919,7 +827,7 @@ mod tests {
         assert!(evasion
             .iter()
             .all(|i| i.to_string().contains("evasion suspected")));
-        let series = monitor.series("evasion.flicker_score").unwrap();
+        let series = &monitor.core.series()["evasion.flicker_score"];
         assert!(series.last().unwrap() > 0.0);
     }
 

@@ -1,21 +1,22 @@
 //! Fleet-wide drift monitoring: one [`SweepMonitor`] per shard (so every
 //! machine diffs against *its own* baseline) plus fleet-level rollup
 //! series, with incidents tagged by shard and fleet-level alert rules
-//! (infection-rate spike, degraded-shard fraction, sweep-latency SLO)
-//! evaluated after every pass.
+//! (infection-rate spike, degraded-shard fraction, sweep-latency SLO,
+//! worker starvation) evaluated after every pass. The rollup series, the
+//! rules and the pass loop live in the same [`MonitorCore`] the shard
+//! monitors use; this module keeps the fleet observe step: per-shard
+//! monitors, rollups, quarantine and [`FleetMonitor::ingest_trace`].
 
 use crate::registry::{FleetRegistry, ShardId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use strider_ghostbuster::{
     GhostBuster, MonitorConfig, MonitorIncident, MonitorObservation, SweepMonitor,
 };
 use strider_nt_core::NtStatus;
 use strider_support::alert::{
-    AlertCondition, AlertEngine, AlertLog, AlertRule, AlertTransition, Exposition, Severity,
-    TimeSeries,
+    nearest_rank, AlertCondition, AlertRule, AlertTransition, Exposition, MonitorCore, Severity,
 };
 use strider_support::obs::{Clock, FlightDump, FlightRecorder};
 
@@ -46,7 +47,7 @@ impl fmt::Display for FleetIncident {
 /// * `fleet.degraded_shards` — `fleet.degraded_fraction` (fraction of
 ///   shards with at least one degraded pipeline) above
 ///   [`degraded_fraction_max`](Self::degraded_fraction_max) (warning);
-/// * `fleet.latency_slo` — `fleet.p95_sweep_ns` (nearest-rank p95 of
+/// * `fleet.latency_slo` — `fleet.p95_sweep_ns` ([`nearest_rank`] p95 of
 ///   per-shard sweep durations this pass) above
 ///   [`sweep_p95_slo_ns`](Self::sweep_p95_slo_ns) (warning);
 /// * `fleet.worker_starvation` — `fleet.queue_wait_p95_ns` (p95 shard
@@ -93,28 +94,10 @@ impl FleetAlertPolicy {
         self
     }
 
-    /// Sets the degraded-shard-fraction ceiling.
-    pub fn with_degraded_fraction_max(mut self, max: f64) -> Self {
-        self.degraded_fraction_max = max;
-        self
-    }
-
-    /// Sets the p95 sweep-duration SLO.
-    pub fn with_sweep_p95_slo_ns(mut self, slo_ns: u64) -> Self {
-        self.sweep_p95_slo_ns = slo_ns;
-        self
-    }
-
     /// Sets the p95 shard-queue-wait ceiling behind
     /// `fleet.worker_starvation`.
     pub fn with_queue_wait_p95_max_ns(mut self, max_ns: u64) -> Self {
         self.queue_wait_p95_max_ns = max_ns;
-        self
-    }
-
-    /// Sets the hysteresis hold shared by the fleet rules.
-    pub fn with_for_ns(mut self, for_ns: u64) -> Self {
-        self.for_ns = for_ns;
         self
     }
 
@@ -245,8 +228,8 @@ impl FleetObservation {
 }
 
 /// Drives one [`SweepMonitor`] per fleet machine and rolls their signals
-/// up into fleet-level [`TimeSeries`], with a fleet-scope
-/// [`AlertEngine`] on top.
+/// up into the fleet-level series of a [`MonitorCore`], whose engine
+/// holds the fleet rules.
 ///
 /// Per-shard baselines matter because machines differ: a 30 s file scan is
 /// normal on a large shard and a regression on a tiny one. The fleet
@@ -254,7 +237,8 @@ impl FleetObservation {
 /// baseline, and only the rollups (infected count, total incidents,
 /// degraded pipelines, infection rate, degraded fraction, p95 sweep
 /// latency) are fleet-global. The [`FleetAlertPolicy`] rules — plus any
-/// [`add_rule`](Self::add_rule)d custom rules — are evaluated over those
+/// custom rules [`add_rule`](MonitorCore::add_rule)d to its
+/// [`core`](Self::core) — are evaluated over those
 /// rollup series after every pass, and every transition lands in the
 /// monitor's own [`FlightRecorder`] (see [`flight`](Self::flight)) so
 /// fleet alerts carry a black box just like shard incidents do.
@@ -268,12 +252,12 @@ pub struct FleetMonitor {
     detector: GhostBuster,
     config: MonitorConfig,
     alert_policy: FleetAlertPolicy,
-    custom_rules: Vec<AlertRule>,
-    engine: AlertEngine,
+    /// The fleet rollup series, the fleet rules (add custom ones with
+    /// [`MonitorCore::add_rule`]) and their alert log.
+    pub core: MonitorCore,
     recorder: FlightRecorder,
     shards: Vec<SweepMonitor>,
     machines: Vec<String>,
-    series: BTreeMap<String, TimeSeries>,
     passes_run: u64,
     quarantine_after: u32,
     failure_streaks: Vec<u32>,
@@ -285,18 +269,16 @@ impl FleetMonitor {
     /// default [`MonitorConfig`] and [`FleetAlertPolicy`].
     pub fn new(detector: GhostBuster) -> Self {
         let recorder = FlightRecorder::new(detector.policy().clock().clone());
+        let config = MonitorConfig::default();
         let alert_policy = FleetAlertPolicy::default();
-        let engine = AlertEngine::with_rules(alert_policy.rules());
         FleetMonitor {
             detector,
-            config: MonitorConfig::default(),
+            core: MonitorCore::new(config.history, alert_policy.rules()),
+            config,
             alert_policy,
-            custom_rules: Vec::new(),
-            engine,
             recorder,
             shards: Vec::new(),
             machines: Vec::new(),
-            series: BTreeMap::new(),
             passes_run: 0,
             quarantine_after: u32::MAX,
             failure_streaks: Vec::new(),
@@ -329,9 +311,19 @@ impl FleetMonitor {
         self.quarantined.remove(&shard.0).is_some()
     }
 
-    /// Replaces the monitor configuration (shared by every shard monitor).
+    /// Replaces the monitor configuration, shared by every shard monitor
+    /// (those already recorded included). Rebuilds the fleet rules and
+    /// every shard's built-in rules, which resets their alert states;
+    /// baselines and custom rules are kept.
     pub fn with_config(mut self, config: MonitorConfig) -> Self {
+        self.shards = self
+            .shards
+            .into_iter()
+            .map(|shard| shard.with_config(config.clone()))
+            .collect();
         self.config = config;
+        self.core
+            .rebuild(self.config.history, self.alert_policy.rules());
         self
     }
 
@@ -339,56 +331,9 @@ impl FleetMonitor {
     /// resets their states; custom rules are kept).
     pub fn with_alert_policy(mut self, policy: FleetAlertPolicy) -> Self {
         self.alert_policy = policy;
-        self.rebuild_engine();
+        self.core
+            .rebuild(self.config.history, self.alert_policy.rules());
         self
-    }
-
-    /// Adds a custom fleet-level [`AlertRule`] over the rollup series,
-    /// builder style.
-    pub fn with_rule(mut self, rule: AlertRule) -> Self {
-        self.add_rule(rule);
-        self
-    }
-
-    /// Adds a custom fleet-level [`AlertRule`] evaluated over the rollup
-    /// series after every pass. A rule sharing a name with an existing
-    /// rule (including a fleet built-in) replaces it and resets its
-    /// state.
-    pub fn add_rule(&mut self, rule: AlertRule) {
-        if let Some(existing) = self.custom_rules.iter_mut().find(|r| r.name == rule.name) {
-            *existing = rule.clone();
-        } else {
-            self.custom_rules.push(rule.clone());
-        }
-        self.engine.add_rule(rule);
-    }
-
-    fn rebuild_engine(&mut self) {
-        let mut rules = self.alert_policy.rules();
-        rules.extend(self.custom_rules.iter().cloned());
-        self.engine = AlertEngine::with_rules(rules);
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.config
-    }
-
-    /// The active fleet alert policy.
-    pub fn alert_policy(&self) -> &FleetAlertPolicy {
-        &self.alert_policy
-    }
-
-    /// The fleet-level alert engine: rule states, firing rules, and the
-    /// bounded transition log.
-    pub fn alerts(&self) -> &AlertEngine {
-        &self.engine
-    }
-
-    /// The bounded fleet alert-transition history (shorthand for
-    /// `alerts().log()`).
-    pub fn alert_log(&self) -> &AlertLog {
-        self.engine.log()
     }
 
     /// A snapshot of the fleet monitor's own flight ring — fleet alert
@@ -406,16 +351,6 @@ impl FleetMonitor {
     /// The per-shard monitor, once baselines are recorded.
     pub fn shard(&self, shard: ShardId) -> Option<&SweepMonitor> {
         self.shards.get(shard.0 as usize)
-    }
-
-    /// The fleet-level rolling series for a metric, if observed.
-    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Names of every fleet-level metric with a rolling series, sorted.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
     }
 
     fn clock(&self) -> Arc<dyn Clock> {
@@ -479,9 +414,6 @@ impl FleetMonitor {
                 .any(|(m, name)| m.machine.name() != name)
         {
             return Err(NtStatus::InvalidParameter);
-        }
-        if self.failure_streaks.len() != self.shards.len() {
-            self.failure_streaks = vec![0; self.shards.len()];
         }
         let at_ns = self.clock().now_ns();
         let mut shard_ids = Vec::with_capacity(fleet.len());
@@ -560,49 +492,34 @@ impl FleetMonitor {
             .iter()
             .filter(|o| !o.report.health.degraded_pipelines().is_empty())
             .count() as f64;
-        // Nearest-rank p95 of per-shard whole-sweep durations this pass.
-        let mut sweep_ns: Vec<u64> = observations
+        let sweep_ns = observations
             .iter()
-            .map(|o| o.report.pipeline_durations().values().sum::<u64>())
-            .collect();
-        sweep_ns.sort_unstable();
-        let p95_ns = sweep_ns
-            .get(((0.95 * sweep_ns.len() as f64).ceil() as usize).saturating_sub(1))
-            .copied()
-            .unwrap_or(0);
+            .map(|o| o.report.pipeline_durations().values().sum::<u64>() as f64);
+        let p95_ns = nearest_rank(sweep_ns, 95.0).unwrap_or(0.0);
+        let suspicious: usize = observations
+            .iter()
+            .map(|o| o.report.suspicious_count())
+            .sum();
+        let degraded: usize = observations
+            .iter()
+            .map(|o| o.report.health.degraded_pipelines().len())
+            .sum();
 
-        let history = self.config.history;
-        let mut push = |name: &str, value: f64| {
-            self.series
-                .entry(name.to_string())
-                .or_insert_with(|| TimeSeries::new(history))
-                .push(now_ns, value);
-        };
-        push("fleet.infected", infected);
-        push(
-            "fleet.suspicious",
-            observations
-                .iter()
-                .map(|o| o.report.suspicious_count())
-                .sum::<usize>() as f64,
+        let core = &mut self.core;
+        core.push("fleet.infected", now_ns, infected);
+        core.push("fleet.suspicious", now_ns, suspicious as f64);
+        core.push("fleet.degraded", now_ns, degraded as f64);
+        core.push("fleet.incidents", now_ns, incidents.len() as f64);
+        core.push("fleet.infection_rate", now_ns, infected / shard_count);
+        core.push(
+            "fleet.degraded_fraction",
+            now_ns,
+            degraded_shards / shard_count,
         );
-        push(
-            "fleet.degraded",
-            observations
-                .iter()
-                .map(|o| o.report.health.degraded_pipelines().len())
-                .sum::<usize>() as f64,
-        );
-        push("fleet.incidents", incidents.len() as f64);
-        push("fleet.infection_rate", infected / shard_count);
-        push("fleet.degraded_fraction", degraded_shards / shard_count);
-        push("fleet.p95_sweep_ns", p95_ns as f64);
-        push("fleet.failures", failures.len() as f64);
-        push("fleet.quarantined", self.quarantined.len() as f64);
-
-        let transitions = self
-            .engine
-            .evaluate(&self.series, now_ns, Some(&self.recorder));
+        core.push("fleet.p95_sweep_ns", now_ns, p95_ns);
+        core.push("fleet.failures", now_ns, failures.len() as f64);
+        core.push("fleet.quarantined", now_ns, self.quarantined.len() as f64);
+        let transitions = core.evaluate(now_ns, Some(&self.recorder));
 
         self.passes_run += 1;
         Ok(FleetObservation {
@@ -629,17 +546,11 @@ impl FleetMonitor {
     /// run, not from this monitor's own pass.
     pub fn ingest_trace(&mut self, trace: &crate::FleetTrace) -> Vec<AlertTransition> {
         let now_ns = self.clock().now_ns();
-        let history = self.config.history;
-        let mut push = |name: &str, value: f64| {
-            self.series
-                .entry(name.to_string())
-                .or_insert_with(|| TimeSeries::new(history))
-                .push(now_ns, value);
-        };
-        push("fleet.queue_wait_p95_ns", trace.queue_wait_p95_ns() as f64);
-        push("fleet.worker_idle_fraction", trace.worker_idle_fraction());
-        self.engine
-            .evaluate(&self.series, now_ns, Some(&self.recorder))
+        let wait_ns = trace.queue_wait_p95_ns() as f64;
+        self.core.push("fleet.queue_wait_p95_ns", now_ns, wait_ns);
+        let idle = trace.worker_idle_fraction();
+        self.core.push("fleet.worker_idle_fraction", now_ns, idle);
+        self.core.evaluate(now_ns, Some(&self.recorder))
     }
 
     /// Runs `passes` monitoring passes, sleeping the configured interval
@@ -654,14 +565,8 @@ impl FleetMonitor {
         passes: usize,
     ) -> Result<Vec<FleetObservation>, NtStatus> {
         let clock = self.clock();
-        let mut observations = Vec::with_capacity(passes);
-        for i in 0..passes {
-            if i > 0 {
-                clock.sleep_ns(self.config.interval_ns);
-            }
-            observations.push(self.observe(fleet)?);
-        }
-        Ok(observations)
+        let interval_ns = self.config.interval_ns;
+        MonitorCore::run(&*clock, interval_ns, passes, || self.observe(fleet))
     }
 
     /// The fleet monitor's current state as a Prometheus-text
@@ -669,37 +574,9 @@ impl FleetMonitor {
     /// `fleet_*` gauge, the pass counter, and the active fleet alerts.
     pub fn prometheus(&self) -> Exposition {
         let mut expo = Exposition::new();
-        for (name, series) in &self.series {
-            if let Some(value) = series.last() {
-                expo.gauge(name, value);
-            }
-        }
         expo.counter("strider_fleet_passes_total", self.passes_run);
-        expo.alerts(&self.engine);
+        self.core.expose(&mut expo, "");
         expo
-    }
-
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into
-    /// [`strider_support::bench::report_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
-    pub fn write_prom(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write(label)
-    }
-
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
-    pub fn write_prom_in(&self, dir: &Path, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write_in(dir, label)
     }
 }
 
@@ -735,15 +612,15 @@ mod tests {
         assert!(passes.iter().all(|p| p.incidents.is_empty()));
         assert!(passes.iter().all(|p| p.transitions.is_empty()));
         assert_eq!(monitor.passes_run(), 2);
-        let infected = monitor.series("fleet.infected").unwrap();
+        let infected = &monitor.core.series()["fleet.infected"];
         assert_eq!(infected.len(), 2);
         assert_eq!(infected.last(), Some(0.0));
         assert_eq!(
-            monitor.series("fleet.infection_rate").unwrap().last(),
+            monitor.core.series()["fleet.infection_rate"].last(),
             Some(0.0)
         );
         assert!(monitor.shard(ShardId(0)).unwrap().baseline().is_some());
-        assert!(monitor.alerts().firing().is_empty());
+        assert!(monitor.core.engine().firing().is_empty());
     }
 
     #[test]
@@ -771,7 +648,7 @@ mod tests {
         let rendered = pass.incidents[0].to_string();
         assert!(rendered.starts_with("shard-001 ["), "{rendered}");
         assert_eq!(
-            monitor.series("fleet.incidents").unwrap().last(),
+            monitor.core.series()["fleet.incidents"].last(),
             Some(pass.incidents.len() as f64)
         );
     }
@@ -788,7 +665,7 @@ mod tests {
             .infect(&mut fleet.machines_mut()[0].machine)
             .unwrap();
         let pass = monitor.observe(&mut fleet).unwrap();
-        assert!(monitor.alerts().is_firing("fleet.infection_spike"));
+        assert!(monitor.core.engine().is_firing("fleet.infection_spike"));
         assert!(pass
             .transitions
             .iter()

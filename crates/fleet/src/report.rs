@@ -5,7 +5,6 @@
 use crate::registry::{FleetRegistry, ShardId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 use strider_ghostbuster::{PipelineStatus, SweepCheckpoint, SweepReport};
 use strider_support::alert::Exposition;
 use strider_support::json::{FromJson, JsonError, JsonValue, ToJson};
@@ -402,29 +401,6 @@ impl FleetReport {
             expo.histogram(probe, sketch);
         }
         expo
-    }
-
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into
-    /// [`strider_support::bench::report_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
-    pub fn write_prom(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write(label)
-    }
-
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
-    pub fn write_prom_in(&self, dir: &Path, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write_in(dir, label)
     }
 }
 

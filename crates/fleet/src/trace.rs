@@ -14,9 +14,10 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use strider_support::alert::nearest_rank;
 use strider_support::json::JsonValue;
 use strider_support::obs::{Clock, TelemetryReport};
-use strider_support::store::atomic_write_file;
+use strider_support::store::Artifact;
 use strider_support::sync::Mutex;
 
 /// What the scheduler decided about a shard, stamped on the policy clock.
@@ -144,16 +145,11 @@ impl FleetTrace {
         waits
     }
 
-    /// Nearest-rank p95 of the per-shard queue waits; 0 when no shard
+    /// [`nearest_rank`] p95 of the per-shard queue waits; 0 when no shard
     /// was started by a worker.
     pub fn queue_wait_p95_ns(&self) -> u64 {
-        let mut waits: Vec<u64> = self.queue_waits().into_values().collect();
-        if waits.is_empty() {
-            return 0;
-        }
-        waits.sort_unstable();
-        let rank = ((0.95 * waits.len() as f64).ceil() as usize).saturating_sub(1);
-        waits[rank]
+        let waits = self.queue_waits().into_values().map(|w| w as f64);
+        nearest_rank(waits, 95.0).map_or(0, |w| w as u64)
     }
 
     /// How many shards were stolen off a neighbour's deque.
@@ -354,34 +350,15 @@ impl FleetTrace {
     }
 
     /// Writes [`chrome_trace`](Self::chrome_trace) as
-    /// `FLEET_TRACE_<label>.json` into `dir` and returns the path.
+    /// `FLEET_TRACE_<label>.json` into `dir` and returns the path
+    /// ([`Artifact::FleetTrace`]).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
+    /// See [`Artifact::write`].
     pub fn write_chrome_trace_in(&self, dir: &Path, label: &str) -> std::io::Result<PathBuf> {
-        let label = strider_support::obs::sanitize_label(label).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("label {label:?} has no alphanumeric content"),
-            )
-        })?;
-        let path = dir.join(format!("FLEET_TRACE_{label}.json"));
-        atomic_write_file(&path, self.chrome_trace().render_pretty(2).as_bytes())?;
-        Ok(path)
-    }
-
-    /// Writes [`chrome_trace`](Self::chrome_trace) as
-    /// `FLEET_TRACE_<label>.json` into
-    /// [`strider_support::bench::report_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content.
-    pub fn write_chrome_trace(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.write_chrome_trace_in(&strider_support::bench::report_dir(), label)
+        let json = self.chrome_trace().render_pretty(2);
+        Artifact::FleetTrace.write(dir, label, json.as_bytes())
     }
 }
 

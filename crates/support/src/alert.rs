@@ -3,10 +3,10 @@
 //!
 //! A scanner only pays off operationally when someone learns *when* a
 //! machine went bad. This module turns the raw telemetry the sweeps
-//! already produce into that signal, in three layers:
+//! already produce into that signal, in four layers:
 //!
 //! - [`TimeSeries`] — a bounded ring of `(t_ns, value)` samples on the
-//!   [`Clock`](crate::obs::Clock) seam, answering the windowed queries
+//!   [`Clock`] seam, answering the windowed queries
 //!   alerting needs: [`delta`](TimeSeries::delta),
 //!   [`rate_per_sec`](TimeSeries::rate_per_sec),
 //!   [`quantile_over`](TimeSeries::quantile_over), and
@@ -20,9 +20,12 @@
 //!   context.
 //! - [`Exposition`] — renders counters, gauges,
 //!   [`HistogramSketch`] cumulative buckets, and active alerts in
-//!   Prometheus text format, written hermetically to
-//!   `TELEMETRY_EXPO_<label>.prom` files like the `SCAN_TELEMETRY_*`
-//!   JSON reports.
+//!   Prometheus text format, written as `TELEMETRY_EXPO_<label>.prom`
+//!   files through the same [`Artifact`](crate::store::Artifact) writer
+//!   as the `SCAN_TELEMETRY_*` JSON reports.
+//! - [`MonitorCore`] — the series table, built-in plus custom rules,
+//!   pass loop and series/alert exposition that the sweep and fleet
+//!   monitors share around their own observe steps.
 //!
 //! Everything is driven by explicit `now_ns` readings, so the whole
 //! plane is deterministic under [`FakeClock`](crate::obs::FakeClock).
@@ -48,7 +51,7 @@
 //! ```
 
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
-use crate::obs::{FlightEventKind, FlightRecorder, HistogramSketch, TelemetryReport};
+use crate::obs::{Clock, FlightEventKind, FlightRecorder, HistogramSketch, TelemetryReport};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -146,7 +149,7 @@ impl TimeSeries {
 
     /// Nearest-rank quantile (`pct` in 0..=100) over all retained values.
     pub fn quantile(&self, pct: f64) -> Option<f64> {
-        Self::nearest_rank(self.points.iter().map(|p| p.value), pct)
+        nearest_rank(self.points.iter().map(|p| p.value), pct)
     }
 
     /// Samples with `at_ns` inside the trailing window `[now_ns -
@@ -181,7 +184,7 @@ impl TimeSeries {
 
     /// Nearest-rank quantile over the trailing window's values.
     pub fn quantile_over(&self, pct: f64, window_ns: u64, now_ns: u64) -> Option<f64> {
-        Self::nearest_rank(self.window(window_ns, now_ns).map(|p| p.value), pct)
+        nearest_rank(self.window(window_ns, now_ns).map(|p| p.value), pct)
     }
 
     /// Whether the series has received no sample inside the trailing
@@ -191,17 +194,20 @@ impl TimeSeries {
         let cutoff = now_ns.saturating_sub(window_ns);
         self.points.back().is_none_or(|p| p.at_ns < cutoff)
     }
+}
 
-    fn nearest_rank(values: impl Iterator<Item = f64>, pct: f64) -> Option<f64> {
-        let mut sorted: Vec<f64> = values.collect();
-        if sorted.is_empty() {
-            return None;
-        }
-        sorted.sort_by(f64::total_cmp);
-        let pct = pct.clamp(0.0, 100.0);
-        let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
+/// Nearest-rank quantile (`pct` in 0..=100, clamped) of `values`: the
+/// smallest value with at least `pct`% of the values at or below it.
+/// `None` for no values.
+pub fn nearest_rank(values: impl IntoIterator<Item = f64>, pct: f64) -> Option<f64> {
+    let mut sorted: Vec<f64> = values.into_iter().collect();
+    if sorted.is_empty() {
+        return None;
     }
+    sorted.sort_by(f64::total_cmp);
+    let pct = pct.clamp(0.0, 100.0);
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
 impl ToJson for TimeSeries {
@@ -1063,30 +1069,14 @@ impl Exposition {
         out
     }
 
-    /// Writes the snapshot as `TELEMETRY_EXPO_<label>.prom` into
-    /// [`crate::bench::report_dir`] and returns the path.
+    /// Writes the snapshot as `TELEMETRY_EXPO_<label>.prom` into `dir`
+    /// ([`Artifact::Exposition`](crate::store::Artifact::Exposition)).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content as `InvalidInput`.
-    pub fn write(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.write_in(&crate::bench::report_dir(), label)
-    }
-
-    /// Writes the snapshot as `TELEMETRY_EXPO_<label>.prom` into `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content as `InvalidInput`.
+    /// See [`Artifact::write`](crate::store::Artifact::write).
     pub fn write_in(&self, dir: &Path, label: &str) -> std::io::Result<PathBuf> {
-        let path = dir.join(format!(
-            "TELEMETRY_EXPO_{}.prom",
-            crate::obs::checked_label(label)?
-        ));
-        crate::store::atomic_write_file(&path, self.render().as_bytes())?;
-        Ok(path)
+        crate::store::Artifact::Exposition.write(dir, label, self.render().as_bytes())
     }
 }
 
@@ -1123,27 +1113,123 @@ impl TelemetryReport {
         }
         expo
     }
+}
 
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into [`crate::bench::report_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content as `InvalidInput`.
-    pub fn write_prom(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write(label)
+// ---------------------------------------------------------------------
+// Monitor core
+// ---------------------------------------------------------------------
+
+/// The alerting half every continuous monitor shares: one bounded
+/// [`TimeSeries`] per metric, built-in plus custom [`AlertRule`]s in one
+/// [`AlertEngine`], the pass loop, and the series and alert part of the
+/// monitor's [`Exposition`]. A monitor keeps only its observe step: it
+/// [`push`](Self::push)es what a pass measured, then
+/// [`evaluate`](Self::evaluate)s.
+#[derive(Debug, Clone)]
+pub struct MonitorCore {
+    history: usize,
+    series: BTreeMap<String, TimeSeries>,
+    custom: Vec<AlertRule>,
+    engine: AlertEngine,
+}
+
+impl MonitorCore {
+    /// A core whose series keep `history` samples (clamped ≥ 1) and
+    /// whose engine evaluates the `builtin` rules.
+    pub fn new(history: usize, builtin: Vec<AlertRule>) -> Self {
+        MonitorCore {
+            history,
+            series: BTreeMap::new(),
+            custom: Vec::new(),
+            engine: AlertEngine::with_rules(builtin),
+        }
     }
 
-    /// Writes [`prometheus`](Self::prometheus) as
-    /// `TELEMETRY_EXPO_<label>.prom` into `dir`.
+    /// Replaces the history bound (for series created from now on) and
+    /// the built-in rules, keeping the custom rules. Resets every alert
+    /// state and the log: a new comparison anchor makes old breach
+    /// streaks meaningless.
+    pub fn rebuild(&mut self, history: usize, builtin: Vec<AlertRule>) {
+        self.history = history;
+        let rules = builtin.into_iter().chain(self.custom.iter().cloned());
+        self.engine = AlertEngine::with_rules(rules.collect());
+    }
+
+    /// Adds a custom rule, evaluated after every pass and kept across
+    /// [`rebuild`](Self::rebuild)s. A rule sharing a name with an
+    /// existing rule (a built-in included) replaces it and resets its
+    /// state.
+    pub fn add_rule(&mut self, rule: AlertRule) {
+        match self.custom.iter_mut().find(|r| r.name == rule.name) {
+            Some(existing) => *existing = rule.clone(),
+            None => self.custom.push(rule.clone()),
+        }
+        self.engine.add_rule(rule);
+    }
+
+    /// Every observed metric's rolling series, by metric name.
+    pub fn series(&self) -> &BTreeMap<String, TimeSeries> {
+        &self.series
+    }
+
+    /// The alert engine: rule states, firing rules, and the bounded
+    /// transition log.
+    pub fn engine(&self) -> &AlertEngine {
+        &self.engine
+    }
+
+    /// Appends a sample to a metric's series, creating the series with
+    /// the core's history bound on first use.
+    pub fn push(&mut self, name: &str, at_ns: u64, value: f64) {
+        self.series
+            .entry(name.to_string())
+            .or_insert_with(|| TimeSeries::new(self.history))
+            .push(at_ns, value);
+    }
+
+    /// Evaluates every rule over the series at `now_ns`; see
+    /// [`AlertEngine::evaluate`].
+    pub fn evaluate(
+        &mut self,
+        now_ns: u64,
+        recorder: Option<&FlightRecorder>,
+    ) -> Vec<AlertTransition> {
+        self.engine.evaluate(&self.series, now_ns, recorder)
+    }
+
+    /// Adds every series' newest value to `expo` as a
+    /// `<prefix><metric>` gauge, then the active-alert families (see
+    /// [`Exposition::alerts`]).
+    pub fn expose(&self, expo: &mut Exposition, prefix: &str) {
+        for (name, series) in &self.series {
+            if let Some(value) = series.last() {
+                expo.gauge(&format!("{prefix}{name}"), value);
+            }
+        }
+        expo.alerts(&self.engine);
+    }
+
+    /// Runs `passes` monitoring passes, sleeping `interval_ns` on `clock`
+    /// between consecutive ones (a [`FakeClock`](crate::obs::FakeClock)
+    /// makes this instant and deterministic).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content as `InvalidInput`.
-    pub fn write_prom_in(&self, dir: &Path, label: &str) -> std::io::Result<PathBuf> {
-        self.prometheus().write_in(dir, label)
+    /// Stops at the first pass that fails outright.
+    pub fn run<T, E>(
+        clock: &dyn Clock,
+        interval_ns: u64,
+        passes: usize,
+        mut pass: impl FnMut() -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let mut out = Vec::with_capacity(passes);
+        for i in 0..passes {
+            if i > 0 {
+                clock.sleep_ns(interval_ns);
+            }
+            out.push(pass()?);
+        }
+        Ok(out)
     }
 }
 
@@ -1169,6 +1255,10 @@ mod tests {
         assert_eq!(s.values(), vec![2.0, 3.0, 4.0]);
         assert_eq!(s.last(), Some(4.0));
         assert_eq!(s.last_at(), Some(400));
+        assert_eq!(s.mean(), Some(3.0));
+        assert_eq!(s.quantile(0.0), Some(2.0));
+        assert_eq!(s.quantile(100.0), Some(4.0));
+        assert!(TimeSeries::new(2).quantile(50.0).is_none());
     }
 
     #[test]

@@ -412,7 +412,8 @@ fn std_dev(samples: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Nearest-rank percentile over pre-sorted samples.
+/// Percentile over pre-sorted samples at the rounded rank
+/// `round(pct/100 · (n−1))`, not nearest-rank.
 fn percentile(sorted: &[f64], pct: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

@@ -396,9 +396,10 @@ impl HistogramSketch {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Nearest-rank percentile (`pct` in `0..=100`). The answer is a
-    /// bucket representative within half a bucket (~1% relative at γ =
-    /// 1.02) of the true sample, clamped to the exact observed range.
+    /// Percentile (`pct` in `0..=100`) at the rounded rank
+    /// `round(pct/100 · (n−1))`, not nearest-rank. The answer is a bucket
+    /// representative within half a bucket (~1% relative at γ = 1.02) of
+    /// the true sample, clamped to the exact observed range.
     pub fn percentile(&self, pct: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -1194,8 +1195,8 @@ impl TelemetryReport {
         totals
     }
 
-    /// Nearest-rank percentile over a named histogram's sketch (within
-    /// the sketch's ~1% relative bucket error; exact at the extremes).
+    /// [`HistogramSketch::percentile`] of a named histogram's sketch
+    /// (within its ~1% relative bucket error; exact at the extremes).
     pub fn histogram_percentile(&self, name: &str, pct: f64) -> Option<f64> {
         self.histograms.get(name)?.percentile(pct)
     }
@@ -1258,26 +1259,15 @@ impl TelemetryReport {
         out
     }
 
-    /// Writes the report as `SCAN_TELEMETRY_<label>.json` into
-    /// [`crate::bench::report_dir`] and returns the path.
+    /// Writes the report as `SCAN_TELEMETRY_<label>.json` into `dir`
+    /// ([`Artifact::Telemetry`](crate::store::Artifact::Telemetry)).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.write_json_in(&crate::bench::report_dir(), label)
-    }
-
-    /// Writes the report as `SCAN_TELEMETRY_<label>.json` into `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no alphanumeric
-    /// content (see [`sanitize_label`]) as `InvalidInput`.
+    /// See [`Artifact::write`](crate::store::Artifact::write).
     pub fn write_json_in(&self, dir: &std::path::Path, label: &str) -> std::io::Result<PathBuf> {
-        let path = dir.join(format!("SCAN_TELEMETRY_{}.json", checked_label(label)?));
-        crate::store::atomic_write_file(&path, self.to_json().render_pretty(2).as_bytes())?;
-        Ok(path)
+        let json = self.to_json().render_pretty(2);
+        crate::store::Artifact::Telemetry.write(dir, label, json.as_bytes())
     }
 
     /// The span forest in Chrome `trace_event` JSON array format: one
@@ -1376,29 +1366,19 @@ impl TelemetryReport {
     }
 
     /// Writes [`chrome_trace`](Self::chrome_trace) as
-    /// `SCAN_TRACE_<label>.json` into [`crate::bench::report_dir`].
+    /// `SCAN_TRACE_<label>.json` into `dir`
+    /// ([`Artifact::ScanTrace`](crate::store::Artifact::ScanTrace)).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; rejects empty labels.
-    pub fn write_chrome_trace(&self, label: &str) -> std::io::Result<PathBuf> {
-        self.write_chrome_trace_in(&crate::bench::report_dir(), label)
-    }
-
-    /// Writes [`chrome_trace`](Self::chrome_trace) as
-    /// `SCAN_TRACE_<label>.json` into `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects empty labels.
+    /// See [`Artifact::write`](crate::store::Artifact::write).
     pub fn write_chrome_trace_in(
         &self,
         dir: &std::path::Path,
         label: &str,
     ) -> std::io::Result<PathBuf> {
-        let path = dir.join(format!("SCAN_TRACE_{}.json", checked_label(label)?));
-        crate::store::atomic_write_file(&path, self.chrome_trace().render_pretty(2).as_bytes())?;
-        Ok(path)
+        let json = self.chrome_trace().render_pretty(2);
+        crate::store::Artifact::ScanTrace.write(dir, label, json.as_bytes())
     }
 }
 
@@ -1417,15 +1397,6 @@ pub fn sanitize_label(label: &str) -> Option<String> {
     }
     let trimmed = out.trim_end_matches('_');
     (!trimmed.is_empty()).then(|| trimmed.to_string())
-}
-
-pub(crate) fn checked_label(label: &str) -> std::io::Result<String> {
-    sanitize_label(label).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("label {label:?} has no alphanumeric content"),
-        )
-    })
 }
 
 /// Per-name aggregate in [`TelemetryReport::phase_totals`].

@@ -502,33 +502,16 @@ impl PerfReport {
         out
     }
 
-    /// Writes the report as `SCAN_PERF_<label>.json` into
-    /// [`crate::bench::report_dir`] and returns the path.
+    /// Writes the report as `SCAN_PERF_<label>.json` into `dir`, named
+    /// by its own [`label`](Self::label)
+    /// ([`Artifact::Perf`](crate::store::Artifact::Perf)).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; rejects labels with no
-    /// alphanumeric content.
-    pub fn write_json(&self) -> std::io::Result<PathBuf> {
-        self.write_json_in(&crate::bench::report_dir())
-    }
-
-    /// Writes the report as `SCAN_PERF_<label>.json` into `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; rejects labels with no
-    /// alphanumeric content.
+    /// See [`Artifact::write`](crate::store::Artifact::write).
     pub fn write_json_in(&self, dir: &std::path::Path) -> std::io::Result<PathBuf> {
-        let label = crate::obs::sanitize_label(&self.label).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("label {:?} has no alphanumeric content", self.label),
-            )
-        })?;
-        let path = dir.join(format!("SCAN_PERF_{label}.json"));
-        crate::store::atomic_write_file(&path, self.to_json().render_pretty(2).as_bytes())?;
-        Ok(path)
+        let json = self.to_json().render_pretty(2);
+        crate::store::Artifact::Perf.write(dir, &self.label, json.as_bytes())
     }
 }
 

@@ -376,9 +376,8 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
 /// then `rename`. A crash mid-write leaves the old file (or no file) in
-/// place — never a truncated artifact. This is the commit primitive every
-/// exporter (`SCAN_TELEMETRY_*.json`, `TELEMETRY_EXPO_*.prom`, Chrome
-/// traces) routes through.
+/// place — never a truncated artifact. Every [`Artifact`] export routes
+/// through it.
 pub fn atomic_write_file(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
     let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -392,6 +391,59 @@ pub fn atomic_write_file(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()>
             let _ = fs::remove_file(&tmp);
             Err(e)
         }
+    }
+}
+
+/// The export files the workspace writes, one kind per file-name
+/// prefix. [`Artifact::write`] is the only place a file name is formed
+/// and a label is checked, so every kind lands as
+/// `<prefix><label>.<extension>` through [`atomic_write_file`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// `SCAN_TELEMETRY_<label>.json`: a frozen telemetry report.
+    Telemetry,
+    /// `SCAN_TRACE_<label>.json`: one report's Chrome trace.
+    ScanTrace,
+    /// `SCAN_PERF_<label>.json`: a critical-path performance report.
+    Perf,
+    /// `TELEMETRY_EXPO_<label>.prom`: a Prometheus-text exposition.
+    Exposition,
+    /// `FLEET_TRACE_<label>.json`: a merged fleet Chrome trace.
+    FleetTrace,
+}
+
+impl Artifact {
+    /// The file-name prefix and extension of each kind.
+    fn name_parts(self) -> (&'static str, &'static str) {
+        match self {
+            Artifact::Telemetry => ("SCAN_TELEMETRY_", "json"),
+            Artifact::ScanTrace => ("SCAN_TRACE_", "json"),
+            Artifact::Perf => ("SCAN_PERF_", "json"),
+            Artifact::Exposition => ("TELEMETRY_EXPO_", "prom"),
+            Artifact::FleetTrace => ("FLEET_TRACE_", "json"),
+        }
+    }
+
+    /// Writes `bytes` as `<prefix><label>.<extension>` into `dir` and
+    /// returns the path. The label is reduced to a filesystem-safe stem
+    /// by [`sanitize_label`](crate::obs::sanitize_label).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for a label with no alphanumeric content (so
+    /// `"///"` cannot collide with `"_"`); otherwise propagates
+    /// filesystem errors.
+    pub fn write(self, dir: &Path, label: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+        let stem = crate::obs::sanitize_label(label).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("label {label:?} has no alphanumeric content"),
+            )
+        })?;
+        let (prefix, extension) = self.name_parts();
+        let path = dir.join(format!("{prefix}{stem}.{extension}"));
+        atomic_write_file(&path, bytes)?;
+        Ok(path)
     }
 }
 

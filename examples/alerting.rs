@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 use strider_ghostbuster_repro::prelude::*;
+use strider_support::bench::report_dir;
 use strider_support::fault::Stall;
 use strider_support::obs::{FakeClock, FlightEventKind};
 
@@ -31,22 +32,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // rules: page when the files pipeline stays above 400 µs for 2.5 ms
     // of sustained breach (the `for_ns` hold suppresses one-off blips).
     let mut monitor = SweepMonitor::new(GhostBuster::new().with_policy(policy))
-        .with_config(MonitorConfig::default().with_interval_ns(1_000_000))
-        .with_rule(
-            AlertRule::new(
-                "slow_files",
-                "files.duration_ns",
-                AlertCondition::Above(400_000.0),
-            )
-            .with_for_ns(2_500_000)
-            .with_severity(Severity::Critical),
-        );
+        .with_config(MonitorConfig::default().with_interval_ns(1_000_000));
+    monitor.core.add_rule(
+        AlertRule::new(
+            "slow_files",
+            "files.duration_ns",
+            AlertCondition::Above(400_000.0),
+        )
+        .with_for_ns(2_500_000)
+        .with_severity(Severity::Critical),
+    );
     let mut machine = Machine::with_base_system("alerted-box")?;
     monitor.record_baseline(&mut machine)?;
     println!(
         "rules installed: {}",
         monitor
-            .alerts()
+            .core
+            .engine()
             .rules()
             .iter()
             .map(|r| r.name.as_str())
@@ -61,10 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     monitor.observe(&mut machine)?;
     println!(
         "pass 1: slow_files is {}",
-        monitor.alerts().state("slow_files").unwrap()
+        monitor.core.engine().state("slow_files").unwrap()
     );
     assert_eq!(
-        monitor.alerts().state("slow_files"),
+        monitor.core.engine().state("slow_files"),
         Some(AlertState::Pending)
     );
 
@@ -74,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     machine.set_fault_injector(stall());
     monitor.observe(&mut machine)?;
     assert!(
-        !monitor.alerts().is_firing("slow_files"),
+        !monitor.core.engine().is_firing("slow_files"),
         "hold still running"
     );
     clock.advance(1_000_000);
@@ -82,9 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let alarmed = monitor.observe(&mut machine)?;
     println!(
         "pass 3: slow_files is {} after 3.0 ms of sustained breach",
-        monitor.alerts().state("slow_files").unwrap()
+        monitor.core.engine().state("slow_files").unwrap()
     );
-    assert!(monitor.alerts().is_firing("slow_files"));
+    assert!(monitor.core.engine().is_firing("slow_files"));
 
     // The transition is evidence, twice over: once in the durable alert
     // log, once in the alarmed sweep's own flight dump.
@@ -105,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Export what an operator would scrape.
-    let path = monitor.write_prom("alerting")?;
+    let path = monitor.prometheus().write_in(&report_dir(), "alerting")?;
     let text = std::fs::read_to_string(&path)?;
     assert!(text.contains("# TYPE strider_alert_active gauge"));
     assert!(
@@ -125,10 +127,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .transitions
         .iter()
         .any(|t| t.rule == "slow_files" && t.to == AlertState::Inactive));
-    assert!(!monitor.alerts().is_firing("slow_files"));
+    assert!(!monitor.core.engine().is_firing("slow_files"));
     println!(
         "pass 4: slow_files resolved ({} lifetime transitions)",
-        monitor.alerts().transitions("slow_files")
+        monitor.core.engine().transitions("slow_files")
     );
     println!("OK");
     Ok(())

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the hardened sweep must catch the flickering rootkit"
     );
     assert!(
-        monitor.alerts().is_firing("evasion_suspected"),
+        monitor.core.engine().is_firing("evasion_suspected"),
         "the built-in evasion rule must fire"
     );
 

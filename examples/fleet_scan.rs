@@ -151,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .any(|i| matches!(i.incident, MonitorIncident::NewHiddenResource { .. })));
     assert_eq!(pass.infected_shards(), vec![ShardId(4)]);
-    assert_eq!(monitor.series("fleet.infected").unwrap().last(), Some(1.0));
+    assert_eq!(monitor.core.series()["fleet.infected"].last(), Some(1.0));
 
     println!("\nOK");
     Ok(())

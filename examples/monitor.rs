@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 use strider_ghostbuster_repro::prelude::*;
+use strider_support::bench::report_dir;
 use strider_support::fault::Stall;
 use strider_support::json::JsonValue;
 use strider_support::obs::FakeClock;
@@ -79,8 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .telemetry
         .as_ref()
         .expect("monitored sweeps always carry telemetry");
-    let telemetry_path = report.write_json("monitor")?;
-    let trace_path = report.write_chrome_trace("monitor")?;
+    let telemetry_path = report.write_json_in(&report_dir(), "monitor")?;
+    let trace_path = report.write_chrome_trace_in(&report_dir(), "monitor")?;
 
     let telemetry_doc = JsonValue::parse(&std::fs::read_to_string(&telemetry_path)?)?;
     let top = telemetry_doc.as_obj()?;
@@ -123,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace_path.display(),
         pipeline_tids.len()
     );
-    println!("rolling series tracked: {}", monitor.series_names().len());
+    println!("rolling series tracked: {}", monitor.core.series().len());
     println!("OK");
     Ok(())
 }

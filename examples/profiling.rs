@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 use strider_ghostbuster_repro::prelude::*;
+use strider_support::bench::report_dir;
 use strider_support::fault::Stall;
 use strider_support::json::{FromJson, JsonValue};
 use strider_support::obs::{fmt_bytes, fmt_ns, FakeClock, Telemetry};
@@ -96,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(hardened.to_string().contains("critical path:"));
 
     // The PerfReport is an artifact: export, re-parse, compare.
-    let perf_path = hard_perf.write_json()?;
+    let perf_path = hard_perf.write_json_in(&report_dir())?;
     let parsed = PerfReport::from_json(&JsonValue::parse(&std::fs::read_to_string(&perf_path)?)?)?;
     assert_eq!(parsed.label, "hardened");
     assert_eq!(parsed.allocs, hard_perf.allocs);
@@ -186,7 +187,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(scan_tids.len() >= 64, "{} shard lanes", scan_tids.len());
     assert!(scan_tids.iter().all(|&t| t > 4), "above reserved lanes");
 
-    let trace_path = trace.write_chrome_trace("fleet64")?;
+    let trace_path = trace.write_chrome_trace_in(&report_dir(), "fleet64")?;
     JsonValue::parse(&std::fs::read_to_string(&trace_path)?)?;
     println!("merged fleet trace written to {}", trace_path.display());
 
@@ -200,12 +201,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut monitor = FleetMonitor::new(scheduler.detector().clone())
         .with_alert_policy(FleetAlertPolicy::default().with_queue_wait_p95_max_ns(1));
     let transitions = monitor.ingest_trace(&trace);
-    assert!(monitor.alerts().is_firing("fleet.worker_starvation"));
+    assert!(monitor.core.engine().is_firing("fleet.worker_starvation"));
     assert!(transitions
         .iter()
         .any(|t| t.rule == "fleet.worker_starvation"));
     assert!(monitor
-        .series("fleet.worker_idle_fraction")
+        .core
+        .series()
+        .get("fleet.worker_idle_fraction")
         .and_then(|s| s.last())
         .is_some());
     println!("fleet.worker_starvation fired: p95 queue wait over ceiling");

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Export the whole report as JSON (SCAN_TELEMETRY_<label>.json in the
     // current directory, or $STRIDER_BENCH_DIR when set).
-    let path = report.write_json("inside_sweep")?;
+    let path = report.write_json_in(&strider_support::bench::report_dir(), "inside_sweep")?;
     println!("\ntelemetry report written to {}", path.display());
     Ok(())
 }

@@ -50,7 +50,9 @@ FAULT_SEED="${FAULT_SEED:-20260809}" cargo test -q --offline --test properties \
 
 # Self-validating examples: each asserts its own scenario end to end and
 # re-reads what it exported, so running it green IS the check; the file
-# tests only confirm the artifacts landed.
+# tests only confirm the artifacts landed. Every example runs with
+# STRIDER_BENCH_DIR pointing at the scratch directory, so no export ever
+# lands in the checkout.
 #   monitor    — flight recorder, Chrome trace (one tid per pipeline),
 #                SCAN_TELEMETRY_* schema keys;
 #   alerting   — the Pending→Firing→Resolved lifecycle and its
@@ -70,9 +72,9 @@ test -f "$OBS_DIR/SCAN_TELEMETRY_monitor.json"
 test -f "$OBS_DIR/SCAN_TRACE_monitor.json"
 STRIDER_BENCH_DIR="$OBS_DIR" cargo run -q --offline --example alerting >/dev/null
 test -f "$OBS_DIR/TELEMETRY_EXPO_alerting.prom"
-cargo run -q --offline --example fleet_scan >/dev/null
-cargo run -q --offline --example durability >/dev/null
-cargo run -q --offline --example evasion >/dev/null
+STRIDER_BENCH_DIR="$OBS_DIR" cargo run -q --offline --example fleet_scan >/dev/null
+STRIDER_BENCH_DIR="$OBS_DIR" cargo run -q --offline --example durability >/dev/null
+STRIDER_BENCH_DIR="$OBS_DIR" cargo run -q --offline --example evasion >/dev/null
 STRIDER_BENCH_DIR="$OBS_DIR" cargo run -q --offline --example profiling >/dev/null
 test -f "$OBS_DIR/SCAN_PERF_hardened.json"
 test -f "$OBS_DIR/FLEET_TRACE_fleet64.json"

@@ -306,7 +306,7 @@ fn fleet_monitor_tags_incidents_with_shard_and_flight_evidence() {
         );
     }
     assert_eq!(pass.infected_shards(), vec![ShardId(2)]);
-    assert_eq!(monitor.series("fleet.infected").unwrap().last(), Some(1.0));
+    assert_eq!(monitor.core.series()["fleet.infected"].last(), Some(1.0));
 }
 
 // ---------------------------------------------------------------------
@@ -334,10 +334,10 @@ fn fleet_infection_spike_rule_fires_and_exports_prometheus_text() {
     }
     let pass = monitor.observe(&mut fleet).unwrap();
     assert_eq!(
-        monitor.series("fleet.infection_rate").unwrap().last(),
+        monitor.core.series()["fleet.infection_rate"].last(),
         Some(0.375)
     );
-    assert!(monitor.alerts().is_firing("fleet.infection_spike"));
+    assert!(monitor.core.engine().is_firing("fleet.infection_spike"));
     assert!(
         pass.transitions
             .iter()
@@ -355,7 +355,7 @@ fn fleet_infection_spike_rule_fires_and_exports_prometheus_text() {
     // Operators scrape the same state as Prometheus text.
     let dir = std::env::temp_dir().join(format!("strider-fleet-alerts-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = monitor.write_prom_in(&dir, "fleet").unwrap();
+    let path = monitor.prometheus().write_in(&dir, "fleet").unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(
         text.contains(
@@ -668,10 +668,7 @@ fn monitor_quarantines_a_failing_shard_instead_of_sinking_the_fleet() {
     assert_eq!(pass.shards.len(), 2);
     assert_eq!(pass.shard_ids, vec![ShardId(0), ShardId(2)]);
     assert!(pass.failures.is_empty());
-    assert_eq!(
-        monitor.series("fleet.quarantined").unwrap().last(),
-        Some(1.0)
-    );
+    assert_eq!(monitor.core.series()["fleet.quarantined"].last(), Some(1.0));
 
     // Operator fixes the machine and lifts the fence: the next pass
     // observes all three shards again, clean.
@@ -683,4 +680,82 @@ fn monitor_quarantines_a_failing_shard_instead_of_sinking_the_fleet() {
     assert_eq!(pass.shards.len(), 3);
     assert!(pass.failures.is_empty(), "{:?}", pass.failures);
     assert!(monitor.quarantined().is_empty());
+}
+
+#[test]
+fn fleet_monitor_exposition_text_is_pinned() {
+    let policy = ScanPolicy::resilient().with_clock(Arc::new(FakeClock::new()));
+    let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(3, 13)).unwrap();
+    let mut monitor = FleetMonitor::new(GhostBuster::new().with_policy(policy));
+    monitor.record_baselines(&mut fleet).unwrap();
+    monitor.observe(&mut fleet).unwrap();
+    let expected = concat!(
+        "# TYPE fleet_degraded gauge\n",
+        "fleet_degraded 0\n",
+        "# TYPE fleet_degraded_fraction gauge\n",
+        "fleet_degraded_fraction 0\n",
+        "# TYPE fleet_failures gauge\n",
+        "fleet_failures 0\n",
+        "# TYPE fleet_incidents gauge\n",
+        "fleet_incidents 0\n",
+        "# TYPE fleet_infected gauge\n",
+        "fleet_infected 0\n",
+        "# TYPE fleet_infection_rate gauge\n",
+        "fleet_infection_rate 0\n",
+        "# TYPE fleet_p95_sweep_ns gauge\n",
+        "fleet_p95_sweep_ns 0\n",
+        "# TYPE fleet_quarantined gauge\n",
+        "fleet_quarantined 0\n",
+        "# TYPE fleet_suspicious gauge\n",
+        "fleet_suspicious 0\n",
+        "# TYPE strider_alert_active gauge\n",
+        "strider_alert_active{rule=\"fleet.infection_spike\",severity=\"critical\"} 0\n",
+        "strider_alert_active{rule=\"fleet.degraded_shards\",severity=\"warning\"} 0\n",
+        "strider_alert_active{rule=\"fleet.latency_slo\",severity=\"warning\"} 0\n",
+        "strider_alert_active{rule=\"fleet.worker_starvation\",severity=\"warning\"} 0\n",
+        "# TYPE strider_alert_transitions_total counter\n",
+        "strider_alert_transitions_total{rule=\"fleet.infection_spike\"} 0\n",
+        "strider_alert_transitions_total{rule=\"fleet.degraded_shards\"} 0\n",
+        "strider_alert_transitions_total{rule=\"fleet.latency_slo\"} 0\n",
+        "strider_alert_transitions_total{rule=\"fleet.worker_starvation\"} 0\n",
+        "# TYPE strider_fleet_passes_total counter\n",
+        "strider_fleet_passes_total 1\n",
+    );
+    assert_eq!(monitor.prometheus().render(), expected);
+}
+
+#[test]
+fn fleet_config_reaches_shard_monitors_recorded_before_it() {
+    let policy = ScanPolicy::resilient().with_clock(Arc::new(FakeClock::new()));
+    let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(2, 17)).unwrap();
+    let mut monitor = FleetMonitor::new(GhostBuster::new().with_policy(policy));
+    monitor.record_baselines(&mut fleet).unwrap();
+
+    let config = MonitorConfig {
+        latency_factor: 9.0,
+        latency_floor_ns: 7,
+        ..MonitorConfig::default().with_history(1)
+    };
+    let mut monitor = monitor.with_config(config.clone());
+    monitor.run(&mut fleet, 2).unwrap();
+    for shard in [ShardId(0), ShardId(1)] {
+        let shard = monitor.shard(shard).unwrap();
+        assert_eq!(shard.config(), &config);
+        assert!(shard.baseline().is_some(), "the baseline survives");
+        let rule = shard
+            .core
+            .engine()
+            .rules()
+            .iter()
+            .find(|r| r.name == "latency.files")
+            .unwrap();
+        assert!(
+            matches!(
+                rule.condition,
+                AlertCondition::AboveBaseline { factor, floor, .. } if factor == 9.0 && floor == 7.0
+            ),
+            "{rule}"
+        );
+        assert_eq!(shard.core.series()["sweep.suspicious"].len(), 1);
+    }
 }

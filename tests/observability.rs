@@ -187,7 +187,7 @@ fn monitor_flags_an_injected_latency_regression() {
     );
     // The rolling series saw both the calm baseline-shaped sweep and the
     // slow one.
-    let series = monitor.series("files.duration_ns").expect("series exists");
+    let series = &monitor.core.series()["files.duration_ns"];
     assert_eq!(series.len(), 1);
     assert!(series.last().unwrap() >= 500_000.0);
 }
@@ -505,4 +505,70 @@ fn telemetry_vocabulary_of_both_sweep_flows_is_pinned() {
         ],
         "outside black boxes"
     );
+}
+
+// ---------------------------------------------------------------------
+// Export file names: every artifact kind, one table
+// ---------------------------------------------------------------------
+
+#[test]
+fn artifact_file_names_are_pinned_for_every_kind() {
+    use std::path::{Path, PathBuf};
+    use strider_support::alert::Exposition;
+    use strider_support::prof::PerfReport;
+
+    type Writer = fn(&Path, &str) -> std::io::Result<PathBuf>;
+    let kinds: [(&str, Writer); 5] = [
+        ("SCAN_TELEMETRY_", |dir, label| {
+            TelemetryReport::default().write_json_in(dir, label)
+        }),
+        ("SCAN_TRACE_", |dir, label| {
+            TelemetryReport::default().write_chrome_trace_in(dir, label)
+        }),
+        ("SCAN_PERF_", |dir, label| {
+            PerfReport::from_telemetry(label, &TelemetryReport::default()).write_json_in(dir)
+        }),
+        ("TELEMETRY_EXPO_", |dir, label| {
+            Exposition::new().write_in(dir, label)
+        }),
+        ("FLEET_TRACE_", |dir, label| {
+            let trace = FleetTrace {
+                workers: 0,
+                start_ns: 0,
+                end_ns: 0,
+                events: Vec::new(),
+                shards: Vec::new(),
+            };
+            trace.write_chrome_trace_in(dir, label)
+        }),
+    ];
+    let dir = std::env::temp_dir().join(format!("strider-artifacts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut names = Vec::new();
+    for (prefix, write) in kinds {
+        for label in ["unit test!", "--a//b  c--"] {
+            let path = write(&dir, label).unwrap();
+            assert!(path.is_file(), "{prefix} wrote {}", path.display());
+            assert_eq!(path.parent(), Some(dir.as_path()));
+            names.push(path.file_name().unwrap().to_string_lossy().into_owned());
+        }
+        let err = write(&dir, "///").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{prefix}");
+    }
+    assert_eq!(
+        names,
+        [
+            "SCAN_TELEMETRY_unit_test.json",
+            "SCAN_TELEMETRY_a_b_c.json",
+            "SCAN_TRACE_unit_test.json",
+            "SCAN_TRACE_a_b_c.json",
+            "SCAN_PERF_unit_test.json",
+            "SCAN_PERF_a_b_c.json",
+            "TELEMETRY_EXPO_unit_test.prom",
+            "TELEMETRY_EXPO_a_b_c.prom",
+            "FLEET_TRACE_unit_test.json",
+            "FLEET_TRACE_a_b_c.json",
+        ]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
