@@ -117,8 +117,7 @@ impl FileScanner {
             meta.io.record_seek();
             let query = Query::DirectoryEnum { path: dir };
             let query_started = probe.start();
-            let sink = span.is_recording().then_some(&mut chain);
-            let rows = match query_chain(machine, ctx, &query, entry, sink) {
+            let rows = match query_chain(machine, ctx, &query, entry, &mut chain) {
                 Ok(rows) => rows,
                 // A directory deleted mid-walk is normal churn, not an error.
                 Err(NtStatus::ObjectNameNotFound) => continue,
@@ -127,7 +126,7 @@ impl FileScanner {
             probe.finish(query_started);
             pump.tick(machine, ctx);
             meta.io.record_entries(rows.len() as u64);
-            let mut subdirs = Vec::new();
+            let subdirs = stack.len();
             for row in rows {
                 if let Row::File(f) = row {
                     facts.push((
@@ -140,14 +139,13 @@ impl FileScanner {
                         },
                     ));
                     if f.is_dir {
-                        subdirs.push(f.path);
+                        stack.push(f.path);
                     }
                 }
             }
             if let Some(rng) = &mut order_rng {
-                rng.shuffle(&mut subdirs);
+                rng.shuffle(&mut stack[subdirs..]);
             }
-            stack.extend(subdirs);
         }
         let snap = Snapshot::from_facts(meta, facts);
         record_view_entries(self.telemetry.as_ref(), &span, "files", &snap);

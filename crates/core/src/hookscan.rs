@@ -113,7 +113,7 @@ pub fn install_benign_wrapper(machine: &mut Machine, owner: &str) {
         Arc::new(
             |_: &strider_winapi::CallContext,
              _: &strider_winapi::Query,
-             rows: Vec<strider_winapi::Row>| { rows },
+             _: &mut Vec<strider_winapi::Row>| false,
         ),
     );
 }

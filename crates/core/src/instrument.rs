@@ -9,25 +9,19 @@ use strider_support::obs::{Clock, MaybeSpan, Telemetry};
 use strider_winapi::{CallContext, ChainEntry, ChainStats, Machine, Query, Row};
 
 /// Runs one query through the machine's hook chain, folding its
-/// [`ChainTrace`](strider_winapi::ChainTrace) into `chain` when the caller
-/// is recording attribution. Without a sink this is plain
-/// [`Machine::query`]: no trace, no row clones.
+/// [`ChainTrace`](strider_winapi::ChainTrace) into `chain`. The chain
+/// records every trace at no extra cost, so every scan keeps its
+/// attribution whether or not telemetry is attached.
 pub(crate) fn query_chain(
     machine: &Machine,
     ctx: &CallContext,
     query: &Query,
     entry: ChainEntry,
-    chain: Option<&mut ChainStats>,
+    chain: &mut ChainStats,
 ) -> Result<Vec<Row>, NtStatus> {
-    match chain {
-        Some(chain) => machine
-            .query_traced(ctx, query, entry)
-            .map(|(rows, trace)| {
-                chain.absorb(&trace);
-                rows
-            }),
-        None => machine.query(ctx, query, entry),
-    }
+    let (rows, trace) = machine.query_traced(ctx, query, entry)?;
+    chain.absorb(&trace);
+    Ok(rows)
 }
 
 /// Feeds per-iteration latencies from a hot scan loop into a named

@@ -66,8 +66,7 @@ impl ProcessScanner {
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         snap.meta.io.record_api_call();
         let mut chain = ChainStats::default();
-        let sink = span.is_recording().then_some(&mut chain);
-        let rows = query_chain(machine, ctx, &Query::ProcessList, entry, sink)?;
+        let rows = query_chain(machine, ctx, &Query::ProcessList, entry, &mut chain)?;
         record_chain(&span, &chain);
         snap.meta.io.record_entries(rows.len() as u64);
         for row in rows {
@@ -221,8 +220,7 @@ impl ProcessScanner {
             snap.meta.io.record_api_call();
             let query = Query::ModuleList { pid: proc_fact.pid };
             let query_started = probe.start();
-            let sink = span.is_recording().then_some(&mut chain);
-            let result = query_chain(machine, ctx, &query, entry, sink);
+            let result = query_chain(machine, ctx, &query, entry, &mut chain);
             probe.finish(query_started);
             let rows = match result {
                 Ok(rows) => rows,

@@ -35,7 +35,7 @@ struct ApiKeyView<'a> {
     entry: ChainEntry,
     path: NtPath,
     io: Rc<RefCell<IoStats>>,
-    chain: Option<Rc<RefCell<ChainStats>>>,
+    chain: Rc<RefCell<ChainStats>>,
     pump: Option<Rc<RefCell<DecoyPump>>>,
 }
 
@@ -48,7 +48,7 @@ impl<'a> ApiKeyView<'a> {
             self.ctx,
             &query,
             self.entry,
-            self.chain.as_ref().map(|c| c.borrow_mut()).as_deref_mut(),
+            &mut self.chain.borrow_mut(),
         )
         .unwrap_or_default();
         io.record_entries(rows.len() as u64);
@@ -82,7 +82,7 @@ impl<'a> KeyView for ApiKeyView<'a> {
                     entry: self.entry,
                     path: self.path.join(k.name),
                     io: Rc::clone(&self.io),
-                    chain: self.chain.clone(),
+                    chain: Rc::clone(&self.chain),
                     pump: self.pump.clone(),
                 },
             )),
@@ -216,9 +216,7 @@ impl RegistryScanner {
         let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.high_scan");
         let latency = LatencyProbe::new(self.telemetry.as_ref(), "registry.key_probe_ns");
         let io = Rc::new(RefCell::new(IoStats::default()));
-        let chain = span
-            .is_recording()
-            .then(|| Rc::new(RefCell::new(ChainStats::default())));
+        let chain = Rc::new(RefCell::new(ChainStats::default()));
         // Hardened scans probe the ASEP catalog in a per-pass shuffled
         // order and interleave non-Registry decoy queries, so probe runs
         // neither enumerate predictably nor form same-kind bursts.
@@ -236,14 +234,8 @@ impl RegistryScanner {
                 // The key must be enumerable for the view to exist.
                 let probe = Query::RegEnumValues { key: path.clone() };
                 let probe_started = latency.start();
-                let reachable = query_chain(
-                    machine,
-                    ctx,
-                    &probe,
-                    entry,
-                    chain.as_ref().map(|c| c.borrow_mut()).as_deref_mut(),
-                )
-                .is_ok();
+                let reachable =
+                    query_chain(machine, ctx, &probe, entry, &mut chain.borrow_mut()).is_ok();
                 latency.finish(probe_started);
                 if let Some(pump) = &pump {
                     pump.borrow_mut().tick(machine, ctx);
@@ -254,7 +246,7 @@ impl RegistryScanner {
                     entry,
                     path: path.clone(),
                     io: Rc::clone(&io),
-                    chain: chain.clone(),
+                    chain: Rc::clone(&chain),
                     pump: pump.clone(),
                 })
             },
@@ -270,9 +262,7 @@ impl RegistryScanner {
             record_decoys(self.telemetry.as_ref(), "registry", pump.borrow().issued());
         }
         span.set_attr("api_calls", snap.meta.io.api_calls);
-        if let Some(chain) = &chain {
-            record_chain(&span, &chain.borrow());
-        }
+        record_chain(&span, &chain.borrow());
         snap
     }
 
@@ -433,9 +423,7 @@ impl RegistryScanner {
         let view = ViewKind::high_level(entry);
         let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.full_high_scan");
         let io = Rc::new(RefCell::new(IoStats::default()));
-        let chain = span
-            .is_recording()
-            .then(|| Rc::new(RefCell::new(ChainStats::default())));
+        let chain = Rc::new(RefCell::new(ChainStats::default()));
         let mut meta = ScanMeta::new(view, machine.now());
         let mut facts = Vec::new();
         for hive in machine.registry().hives() {
@@ -460,9 +448,7 @@ impl RegistryScanner {
         let snap = Snapshot::from_facts(meta, facts);
         record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
         span.set_attr("api_calls", snap.meta.io.api_calls);
-        if let Some(chain) = &chain {
-            record_chain(&span, &chain.borrow());
-        }
+        record_chain(&span, &chain.borrow());
         snap
     }
 

@@ -38,6 +38,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use crate::filters::{drop_rows, lower_name};
 use crate::{static_path, Ghostware, Infection, Technique};
 use strider_hive::ValueData;
 use strider_nt_core::{NtPath, NtStatus};
@@ -162,7 +163,7 @@ impl EvasiveGhostware {
         let tactic = self.tactic;
         let stem = self.stem.to_ascii_lowercase();
         let state = Arc::clone(&self.state);
-        Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
+        Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
             let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
             st.sense.queries_observed += 1;
             if !st.sense.scanner_seen {
@@ -173,10 +174,10 @@ impl EvasiveGhostware {
                     let honest = tap.queries_since_raw_read().is_some_and(|d| d < window);
                     if honest {
                         st.sense.honest_calls += 1;
-                        rows
+                        false
                     } else {
                         st.sense.lying_calls += 1;
-                        hide_rows(rows, &stem)
+                        drop_rows(rows, |r| lower_name(r).contains(&stem))
                     }
                 }
                 EvasiveTactic::RehookAfterSweep {
@@ -199,20 +200,18 @@ impl EvasiveGhostware {
                         .is_some_and(|at| tap.queries().saturating_sub(at) <= rehook_after);
                     if honest {
                         st.sense.honest_calls += 1;
-                        rows
+                        false
                     } else {
                         st.sense.lying_calls += 1;
-                        hide_rows(rows, &stem)
+                        drop_rows(rows, |r| lower_name(r).contains(&stem))
                     }
                 }
                 EvasiveTactic::FlickerHiding { seed, grace } => {
                     st.sense.lying_calls += 1;
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        let name = row.name().to_win32_lossy().to_ascii_lowercase();
+                    drop_rows(rows, |row| {
+                        let name = lower_name(row);
                         if !name.contains(&stem) {
-                            kept.push(row);
-                            continue;
+                            return false;
                         }
                         let n = st.appearances.entry(name.clone()).or_insert(0);
                         *n += 1;
@@ -223,30 +222,15 @@ impl EvasiveGhostware {
                             );
                             !coin.chance(1, 2)
                         };
-                        if visible {
-                            kept.push(row);
-                        } else {
+                        if !visible {
                             st.sense.flicker_hides += 1;
                         }
-                    }
-                    kept
+                        !visible
+                    })
                 }
             }
         })
     }
-}
-
-/// Drops rows whose name contains `stem` (the unconditional lie the
-/// tactics gate).
-fn hide_rows(rows: Vec<Row>, stem: &str) -> Vec<Row> {
-    rows.into_iter()
-        .filter(|r| {
-            !r.name()
-                .to_win32_lossy()
-                .to_ascii_lowercase()
-                .contains(stem)
-        })
-        .collect()
 }
 
 impl Ghostware for EvasiveGhostware {

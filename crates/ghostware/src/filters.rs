@@ -3,19 +3,30 @@
 use std::sync::Arc;
 use strider_winapi::{CallContext, Query, QueryFilter, Row};
 
+/// Drops every row `hidden` picks, returning whether any went — the
+/// body of every pure hider.
+pub(crate) fn drop_rows(rows: &mut Vec<Row>, mut hidden: impl FnMut(&Row) -> bool) -> bool {
+    let before = rows.len();
+    rows.retain(|r| !hidden(r));
+    rows.len() != before
+}
+
+/// A row's name, lowercased for case-insensitive pattern matching.
+pub(crate) fn lower_name(row: &Row) -> String {
+    row.name().to_win32_lossy().to_ascii_lowercase()
+}
+
 /// A filter that removes rows whose name contains any of the given
 /// case-insensitive substrings — the workhorse of pattern-based hiders
 /// (Hacker Defender's ini patterns, Aphex's prefix, Vanquish's
 /// `*vanquish*`).
 pub fn hide_names_containing(patterns: &[&str]) -> Arc<dyn QueryFilter> {
     let patterns: Vec<String> = patterns.iter().map(|p| p.to_ascii_lowercase()).collect();
-    Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-        rows.into_iter()
-            .filter(|r| {
-                let name = r.name().to_win32_lossy().to_ascii_lowercase();
-                !patterns.iter().any(|p| name.contains(p.as_str()))
-            })
-            .collect()
+    Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+        drop_rows(rows, |r| {
+            let name = lower_name(r);
+            patterns.iter().any(|p| name.contains(p.as_str()))
+        })
     })
 }
 
@@ -24,16 +35,14 @@ pub fn hide_names_containing(patterns: &[&str]) -> Arc<dyn QueryFilter> {
 /// in the path.
 pub fn hide_paths_containing(patterns: &[String]) -> Arc<dyn QueryFilter> {
     let patterns: Vec<String> = patterns.iter().map(|p| p.to_ascii_lowercase()).collect();
-    Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-        rows.into_iter()
-            .filter(|r| {
-                let hay = match r {
-                    Row::File(f) => f.path.to_string().to_ascii_lowercase(),
-                    other => other.name().to_win32_lossy().to_ascii_lowercase(),
-                };
-                !patterns.iter().any(|p| hay.contains(p.as_str()))
-            })
-            .collect()
+    Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+        drop_rows(rows, |r| {
+            let hay = match r {
+                Row::File(f) => f.path.to_string().to_ascii_lowercase(),
+                other => lower_name(other),
+            };
+            patterns.iter().any(|p| hay.contains(p.as_str()))
+        })
     })
 }
 
@@ -43,18 +52,18 @@ pub fn hide_paths_containing(patterns: &[String]) -> Arc<dyn QueryFilter> {
 pub fn scrub_value_data(value_name: &str, remove: &str) -> Arc<dyn QueryFilter> {
     let value_name = value_name.to_ascii_lowercase();
     let remove = remove.to_string();
-    Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-        rows.into_iter()
-            .map(|r| match r {
-                Row::RegValue(mut v)
-                    if v.name.to_win32_lossy().to_ascii_lowercase() == value_name =>
-                {
-                    v.data = v.data.replace(&remove, "").trim().to_string();
-                    Row::RegValue(v)
+    Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+        let mut scrubbed = false;
+        for row in rows.iter_mut() {
+            if let Row::RegValue(v) = row {
+                if v.name.to_win32_lossy().to_ascii_lowercase() == value_name {
+                    let data = v.data.replace(&remove, "").trim().to_string();
+                    scrubbed |= data != v.data;
+                    v.data = data;
                 }
-                other => other,
-            })
-            .collect()
+            }
+        }
+        scrubbed
     })
 }
 
@@ -62,13 +71,11 @@ pub fn scrub_value_data(value_name: &str, remove: &str) -> Arc<dyn QueryFilter> 
 /// pid rather than name (FU's `-ph <pid>` interface, though FU itself uses
 /// DKOM and needs no filter).
 pub fn hide_pids(pids: Vec<u32>) -> Arc<dyn QueryFilter> {
-    Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-        rows.into_iter()
-            .filter(|r| match r {
-                Row::Process(p) => !pids.contains(&p.pid.0),
-                _ => true,
-            })
-            .collect()
+    Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+        drop_rows(
+            rows,
+            |r| matches!(r, Row::Process(p) if pids.contains(&p.pid.0)),
+        )
     })
 }
 
@@ -96,39 +103,34 @@ mod tests {
     #[test]
     fn name_patterns_filter_case_insensitively() {
         let f = hide_names_containing(&["hxdef"]);
-        let rows = vec![file_row("C:\\HxDef100.exe"), file_row("C:\\notepad.exe")];
-        let out = f.filter(
-            &ctx(),
-            &Query::DirectoryEnum {
-                path: "C:".parse().unwrap(),
-            },
-            rows,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].name().to_win32_lossy(), "notepad.exe");
+        let mut rows = vec![file_row("C:\\HxDef100.exe"), file_row("C:\\notepad.exe")];
+        let q = Query::DirectoryEnum {
+            path: "C:".parse().unwrap(),
+        };
+        assert!(f.filter(&ctx(), &q, &mut rows));
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].name().to_win32_lossy(), "notepad.exe");
+        assert!(!f.filter(&ctx(), &q, &mut rows), "nothing left to hide");
     }
 
     #[test]
     fn path_patterns_hide_children_of_hidden_folders() {
         let f = hide_paths_containing(&["\\secret stuff\\".to_string()]);
-        let rows = vec![
+        let mut rows = vec![
             file_row("C:\\secret stuff\\x.doc"),
             file_row("C:\\public\\y.doc"),
         ];
-        let out = f.filter(
-            &ctx(),
-            &Query::DirectoryEnum {
-                path: "C:".parse().unwrap(),
-            },
-            rows,
-        );
-        assert_eq!(out.len(), 1);
+        let q = Query::DirectoryEnum {
+            path: "C:".parse().unwrap(),
+        };
+        assert!(f.filter(&ctx(), &q, &mut rows));
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]
     fn scrub_edits_only_the_named_value() {
         let f = scrub_value_data("AppInit_DLLs", "msvsres.dll");
-        let rows = vec![
+        let mut rows = vec![
             Row::RegValue(RegValueRow {
                 name: "AppInit_DLLs".into(),
                 key: "HKLM\\SOFTWARE".parse().unwrap(),
@@ -140,26 +142,24 @@ mod tests {
                 data: "msvsres.dll untouched".to_string(),
             }),
         ];
-        let out = f.filter(
-            &ctx(),
-            &Query::RegEnumValues {
-                key: "HKLM\\SOFTWARE".parse().unwrap(),
-            },
-            rows,
-        );
-        match (&out[0], &out[1]) {
+        let q = Query::RegEnumValues {
+            key: "HKLM\\SOFTWARE".parse().unwrap(),
+        };
+        assert!(f.filter(&ctx(), &q, &mut rows));
+        match (&rows[0], &rows[1]) {
             (Row::RegValue(a), Row::RegValue(b)) => {
                 assert_eq!(a.data, "");
                 assert!(b.data.contains("msvsres"));
             }
             _ => panic!("rows changed type"),
         }
+        assert!(!f.filter(&ctx(), &q, &mut rows), "already scrubbed");
     }
 
     #[test]
     fn hide_pids_only_affects_process_rows() {
         let f = hide_pids(vec![8]);
-        let rows = vec![
+        let mut rows = vec![
             Row::Process(ProcessRow {
                 pid: Pid(8),
                 image_name: "g.exe".into(),
@@ -172,7 +172,7 @@ mod tests {
             }),
             file_row("C:\\a.txt"),
         ];
-        let out = f.filter(&ctx(), &Query::ProcessList, rows);
-        assert_eq!(out.len(), 2);
+        assert!(f.filter(&ctx(), &Query::ProcessList, &mut rows));
+        assert_eq!(rows.len(), 2);
     }
 }

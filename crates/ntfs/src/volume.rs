@@ -540,17 +540,16 @@ impl NtfsVolume {
     /// # Errors
     ///
     /// Fails if the path is missing or not a directory.
-    pub fn list_children(&self, path: &NtPath) -> Result<Vec<&FileRecord>, NtfsError> {
+    pub fn list_children(
+        &self,
+        path: &NtPath,
+    ) -> Result<impl Iterator<Item = &FileRecord> + '_, NtfsError> {
         let n = self.resolve(path)?;
         let rec = self.record(n).expect("resolved");
         if !rec.is_directory() {
             return Err(NtfsError::NotADirectory(path.clone()));
         }
-        Ok(rec
-            .children
-            .iter()
-            .filter_map(|&c| self.record(c))
-            .collect())
+        Ok(rec.children.iter().filter_map(|&c| self.record(c)))
     }
 
     /// Reconstructs the full path of a record by following parent references.

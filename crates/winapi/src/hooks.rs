@@ -131,17 +131,20 @@ impl HookScope {
 /// A result-set filter installed at some level of the chain.
 ///
 /// Implementations receive the rows that the lower layers produced and
-/// return the rows to pass upward — removal is hiding.
+/// edit them in place into the rows to pass upward — removal is hiding.
 pub trait QueryFilter: Send + Sync {
-    /// Filters `rows` for the given query and caller.
-    fn filter(&self, ctx: &CallContext, query: &Query, rows: Vec<Row>) -> Vec<Row>;
+    /// Filters `rows` for the given query and caller, returning `true`
+    /// when it dropped, reordered or rewrote any row. The chain attributes
+    /// a lie to the level whose filter says so; it also counts rows, so a
+    /// drop is caught even if a filter under-reports.
+    fn filter(&self, ctx: &CallContext, query: &Query, rows: &mut Vec<Row>) -> bool;
 }
 
 impl<F> QueryFilter for F
 where
-    F: Fn(&CallContext, &Query, Vec<Row>) -> Vec<Row> + Send + Sync,
+    F: Fn(&CallContext, &Query, &mut Vec<Row>) -> bool + Send + Sync,
 {
-    fn filter(&self, ctx: &CallContext, query: &Query, rows: Vec<Row>) -> Vec<Row> {
+    fn filter(&self, ctx: &CallContext, query: &Query, rows: &mut Vec<Row>) -> bool {
         self(ctx, query, rows)
     }
 }
@@ -256,11 +259,15 @@ impl HookRegistry {
     }
 
     /// Hooks at a level that intercept the query, in installation order.
-    pub fn applicable(&self, level: Level, ctx: &CallContext, query: &Query) -> Vec<&Hook> {
+    pub fn applicable<'a>(
+        &'a self,
+        level: Level,
+        ctx: &'a CallContext,
+        query: &'a Query,
+    ) -> impl Iterator<Item = &'a Hook> + 'a {
         self.hooks
             .iter()
-            .filter(|h| h.level == level && h.intercepts(ctx, query))
-            .collect()
+            .filter(move |h| h.level == level && h.intercepts(ctx, query))
     }
 }
 
@@ -281,7 +288,7 @@ mod tests {
     use strider_nt_core::Pid;
 
     fn noop() -> Arc<dyn QueryFilter> {
-        Arc::new(|_: &CallContext, _: &Query, rows: Vec<Row>| rows)
+        Arc::new(|_: &CallContext, _: &Query, _: &mut Vec<Row>| false)
     }
 
     #[test]
@@ -345,9 +352,9 @@ mod tests {
         };
         let hit = CallContext::new(Pid(4), "explorer.exe");
         let miss = CallContext::new(Pid(8), "cmd.exe");
-        assert_eq!(reg.applicable(Level::Iat, &hit, &q).len(), 1);
-        assert_eq!(reg.applicable(Level::Iat, &miss, &q).len(), 0);
-        assert_eq!(reg.applicable(Level::NtdllCode, &hit, &q).len(), 0);
+        assert_eq!(reg.applicable(Level::Iat, &hit, &q).count(), 1);
+        assert_eq!(reg.applicable(Level::Iat, &miss, &q).count(), 0);
+        assert_eq!(reg.applicable(Level::NtdllCode, &hit, &q).count(), 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use strider_winapi::{Machine, Query, QueryKind, ChainEntry, HookScope};
-//! use strider_winapi::{CallContext, Row};
+//! use strider_winapi::{CallContext, Level, Row};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut m = Machine::with_base_system("demo")?;
@@ -42,16 +42,18 @@
 //!     "hxdef",
 //!     vec![QueryKind::Files],
 //!     HookScope::All,
-//!     Arc::new(|_: &CallContext, _: &Query, rows: Vec<Row>| {
-//!         rows.into_iter()
-//!             .filter(|r| !r.name().to_win32_lossy().starts_with("hxdef"))
-//!             .collect()
+//!     // Edit the rows in place; report whether anything changed.
+//!     Arc::new(|_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+//!         let before = rows.len();
+//!         rows.retain(|r| !r.name().to_win32_lossy().starts_with("hxdef"));
+//!         rows.len() != before
 //!     }),
 //! );
 //! let ctx = m.context_for_name("explorer.exe").unwrap();
-//! let rows = m.query(&ctx, &Query::DirectoryEnum { path: "C:\\windows".parse()? },
-//!                    ChainEntry::Win32)?;
+//! let query = Query::DirectoryEnum { path: "C:\\windows".parse()? };
+//! let (rows, trace) = m.query_traced(&ctx, &query, ChainEntry::Win32)?;
 //! assert!(!rows.iter().any(|r| r.name().to_win32_lossy().starts_with("hxdef")));
+//! assert_eq!(trace.first_diverted_level(), Some(Level::NtdllCode));
 //! # Ok(())
 //! # }
 //! ```

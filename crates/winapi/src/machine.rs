@@ -1,8 +1,6 @@
 //! The assembled simulated machine and the query-chain executor.
 
-use crate::hooks::{
-    syscall_for, Hook, HookId, HookRegistry, HookScope, HookStyle, Level, QueryFilter,
-};
+use crate::hooks::{syscall_for, HookId, HookRegistry, HookScope, HookStyle, Level, QueryFilter};
 use crate::query::{
     CallContext, FileRow, ModuleRow, ProcessRow, Query, QueryKind, RegKeyRow, RegValueRow, Row,
 };
@@ -514,14 +512,14 @@ impl Machine {
         query: &Query,
         entry: ChainEntry,
     ) -> Result<Vec<Row>, NtStatus> {
-        self.walk_chain(ctx, query, entry, None)
+        self.query_traced(ctx, query, entry).map(|(rows, _)| rows)
     }
 
-    /// Like [`Machine::query`], but also records a [`ChainTrace`]: the row
-    /// set is compared before and after every traversed level, so a
-    /// diverted call is attributable to the exact chain layer that lied.
-    /// Clones the row vector once per level — use [`Machine::query`] on
-    /// paths that don't need attribution.
+    /// The one chain walk behind [`Machine::query`]: truth rows, then
+    /// every applicable hook level, then Win32 marshalling, recording a
+    /// [`ChainTrace`] on the way so a diverted call is attributable to the
+    /// exact chain layer that lied. Every filter edits the one row vector
+    /// in place and reports its own edits, so the trace costs no row copy.
     ///
     /// # Errors
     ///
@@ -532,60 +530,34 @@ impl Machine {
         query: &Query,
         entry: ChainEntry,
     ) -> Result<(Vec<Row>, ChainTrace), NtStatus> {
+        self.tap.record_query(query.kind(), &ctx.image_name);
+        let mut rows = self.truth_rows(query)?;
         let mut trace = ChainTrace {
             kind: query.kind(),
             entry,
-            truth_rows: 0,
-            hops: Vec::new(),
+            truth_rows: rows.len() as u64,
+            hops: Vec::with_capacity(Level::ALL.len()),
             marshal_mutated: false,
             final_rows: 0,
         };
-        let rows = self.walk_chain(ctx, query, entry, Some(&mut trace))?;
-        Ok((rows, trace))
-    }
-
-    /// The one chain walk behind [`Machine::query`] and
-    /// [`Machine::query_traced`]: truth rows, then every applicable hook
-    /// level, then Win32 marshalling. Rows are cloned for comparison only
-    /// when `trace` is present.
-    fn walk_chain(
-        &self,
-        ctx: &CallContext,
-        query: &Query,
-        entry: ChainEntry,
-        mut trace: Option<&mut ChainTrace>,
-    ) -> Result<Vec<Row>, NtStatus> {
-        self.tap.record_query(query.kind(), &ctx.image_name);
-        let mut rows = self.truth_rows(query)?;
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.truth_rows = rows.len() as u64;
-        }
         for level in Level::ALL {
             if entry == ChainEntry::Native && !level.applies_to_native_calls() {
                 continue;
             }
-            let before = trace.is_some().then(|| rows.clone());
-            rows = self.apply_level(level, ctx, query, rows);
-            if let (Some(trace), Some(before)) = (trace.as_deref_mut(), before) {
-                trace.hops.push(LevelHop {
-                    level,
-                    rows_in: before.len() as u64,
-                    rows_out: rows.len() as u64,
-                    mutated: before != rows,
-                });
-            }
+            let rows_in = rows.len();
+            let reported = self.apply_level(level, ctx, query, &mut rows);
+            trace.hops.push(LevelHop {
+                level,
+                rows_in: rows_in as u64,
+                rows_out: rows.len() as u64,
+                mutated: reported || rows.len() != rows_in,
+            });
         }
         if entry == ChainEntry::Win32 {
-            let before = trace.is_some().then(|| rows.clone());
-            rows = win32_marshal(rows);
-            if let (Some(trace), Some(before)) = (trace.as_deref_mut(), before) {
-                trace.marshal_mutated = before != rows;
-            }
+            trace.marshal_mutated = win32_marshal(&mut rows);
         }
-        if let Some(trace) = trace {
-            trace.final_rows = rows.len() as u64;
-        }
-        Ok(rows)
+        trace.final_rows = rows.len() as u64;
+        Ok((rows, trace))
     }
 
     /// Simulates a debugger taking a call-stack trace of one API call from
@@ -627,25 +599,28 @@ impl Machine {
         frames
     }
 
+    /// Runs every hook at `level` that intercepts the query, returning
+    /// whether any of them reported an edit.
     fn apply_level(
         &self,
         level: Level,
         ctx: &CallContext,
         query: &Query,
-        mut rows: Vec<Row>,
-    ) -> Vec<Row> {
+        rows: &mut Vec<Row>,
+    ) -> bool {
+        let mut mutated = false;
         match level {
             Level::FilterDriver => {
                 if query.kind() == QueryKind::Files {
                     for &id in self.kernel.filter_stack() {
-                        rows = self.apply_hook_id(id, ctx, query, rows);
+                        mutated |= self.apply_hook_id(id, ctx, query, rows);
                     }
                 }
             }
             Level::RegistryCallback => {
                 if matches!(query.kind(), QueryKind::RegKeys | QueryKind::RegValues) {
                     for &id in self.kernel.registry_callbacks() {
-                        rows = self.apply_hook_id(id, ctx, query, rows);
+                        mutated |= self.apply_hook_id(id, ctx, query, rows);
                     }
                 }
             }
@@ -654,17 +629,16 @@ impl Machine {
                 // entry means the hook body no longer runs even if still
                 // registered.
                 if let Some(id) = self.kernel.ssdt().hook_of(syscall_for(query.kind())) {
-                    rows = self.apply_hook_id(id, ctx, query, rows);
+                    mutated = self.apply_hook_id(id, ctx, query, rows);
                 }
             }
             Level::NtdllCode | Level::Win32ApiCode | Level::Iat => {
-                let hooks: Vec<&Hook> = self.hooks.applicable(level, ctx, query);
-                for h in hooks {
-                    rows = h.filter.filter(ctx, query, rows);
+                for h in self.hooks.applicable(level, ctx, query) {
+                    mutated |= h.filter.filter(ctx, query, rows);
                 }
             }
         }
-        rows
+        mutated
     }
 
     fn apply_hook_id(
@@ -672,11 +646,11 @@ impl Machine {
         id: HookId,
         ctx: &CallContext,
         query: &Query,
-        rows: Vec<Row>,
-    ) -> Vec<Row> {
+        rows: &mut Vec<Row>,
+    ) -> bool {
         match self.hooks.hook(id) {
             Some(h) if h.intercepts(ctx, query) => h.filter.filter(ctx, query, rows),
-            _ => rows,
+            _ => false,
         }
     }
 
@@ -684,18 +658,18 @@ impl Machine {
         match query {
             Query::DirectoryEnum { path } => {
                 let children = self.volume.list_children(path).map_err(ntfs_status)?;
-                Ok(children
-                    .into_iter()
-                    .map(|rec| {
-                        Row::File(FileRow {
-                            name: rec.name.clone(),
-                            path: path.join(rec.name.clone()),
-                            is_dir: rec.is_directory(),
-                            attributes: rec.std_info.attributes,
-                            size: rec.total_stream_bytes(),
-                        })
+                // Sized to the directory index up front: one allocation.
+                let mut rows = Vec::with_capacity(children.size_hint().1.unwrap_or(0));
+                rows.extend(children.map(|rec| {
+                    Row::File(FileRow {
+                        name: rec.name.clone(),
+                        path: path.join(rec.name.clone()),
+                        is_dir: rec.is_directory(),
+                        attributes: rec.std_info.attributes,
+                        size: rec.total_stream_bytes(),
                     })
-                    .collect())
+                }));
+                Ok(rows)
             }
             Query::RegEnumKeys { key } => {
                 let k = self
@@ -1202,29 +1176,29 @@ impl Machine {
 
 /// Win32 marshalling applied on the way out of a Win32-entry query: the
 /// naming-rule asymmetries that make native-created artifacts invisible.
-fn win32_marshal(rows: Vec<Row>) -> Vec<Row> {
-    rows.into_iter()
-        .filter_map(|row| match row {
-            Row::File(r) => r.path.is_win32_visible().then_some(Row::File(r)),
-            Row::RegKey(mut r) => {
-                r.name = truncate_at_nul(&r.name);
-                Some(Row::RegKey(r))
-            }
-            Row::RegValue(mut r) => {
-                r.name = truncate_at_nul(&r.name);
-                Some(Row::RegValue(r))
-            }
-            Row::Module(r) => (!r.name.is_empty()).then_some(Row::Module(r)),
-            Row::Process(r) => Some(Row::Process(r)),
-        })
-        .collect()
+/// Edits `rows` in place and returns whether it dropped or truncated any.
+fn win32_marshal(rows: &mut Vec<Row>) -> bool {
+    let before = rows.len();
+    let mut truncated = false;
+    rows.retain_mut(|row| match row {
+        Row::File(r) => r.path.is_win32_visible(),
+        Row::RegKey(RegKeyRow { name, .. }) | Row::RegValue(RegValueRow { name, .. }) => {
+            truncated |= truncate_at_nul(name);
+            true
+        }
+        Row::Module(r) => !r.name.is_empty(),
+        Row::Process(_) => true,
+    });
+    truncated || rows.len() != before
 }
 
-fn truncate_at_nul(name: &NtString) -> NtString {
-    match name.units().iter().position(|&u| u == 0) {
-        Some(i) => NtString::from_units(&name.units()[..i]),
-        None => name.clone(),
-    }
+/// Cuts `name` at its first NUL, returning whether there was one.
+fn truncate_at_nul(name: &mut NtString) -> bool {
+    let Some(i) = name.units().iter().position(|&u| u == 0) else {
+        return false;
+    };
+    *name = NtString::from_units(&name.units()[..i]);
+    true
 }
 
 fn ntfs_status(e: NtfsError) -> NtStatus {
@@ -1344,15 +1318,15 @@ mod tests {
     }
 
     fn name_filter(substr: &'static str) -> Arc<dyn QueryFilter> {
-        Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-            rows.into_iter()
-                .filter(|r| {
-                    !r.name()
-                        .to_win32_lossy()
-                        .to_ascii_lowercase()
-                        .contains(substr)
-                })
-                .collect()
+        Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+            let before = rows.len();
+            rows.retain(|r| {
+                !r.name()
+                    .to_win32_lossy()
+                    .to_ascii_lowercase()
+                    .contains(substr)
+            });
+            rows.len() != before
         })
     }
 

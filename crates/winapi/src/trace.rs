@@ -23,8 +23,10 @@ pub struct LevelHop {
     pub rows_in: u64,
     /// Row count leaving the level.
     pub rows_out: u64,
-    /// Whether the level changed the result (any reorder, drop, or edit —
-    /// not just a count change, so same-count substitutions are caught).
+    /// Whether the level changed the result: a filter at the level
+    /// reported a drop, reorder or edit (so same-count substitutions are
+    /// caught), or the row count changed (so a drop is caught even if a
+    /// filter under-reports).
     pub mutated: bool,
 }
 

@@ -92,17 +92,22 @@ diff -u docs/paper_tables_output.txt "$OBS_DIR/paper_tables_output.txt"
 echo "==> bench_diff smoke run"
 scripts/bench_diff >/dev/null
 
-# Fresh file-scan gate: re-run the file-scan bench in FAST mode and diff
-# it against the committed BENCH_file_scan.json. Allocs and bytes per op
-# are deterministic (a FAST run matches the full-mode counts to the
-# allocation), so they keep the default 2% threshold. FAST timings are a
-# few 20 ms samples on a possibly shared host and have measured up to
-# 2.4x the committed means with no code change, so time only fails past
-# 4x the baseline (--time-frac 3): a gross regression, not noise.
-echo "==> fresh file-scan bench vs committed BENCH_file_scan.json"
-STRIDER_BENCH_FAST=1 STRIDER_BENCH_DIR="$OBS_DIR" cargo bench -q --offline \
-    -p strider-bench --bench time_file_scan >"$OBS_DIR/file_scan_bench.log" 2>&1 ||
-    { cat "$OBS_DIR/file_scan_bench.log"; exit 1; }
+# Fresh scan gate: re-run the file, registry and process scan benches in
+# FAST mode and diff them against the committed BENCH_<group>.json. All
+# three scan on the calling thread, so their alloc columns are complete.
+# Allocs and bytes per op are deterministic (a FAST run matches the
+# full-mode counts to the allocation), so they keep the default 2%
+# threshold. FAST timings are a few 20 ms samples on a possibly shared
+# host and have measured up to 2.4x the committed means with no code
+# change, so time only fails past 4x the baseline (--time-frac 3): a
+# gross regression, not noise.
+for bench in time_file_scan time_registry_scan time_process_scan; do
+    echo "==> fresh $bench bench"
+    STRIDER_BENCH_FAST=1 STRIDER_BENCH_DIR="$OBS_DIR" cargo bench -q --offline \
+        -p strider-bench --bench "$bench" >"$OBS_DIR/$bench.log" 2>&1 ||
+        { cat "$OBS_DIR/$bench.log"; exit 1; }
+done
+echo "==> fresh scan benches vs committed BENCH_*.json"
 scripts/bench_diff --baseline . --fresh "$OBS_DIR" --time-frac 3
 
 # The repo benchmark lives outside the workspace (its own Cargo.toml), so

@@ -111,6 +111,28 @@ fn pool_sweep_of_64_machines_reports_exact_rate_and_merge_equal_sketches() {
     }
 }
 
+#[test]
+fn result_digest_is_identical_across_worker_counts_with_tracing_on_and_off() {
+    // No stalled shards: stalls are polled on the one shared fake clock,
+    // so their budgets would depend on how the workers interleave.
+    let spec = FleetSpec::clean(12, 1701).with_infected(5);
+    let mut digests = BTreeSet::new();
+    for workers in [1, 2, 4, 8] {
+        let scheduler =
+            FleetScheduler::new(detector(Arc::new(FakeClock::default()))).with_workers(workers);
+        let plain = scheduler
+            .sweep(&mut FleetRegistry::seeded(&spec).unwrap())
+            .unwrap();
+        assert_eq!(plain.infected, 5, "{workers} workers: {plain}");
+        let (traced, _) = scheduler
+            .sweep_traced(&mut FleetRegistry::seeded(&spec).unwrap())
+            .unwrap();
+        digests.insert(plain.result_digest());
+        digests.insert(traced.result_digest());
+    }
+    assert_eq!(digests.len(), 1, "{digests:#?}");
+}
+
 // ---------------------------------------------------------------------
 // Fault isolation: one stalled shard degrades alone
 // ---------------------------------------------------------------------

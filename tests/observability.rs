@@ -572,3 +572,349 @@ fn artifact_file_names_are_pinned_for_every_kind() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+// ---------------------------------------------------------------------
+// Chain attribution: which level lied, pinned per level and per sample
+// ---------------------------------------------------------------------
+
+/// A [`ChainTrace`] from literal parts: `(level, rows_in, rows_out,
+/// mutated)` per hop.
+fn chain(
+    kind: QueryKind,
+    entry: ChainEntry,
+    truth_rows: u64,
+    hops: &[(Level, u64, u64, bool)],
+    marshal_mutated: bool,
+    final_rows: u64,
+) -> ChainTrace {
+    ChainTrace {
+        kind,
+        entry,
+        truth_rows,
+        hops: hops
+            .iter()
+            .map(|&(level, rows_in, rows_out, mutated)| LevelHop {
+                level,
+                rows_in,
+                rows_out,
+                mutated,
+            })
+            .collect(),
+        marshal_mutated,
+        final_rows,
+    }
+}
+
+/// A clean base machine plus `C:\pin` holding `ghost.txt` and
+/// `plain.txt`, and `HKLM\SOFTWARE\Pin` holding the values `ghost` and
+/// `AppInit_DLLs`.
+fn pin_machine() -> Machine {
+    let mut m = Machine::with_base_system("pin").unwrap();
+    m.volume_mut().mkdir(&"C:\\pin".parse().unwrap()).unwrap();
+    m.volume_mut()
+        .create_file(&"C:\\pin\\ghost.txt".parse().unwrap(), b"x")
+        .unwrap();
+    m.volume_mut()
+        .create_file(&"C:\\pin\\plain.txt".parse().unwrap(), b"x")
+        .unwrap();
+    let key: NtPath = "HKLM\\SOFTWARE\\Pin".parse().unwrap();
+    m.registry_mut().create_key(&key).unwrap();
+    m.registry_mut()
+        .set_value(&key, "ghost", ValueData::sz("C:\\pin\\ghost.txt"))
+        .unwrap();
+    m.registry_mut()
+        .set_value(&key, "AppInit_DLLs", ValueData::sz("a.dll ghost.dll"))
+        .unwrap();
+    m
+}
+
+fn pin_files() -> Query {
+    Query::DirectoryEnum {
+        path: "C:\\pin".parse().unwrap(),
+    }
+}
+
+fn pin_values() -> Query {
+    Query::RegEnumValues {
+        key: "HKLM\\SOFTWARE\\Pin".parse().unwrap(),
+    }
+}
+
+/// Both entries' traces for `query`, checking that each walk returned
+/// the same rows as [`Machine::query`].
+fn traced_both(m: &Machine, query: &Query) -> [ChainTrace; 2] {
+    let ctx = m.context_for_name("explorer.exe").unwrap();
+    [ChainEntry::Win32, ChainEntry::Native].map(|entry| {
+        let (rows, trace) = m.query_traced(&ctx, query, entry).unwrap();
+        assert_eq!(rows, m.query(&ctx, query, entry).unwrap());
+        trace
+    })
+}
+
+#[test]
+fn chain_attribution_is_pinned_per_level() {
+    use strider_ghostbuster_repro::ghostware::filters::{hide_names_containing, scrub_value_data};
+    use Level::*;
+    use QueryKind::{Files, RegValues};
+    let (w, n) = (ChainEntry::Win32, ChainEntry::Native);
+
+    // One hider at each of the six levels.
+    let hider = || hide_names_containing(&["ghost"]);
+    type Install = fn(&mut Machine, Arc<dyn QueryFilter>);
+    let install: [(Level, Install); 6] = [
+        (FilterDriver, |m, f| {
+            m.install_filter_driver("pin", HookScope::All, f);
+        }),
+        (RegistryCallback, |m, f| {
+            m.install_registry_callback("pin", HookScope::All, f);
+        }),
+        (Ssdt, |m, f| {
+            m.install_ssdt_hook("pin", SyscallId::NtQueryDirectoryFile, vec![Files], f);
+        }),
+        (NtdllCode, |m, f| {
+            m.install_ntdll_hook("pin", vec![Files], HookScope::All, f);
+        }),
+        (Win32ApiCode, |m, f| {
+            m.install_win32_code_hook("pin", vec![Files], HookScope::All, HookStyle::Detour, f);
+        }),
+        (Iat, |m, f| {
+            m.install_iat_hook("pin", vec![Files], HookScope::All, f);
+        }),
+    ];
+    for (level, install) in install {
+        let mut m = pin_machine();
+        install(&mut m, hider());
+        let (kind, query) = if level == RegistryCallback {
+            (RegValues, pin_values())
+        } else {
+            (Files, pin_files())
+        };
+        // Two rows enter; the hider drops `ghost` at its own level, so
+        // every level above it sees one row.
+        let lied = |l: Level| {
+            (
+                l,
+                2 - u64::from(l > level),
+                2 - u64::from(l >= level),
+                l == level,
+            )
+        };
+        let win32: Vec<_> = Level::ALL.into_iter().map(lied).collect();
+        let native: Vec<_> = Level::ALL
+            .into_iter()
+            .filter(|l| l.applies_to_native_calls())
+            .map(|l| {
+                if level.applies_to_native_calls() {
+                    lied(l)
+                } else {
+                    (l, 2, 2, false)
+                }
+            })
+            .collect();
+        let native_final = if level.applies_to_native_calls() {
+            1
+        } else {
+            2
+        };
+        assert_eq!(
+            traced_both(&m, &query),
+            [
+                chain(kind, w, 2, &win32, false, 1),
+                chain(kind, n, 2, &native, false, native_final),
+            ],
+            "hider at {level:?}"
+        );
+    }
+
+    // A same-count edit: the value stays, its data is scrubbed.
+    let mut m = pin_machine();
+    m.install_ntdll_hook(
+        "pin",
+        vec![RegValues],
+        HookScope::All,
+        scrub_value_data("AppInit_DLLs", "ghost.dll"),
+    );
+    let clean4 = [(FilterDriver, 2, 2, false), (RegistryCallback, 2, 2, false)];
+    let scrubbed = [
+        clean4[0],
+        clean4[1],
+        (Ssdt, 2, 2, false),
+        (NtdllCode, 2, 2, true),
+    ];
+    let mut scrubbed_win32 = scrubbed.to_vec();
+    scrubbed_win32.extend([(Win32ApiCode, 2, 2, false), (Iat, 2, 2, false)]);
+    assert_eq!(
+        traced_both(&m, &pin_values()),
+        [
+            chain(RegValues, w, 2, &scrubbed_win32, false, 2),
+            chain(RegValues, n, 2, &scrubbed, false, 2),
+        ],
+        "scrub_value_data"
+    );
+
+    // A trailing-dot name: only Win32 marshalling hides it.
+    let mut m = pin_machine();
+    m.native_create_file(&"C:\\pin\\update.".parse().unwrap(), b"x")
+        .unwrap();
+    let clean = |rows: u64, native: bool| -> Vec<(Level, u64, u64, bool)> {
+        Level::ALL
+            .into_iter()
+            .filter(|l| !native || l.applies_to_native_calls())
+            .map(|l| (l, rows, rows, false))
+            .collect()
+    };
+    assert_eq!(
+        traced_both(&m, &pin_files()),
+        [
+            chain(Files, w, 3, &clean(3, false), true, 2),
+            chain(Files, n, 3, &clean(3, true), false, 3),
+        ],
+        "trailing dot"
+    );
+
+    // A hook that runs but matches nothing.
+    let mut m = pin_machine();
+    m.install_ntdll_hook(
+        "pin",
+        vec![Files],
+        HookScope::All,
+        hide_names_containing(&["zzz"]),
+    );
+    assert_eq!(
+        traced_both(&m, &pin_files()),
+        [
+            chain(Files, w, 2, &clean(2, false), false, 2),
+            chain(Files, n, 2, &clean(2, true), false, 2),
+        ],
+        "no match"
+    );
+
+    // Scan-aware ghostware: a lying call, then an honest one right after
+    // a raw read.
+    let mut m = pin_machine();
+    let gw = EvasiveGhostware::new(EvasiveTactic::UnhideDuringLowScan { window: 4 });
+    gw.infect(&mut m).unwrap();
+    let system32 = Query::DirectoryEnum {
+        path: "C:\\windows\\system32".parse().unwrap(),
+    };
+    let ctx = m.context_for_name("explorer.exe").unwrap();
+    let (_, lying) = m.query_traced(&ctx, &system32, w).unwrap();
+    let _ = m.read_raw_volume_image();
+    let (_, honest) = m.query_traced(&ctx, &system32, w).unwrap();
+    // A base machine's `C:\windows\system32` plus the sample's two files.
+    let truth = 20;
+    let lied = [
+        (FilterDriver, truth, truth, false),
+        (RegistryCallback, truth, truth, false),
+        (Ssdt, truth, truth, false),
+        (NtdllCode, truth, truth - 2, true),
+        (Win32ApiCode, truth - 2, truth - 2, false),
+        (Iat, truth - 2, truth - 2, false),
+    ];
+    assert_eq!(
+        [lying, honest],
+        [
+            chain(Files, w, truth, &lied, false, truth - 2),
+            chain(Files, w, truth, &clean(truth, false), false, truth),
+        ],
+        "evasive lying then honest"
+    );
+    let sense = gw.sense();
+    assert_eq!((sense.lying_calls, sense.honest_calls), (1, 1));
+}
+
+#[test]
+fn chain_attribution_span_attrs_are_pinned_over_the_corpus() {
+    let mut samples: Vec<Box<dyn Ghostware>> = file_hiding_corpus();
+    samples.extend([
+        Box::new(Berbew::default()) as Box<dyn Ghostware>,
+        Box::new(Fu::default()),
+        Box::new(NamingTrick),
+    ]);
+    let mut lines = Vec::new();
+    for sample in samples {
+        let mut m = Machine::with_base_system("victim").unwrap();
+        sample.infect(&mut m).unwrap();
+        let clock = Arc::new(FakeClock::default());
+        let report = GhostBuster::new()
+            .with_telemetry(Telemetry::with_clock(clock))
+            .inside_sweep(&mut m)
+            .unwrap();
+        let telemetry = report.telemetry.as_ref().unwrap();
+        for span in [
+            "files.high_scan",
+            "registry.high_scan",
+            "processes.high_scan",
+            "modules.high_scan",
+        ] {
+            let s = telemetry.find_span(span).expect("high scan span");
+            let attr = |k: &str| s.attr(k).map_or("-".to_string(), ToString::to_string);
+            lines.push(format!(
+                "{} {span} queries={} diverted={} marshal={} at={}",
+                sample.name(),
+                attr("queries"),
+                attr("diverted_queries"),
+                attr("marshal_mutations"),
+                attr("diverted_at"),
+            ));
+        }
+    }
+    assert_eq!(
+        lines,
+        [
+        "Urbin files.high_scan queries=13 diverted=1 marshal=- at=Iat",
+        "Urbin registry.high_scan queries=16 diverted=2 marshal=- at=Iat",
+        "Urbin processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "Urbin modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        "Mersting files.high_scan queries=13 diverted=1 marshal=- at=Iat",
+        "Mersting registry.high_scan queries=16 diverted=2 marshal=- at=Iat",
+        "Mersting processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "Mersting modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        "Vanquish files.high_scan queries=13 diverted=2 marshal=- at=Win32ApiCode",
+        "Vanquish registry.high_scan queries=16 diverted=1 marshal=- at=Win32ApiCode",
+        "Vanquish processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "Vanquish modules.high_scan queries=10 diverted=6 marshal=6 at=-",
+        "Aphex files.high_scan queries=13 diverted=1 marshal=- at=Win32ApiCode",
+        "Aphex registry.high_scan queries=16 diverted=2 marshal=- at=Win32ApiCode",
+        "Aphex processes.high_scan queries=1 diverted=1 marshal=- at=Iat",
+        "Aphex modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        "Hacker Defender 1.0 files.high_scan queries=13 diverted=2 marshal=- at=NtdllCode",
+        "Hacker Defender 1.0 registry.high_scan queries=16 diverted=1 marshal=- at=NtdllCode",
+        "Hacker Defender 1.0 processes.high_scan queries=1 diverted=1 marshal=- at=NtdllCode",
+        "Hacker Defender 1.0 modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        "ProBot SE files.high_scan queries=13 diverted=2 marshal=- at=Ssdt",
+        "ProBot SE registry.high_scan queries=16 diverted=3 marshal=- at=Ssdt",
+        "ProBot SE processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "ProBot SE modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        "Hide Files 3.3 files.high_scan queries=14 diverted=1 marshal=- at=FilterDriver",
+        "Hide Files 3.3 registry.high_scan queries=16 diverted=0 marshal=- at=-",
+        "Hide Files 3.3 processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "Hide Files 3.3 modules.high_scan queries=11 diverted=0 marshal=- at=-",
+        "Hide Folders XP files.high_scan queries=14 diverted=1 marshal=- at=FilterDriver",
+        "Hide Folders XP registry.high_scan queries=16 diverted=0 marshal=- at=-",
+        "Hide Folders XP processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "Hide Folders XP modules.high_scan queries=11 diverted=0 marshal=- at=-",
+        "Advanced Hide Folders files.high_scan queries=14 diverted=1 marshal=- at=FilterDriver",
+        "Advanced Hide Folders registry.high_scan queries=16 diverted=0 marshal=- at=-",
+        "Advanced Hide Folders processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "Advanced Hide Folders modules.high_scan queries=11 diverted=0 marshal=- at=-",
+        "File & Folder Protector files.high_scan queries=14 diverted=1 marshal=- at=FilterDriver",
+        "File & Folder Protector registry.high_scan queries=16 diverted=0 marshal=- at=-",
+        "File & Folder Protector processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "File & Folder Protector modules.high_scan queries=11 diverted=0 marshal=- at=-",
+        "Berbew files.high_scan queries=13 diverted=0 marshal=- at=-",
+        "Berbew registry.high_scan queries=16 diverted=0 marshal=- at=-",
+        "Berbew processes.high_scan queries=1 diverted=1 marshal=- at=NtdllCode",
+        "Berbew modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        "FU files.high_scan queries=13 diverted=0 marshal=- at=-",
+        "FU registry.high_scan queries=16 diverted=0 marshal=- at=-",
+        "FU processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "FU modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        "NamingTrick files.high_scan queries=22 diverted=4 marshal=4 at=-",
+        "NamingTrick registry.high_scan queries=16 diverted=2 marshal=2 at=-",
+        "NamingTrick processes.high_scan queries=1 diverted=0 marshal=- at=-",
+        "NamingTrick modules.high_scan queries=10 diverted=0 marshal=- at=-",
+        ],
+        "{lines:#?}"
+    );
+}

@@ -675,10 +675,10 @@ fn any_substring_hider_is_detected_inside_the_box() {
                 "prop-hider",
                 vec![QueryKind::Files],
                 HookScope::All,
-                Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-                    rows.into_iter()
-                        .filter(|r| !r.name().to_win32_lossy().contains(needle.as_str()))
-                        .collect()
+                Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+                    let before = rows.len();
+                    rows.retain(|r| !r.name().to_win32_lossy().contains(needle.as_str()));
+                    rows.len() != before
                 }),
             );
             let report = GhostBuster::new().scan_files_inside(&mut m).unwrap();
@@ -831,10 +831,10 @@ fn ssdt_restore_always_reveals() {
                 "prop-ssdt",
                 SyscallId::NtQueryDirectoryFile,
                 vec![QueryKind::Files],
-                Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-                    rows.into_iter()
-                        .filter(|r| !r.name().to_win32_lossy().contains(needle.as_str()))
-                        .collect()
+                Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+                    let before = rows.len();
+                    rows.retain(|r| !r.name().to_win32_lossy().contains(needle.as_str()));
+                    rows.len() != before
                 }),
             );
             let ctx = m.context_for_name("explorer.exe").unwrap();

@@ -229,17 +229,15 @@ fn machine_with_one_shot_hider() -> Machine {
         "one-shot",
         vec![QueryKind::Files],
         HookScope::All,
-        Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
+        Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
             let present = rows
                 .iter()
                 .any(|r| r.name().to_win32_lossy().contains("flicker"));
             if present && armed.swap(false, Ordering::SeqCst) {
-                return rows
-                    .into_iter()
-                    .filter(|r| !r.name().to_win32_lossy().contains("flicker"))
-                    .collect();
+                rows.retain(|r| !r.name().to_win32_lossy().contains("flicker"));
+                return true;
             }
-            rows
+            false
         }),
     );
     m

@@ -252,10 +252,10 @@ fn stacked_hooks_compose_subtractively() {
             .unwrap();
     }
     let hide = |needle: &'static str| {
-        Arc::new(move |_: &CallContext, _: &Query, rows: Vec<Row>| {
-            rows.into_iter()
-                .filter(|r| !r.name().to_win32_lossy().contains(needle))
-                .collect::<Vec<_>>()
+        Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+            let before = rows.len();
+            rows.retain(|r| !r.name().to_win32_lossy().contains(needle));
+            rows.len() != before
         })
     };
     m.install_iat_hook(
