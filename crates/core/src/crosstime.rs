@@ -7,7 +7,7 @@
 //! This baseline exists so the benchmark suite can quantify that trade-off.
 
 use std::collections::BTreeMap;
-use strider_support::obs::{MaybeSpan, Telemetry};
+use strider_support::obs::Telemetry;
 use strider_winapi::Machine;
 
 /// A point-in-time checkpoint of the volume's file metadata.
@@ -43,7 +43,7 @@ impl ChangeSet {
 /// of legitimate change does.
 #[derive(Debug, Clone, Default)]
 pub struct CrossTimeDiff {
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl CrossTimeDiff {
@@ -54,13 +54,13 @@ impl CrossTimeDiff {
 
     /// Threads a telemetry registry through checkpoint and diff.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
     /// Takes a checkpoint of every file on the volume.
     pub fn checkpoint(&self, machine: &Machine) -> Checkpoint {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "crosstime.checkpoint");
+        let span = self.telemetry.span("crosstime.checkpoint");
         let mut files = BTreeMap::new();
         for rec in machine.volume().iter() {
             if let Some(path) = machine.volume().path_of(rec.number) {
@@ -79,7 +79,7 @@ impl CrossTimeDiff {
 
     /// Diffs the machine's current state against a checkpoint.
     pub fn diff(&self, machine: &Machine, baseline: &Checkpoint) -> ChangeSet {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "crosstime.diff");
+        let span = self.telemetry.span("crosstime.diff");
         let now = self.checkpoint(machine);
         let mut set = ChangeSet::default();
         for (key, meta) in &now.files {

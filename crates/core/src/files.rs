@@ -10,7 +10,7 @@ use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter
 use crate::snapshot::{FileFact, ScanMeta, Snapshot, ViewKind};
 use strider_nt_core::{NtPath, NtStatus, Tick};
 use strider_ntfs::VolumeImage;
-use strider_support::obs::{MaybeSpan, Telemetry};
+use strider_support::obs::Telemetry;
 use strider_support::task::Supervision;
 use strider_winapi::{CallContext, ChainEntry, ChainStats, DiskImage, Machine, Query, Row};
 
@@ -20,7 +20,7 @@ use strider_winapi::{CallContext, ChainEntry, ChainStats, DiskImage, Machine, Qu
 pub struct FileScanner {
     noise: NoiseFilter,
     detect_ads: bool,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     policy: ScanPolicy,
     supervision: Supervision,
     pass_counter: PassCounter,
@@ -32,18 +32,12 @@ impl FileScanner {
         Self::default()
     }
 
-    /// Replaces the noise filter.
-    pub fn with_noise_filter(mut self, noise: NoiseFilter) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Threads a telemetry registry through every scan: phases become
     /// spans, per-view entry counts become counters, and each high-level
     /// query chain traversal is traced so a hooked call's divergence level
     /// is visible as a span attribute.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -94,8 +88,8 @@ impl FileScanner {
         entry: ChainEntry,
     ) -> Result<Snapshot<FileFact>, NtStatus> {
         let view = ViewKind::high_level(entry);
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "files.high_scan");
-        let probe = LatencyProbe::new(self.telemetry.as_ref(), "files.dir_query_ns");
+        let span = self.telemetry.span("files.high_scan");
+        let probe = LatencyProbe::new(&self.telemetry, "files.dir_query_ns");
         let mut chain = ChainStats::default();
         let mut meta = ScanMeta::new(view, machine.now());
         let mut facts = Vec::new();
@@ -148,8 +142,8 @@ impl FileScanner {
             }
         }
         let snap = Snapshot::from_facts(meta, facts);
-        record_view_entries(self.telemetry.as_ref(), &span, "files", &snap);
-        record_decoys(self.telemetry.as_ref(), "files", pump.issued());
+        record_view_entries(&self.telemetry, &span, "files", &snap);
+        record_decoys(&self.telemetry, "files", pump.issued());
         span.set_attr("api_calls", snap.meta.io.api_calls);
         record_chain(&span, &chain);
         Ok(snap)
@@ -190,19 +184,13 @@ impl FileScanner {
             ViewKind::OutsideDisk => "files.outside_scan",
             _ => "files.low_scan",
         };
-        let span = MaybeSpan::start(self.telemetry.as_ref(), span_name);
+        let span = self.telemetry.span(span_name);
         let (raw, defects) =
             self.policy
                 .parse_image(bytes, VolumeImage::parse, VolumeImage::parse_salvage)?;
         let mut meta = ScanMeta::new(view, taken_at);
         meta.io.record_sequential(raw.image_len());
-        record_defects(
-            self.telemetry.as_ref(),
-            &span,
-            "files",
-            &mut meta.io,
-            defects,
-        );
+        record_defects(&self.telemetry, &span, "files", &mut meta.io, defects);
         let paths = raw.rendered_paths();
         let mut facts = Vec::with_capacity(paths.len());
         for (key, display, entry) in paths {
@@ -231,7 +219,7 @@ impl FileScanner {
             ));
         }
         let snap = Snapshot::from_facts(meta, facts);
-        record_view_entries(self.telemetry.as_ref(), &span, "files", &snap);
+        record_view_entries(&self.telemetry, &span, "files", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }
@@ -239,10 +227,10 @@ impl FileScanner {
     /// Diffs a truth-side snapshot against the high-level lie, classifying
     /// each finding (Figure 3 categories and noise classes).
     pub fn diff(&self, truth: &Snapshot<FileFact>, lie: &Snapshot<FileFact>) -> DiffReport {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "files.diff");
+        let span = self.telemetry.span("files.diff");
         let lie_taken = lie.meta.taken_at;
         let mut report = {
-            let _cross = MaybeSpan::start(self.telemetry.as_ref(), "files.cross_view_diff");
+            let _cross = self.telemetry.span("files.cross_view_diff");
             cross_view_diff(truth, lie, |key, fact| Detection {
                 kind: ResourceKind::File,
                 identity: key.to_string(),
@@ -252,7 +240,7 @@ impl FileScanner {
             })
         };
         {
-            let _noise = MaybeSpan::start(self.telemetry.as_ref(), "files.noise_classification");
+            let _noise = self.telemetry.span("files.noise_classification");
             for detection in &mut report.detections {
                 let mut noise = self.noise.classify_path(&detection.detail);
                 if noise == NoiseClass::Suspicious {
@@ -281,7 +269,7 @@ impl FileScanner {
         machine: &Machine,
         ctx: &CallContext,
     ) -> Result<DiffReport, NtStatus> {
-        let _span = MaybeSpan::start(self.telemetry.as_ref(), "files.scan_inside");
+        let _span = self.telemetry.span("files.scan_inside");
         let lie = self.high_scan(machine, ctx, ChainEntry::Win32)?;
         self.supervision.checkpoint().map_err(interrupt_status)?;
         let truth = self.low_scan(machine)?;

@@ -11,7 +11,7 @@ use std::fmt;
 use strider_hive::prelude::AsepHook;
 use strider_kernel::MemoryDump;
 use strider_nt_core::{NtStatus, NtString, Tick};
-use strider_support::obs::{FlightDump, MaybeSpan, Telemetry, TelemetryReport};
+use strider_support::obs::{FlightDump, SpanGuard, Telemetry, TelemetryReport};
 use strider_support::prof::PerfReport;
 use strider_support::sync::run_isolated;
 use strider_support::task::{
@@ -390,7 +390,7 @@ pub struct GhostBuster {
     registry: RegistryScanner,
     processes: ProcessScanner,
     advanced: Option<AdvancedSource>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     policy: ScanPolicy,
     cancellation: CancellationToken,
     breakers: Option<SweepBreakers>,
@@ -453,7 +453,7 @@ impl GhostBuster {
         self.files = self.files.with_telemetry(telemetry.clone());
         self.registry = self.registry.with_telemetry(telemetry.clone());
         self.processes = self.processes.with_telemetry(telemetry.clone());
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -545,28 +545,23 @@ impl GhostBuster {
         degradation: Degradation,
     ) -> PipelineOutcome {
         let name = pipeline.name();
-        let recorder = self.telemetry.as_ref().map(Telemetry::recorder);
-        if let Some(t) = &self.telemetry {
-            t.counter_add(&format!("sweep.degraded.{pipeline}"), 1);
-        }
+        let recorder = self.telemetry.recorder();
+        self.telemetry
+            .counter_add(format_args!("sweep.degraded.{pipeline}"), 1);
         let reason = match degradation {
             Degradation::Rejected => {
-                if let Some(r) = recorder {
-                    r.breaker(name, "circuit breaker open: pipeline rejected");
-                }
+                recorder.breaker(name, "circuit breaker open: pipeline rejected");
                 "circuit breaker open".to_string()
             }
             Degradation::Failed {
                 reason,
                 opened_breaker,
             } => {
-                if let (true, Some(t)) = (opened_breaker, &self.telemetry) {
-                    t.counter_add("breaker.open", 1);
-                    t.recorder().breaker(name, "opened after repeated failures");
+                if opened_breaker {
+                    self.telemetry.counter_add("breaker.open", 1);
+                    recorder.breaker(name, "opened after repeated failures");
                 }
-                if let Some(r) = recorder {
-                    r.mark(name, &format!("pipeline degraded: {reason}"));
-                }
+                recorder.mark(name, &format!("pipeline degraded: {reason}"));
                 reason
             }
         };
@@ -574,20 +569,20 @@ impl GhostBuster {
             report: DiffReport::empty(view, at),
             status: PipelineStatus::Degraded { reason },
             interrupted: false,
-            flight: recorder.map(|r| r.snapshot()),
+            flight: self.telemetry.is_on().then(|| recorder.snapshot()),
         }
     }
 
     /// Closes the sweep's span and assembles its report.
     fn finish_sweep(
         &self,
-        span: MaybeSpan,
+        span: SpanGuard,
         outcomes: [(DiffReport, PipelineStatus); 4],
         black_boxes: Vec<(String, FlightDump)>,
     ) -> SweepReport {
         drop(span);
         let mut report = SweepReport::from_pipelines(outcomes);
-        report.telemetry = self.telemetry.as_ref().map(Telemetry::report);
+        report.telemetry = self.telemetry.is_on().then(|| self.telemetry.report());
         report.black_boxes = black_boxes;
         report
     }
@@ -601,12 +596,12 @@ impl GhostBuster {
         &self,
         pipeline: Pipeline,
         now: Tick,
-        span: &MaybeSpan,
+        span: &SpanGuard,
         scan: impl FnMut() -> Result<DiffReport, NtStatus> + Send,
     ) -> PipelineOutcome {
         let name = pipeline.name();
         let breaker = self.breakers.as_ref().map(|b| b.get(pipeline));
-        let recorder = self.telemetry.as_ref().map(Telemetry::recorder);
+        let recorder = self.telemetry.recorder();
         if breaker.is_some_and(|b| !b.try_acquire()) {
             return self.degraded(pipeline, pipeline.truth_view(), now, Degradation::Rejected);
         }
@@ -639,26 +634,19 @@ impl GhostBuster {
             Ok(Err(e)) => {
                 let interrupted = matches!(e, NtStatus::TimedOut | NtStatus::Cancelled);
                 if e == NtStatus::TimedOut {
-                    if let Some(t) = &self.telemetry {
-                        t.counter_add("sweep.timeouts", 1);
-                    }
-                    if let Some(r) = recorder {
-                        r.cancel(name, "pipeline budget exhausted");
-                    }
+                    self.telemetry.counter_add("sweep.timeouts", 1);
+                    recorder.cancel(name, "pipeline budget exhausted");
                 }
                 if e == NtStatus::Cancelled {
                     span.set_attr("cancelled_at", name);
-                    if let Some(r) = recorder {
-                        r.cancel(name, "cancellation observed at checkpoint");
-                    }
+                    recorder.cancel(name, "cancellation observed at checkpoint");
                 }
                 degrade(e.to_string(), interrupted)
             }
             Err(panic_msg) => {
-                if let Some(r) = recorder {
-                    r.fault(name, &format!("panicked: {panic_msg}"));
-                }
-                degrade(format!("panicked: {panic_msg}"), false)
+                let reason = format!("panicked: {panic_msg}");
+                recorder.fault(name, &reason);
+                degrade(reason, false)
             }
         }
     }
@@ -701,12 +689,12 @@ impl GhostBuster {
         if checkpoint.machine != machine.name() {
             return Err(NtStatus::InvalidParameter);
         }
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "sweep.inside");
+        let span = self.telemetry.span("sweep.inside");
         // The machine's low-level read paths log injected faults into the
         // sweep's black box, so a degraded pipeline's dump shows the
         // device-level trouble that led up to the failure.
-        if let Some(t) = &self.telemetry {
-            machine.set_flight_recorder(t.recorder().clone());
+        if self.telemetry.is_on() {
+            machine.set_flight_recorder(self.telemetry.recorder().clone());
         }
         let ctx = &self.enter(machine)?;
         let machine = &*machine;
@@ -776,10 +764,10 @@ impl GhostBuster {
         machine: &mut Machine,
         reboot_ticks: u64,
     ) -> Result<SweepReport, NtStatus> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "sweep.outside");
+        let span = self.telemetry.span("sweep.outside");
         span.set_attr("reboot_ticks", reboot_ticks);
-        if let Some(t) = &self.telemetry {
-            machine.set_flight_recorder(t.recorder().clone());
+        if self.telemetry.is_on() {
+            machine.set_flight_recorder(self.telemetry.recorder().clone());
         }
         let mut black_boxes: Vec<(String, FlightDump)> = Vec::new();
         let ctx = self.enter(machine)?;
@@ -867,22 +855,6 @@ impl GhostBuster {
             ],
         };
         Ok(self.finish_sweep(span, [files, hooks, processes, modules], black_boxes))
-    }
-
-    /// The RIS (network-boot) outside flow of Section 5: identical scans to
-    /// the WinPE CD flow — only the boot transport differs, so enterprises
-    /// can run it remotely on many desktops. The reboot gap is typically
-    /// shorter than a CD boot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scan failures.
-    pub fn ris_outside_sweep(
-        &self,
-        machine: &mut Machine,
-        reboot_ticks: u64,
-    ) -> Result<SweepReport, NtStatus> {
-        self.winpe_outside_sweep(machine, reboot_ticks)
     }
 
     /// The VM-based outside flow of Section 5: the guest is paused rather

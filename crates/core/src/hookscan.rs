@@ -12,7 +12,7 @@
 //!    fault-tolerance wrappers) as false positives.
 
 use std::fmt;
-use strider_support::obs::{MaybeSpan, Telemetry};
+use strider_support::obs::Telemetry;
 use strider_winapi::{HookStyle, Level, Machine, QueryKind};
 
 /// One suspicious interception found by the mechanism scan.
@@ -43,7 +43,7 @@ impl fmt::Display for HookFinding {
 /// The hook scanner baseline.
 #[derive(Debug, Clone, Default)]
 pub struct HookScanner {
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl HookScanner {
@@ -54,7 +54,7 @@ impl HookScanner {
 
     /// Threads a telemetry registry through the scan.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -64,7 +64,7 @@ impl HookScanner {
     /// interception, benign or not; cannot see filter drivers, registry
     /// callbacks, DKOM, or naming tricks.
     pub fn scan(&self, machine: &Machine) -> Vec<HookFinding> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "hookscan.scan");
+        let span = self.telemetry.span("hookscan.scan");
         let findings: Vec<HookFinding> = machine
             .hooks()
             .hooks()

@@ -7,7 +7,7 @@ use crate::report::{Detection, DiffReport, NoiseClass, ResourceKind};
 use crate::snapshot::{ModuleFact, ProcessFact, ScanMeta, Snapshot, ViewKind};
 use strider_kernel::{MemoryDump, ModuleEntry};
 use strider_nt_core::{NtStatus, NtString, Pid, Tick};
-use strider_support::obs::{MaybeSpan, Telemetry};
+use strider_support::obs::{SpanGuard, Telemetry};
 use strider_support::task::Supervision;
 use strider_winapi::{CallContext, ChainEntry, ChainStats, Machine, Query, Row};
 
@@ -24,7 +24,7 @@ pub enum AdvancedSource {
 /// The hidden-process/hidden-module scanner.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessScanner {
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     supervision: Supervision,
 }
 
@@ -37,7 +37,7 @@ impl ProcessScanner {
     /// Threads a telemetry registry through every scan: per-phase spans,
     /// per-view entry counters, and chain-divergence attribution.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -62,7 +62,7 @@ impl ProcessScanner {
         entry: ChainEntry,
     ) -> Result<Snapshot<ProcessFact>, NtStatus> {
         let view = ViewKind::high_level(entry);
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.high_scan");
+        let span = self.telemetry.span("processes.high_scan");
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         snap.meta.io.record_api_call();
         let mut chain = ChainStats::default();
@@ -74,7 +74,7 @@ impl ProcessScanner {
                 insert_process(&mut snap, p.pid, &p.image_name, p.image_path);
             }
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "processes", &snap);
+        record_view_entries(&self.telemetry, &span, "processes", &snap);
         Ok(snap)
     }
 
@@ -82,7 +82,7 @@ impl ProcessScanner {
     /// List. Catches every API-intercepting hider; blind to DKOM, because
     /// this list is only the truth *approximation* the APIs themselves use.
     pub fn low_scan_apl(&self, machine: &Machine) -> Snapshot<ProcessFact> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.low_scan");
+        let span = self.telemetry.span("processes.low_scan");
         let pids = machine.kernel().active_process_list();
         self.kernel_scan(&span, machine, ViewKind::LowLevelApl, pids)
     }
@@ -107,8 +107,8 @@ impl ProcessScanner {
         };
         // Union with the APL: the advanced structure augments rather than
         // replaces the primary one (csrss tracks no System process, etc.).
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.low_scan");
-        span.set_attr("source", format!("{source:?}"));
+        let span = self.telemetry.span("processes.low_scan");
+        span.set_attr("source", format_args!("{source:?}"));
         pids.extend(machine.kernel().active_process_list());
         pids.sort();
         pids.dedup();
@@ -118,7 +118,7 @@ impl ProcessScanner {
     /// The live kernel's processes among `pids`, as a `view` snapshot.
     fn kernel_scan(
         &self,
-        span: &MaybeSpan,
+        span: &SpanGuard,
         machine: &Machine,
         view: ViewKind,
         pids: Vec<Pid>,
@@ -130,13 +130,13 @@ impl ProcessScanner {
                 insert_process(&mut snap, pid, &p.image_name, p.image_path.to_string());
             }
         }
-        record_view_entries(self.telemetry.as_ref(), span, "processes", &snap);
+        record_view_entries(&self.telemetry, span, "processes", &snap);
         snap
     }
 
     /// The outside-the-box scan over a crash-dump image.
     pub fn outside_scan(&self, dump: &MemoryDump, advanced: bool) -> Snapshot<ProcessFact> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.outside_scan");
+        let span = self.telemetry.span("processes.outside_scan");
         span.set_attr("advanced", advanced);
         let mut snap = Snapshot::new(ScanMeta::new(ViewKind::OutsideDump, Tick::ZERO));
         snap.meta.io.record_sequential(dump.byte_len());
@@ -152,14 +152,14 @@ impl ProcessScanner {
                 insert_process(&mut snap, pid, &p.image_name, p.image_path.to_string());
             }
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "processes", &snap);
+        record_view_entries(&self.telemetry, &span, "processes", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         snap
     }
 
     /// Diffs process snapshots.
     pub fn diff(&self, truth: &Snapshot<ProcessFact>, lie: &Snapshot<ProcessFact>) -> DiffReport {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "processes.diff");
+        let span = self.telemetry.span("processes.diff");
         let report = cross_view_diff(truth, lie, |key, fact: &ProcessFact| Detection {
             kind: ResourceKind::Process,
             identity: key.to_string(),
@@ -183,7 +183,7 @@ impl ProcessScanner {
         ctx: &CallContext,
         advanced: Option<AdvancedSource>,
     ) -> Result<DiffReport, NtStatus> {
-        let _span = MaybeSpan::start(self.telemetry.as_ref(), "processes.scan_inside");
+        let _span = self.telemetry.span("processes.scan_inside");
         let lie = self.high_scan(machine, ctx, ChainEntry::Win32)?;
         self.supervision.checkpoint().map_err(interrupt_status)?;
         let truth = match advanced {
@@ -211,8 +211,8 @@ impl ProcessScanner {
     ) -> Result<Snapshot<ModuleFact>, NtStatus> {
         let procs = self.high_scan(machine, ctx, entry)?;
         let view = ViewKind::high_level(entry);
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "modules.high_scan");
-        let probe = LatencyProbe::new(self.telemetry.as_ref(), "modules.proc_query_ns");
+        let span = self.telemetry.span("modules.high_scan");
+        let probe = LatencyProbe::new(&self.telemetry, "modules.proc_query_ns");
         let mut chain = ChainStats::default();
         let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
         for (_, proc_fact) in procs.iter() {
@@ -234,7 +234,7 @@ impl ProcessScanner {
                 }
             }
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "modules", &snap);
+        record_view_entries(&self.telemetry, &span, "modules", &snap);
         span.set_attr("api_calls", snap.meta.io.api_calls);
         record_chain(&span, &chain);
         Ok(snap)
@@ -248,7 +248,7 @@ impl ProcessScanner {
         machine: &Machine,
         visible: &Snapshot<ProcessFact>,
     ) -> Snapshot<ModuleFact> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "modules.low_scan");
+        let span = self.telemetry.span("modules.low_scan");
         let mut snap = Snapshot::new(ScanMeta::new(
             ViewKind::LowLevelKernelModules,
             machine.now(),
@@ -258,7 +258,7 @@ impl ProcessScanner {
             kernel.process(pid).map(|p| p.kernel_modules.as_slice())
         });
         snap.meta.io.record_entries(entries);
-        record_view_entries(self.telemetry.as_ref(), &span, "modules", &snap);
+        record_view_entries(&self.telemetry, &span, "modules", &snap);
         snap
     }
 
@@ -283,7 +283,7 @@ impl ProcessScanner {
         truth: &Snapshot<ModuleFact>,
         lie: &Snapshot<ModuleFact>,
     ) -> DiffReport {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "modules.diff");
+        let span = self.telemetry.span("modules.diff");
         let report = cross_view_diff(truth, lie, |key, fact: &ModuleFact| Detection {
             kind: ResourceKind::Module,
             identity: key.to_string(),
@@ -309,7 +309,7 @@ impl ProcessScanner {
         machine: &Machine,
         ctx: &CallContext,
     ) -> Result<DiffReport, NtStatus> {
-        let _span = MaybeSpan::start(self.telemetry.as_ref(), "modules.scan_inside");
+        let _span = self.telemetry.span("modules.scan_inside");
         let lie = self.high_module_scan(machine, ctx, ChainEntry::Win32)?;
         self.supervision.checkpoint().map_err(interrupt_status)?;
         let visible = self.high_scan(machine, ctx, ChainEntry::Win32)?;

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use strider_hive::prelude::{AsepHook, AsepLocation, KeyView, ViewedValue};
 use strider_hive::{asep, RawHive};
 use strider_nt_core::{IoStats, NtPath, NtStatus, NtString};
-use strider_support::obs::{MaybeSpan, Telemetry};
+use strider_support::obs::Telemetry;
 use strider_support::task::Supervision;
 use strider_winapi::{CallContext, ChainEntry, ChainStats, DiskImage, Machine, Query, Row};
 
@@ -145,7 +145,7 @@ impl<'a> KeyView for Win32OverRaw<'a> {
 #[derive(Debug, Clone)]
 pub struct RegistryScanner {
     catalog: Vec<AsepLocation>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
     policy: ScanPolicy,
     supervision: Supervision,
     pass_counter: PassCounter,
@@ -155,7 +155,7 @@ impl Default for RegistryScanner {
     fn default() -> Self {
         Self {
             catalog: asep::catalog(),
-            telemetry: None,
+            telemetry: Telemetry::off(),
             policy: ScanPolicy::default(),
             supervision: Supervision::unsupervised(),
             pass_counter: PassCounter::default(),
@@ -172,7 +172,7 @@ impl RegistryScanner {
     /// Threads a telemetry registry through every scan: per-phase spans,
     /// per-view entry counters, and chain-divergence attribution.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -213,8 +213,8 @@ impl RegistryScanner {
         entry: ChainEntry,
     ) -> Snapshot<HookFact> {
         let view = ViewKind::high_level(entry);
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.high_scan");
-        let latency = LatencyProbe::new(self.telemetry.as_ref(), "registry.key_probe_ns");
+        let span = self.telemetry.span("registry.high_scan");
+        let latency = LatencyProbe::new(&self.telemetry, "registry.key_probe_ns");
         let io = Rc::new(RefCell::new(IoStats::default()));
         let chain = Rc::new(RefCell::new(ChainStats::default()));
         // Hardened scans probe the ASEP catalog in a per-pass shuffled
@@ -257,9 +257,9 @@ impl RegistryScanner {
         for hook in hooks {
             snap.insert(hook.identity(), hook);
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
+        record_view_entries(&self.telemetry, &span, "registry", &snap);
         if let Some(pump) = &pump {
-            record_decoys(self.telemetry.as_ref(), "registry", pump.borrow().issued());
+            record_decoys(&self.telemetry, "registry", pump.borrow().issued());
         }
         span.set_attr("api_calls", snap.meta.io.api_calls);
         record_chain(&span, &chain.borrow());
@@ -284,7 +284,7 @@ impl RegistryScanner {
     /// Fails when a hive copy fails permanently (transient failures are
     /// retried per the [`ScanPolicy`]) or does not parse with salvage off.
     pub fn low_scan(&self, machine: &Machine) -> Result<Snapshot<HookFact>, NtStatus> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.low_scan");
+        let span = self.telemetry.span("registry.low_scan");
         let mut parsed = Vec::new();
         let mut io = IoStats::default();
         let mut defects = 0;
@@ -298,7 +298,7 @@ impl RegistryScanner {
             let raw = self.parse_hive(&bytes, &mut defects)?;
             parsed.push((mount, raw));
         }
-        record_defects(self.telemetry.as_ref(), &span, "registry", &mut io, defects);
+        record_defects(&self.telemetry, &span, "registry", &mut io, defects);
         let hooks = asep::extract_raw(&parsed, &self.catalog);
         let mut snap = Snapshot::new(ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now()));
         snap.meta.io = io;
@@ -306,7 +306,7 @@ impl RegistryScanner {
         for hook in hooks {
             snap.insert(hook.identity(), hook);
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
+        record_view_entries(&self.telemetry, &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }
@@ -321,7 +321,7 @@ impl RegistryScanner {
         image: &DiskImage,
         mode: OutsideRegistryMode,
     ) -> Result<Snapshot<HookFact>, NtStatus> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.outside_scan");
+        let span = self.telemetry.span("registry.outside_scan");
         let mut parsed = Vec::new();
         let mut io = IoStats::default();
         let mut defects = 0;
@@ -330,7 +330,7 @@ impl RegistryScanner {
             let raw = self.parse_hive(bytes, &mut defects)?;
             parsed.push((mount.clone(), raw));
         }
-        record_defects(self.telemetry.as_ref(), &span, "registry", &mut io, defects);
+        record_defects(&self.telemetry, &span, "registry", &mut io, defects);
         let hooks = match mode {
             OutsideRegistryMode::RawParse => asep::extract_raw(&parsed, &self.catalog),
             OutsideRegistryMode::MountedWin32 => asep::extract_hooks_with(
@@ -354,7 +354,7 @@ impl RegistryScanner {
         for hook in hooks {
             snap.insert(hook.identity(), hook);
         }
-        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
+        record_view_entries(&self.telemetry, &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }
@@ -362,9 +362,9 @@ impl RegistryScanner {
     /// Diffs hook snapshots, classifying corrupt-record findings as the
     /// paper's Registry false positive.
     pub fn diff(&self, truth: &Snapshot<HookFact>, lie: &Snapshot<HookFact>) -> DiffReport {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.diff");
+        let span = self.telemetry.span("registry.diff");
         let mut report = {
-            let _cross = MaybeSpan::start(self.telemetry.as_ref(), "registry.cross_view_diff");
+            let _cross = self.telemetry.span("registry.cross_view_diff");
             cross_view_diff(truth, lie, |key, hook: &AsepHook| Detection {
                 kind: ResourceKind::AsepHook,
                 identity: key.to_string(),
@@ -374,7 +374,7 @@ impl RegistryScanner {
             })
         };
         {
-            let _noise = MaybeSpan::start(self.telemetry.as_ref(), "registry.noise_classification");
+            let _noise = self.telemetry.span("registry.noise_classification");
             for detection in &mut report.detections {
                 let corrupt = truth
                     .get(&detection.identity)
@@ -399,7 +399,7 @@ impl RegistryScanner {
         machine: &Machine,
         ctx: &CallContext,
     ) -> Result<DiffReport, NtStatus> {
-        let _span = MaybeSpan::start(self.telemetry.as_ref(), "registry.scan_inside");
+        let _span = self.telemetry.span("registry.scan_inside");
         let lie = self.high_scan(machine, ctx, ChainEntry::Win32);
         self.supervision.checkpoint().map_err(interrupt_status)?;
         let truth = self.low_scan(machine)?;
@@ -421,7 +421,7 @@ impl RegistryScanner {
         entry: ChainEntry,
     ) -> Snapshot<String> {
         let view = ViewKind::high_level(entry);
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.full_high_scan");
+        let span = self.telemetry.span("registry.full_high_scan");
         let io = Rc::new(RefCell::new(IoStats::default()));
         let chain = Rc::new(RefCell::new(ChainStats::default()));
         let mut meta = ScanMeta::new(view, machine.now());
@@ -446,7 +446,7 @@ impl RegistryScanner {
         // The API views' own call and row counts replace the walk's key count.
         meta.io = *io.borrow();
         let snap = Snapshot::from_facts(meta, facts);
-        record_view_entries(self.telemetry.as_ref(), &span, "registry", &snap);
+        record_view_entries(&self.telemetry, &span, "registry", &snap);
         span.set_attr("api_calls", snap.meta.io.api_calls);
         record_chain(&span, &chain.borrow());
         snap
@@ -458,7 +458,7 @@ impl RegistryScanner {
     ///
     /// Fails when a hive copy does not parse.
     pub fn full_low_scan(&self, machine: &Machine) -> Result<Snapshot<String>, NtStatus> {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.full_low_scan");
+        let span = self.telemetry.span("registry.full_low_scan");
         let mut meta = ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now());
         let mut facts = Vec::new();
         let mut defects = 0;
@@ -474,17 +474,16 @@ impl RegistryScanner {
             let path_key = mount.to_string().to_ascii_lowercase();
             walk_key_view(&root, &path_key, &mut meta.io, &mut facts);
         }
-        let telemetry = self.telemetry.as_ref();
-        record_defects(telemetry, &span, "registry", &mut meta.io, defects);
+        record_defects(&self.telemetry, &span, "registry", &mut meta.io, defects);
         let snap = Snapshot::from_facts(meta, facts);
-        record_view_entries(telemetry, &span, "registry", &snap);
+        record_view_entries(&self.telemetry, &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
         Ok(snap)
     }
 
     /// Diffs full-tree snapshots into a report.
     pub fn diff_full(&self, truth: &Snapshot<String>, lie: &Snapshot<String>) -> DiffReport {
-        let span = MaybeSpan::start(self.telemetry.as_ref(), "registry.diff");
+        let span = self.telemetry.span("registry.diff");
         let report = cross_view_diff(truth, lie, |key, display: &String| Detection {
             kind: ResourceKind::AsepHook,
             identity: key.to_string(),
@@ -507,7 +506,7 @@ impl RegistryScanner {
         machine: &Machine,
         ctx: &CallContext,
     ) -> Result<DiffReport, NtStatus> {
-        let _span = MaybeSpan::start(self.telemetry.as_ref(), "registry.scan_inside");
+        let _span = self.telemetry.span("registry.scan_inside");
         let lie = self.full_high_scan(machine, ctx, ChainEntry::Win32);
         let truth = self.full_low_scan(machine)?;
         Ok(self.diff_full(&truth, &lie))

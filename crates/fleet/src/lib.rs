@@ -45,11 +45,11 @@
 //! [`FleetReport`] export Prometheus-text snapshots
 //! (`TELEMETRY_EXPO_<label>.prom`).
 //!
-//! Performance attribution rides on the same machinery:
-//! [`FleetScheduler::sweep_traced`] records every scheduler decision
-//! (shard enqueue, steal, sweep start/finish) on the policy clock and
-//! returns a [`FleetTrace`] that derives queue-wait and
-//! worker-occupancy metrics, feeds them into the monitor's
+//! Performance attribution rides on the same machinery: every fleet sweep
+//! records each scheduler decision (shard enqueue, steal, sweep
+//! start/finish) on the policy clock into its [`FleetReport`], and
+//! [`FleetReport::trace`] returns a [`FleetTrace`] that derives
+//! queue-wait and worker-occupancy metrics, feeds them into the monitor's
 //! `fleet.queue_wait_p95_ns` / `fleet.worker_idle_fraction` series (see
 //! [`FleetMonitor::ingest_trace`]), and merges scheduler lanes, named
 //! worker lanes, and every shard's telemetry spans — on globally unique

@@ -533,7 +533,7 @@ impl FleetMonitor {
         })
     }
 
-    /// Feeds a traced sweep's scheduler timeline into the fleet rollup
+    /// Feeds a fleet sweep's scheduler timeline into the fleet rollup
     /// series: pushes `fleet.queue_wait_p95_ns` (p95 shard queue wait)
     /// and `fleet.worker_idle_fraction` (capacity spent outside shard
     /// sweeps) at the current clock reading, then re-evaluates the fleet
@@ -541,9 +541,9 @@ impl FleetMonitor {
     /// alert transitions the evaluation produced.
     ///
     /// Unlike [`observe`](Self::observe) this needs no baselines: the
-    /// trace comes from a
-    /// [`FleetScheduler::sweep_traced`](crate::FleetScheduler::sweep_traced)
-    /// run, not from this monitor's own pass.
+    /// trace comes from a scheduler run's
+    /// [`FleetReport::trace`](crate::FleetReport::trace), not from this
+    /// monitor's own pass.
     pub fn ingest_trace(&mut self, trace: &crate::FleetTrace) -> Vec<AlertTransition> {
         let now_ns = self.clock().now_ns();
         let wait_ns = trace.queue_wait_p95_ns() as f64;

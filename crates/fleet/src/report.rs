@@ -3,6 +3,7 @@
 //! sweep resumes from.
 
 use crate::registry::{FleetRegistry, ShardId};
+use crate::trace::{FleetTrace, ShardTrace};
 use std::collections::BTreeMap;
 use std::fmt;
 use strider_ghostbuster::{PipelineStatus, SweepCheckpoint, SweepReport};
@@ -200,6 +201,10 @@ pub struct FleetReport {
     /// evidence in its [`ShardDisposition::Quarantined`]) in `results`.
     pub quarantined: Vec<ShardId>,
     results: Vec<ShardResult>,
+    /// The scheduler timeline every run records (worker count, start and
+    /// end, events); its `shards` stay empty — [`FleetReport::trace`]
+    /// attaches them. Kept out of [`FleetReport::result_digest`].
+    pub(crate) timeline: FleetTrace,
 }
 
 impl FleetReport {
@@ -268,6 +273,28 @@ impl FleetReport {
     /// Every shard's result, in shard order.
     pub fn results(&self) -> &[ShardResult] {
         &self.results
+    }
+
+    /// The run's fleet timeline: the scheduler events this report
+    /// recorded plus each swept shard's telemetry, for queue-wait and
+    /// occupancy metrics and the merged fleet-wide Chrome trace.
+    /// Restored and fenced shards ran no scan, so they add no telemetry.
+    pub fn trace(&self) -> FleetTrace {
+        let shards = self
+            .results
+            .iter()
+            .filter_map(|r| {
+                r.report.telemetry.clone().map(|telemetry| ShardTrace {
+                    shard: r.shard.0,
+                    machine: r.machine.clone(),
+                    telemetry,
+                })
+            })
+            .collect();
+        FleetTrace {
+            shards,
+            ..self.timeline.clone()
+        }
     }
 
     /// A specific shard's result, if it reported.

@@ -8,7 +8,7 @@ use crate::durable::{
 };
 use crate::registry::{FleetMachine, FleetRegistry, ShardId};
 use crate::report::{FleetCheckpoint, FleetReport, ShardDisposition, ShardResult};
-use crate::trace::{FleetTrace, SchedEventKind, ShardTrace, TraceSink};
+use crate::trace::{FleetTrace, SchedEventKind, TraceSink};
 use std::collections::{BTreeMap, VecDeque};
 use strider_ghostbuster::{
     DiffReport, GhostBuster, Pipeline, PipelineStatus, SweepCheckpoint, SweepReport,
@@ -175,7 +175,9 @@ impl FleetScheduler {
         self.workers
     }
 
-    /// Sweeps the whole fleet and merges the results.
+    /// Sweeps the whole fleet and merges the results. Like every sweep
+    /// entry point, it records the scheduler timeline into the report
+    /// (see [`FleetReport::trace`]).
     ///
     /// # Errors
     ///
@@ -205,67 +207,7 @@ impl FleetScheduler {
         checkpoint: &mut FleetCheckpoint,
         mut observer: impl FnMut(&ShardResult) -> FleetControl,
     ) -> Result<FleetReport, NtStatus> {
-        self.sweep_core(
-            fleet,
-            checkpoint,
-            &mut observer,
-            &BTreeMap::new(),
-            None,
-            None,
-        )
-    }
-
-    /// [`FleetScheduler::sweep`], but also recording the fleet timeline:
-    /// every scheduler decision (shard enqueue, steal, sweep start and
-    /// finish) stamped on the policy clock, plus each swept shard's
-    /// telemetry snapshot. The returned [`FleetTrace`] derives queue-wait
-    /// and worker-occupancy metrics and merges everything —
-    /// scheduler lanes, named worker lanes, and all shard spans on
-    /// globally unique tids — into one fleet-wide Chrome trace.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on fleet-level parameter errors, like
-    /// [`FleetScheduler::sweep`].
-    pub fn sweep_traced(
-        &self,
-        fleet: &mut FleetRegistry,
-    ) -> Result<(FleetReport, FleetTrace), NtStatus> {
-        let clock = self.detector.policy().clock().clone();
-        let sink = TraceSink::new(clock.clone());
-        let start_ns = clock.now_ns();
-        let mut observer = |_: &ShardResult| FleetControl::Continue;
-        let report = self.sweep_core(
-            fleet,
-            &mut FleetCheckpoint::new(fleet),
-            &mut observer,
-            &BTreeMap::new(),
-            None,
-            Some(&sink),
-        )?;
-        let end_ns = clock.now_ns();
-        let (workers, events) = sink.into_parts();
-        let shards = report
-            .results()
-            .iter()
-            .filter_map(|r| {
-                r.report.telemetry.clone().map(|telemetry| ShardTrace {
-                    shard: r.shard.0,
-                    machine: r.machine.clone(),
-                    telemetry,
-                })
-            })
-            .collect();
-        Ok((
-            report,
-            FleetTrace {
-                workers,
-                start_ns,
-                end_ns,
-                events,
-                shards,
-            },
-        ))
+        self.sweep_core(fleet, checkpoint, &mut observer, &BTreeMap::new(), None)
     }
 
     /// A crash-safe fleet sweep journaled into `store`: progress is
@@ -341,7 +283,6 @@ impl FleetScheduler {
             &mut observer,
             &fenced,
             Some(&mut persist),
-            None,
         );
         if let Some(e) = io_failure {
             return Err(DurableSweepError::Io(e));
@@ -356,7 +297,7 @@ impl FleetScheduler {
     /// without being swept. `persist` is the durable journaling hook,
     /// called on the ingest thread per worker-swept shard; when it fails
     /// the run cancels (the simulated process death) and stops journaling.
-    /// `tracer` records the scheduler timeline for traced sweeps.
+    /// Every run records its scheduler timeline into the report.
     fn sweep_core(
         &self,
         fleet: &mut FleetRegistry,
@@ -364,11 +305,14 @@ impl FleetScheduler {
         observer: &mut dyn FnMut(&ShardResult) -> FleetControl,
         quarantined: &BTreeMap<u32, QuarantineRecord>,
         mut persist: Option<PersistFn<'_>>,
-        tracer: Option<&TraceSink>,
     ) -> Result<FleetReport, NtStatus> {
         if !checkpoint.matches(fleet) {
             return Err(NtStatus::InvalidParameter);
         }
+        let clock = self.detector.policy().clock().clone();
+        let start_ns = clock.now_ns();
+        let sink = TraceSink::new(clock.clone());
+        let mut workers = 0;
         let machines = fleet.len() as u64;
         let meta: Vec<ShardMeta> = fleet.machines().iter().map(ShardMeta::of).collect();
         let mut report = FleetReport::default();
@@ -411,25 +355,19 @@ impl FleetScheduler {
         }
 
         if !pending.is_empty() && !root.is_cancelled() {
-            let workers = self.workers.min(pending.len());
+            workers = self.workers.min(pending.len());
             let snapshot_checkpoints = persist.is_some();
-
-            if let Some(t) = tracer {
-                t.set_workers(workers);
-            }
 
             // Deal pending shards round-robin onto per-worker deques.
             let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
             for (n, &shard) in pending.iter().enumerate() {
                 deques[n % workers].push_back(shard);
-                if let Some(t) = tracer {
-                    t.record(
-                        shard as u32,
-                        SchedEventKind::Enqueue {
-                            worker: n % workers,
-                        },
-                    );
-                }
+                sink.record(
+                    shard as u32,
+                    SchedEventKind::Enqueue {
+                        worker: n % workers,
+                    },
+                );
             }
             let queues: Vec<Mutex<VecDeque<usize>>> = deques.into_iter().map(Mutex::new).collect();
 
@@ -449,6 +387,7 @@ impl FleetScheduler {
                     let machine_slots = &machine_slots;
                     let checkpoint_slots = &checkpoint_slots;
                     let meta = &meta;
+                    let sink = &sink;
                     std::thread::Builder::new()
                         .name(format!("fleet-worker-{w}"))
                         .spawn_scoped(scope, move || {
@@ -461,7 +400,7 @@ impl FleetScheduler {
                                 meta,
                                 snapshot_checkpoints,
                                 &tx,
-                                tracer,
+                                sink,
                             );
                         })
                         .expect("spawn fleet worker");
@@ -494,6 +433,13 @@ impl FleetScheduler {
         }
 
         report.finalize(machines);
+        report.timeline = FleetTrace {
+            workers,
+            start_ns,
+            end_ns: clock.now_ns(),
+            events: sink.into_events(),
+            shards: Vec::new(),
+        };
         Ok(report)
     }
 
@@ -510,7 +456,7 @@ impl FleetScheduler {
         meta: &[ShardMeta],
         snapshot_checkpoints: bool,
         tx: &Sender<Vec<WorkerItem>>,
-        tracer: Option<&TraceSink>,
+        sink: &TraceSink,
     ) {
         let mut batch: Vec<WorkerItem> = Vec::with_capacity(self.batch);
         loop {
@@ -520,27 +466,21 @@ impl FleetScheduler {
             let Some((shard, stolen_from)) = take_shard(index, queues) else {
                 break;
             };
-            if let Some(t) = tracer {
-                if let Some(victim) = stolen_from {
-                    t.record(
-                        shard as u32,
-                        SchedEventKind::Steal {
-                            from: victim,
-                            by: index,
-                        },
-                    );
-                }
+            if let Some(victim) = stolen_from {
+                sink.record(
+                    shard as u32,
+                    SchedEventKind::Steal {
+                        from: victim,
+                        by: index,
+                    },
+                );
             }
             let mut slot = machine_slots[shard].lock();
             let mut shard_checkpoint = checkpoint_slots[shard].lock();
-            if let Some(t) = tracer {
-                t.record(shard as u32, SchedEventKind::Start { worker: index });
-            }
+            sink.record(shard as u32, SchedEventKind::Start { worker: index });
             let (report, disposition) =
                 self.run_shard(shard as u32, &mut slot.machine, &mut shard_checkpoint, root);
-            if let Some(t) = tracer {
-                t.record(shard as u32, SchedEventKind::Finish { worker: index });
-            }
+            sink.record(shard as u32, SchedEventKind::Finish { worker: index });
             let snapshot = (snapshot_checkpoints && !disposition.is_quarantined())
                 .then(|| (**shard_checkpoint).clone());
             drop(shard_checkpoint);

@@ -2,6 +2,12 @@
 //! start, finish) stamped on the policy clock, merged with every swept
 //! shard's telemetry into one fleet-wide Chrome trace.
 //!
+//! Every fleet sweep records its scheduler timeline into its
+//! [`FleetReport`](crate::FleetReport) — a few events per shard, so
+//! there is no untraced variant — and
+//! [`FleetReport::trace`](crate::FleetReport::trace) derives the
+//! [`FleetTrace`] view from it.
+//!
 //! Per-shard telemetries are frozen independently, so their
 //! [`SpanRecord::tid`](strider_support::obs::SpanRecord::tid) values
 //! collide across shards (every shard's first pipeline thread is tid 1).
@@ -58,12 +64,11 @@ pub struct SchedEvent {
     pub kind: SchedEventKind,
 }
 
-/// The mutable event sink a traced sweep threads through the scheduler
-/// and its workers.
+/// The event sink every sweep threads through the scheduler and its
+/// workers.
 pub(crate) struct TraceSink {
     clock: Arc<dyn Clock>,
     events: Mutex<Vec<SchedEvent>>,
-    workers: Mutex<usize>,
 }
 
 impl TraceSink {
@@ -71,7 +76,6 @@ impl TraceSink {
         TraceSink {
             clock,
             events: Mutex::new(Vec::new()),
-            workers: Mutex::new(0),
         }
     }
 
@@ -80,12 +84,8 @@ impl TraceSink {
         self.events.lock().push(SchedEvent { shard, at_ns, kind });
     }
 
-    pub(crate) fn set_workers(&self, workers: usize) {
-        *self.workers.lock() = workers;
-    }
-
-    pub(crate) fn into_parts(self) -> (usize, Vec<SchedEvent>) {
-        (*self.workers.lock(), self.events.lock().clone())
+    pub(crate) fn into_events(self) -> Vec<SchedEvent> {
+        self.events.into_inner()
     }
 }
 
@@ -101,12 +101,12 @@ pub struct ShardTrace {
     pub telemetry: TelemetryReport,
 }
 
-/// The frozen fleet timeline a
-/// [`FleetScheduler::sweep_traced`](crate::FleetScheduler::sweep_traced)
-/// run produces: scheduler events, per-shard telemetry snapshots, and the
-/// wall-clock envelope, with derived queue-wait and occupancy metrics and
-/// a merged Chrome-trace export.
-#[derive(Debug, Clone)]
+/// The frozen fleet timeline of one scheduler run, as
+/// [`FleetReport::trace`](crate::FleetReport::trace) returns it:
+/// scheduler events, per-shard telemetry snapshots, and the wall-clock
+/// envelope, with derived queue-wait and occupancy metrics and a merged
+/// Chrome-trace export.
+#[derive(Debug, Clone, Default)]
 pub struct FleetTrace {
     /// Worker-pool size the sweep actually ran with (0 when every shard
     /// was restored or fenced before any worker spawned).

@@ -412,8 +412,10 @@ fn parse_header(s: &mut &[u8]) -> Result<(), DumpError> {
 }
 
 /// Reads one process record. Every count field read from the dump is
-/// consumed incrementally against length-checked reads, so arbitrary values
-/// cannot cause out-of-bounds access or oversized allocations.
+/// consumed incrementally against length-checked reads, and any count that
+/// sizes a pre-allocation (here and in [`get_path`]) is first [`capped`]
+/// by the bytes that could back it, so arbitrary values cannot cause
+/// out-of-bounds access or allocations larger than the input describes.
 fn parse_process(s: &mut &[u8]) -> Result<DumpProcess, DumpError> {
     let pid = Pid(get_u32(s, "pid")?);
     let parent_raw = get_u32(s, "parent")?;
@@ -526,8 +528,9 @@ fn get_path(s: &mut &[u8], context: &'static str) -> Result<NtPath, DumpError> {
     let root_bytes = &s[..root_len];
     let root = String::from_utf8_lossy(root_bytes).into_owned();
     s.advance(root_len);
-    let count = get_u16(s, context)? as usize;
-    let mut comps = Vec::with_capacity(count);
+    let count = get_u16(s, context)?;
+    // Each component is at least its 2-byte length prefix.
+    let mut comps = Vec::with_capacity(capped(u32::from(count), 2, s));
     for _ in 0..count {
         comps.push(get_name(s, context)?);
     }

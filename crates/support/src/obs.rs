@@ -14,6 +14,13 @@
 //! * a **global-free handle**: [`Telemetry`] is a cheap `Clone` over shared
 //!   state, threaded explicitly through the scanners — no `static`
 //!   subscriber, so two sweeps never bleed into each other,
+//! * an **off state**: [`Telemetry::off`] (also its `Default`) is the
+//!   handle every scanner starts with. Every method on it is a no-op that
+//!   reads no clock, allocates nothing and opens no [`crate::prof`]
+//!   scope, so instrumented code reads straight-line and this module is
+//!   the one place that decides whether a run is instrumented;
+//!   [`Telemetry::is_on`] serves the few callers that must report an
+//!   `Option`,
 //! * a **JSON exporter**: [`Telemetry::report`] freezes everything into a
 //!   [`TelemetryReport`] that round-trips through the [`crate::json`]
 //!   machinery and can be written as a `SCAN_TELEMETRY_<label>.json` file
@@ -21,7 +28,7 @@
 //! * a **clock seam**: wall time is read through the [`Clock`] trait so
 //!   tests inject a [`FakeClock`] and assert exact durations instead of
 //!   sleeping,
-//! * a **flight recorder**: every registry owns a bounded, always-on
+//! * a **flight recorder**: every live registry owns a bounded, always-on
 //!   [`FlightRecorder`] ring buffer of timestamped [`FlightEvent`]s (span
 //!   starts/ends, counter deltas, fault/breaker/cancel marks) with O(1)
 //!   record cost; [`FlightRecorder::snapshot`] freezes the surviving tail
@@ -206,6 +213,14 @@ impl From<f64> for AttrValue {
 impl From<bool> for AttrValue {
     fn from(b: bool) -> Self {
         AttrValue::Bool(b)
+    }
+}
+
+/// Lazily formatted: `format_args!` is rendered only when the span
+/// records, so an off [`Telemetry`] never builds the string.
+impl From<fmt::Arguments<'_>> for AttrValue {
+    fn from(args: fmt::Arguments<'_>) -> Self {
+        AttrValue::Str(args.to_string())
     }
 }
 
@@ -588,7 +603,15 @@ struct FlightRing {
     seq: u64,
 }
 
-/// A bounded, always-on ring buffer of timestamped [`FlightEvent`]s.
+struct Ring {
+    clock: Arc<dyn Clock>,
+    capacity: usize,
+    state: Mutex<FlightRing>,
+}
+
+/// A bounded, always-on ring buffer of timestamped [`FlightEvent`]s, or
+/// the inert [`FlightRecorder::off`] recorder an off [`Telemetry`] hands
+/// out, which records nothing and snapshots empty.
 ///
 /// Recording is O(1): the ring overwrites its oldest entry once full, so
 /// the recorder can run for the lifetime of a continuous monitor without
@@ -597,17 +620,18 @@ struct FlightRing {
 /// supervisor all write into one shared black box.
 #[derive(Clone)]
 pub struct FlightRecorder {
-    clock: Arc<dyn Clock>,
-    ring: Arc<Mutex<FlightRing>>,
-    capacity: usize,
+    ring: Option<Arc<Ring>>,
 }
+
+/// What [`Telemetry::recorder`] lends out when the registry is off.
+static OFF_RECORDER: FlightRecorder = FlightRecorder::off();
 
 impl fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ring = self.ring.lock();
+        let recorded = self.ring.as_ref().map_or(0, |r| r.state.lock().seq);
         f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity)
-            .field("recorded", &ring.seq)
+            .field("capacity", &self.capacity())
+            .field("recorded", &recorded)
             .finish_non_exhaustive()
     }
 }
@@ -620,27 +644,36 @@ impl FlightRecorder {
 
     /// A recorder holding at most `capacity` events (min 1).
     pub fn with_capacity(clock: Arc<dyn Clock>, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            clock,
-            ring: Arc::new(Mutex::new(FlightRing {
-                events: Vec::new(),
-                next: 0,
-                seq: 0,
+            ring: Some(Arc::new(Ring {
+                clock,
+                capacity: capacity.max(1),
+                state: Mutex::new(FlightRing {
+                    events: Vec::new(),
+                    next: 0,
+                    seq: 0,
+                }),
             })),
-            capacity,
         }
     }
 
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// A recorder that records nothing: capacity 0, empty snapshots.
+    pub const fn off() -> Self {
+        Self { ring: None }
     }
 
-    /// Records one event in O(1).
+    /// The ring capacity (0 when off).
+    pub fn capacity(&self) -> usize {
+        self.ring.as_ref().map_or(0, |r| r.capacity)
+    }
+
+    /// Records one event in O(1); a no-op when off.
     pub fn record(&self, kind: FlightEventKind, what: &str, detail: &str) {
-        let at_ns = self.clock.now_ns();
-        let mut ring = self.ring.lock();
+        let Some(r) = &self.ring else {
+            return;
+        };
+        let at_ns = r.clock.now_ns();
+        let mut ring = r.state.lock();
         let event = FlightEvent {
             seq: ring.seq,
             at_ns,
@@ -649,12 +682,12 @@ impl FlightRecorder {
             detail: detail.to_string(),
         };
         ring.seq += 1;
-        if ring.events.len() < self.capacity {
+        if ring.events.len() < r.capacity {
             ring.events.push(event);
         } else {
             let next = ring.next;
             ring.events[next] = event;
-            ring.next = (next + 1) % self.capacity;
+            ring.next = (next + 1) % r.capacity;
         }
     }
 
@@ -678,11 +711,15 @@ impl FlightRecorder {
         self.record(FlightEventKind::Mark, what, detail);
     }
 
-    /// Freezes the surviving tail into a chronological [`FlightDump`].
+    /// Freezes the surviving tail into a chronological [`FlightDump`]
+    /// (empty when off).
     pub fn snapshot(&self) -> FlightDump {
-        let ring = self.ring.lock();
+        let Some(r) = &self.ring else {
+            return FlightDump::default();
+        };
+        let ring = r.state.lock();
         let mut events = Vec::with_capacity(ring.events.len());
-        if ring.events.len() < self.capacity {
+        if ring.events.len() < r.capacity {
             events.extend(ring.events.iter().cloned());
         } else {
             events.extend(ring.events[ring.next..].iter().cloned());
@@ -690,7 +727,7 @@ impl FlightRecorder {
         }
         FlightDump {
             dropped: ring.seq - events.len() as u64,
-            capacity: self.capacity as u64,
+            capacity: r.capacity as u64,
             events,
         }
     }
@@ -756,11 +793,19 @@ struct Inner {
     state: Mutex<State>,
 }
 
-/// The global-free tracing + metrics registry.
+/// The global-free tracing + metrics registry, or its off state.
 ///
 /// Cloning a `Telemetry` yields another handle onto the same shared state,
 /// so one handle can be threaded through every scanner of a sweep and the
 /// facade can later freeze a single combined [`TelemetryReport`].
+///
+/// [`Telemetry::off`] (also the `Default`) is the uninstrumented run:
+/// [`span`](Self::span) returns an inert guard, counters, gauges and
+/// histograms drop their samples, [`recorder`](Self::recorder) lends the
+/// inert [`FlightRecorder::off`], and [`report`](Self::report) is empty.
+/// None of them reads the clock, allocates, or opens a [`crate::prof`]
+/// scope. Counter names and span attributes accept `format_args!`, so a
+/// formatted name is built only when the registry records.
 ///
 /// # Examples
 ///
@@ -777,25 +822,27 @@ struct Inner {
 /// let report = telemetry.report();
 /// assert_eq!(report.spans[0].children[0].name, "high_scan");
 /// assert_eq!(report.counters["entries"], 300);
+///
+/// let off = Telemetry::off();
+/// off.counter_add(format_args!("{}.entries", "files"), 300); // never formatted
+/// assert!(!off.is_on());
+/// assert!(off.report().counters.is_empty());
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Arc<Inner>,
+    inner: Option<Arc<Inner>>,
 }
 
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.inner.state.lock();
+        let Some(inner) = &self.inner else {
+            return f.write_str("Telemetry(off)");
+        };
+        let state = inner.state.lock();
         f.debug_struct("Telemetry")
             .field("spans", &state.spans.len())
             .field("counters", &state.counters.len())
             .finish_non_exhaustive()
-    }
-}
-
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -810,36 +857,55 @@ impl Telemetry {
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         let recorder = FlightRecorder::new(clock.clone());
         Self {
-            inner: Arc::new(Inner {
+            inner: Some(Arc::new(Inner {
                 clock,
                 recorder,
                 state: Mutex::new(State::default()),
-            }),
+            })),
         }
     }
 
-    /// The registry clock's current reading.
+    /// The off state: records nothing, costs nothing (see [`Telemetry`]).
+    pub const fn off() -> Self {
+        Self { inner: None }
+    }
+
+    /// Whether this handle records — the one question callers ask when
+    /// they must report an `Option` (a sweep's telemetry, a black box).
+    pub fn is_on(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// The registry clock's current reading (0 when off, without reading
+    /// any clock).
     pub fn now_ns(&self) -> u64 {
-        self.inner.clock.now_ns()
+        self.inner.as_ref().map_or(0, |inner| inner.clock.now_ns())
     }
 
-    /// The registry clock.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        self.inner.clock.clone()
-    }
-
-    /// The registry's always-on flight recorder. Clone the handle to let
-    /// other layers (fault injection, supervision) write into the same
-    /// black box.
+    /// The registry's always-on flight recorder (the inert
+    /// [`FlightRecorder::off`] when off). Clone the handle to let other
+    /// layers (fault injection, supervision) write into the same black
+    /// box.
     pub fn recorder(&self) -> &FlightRecorder {
-        &self.inner.recorder
+        self.inner
+            .as_ref()
+            .map_or(&OFF_RECORDER, |inner| &inner.recorder)
     }
 
     /// Opens a span as a child of the innermost open span (or as a root).
-    /// The returned guard closes the span when dropped.
+    /// The returned guard closes the span when dropped; when off it is
+    /// inert.
     pub fn span(&self, name: &str) -> SpanGuard {
-        let now = self.now_ns();
-        let mut state = self.inner.state.lock();
+        let Some(inner) = &self.inner else {
+            return SpanGuard {
+                telemetry: Telemetry::off(),
+                index: 0,
+                ended: true,
+                scope: None,
+            };
+        };
+        let now = inner.clock.now_ns();
+        let mut state = inner.state.lock();
         let tid = state.current_tid();
         let index = state.spans.len();
         state.spans.push(SpanSlot {
@@ -854,9 +920,7 @@ impl Telemetry {
         }
         state.stack.push(index);
         drop(state);
-        self.inner
-            .recorder
-            .record(FlightEventKind::SpanStart, name, "");
+        inner.recorder.record(FlightEventKind::SpanStart, name, "");
         // The attribution scope opens last, after the span's own
         // bookkeeping allocations, so a span is charged for what runs
         // inside it — not for the cost of being recorded.
@@ -869,23 +933,26 @@ impl Telemetry {
     }
 
     /// Adds `delta` to a monotonic counter (created at 0 on first use).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        {
-            let mut state = self.inner.state.lock();
-            *state.counters.entry(name.to_string()).or_insert(0) += delta;
-        }
-        self.inner
+    /// Pass `format_args!` for a composed name: it is rendered only when
+    /// the registry is on.
+    pub fn counter_add(&self, name: impl fmt::Display, delta: u64) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let name = name.to_string();
+        inner
             .recorder
-            .record(FlightEventKind::Counter, name, &format!("+{delta}"));
+            .record(FlightEventKind::Counter, &name, &format!("+{delta}"));
+        *inner.state.lock().counters.entry(name).or_insert(0) += delta;
     }
 
     /// Sets a gauge to its latest observed value.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        {
-            let mut state = self.inner.state.lock();
-            state.gauges.insert(name.to_string(), value);
-        }
-        self.inner
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        inner.state.lock().gauges.insert(name.to_string(), value);
+        inner
             .recorder
             .record(FlightEventKind::Gauge, name, &format!("={value}"));
     }
@@ -894,7 +961,10 @@ impl Telemetry {
     /// samples are aggregated, not ring-recorded: hot loops may call this
     /// per entry without flooding the flight recorder.
     pub fn histogram_record(&self, name: &str, value: f64) {
-        let mut state = self.inner.state.lock();
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let mut state = inner.state.lock();
         state
             .histograms
             .entry(name.to_string())
@@ -902,12 +972,16 @@ impl Telemetry {
             .record(value);
     }
 
-    /// Freezes the current state into an exportable report. Spans still
-    /// open are reported with the clock's current reading as their end.
+    /// Freezes the current state into an exportable report (empty when
+    /// off). Spans still open are reported with the clock's current
+    /// reading as their end.
     pub fn report(&self) -> TelemetryReport {
-        let now = self.now_ns();
-        let flight = self.inner.recorder.snapshot();
-        let state = self.inner.state.lock();
+        let Some(inner) = &self.inner else {
+            return TelemetryReport::default();
+        };
+        let now = inner.clock.now_ns();
+        let flight = inner.recorder.snapshot();
+        let state = inner.state.lock();
         fn build(state: &State, index: usize, now: u64) -> SpanRecord {
             let slot = &state.spans[index];
             SpanRecord {
@@ -944,7 +1018,8 @@ impl Telemetry {
     }
 }
 
-/// Closes its span on drop; use it to attach attributes and events.
+/// Closes its span on drop; use it to attach attributes and events. A
+/// guard from an off [`Telemetry`] is inert: every method is a no-op.
 #[must_use = "dropping the guard immediately closes the span"]
 pub struct SpanGuard {
     telemetry: Telemetry,
@@ -956,12 +1031,16 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Attaches a typed attribute to the span.
+    /// Attaches a typed attribute to the span (converted only when the
+    /// span records).
     pub fn set_attr(&self, key: &str, value: impl Into<AttrValue>) {
-        let mut state = self.telemetry.inner.state.lock();
-        state.spans[self.index]
+        let Some(inner) = &self.telemetry.inner else {
+            return;
+        };
+        let value = value.into();
+        inner.state.lock().spans[self.index]
             .attrs
-            .push((key.to_string(), value.into()));
+            .push((key.to_string(), value));
     }
 
     /// Records a point-in-time event inside the span.
@@ -971,8 +1050,11 @@ impl SpanGuard {
 
     /// Records an event carrying a typed payload.
     pub fn event_with(&self, name: &str, attrs: Vec<(String, AttrValue)>) {
-        let at_ns = self.telemetry.now_ns();
-        let mut state = self.telemetry.inner.state.lock();
+        let Some(inner) = &self.telemetry.inner else {
+            return;
+        };
+        let at_ns = inner.clock.now_ns();
+        let mut state = inner.state.lock();
         state.spans[self.index].events.push(SpanEvent {
             name: name.to_string(),
             at_ns,
@@ -989,8 +1071,11 @@ impl SpanGuard {
         if self.ended {
             return;
         }
+        let Some(inner) = &self.telemetry.inner else {
+            return;
+        };
         self.ended = true;
-        let now = self.telemetry.now_ns();
+        let now = inner.clock.now_ns();
         // Close the attribution scope before any close bookkeeping
         // allocates, so the span's own teardown is charged to its
         // parent, not to it.
@@ -999,7 +1084,7 @@ impl SpanGuard {
             .take()
             .map(crate::prof::ScopeToken::end)
             .unwrap_or_default();
-        let mut state = self.telemetry.inner.state.lock();
+        let mut state = inner.state.lock();
         state.spans[self.index].end_ns = Some(now);
         state.spans[self.index].allocs = measured.allocs;
         state.spans[self.index].alloc_bytes = measured.alloc_bytes;
@@ -1013,8 +1098,7 @@ impl SpanGuard {
             state.stack.truncate(pos);
         }
         drop(state);
-        self.telemetry
-            .inner
+        inner
             .recorder
             .record(FlightEventKind::SpanEnd, &name, &fmt_ns(took));
     }
@@ -1031,42 +1115,6 @@ impl fmt::Debug for SpanGuard {
         f.debug_struct("SpanGuard")
             .field("index", &self.index)
             .finish_non_exhaustive()
-    }
-}
-
-/// A span that may or may not be recording: every method is a no-op when
-/// telemetry is disabled, so instrumented code reads straight-line.
-#[derive(Debug)]
-pub struct MaybeSpan(Option<SpanGuard>);
-
-impl MaybeSpan {
-    /// Opens a span if a telemetry handle is present.
-    pub fn start(telemetry: Option<&Telemetry>, name: &str) -> Self {
-        MaybeSpan(telemetry.map(|t| t.span(name)))
-    }
-
-    /// A span that records nothing.
-    pub fn disabled() -> Self {
-        MaybeSpan(None)
-    }
-
-    /// Whether the span is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Attaches an attribute if recording.
-    pub fn set_attr(&self, key: &str, value: impl Into<AttrValue>) {
-        if let Some(span) = &self.0 {
-            span.set_attr(key, value);
-        }
-    }
-
-    /// Records an event if recording.
-    pub fn event(&self, name: &str) {
-        if let Some(span) = &self.0 {
-            span.event(name);
-        }
     }
 }
 
@@ -1611,19 +1659,30 @@ mod tests {
     }
 
     #[test]
-    fn maybe_span_is_silent_when_disabled() {
-        let disabled = MaybeSpan::start(None, "nothing");
-        assert!(!disabled.is_recording());
-        disabled.set_attr("k", 1u64);
-        disabled.event("e");
+    fn off_telemetry_records_nothing_and_allocates_nothing() {
+        let off = Telemetry::default();
+        assert!(!off.is_on());
+        let scope = crate::prof::begin_scope();
+        {
+            let span = off.span("sweep");
+            span.set_attr("view", format_args!("{:?}", FlightEventKind::Mark));
+            span.event("checkpoint");
+            let _child = off.span("files.high_scan");
+            off.counter_add(format_args!("{}.entries", "files"), 3);
+            off.gauge_set("depth", 1.0);
+            off.histogram_record("files.dir_query_ns", 5.0);
+            off.recorder().fault("volume.read", "stalled");
+            assert_eq!(off.now_ns(), 0);
+        }
+        assert_eq!(scope.end().allocs, 0, "the off state never allocates");
+        assert_eq!(off.report(), TelemetryReport::default());
+        assert!(off.recorder().snapshot().is_empty());
+        assert_eq!(off.recorder().capacity(), 0);
 
-        let (_clock, telemetry) = fake();
-        let enabled = MaybeSpan::start(Some(&telemetry), "something");
-        assert!(enabled.is_recording());
-        enabled.set_attr("k", 1u64);
-        drop(enabled);
-        drop(disabled);
-        assert_eq!(telemetry.report().spans.len(), 1);
+        let (_clock, on) = fake();
+        assert!(on.is_on());
+        on.counter_add(format_args!("{}.entries", "files"), 3);
+        assert_eq!(on.report().counters["files.entries"], 3);
     }
 
     #[test]

@@ -126,7 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .machine
             .set_fault_injector(FaultInjector::new().stall_volume_reads(Stall::after_polls(2)));
     }
-    let (report, trace) = scheduler.sweep_traced(&mut fleet)?;
+    let report = scheduler.sweep(&mut fleet)?;
+    let trace = report.trace();
     assert_eq!(report.swept, 64);
     assert_eq!(report.infected, 8);
     assert_eq!(trace.workers, 4);

@@ -92,16 +92,20 @@ diff -u docs/paper_tables_output.txt "$OBS_DIR/paper_tables_output.txt"
 echo "==> bench_diff smoke run"
 scripts/bench_diff >/dev/null
 
-# Fresh scan gate: re-run the file, registry and process scan benches in
-# FAST mode and diff them against the committed BENCH_<group>.json. All
-# three scan on the calling thread, so their alloc columns are complete.
+# Fresh scan gate: re-run the file, registry and process scan benches and
+# the Fig. 3/4/6 and cross-time baseline benches in FAST mode and diff
+# them against the committed BENCH_<group>.json. All seven scan on the
+# calling thread, so their alloc columns are complete (the one whole-sweep
+# row, cross_view/full_sweep_infected, counts its calling thread only,
+# which is still deterministic).
 # Allocs and bytes per op are deterministic (a FAST run matches the
 # full-mode counts to the allocation), so they keep the default 2%
 # threshold. FAST timings are a few 20 ms samples on a possibly shared
 # host and have measured up to 2.4x the committed means with no code
 # change, so time only fails past 4x the baseline (--time-frac 3): a
 # gross regression, not noise.
-for bench in time_file_scan time_registry_scan time_process_scan; do
+for bench in time_file_scan time_registry_scan time_process_scan \
+    fig3_hidden_files fig4_hidden_asep fig6_hidden_procs baseline_crosstime; do
     echo "==> fresh $bench bench"
     STRIDER_BENCH_FAST=1 STRIDER_BENCH_DIR="$OBS_DIR" cargo bench -q --offline \
         -p strider-bench --bench "$bench" >"$OBS_DIR/$bench.log" 2>&1 ||

@@ -881,7 +881,8 @@ fn cost_model_is_monotone_in_disk_scale() {
 }
 
 // ---------------------------------------------------------------------
-// Fault injection: corrupted images never panic either parser tier
+// Fault injection: corrupted images never panic either parser tier, and
+// neither tier's peak heap outgrows its input
 // ---------------------------------------------------------------------
 
 /// `FAULT_SEED=<n>` re-bases the corruption properties on a chosen seed —
@@ -895,6 +896,31 @@ fn fault_config(cases: u32) -> Config {
         config.seed = seed;
     }
     config
+}
+
+/// Heap bytes a parser may hold per input byte, plus a fixed allowance:
+/// an untrusted count must never reserve more than the bytes behind it
+/// could describe.
+const PARSE_BYTES_PER_INPUT_BYTE: u64 = 64;
+const PARSE_FIXED_BYTES: u64 = 64 * 1024;
+
+/// Runs `parse` under a `prof` scope on this thread and checks its peak
+/// heap footprint against the input-size bound.
+fn bounded_parse<T>(
+    what: &str,
+    input: &[u8],
+    parse: impl FnOnce(&[u8]) -> T,
+) -> Result<(), String> {
+    let scope = strider_support::prof::begin_scope();
+    drop(parse(input));
+    let peak = scope.end().peak_bytes;
+    let bound = PARSE_BYTES_PER_INPUT_BYTE * input.len() as u64 + PARSE_FIXED_BYTES;
+    prop_assert!(
+        peak <= bound,
+        "{what}: peak {peak} B over {} input bytes exceeds {bound} B",
+        input.len()
+    );
+    Ok(())
 }
 
 #[test]
@@ -914,7 +940,8 @@ fn fault_corrupted_volume_images_never_panic_either_parser() {
             let plan = FaultPlan::random(*seed);
             let corrupted = plan.apply(&vol.to_image());
             // Strict tier: Ok or Err, never a panic.
-            let _ = VolumeImage::parse(&corrupted);
+            bounded_parse("volume parse", &corrupted, VolumeImage::parse)?;
+            bounded_parse("volume salvage", &corrupted, VolumeImage::parse_salvage)?;
             // Salvage tier: always a value; defects stay within the image.
             let salvaged = VolumeImage::parse_salvage(&corrupted);
             for d in &salvaged.defects {
@@ -955,7 +982,8 @@ fn fault_corrupted_hives_never_panic_either_parser() {
             );
             let plan = FaultPlan::random(*seed);
             let corrupted = plan.apply(&hive.to_bytes());
-            let _ = RawHive::parse(&corrupted);
+            bounded_parse("hive parse", &corrupted, RawHive::parse)?;
+            bounded_parse("hive salvage", &corrupted, RawHive::parse_salvage)?;
             let salvaged = RawHive::parse_salvage(&corrupted);
             for d in &salvaged.defects {
                 prop_assert!(d.offset <= corrupted.len() as u64);
@@ -988,7 +1016,8 @@ fn fault_corrupted_dumps_never_panic_either_parser() {
             }
             let plan = FaultPlan::random(*seed);
             let corrupted = plan.apply(&k.crash_dump());
-            let _ = MemoryDump::parse(&corrupted);
+            bounded_parse("dump parse", &corrupted, MemoryDump::parse)?;
+            bounded_parse("dump salvage", &corrupted, MemoryDump::parse_salvage)?;
             let salvaged = MemoryDump::parse_salvage(&corrupted);
             for d in &salvaged.defects {
                 prop_assert!(d.offset <= corrupted.len() as u64);
@@ -999,6 +1028,24 @@ fn fault_corrupted_dumps_never_panic_either_parser() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn dump_path_count_cannot_reserve_past_its_bytes() {
+    // One process record whose image path claims 0xFFFF components
+    // backed by a 2-byte tail: the count must not size the allocation.
+    let mut dump = b"SDMP1\0\0\0".to_vec();
+    dump.extend(1u32.to_le_bytes()); // version
+    dump.extend(1u32.to_le_bytes()); // process count
+    dump.extend(4u32.to_le_bytes()); // pid
+    dump.extend(u32::MAX.to_le_bytes()); // no parent
+    dump.extend(0u16.to_le_bytes()); // empty image name
+    dump.extend(0u16.to_le_bytes()); // empty path root
+    dump.extend(0xFFFFu16.to_le_bytes()); // path component count
+    dump.extend(0u16.to_le_bytes()); // one empty component, then EOF
+    assert!(MemoryDump::parse(&dump).is_err());
+    bounded_parse("crafted dump parse", &dump, MemoryDump::parse).unwrap();
+    bounded_parse("crafted dump salvage", &dump, MemoryDump::parse_salvage).unwrap();
 }
 
 #[test]
