@@ -5,7 +5,7 @@ use std::sync::Arc;
 use strider_ghostbuster::{AdvancedSource, GhostBuster, OutsideRegistryMode};
 use strider_ghostware::{Ghostware, HackerDefender};
 use strider_nt_core::{NtPath, NtStatus};
-use strider_winapi::{ChainEntry, HiveCopyTamper, Machine};
+use strider_winapi::{ChainEntry, HiveCopyTamper};
 
 /// Ablation 2: false positives as a function of the scan-pair time gap.
 /// Returns `(gap_ticks, raw_fp_count)` pairs on a clean, churning machine.
@@ -194,16 +194,6 @@ pub fn dump_scrub_matrix() -> Result<(bool, bool), NtStatus> {
             .any(|d| d.detail.contains("fu_payload.exe")))
     };
     Ok((run(false)?, run(true)?))
-}
-
-/// Runs an inside sweep on an infected machine — shared by criterion
-/// benches.
-///
-/// # Errors
-///
-/// Propagates scan failures.
-pub fn sweep_infected(machine: &mut Machine) -> Result<usize, NtStatus> {
-    Ok(GhostBuster::new().inside_sweep(machine)?.suspicious_count())
 }
 
 #[cfg(test)]

@@ -84,7 +84,8 @@ impl FleetHealPolicy {
     }
 
     /// The backoff to sleep after `attempt` (1-based) failed on `shard`:
-    /// `min(base << (attempt-1), max)` plus up to 25% seeded jitter.
+    /// `min(base << (attempt-1), max)` plus up to 25% seeded jitter,
+    /// saturating at `u64::MAX`.
     pub fn backoff_ns(&self, shard: u32, attempt: u32) -> u64 {
         let doublings = attempt.saturating_sub(1).min(32);
         let exp = self
@@ -94,7 +95,7 @@ impl FleetHealPolicy {
         let mut rng = SplitMix64::seed_from_u64(
             self.jitter_seed ^ (u64::from(shard) << 32) ^ u64::from(attempt),
         );
-        exp + rng.next_below(exp / 4 + 1)
+        exp.saturating_add(rng.next_below(exp / 4 + 1))
     }
 }
 
@@ -396,5 +397,17 @@ mod tests {
         assert!((8_000..=10_000).contains(&b4), "capped: {b4}");
         // Deterministic for equal (shard, attempt); different across shards.
         assert_eq!(policy.backoff_ns(3, 2), policy.backoff_ns(3, 2));
+    }
+
+    #[test]
+    fn backoff_saturates_instead_of_overflowing() {
+        // The jitter on top of a maxed-out window must clamp, not wrap
+        // to a tiny backoff (or panic in a debug build).
+        let policy = FleetHealPolicy::default().with_backoff(u64::MAX, u64::MAX);
+        for shard in 0..4 {
+            for attempt in [1, 2, 40] {
+                assert_eq!(policy.backoff_ns(shard, attempt), u64::MAX);
+            }
+        }
     }
 }

@@ -47,14 +47,14 @@
 //!
 //! Performance attribution rides on the same machinery: every fleet sweep
 //! records each scheduler decision (shard enqueue, steal, sweep
-//! start/finish) on the policy clock into its [`FleetReport`], and
-//! [`FleetReport::trace`] returns a [`FleetTrace`] that derives
-//! queue-wait and worker-occupancy metrics, feeds them into the monitor's
-//! `fleet.queue_wait_p95_ns` / `fleet.worker_idle_fraction` series (see
-//! [`FleetMonitor::ingest_trace`]), and merges scheduler lanes, named
-//! worker lanes, and every shard's telemetry spans — on globally unique
-//! tids — into one fleet-wide Chrome trace
-//! (`FLEET_TRACE_<label>.json`).
+//! start/finish) on the policy clock into its [`FleetReport`], the one
+//! record of the run. [`FleetReport::trace`] returns that timeline as a
+//! [`FleetTrace`], whose queue-wait and worker-occupancy metrics feed the
+//! monitor's `fleet.queue_wait_p95_ns` / `fleet.worker_idle_fraction`
+//! series (see [`FleetMonitor::ingest_trace`]), and
+//! [`FleetReport::chrome_trace`] merges scheduler lanes, named worker
+//! lanes, and every shard's telemetry spans — on globally unique tids —
+//! into one fleet-wide Chrome trace (`FLEET_TRACE_<label>.json`).
 //!
 //! # Examples
 //!
@@ -103,7 +103,7 @@ pub use report::{
     ShardResult,
 };
 pub use scheduler::{FleetControl, FleetScheduler};
-pub use trace::{FleetTrace, SchedEvent, SchedEventKind, ShardTrace};
+pub use trace::{FleetTrace, SchedEvent, SchedEventKind};
 
 /// Convenient re-exports.
 pub mod prelude {
@@ -112,6 +112,6 @@ pub mod prelude {
         FleetCheckpoint, FleetControl, FleetHealPolicy, FleetIncident, FleetMachine, FleetMonitor,
         FleetObservation, FleetRegistry, FleetReport, FleetScheduler, FleetSpec, FleetTrace,
         PipelineRollup, Prevalence, QuarantineRecord, SchedEvent, SchedEventKind, ShardDisposition,
-        ShardFailure, ShardId, ShardQuarantine, ShardResult, ShardTrace,
+        ShardFailure, ShardId, ShardQuarantine, ShardResult,
     };
 }

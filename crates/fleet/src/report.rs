@@ -3,12 +3,11 @@
 //! sweep resumes from.
 
 use crate::registry::{FleetRegistry, ShardId};
-use crate::trace::{FleetTrace, ShardTrace};
+use crate::trace::FleetTrace;
 use std::collections::BTreeMap;
 use std::fmt;
 use strider_ghostbuster::{PipelineStatus, SweepCheckpoint, SweepReport};
 use strider_support::alert::Exposition;
-use strider_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use strider_support::obs::{FlightDump, HistogramSketch};
 
 /// How a shard's result came to be — swept fresh, restored from a
@@ -66,61 +65,6 @@ impl fmt::Display for ShardDisposition {
     }
 }
 
-// Hand-written (rather than `impl_json!`) because the macro does not cover
-// named-field enum variants: unit variants render as bare strings, payload
-// variants as single-key objects, matching the macro's enum convention.
-impl ToJson for ShardDisposition {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            ShardDisposition::Swept => JsonValue::Str("Swept".to_string()),
-            ShardDisposition::Restored => JsonValue::Str("Restored".to_string()),
-            ShardDisposition::Recovered { attempts } => JsonValue::Obj(vec![(
-                "Recovered".to_string(),
-                JsonValue::Obj(vec![(
-                    "attempts".to_string(),
-                    JsonValue::UInt(u64::from(*attempts)),
-                )]),
-            )]),
-            ShardDisposition::Quarantined {
-                attempts,
-                reason,
-                evidence,
-            } => JsonValue::Obj(vec![(
-                "Quarantined".to_string(),
-                JsonValue::Obj(vec![
-                    (
-                        "attempts".to_string(),
-                        JsonValue::UInt(u64::from(*attempts)),
-                    ),
-                    ("reason".to_string(), JsonValue::Str(reason.clone())),
-                    ("evidence".to_string(), evidence.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for ShardDisposition {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        match value {
-            JsonValue::Str(s) if s == "Swept" => Ok(ShardDisposition::Swept),
-            JsonValue::Str(s) if s == "Restored" => Ok(ShardDisposition::Restored),
-            JsonValue::Obj(fields) => match fields.as_slice() {
-                [(tag, body)] if tag == "Recovered" => Ok(ShardDisposition::Recovered {
-                    attempts: body.field("attempts")?.as_u64()? as u32,
-                }),
-                [(tag, body)] if tag == "Quarantined" => Ok(ShardDisposition::Quarantined {
-                    attempts: body.field("attempts")?.as_u64()? as u32,
-                    reason: body.field("reason")?.as_str()?.to_string(),
-                    evidence: FlightDump::from_json(body.field("evidence")?)?,
-                }),
-                _ => Err(JsonError("unknown ShardDisposition variant".to_string())),
-            },
-            _ => Err(JsonError("expected a ShardDisposition".to_string())),
-        }
-    }
-}
-
 /// One machine's contribution to a fleet sweep.
 #[derive(Debug, Clone)]
 pub struct ShardResult {
@@ -134,12 +78,8 @@ pub struct ShardResult {
     pub techniques: Vec<String>,
     /// Whether the fleet's ground truth says this machine is infected.
     pub seeded_infected: bool,
-    /// Whether the result was restored verbatim from a checkpoint instead
-    /// of swept this run (restored results carry no telemetry). Kept as a
-    /// convenience mirror of `disposition == Restored`.
-    pub restored: bool,
-    /// How this result came to be — swept, restored, recovered after
-    /// retries, or quarantined.
+    /// How this result came to be — swept, restored from a checkpoint
+    /// (no telemetry), recovered after retries, or quarantined.
     pub disposition: ShardDisposition,
     /// The shard's sweep.
     pub report: SweepReport,
@@ -201,9 +141,8 @@ pub struct FleetReport {
     /// evidence in its [`ShardDisposition::Quarantined`]) in `results`.
     pub quarantined: Vec<ShardId>,
     results: Vec<ShardResult>,
-    /// The scheduler timeline every run records (worker count, start and
-    /// end, events); its `shards` stay empty — [`FleetReport::trace`]
-    /// attaches them. Kept out of [`FleetReport::result_digest`].
+    /// The scheduler timeline every run records. Kept out of
+    /// [`FleetReport::result_digest`].
     pub(crate) timeline: FleetTrace,
 }
 
@@ -275,26 +214,11 @@ impl FleetReport {
         &self.results
     }
 
-    /// The run's fleet timeline: the scheduler events this report
-    /// recorded plus each swept shard's telemetry, for queue-wait and
-    /// occupancy metrics and the merged fleet-wide Chrome trace.
-    /// Restored and fenced shards ran no scan, so they add no telemetry.
-    pub fn trace(&self) -> FleetTrace {
-        let shards = self
-            .results
-            .iter()
-            .filter_map(|r| {
-                r.report.telemetry.clone().map(|telemetry| ShardTrace {
-                    shard: r.shard.0,
-                    machine: r.machine.clone(),
-                    telemetry,
-                })
-            })
-            .collect();
-        FleetTrace {
-            shards,
-            ..self.timeline.clone()
-        }
+    /// The run's scheduler timeline — worker count, wall-clock envelope
+    /// and scheduler events — for queue-wait and occupancy metrics. The
+    /// merged Chrome trace is [`FleetReport::chrome_trace`].
+    pub fn trace(&self) -> &FleetTrace {
+        &self.timeline
     }
 
     /// A specific shard's result, if it reported.
@@ -492,9 +416,8 @@ fn status_kind(status: &PipelineStatus) -> &'static str {
     }
 }
 
-/// Why a [`FleetCheckpoint`] was rejected against a live fleet: the
-/// typed version of the boolean [`FleetCheckpoint::matches`] check, so a
-/// resume can report *what* drifted instead of a bare
+/// Why [`FleetCheckpoint::validate`] rejected a checkpoint against a
+/// live fleet, so a resume can report *what* drifted instead of a bare
 /// `InvalidParameter`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointMismatch {
@@ -593,14 +516,9 @@ impl FleetCheckpoint {
         }
     }
 
-    /// Whether the checkpoint describes this fleet (same seed, same
-    /// machines in the same order).
-    pub fn matches(&self, fleet: &FleetRegistry) -> bool {
-        self.validate(fleet).is_ok()
-    }
-
-    /// Checks the checkpoint against a live fleet and reports the first
-    /// drift as a typed [`CheckpointMismatch`].
+    /// Checks the checkpoint describes this fleet (same seed, same
+    /// machines in the same order) and reports the first drift as a typed
+    /// [`CheckpointMismatch`].
     ///
     /// # Errors
     ///
@@ -668,12 +586,124 @@ impl FleetCheckpoint {
 mod tests {
     use super::*;
     use crate::registry::FleetSpec;
+    use crate::trace::{SchedEvent, SchedEventKind};
+    use std::sync::Arc;
+    use strider_ghostbuster::{DiffReport, Pipeline};
+    use strider_nt_core::Tick;
+    use strider_support::json::JsonValue;
+    use strider_support::obs::{FakeClock, Telemetry, TelemetryReport};
+
+    /// A swept shard result whose sweep carries `telemetry`.
+    fn swept(shard: u32, telemetry: TelemetryReport) -> ShardResult {
+        let mut report = SweepReport::from_pipelines(Pipeline::ALL.map(|p| {
+            (
+                DiffReport::empty(p.truth_view(), Tick(0)),
+                PipelineStatus::Ok,
+            )
+        }));
+        report.telemetry = Some(telemetry);
+        ShardResult {
+            shard: ShardId(shard),
+            machine: format!("m{shard}"),
+            family: None,
+            techniques: Vec::new(),
+            seeded_infected: false,
+            disposition: ShardDisposition::Swept,
+            report,
+        }
+    }
+
+    #[test]
+    fn merged_trace_remaps_shard_tids_above_worker_lanes() {
+        // Two shards frozen independently: both telemetries use tid 1
+        // for their (only) span thread — the collision the merge fixes.
+        let shard_report = || {
+            let clock = Arc::new(FakeClock::new());
+            let telemetry = Telemetry::with_clock(clock.clone());
+            {
+                let _span = telemetry.span("scan");
+                clock.advance(100);
+            }
+            telemetry.report()
+        };
+        let a = shard_report();
+        let b = shard_report();
+        assert_eq!(a.spans[0].tid, b.spans[0].tid, "local tids collide");
+
+        let ev = |shard, at_ns, kind| SchedEvent { shard, at_ns, kind };
+        let mut report = FleetReport {
+            timeline: FleetTrace {
+                workers: 2,
+                start_ns: 0,
+                end_ns: 1_000,
+                events: vec![
+                    ev(0, 0, SchedEventKind::Enqueue { worker: 0 }),
+                    ev(1, 0, SchedEventKind::Enqueue { worker: 1 }),
+                    ev(1, 5, SchedEventKind::Steal { from: 1, by: 0 }),
+                    ev(0, 10, SchedEventKind::Start { worker: 0 }),
+                    ev(0, 500, SchedEventKind::Finish { worker: 0 }),
+                ],
+            },
+            ..FleetReport::default()
+        };
+        report.absorb(swept(1, b));
+        report.absorb(swept(0, a));
+        report.finalize(2);
+        assert_eq!(report.trace().steals(), 1);
+        let JsonValue::Arr(events) = report.chrome_trace() else {
+            panic!("chrome trace must be an array");
+        };
+        let field = |e: &JsonValue, key: &str| -> Option<JsonValue> { e.field(key).ok().cloned() };
+        // Span slices (cat "scan") never land on the reserved scheduler
+        // or worker lanes, and no two shards share a tid.
+        let span_tids: Vec<u64> = events
+            .iter()
+            .filter(|e| {
+                matches!(field(e, "cat"), Some(JsonValue::Str(c)) if c == "scan")
+                    && matches!(field(e, "ph"), Some(JsonValue::Str(p)) if p == "X")
+            })
+            .map(|e| match field(e, "tid") {
+                Some(JsonValue::UInt(t)) => t,
+                other => panic!("bad tid {other:?}"),
+            })
+            .collect();
+        assert_eq!(span_tids.len(), 2);
+        assert!(span_tids.iter().all(|&t| t > 2), "{span_tids:?}");
+        assert_ne!(span_tids[0], span_tids[1]);
+        // Thread metadata names the lanes, shard-prefixed.
+        let names: Vec<String> = events
+            .iter()
+            .filter(|e| matches!(field(e, "ph"), Some(JsonValue::Str(p)) if p == "M"))
+            .filter_map(|e| match field(&field(e, "args")?, "name")? {
+                JsonValue::Str(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert!(names.iter().any(|n| n == "fleet-scheduler"), "{names:?}");
+        assert!(names.iter().any(|n| n == "fleet-worker-0"), "{names:?}");
+        assert!(names.iter().any(|n| n == "fleet-worker-1"), "{names:?}");
+        assert!(
+            names.iter().any(|n| n.starts_with("shard-000 ")),
+            "{names:?}"
+        );
+        assert!(
+            names.iter().any(|n| n.starts_with("shard-001 ")),
+            "{names:?}"
+        );
+        // Scheduler lane carries the queue slice and the steal instant.
+        assert!(events.iter().any(|e| {
+            matches!(field(e, "name"), Some(JsonValue::Str(n)) if n == "queue shard-000")
+        }));
+        assert!(events.iter().any(|e| {
+            matches!(field(e, "name"), Some(JsonValue::Str(n)) if n == "steal shard-001")
+        }));
+    }
 
     #[test]
     fn empty_fleet_checkpoint_round_trips() {
         let fleet = FleetRegistry::seeded(&FleetSpec::clean(3, 9)).unwrap();
         let checkpoint = FleetCheckpoint::new(&fleet);
-        assert!(checkpoint.matches(&fleet));
+        assert!(checkpoint.validate(&fleet).is_ok());
         assert_eq!(checkpoint.unfinished_shards().len(), 3);
         assert!(!checkpoint.is_complete());
         let parsed = FleetCheckpoint::deserialize(&checkpoint.serialize()).unwrap();
@@ -696,6 +726,6 @@ mod tests {
         let a = FleetRegistry::seeded(&FleetSpec::clean(3, 1)).unwrap();
         let b = FleetRegistry::seeded(&FleetSpec::clean(3, 2)).unwrap();
         let checkpoint = FleetCheckpoint::new(&a);
-        assert!(!checkpoint.matches(&b));
+        assert!(checkpoint.validate(&b).is_err());
     }
 }

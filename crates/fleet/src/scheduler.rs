@@ -68,7 +68,6 @@ impl ShardMeta {
             family: self.family.clone(),
             techniques: self.techniques.clone(),
             seeded_infected: self.seeded_infected,
-            restored: disposition == ShardDisposition::Restored,
             disposition,
             report,
         }
@@ -306,7 +305,7 @@ impl FleetScheduler {
         quarantined: &BTreeMap<u32, QuarantineRecord>,
         mut persist: Option<PersistFn<'_>>,
     ) -> Result<FleetReport, NtStatus> {
-        if !checkpoint.matches(fleet) {
+        if checkpoint.validate(fleet).is_err() {
             return Err(NtStatus::InvalidParameter);
         }
         let clock = self.detector.policy().clock().clone();
@@ -438,7 +437,6 @@ impl FleetScheduler {
             start_ns,
             end_ns: clock.now_ns(),
             events: sink.into_events(),
-            shards: Vec::new(),
         };
         Ok(report)
     }
@@ -709,7 +707,10 @@ mod tests {
             .sweep_streaming(&mut fleet, &mut checkpoint, |_| FleetControl::Continue)
             .unwrap();
         assert_eq!(second.swept, 4);
-        assert!(second.results().iter().all(|r| r.restored));
+        assert!(second
+            .results()
+            .iter()
+            .all(|r| r.disposition == ShardDisposition::Restored));
         assert!(second
             .results()
             .iter()

@@ -1,28 +1,30 @@
-//! The unified fleet timeline: scheduler decisions (enqueue, steal,
-//! start, finish) stamped on the policy clock, merged with every swept
-//! shard's telemetry into one fleet-wide Chrome trace.
+//! The fleet timeline: scheduler decisions (enqueue, steal, start,
+//! finish) stamped on the policy clock, and the fleet-wide Chrome trace
+//! a [`FleetReport`] exports from it.
 //!
 //! Every fleet sweep records its scheduler timeline into its
-//! [`FleetReport`](crate::FleetReport) — a few events per shard, so
-//! there is no untraced variant — and
-//! [`FleetReport::trace`](crate::FleetReport::trace) derives the
-//! [`FleetTrace`] view from it.
+//! [`FleetReport`] — a few events per shard, so there is no untraced
+//! variant — and [`FleetReport::trace`] returns it as a [`FleetTrace`]
+//! with queue-wait and worker-occupancy metrics.
+//! [`FleetReport::chrome_trace`] merges that timeline with each result's
+//! own telemetry, read in place.
 //!
 //! Per-shard telemetries are frozen independently, so their
 //! [`SpanRecord::tid`](strider_support::obs::SpanRecord::tid) values
 //! collide across shards (every shard's first pipeline thread is tid 1).
 //! The merge assigns globally stable tids instead: tid 0 is the
 //! scheduler lane, tids `1..=workers` are the named worker lanes, and
-//! each shard's threads are remapped onto fresh tids above that, named
+//! each shard's threads get fresh tids above that, named
 //! `shard-NNN <original thread name>` so Perfetto shows which machine a
 //! pipeline thread belonged to.
 
+use crate::FleetReport;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use strider_support::alert::nearest_rank;
 use strider_support::json::JsonValue;
-use strider_support::obs::{Clock, TelemetryReport};
+use strider_support::obs::{chrome, Clock};
 use strider_support::store::Artifact;
 use strider_support::sync::Mutex;
 
@@ -89,23 +91,9 @@ impl TraceSink {
     }
 }
 
-/// One swept shard's telemetry snapshot inside a [`FleetTrace`].
-#[derive(Debug, Clone)]
-pub struct ShardTrace {
-    /// The shard index.
-    pub shard: u32,
-    /// That shard's machine name.
-    pub machine: String,
-    /// The shard sweep's frozen telemetry (its own tid space — the merge
-    /// remaps it).
-    pub telemetry: TelemetryReport,
-}
-
-/// The frozen fleet timeline of one scheduler run, as
-/// [`FleetReport::trace`](crate::FleetReport::trace) returns it:
-/// scheduler events, per-shard telemetry snapshots, and the wall-clock
-/// envelope, with derived queue-wait and occupancy metrics and a merged
-/// Chrome-trace export.
+/// The scheduler timeline of one fleet run, as [`FleetReport::trace`]
+/// returns it: worker count, wall-clock envelope and scheduler events,
+/// with derived queue-wait and occupancy metrics.
 #[derive(Debug, Clone, Default)]
 pub struct FleetTrace {
     /// Worker-pool size the sweep actually ran with (0 when every shard
@@ -117,8 +105,6 @@ pub struct FleetTrace {
     pub end_ns: u64,
     /// Every scheduler decision, in arrival order.
     pub events: Vec<SchedEvent>,
-    /// Each swept shard's telemetry, in shard order.
-    pub shards: Vec<ShardTrace>,
 }
 
 impl FleetTrace {
@@ -194,7 +180,9 @@ impl FleetTrace {
         let busy: u64 = (0..self.workers).map(|w| self.worker_busy_ns(w)).sum();
         (1.0 - busy as f64 / capacity).clamp(0.0, 1.0)
     }
+}
 
+impl FleetReport {
     /// The merged fleet-wide Chrome trace (JSON array format, timestamps
     /// in microseconds):
     ///
@@ -203,148 +191,79 @@ impl FleetTrace {
     ///   instant events for enqueues and steals;
     /// * tids `1..=workers`, `fleet-worker-N`: one `X` occupancy slice
     ///   per shard sweep;
-    /// * every shard telemetry's own events, with tids remapped onto
-    ///   fresh globally unique ids and thread names prefixed
-    ///   `shard-NNN` — per-shard tids collide across independently
-    ///   frozen telemetries, so the local ids never appear here.
+    /// * every result's telemetry, in shard order, on fresh globally
+    ///   unique tids (assigned in first-seen order) with lane names
+    ///   prefixed `shard-NNN` — per-shard tids collide across
+    ///   independently frozen telemetries, so the local ids never appear
+    ///   here. Restored shards ran no scan and add no lanes; a
+    ///   quarantined shard keeps its last attempt's.
     pub fn chrome_trace(&self) -> JsonValue {
-        let mut out = Vec::new();
-        let meta = |tid: u64, name: &str| {
-            JsonValue::Obj(vec![
-                ("name".into(), JsonValue::Str("thread_name".into())),
-                ("ph".into(), JsonValue::Str("M".into())),
-                ("pid".into(), JsonValue::UInt(1)),
-                ("tid".into(), JsonValue::UInt(tid)),
-                (
-                    "args".into(),
-                    JsonValue::Obj(vec![("name".into(), JsonValue::Str(name.into()))]),
-                ),
-            ])
-        };
-        out.push(meta(0, "fleet-scheduler"));
-        for w in 0..self.workers {
-            out.push(meta(w as u64 + 1, &format!("fleet-worker-{w}")));
+        let timeline = self.trace();
+        let mut out = vec![chrome::thread_name(0, "fleet-scheduler")];
+        for w in 0..timeline.workers {
+            out.push(chrome::thread_name(
+                w as u64 + 1,
+                &format!("fleet-worker-{w}"),
+            ));
         }
 
-        // Scheduler lane: queue-wait slices plus enqueue/steal instants.
+        // Scheduler lane: queue-wait slices plus enqueue/steal instants;
+        // worker lanes: one occupancy slice per shard sweep.
+        let uint = |n: usize| JsonValue::UInt(n as u64);
         let mut enqueued: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut started: BTreeMap<u32, (usize, u64)> = BTreeMap::new();
-        for event in &self.events {
-            let ts = event.at_ns as f64 / 1e3;
-            let slice =
-                |name: String, tid: u64, ts: f64, dur: f64, args: Vec<(String, JsonValue)>| {
-                    JsonValue::Obj(vec![
-                        ("name".into(), JsonValue::Str(name)),
-                        ("cat".into(), JsonValue::Str("fleet".into())),
-                        ("ph".into(), JsonValue::Str("X".into())),
-                        ("ts".into(), JsonValue::Float(ts)),
-                        ("dur".into(), JsonValue::Float(dur)),
-                        ("pid".into(), JsonValue::UInt(1)),
-                        ("tid".into(), JsonValue::UInt(tid)),
-                        ("args".into(), JsonValue::Obj(args)),
-                    ])
-                };
-            let instant = |name: String, args: Vec<(String, JsonValue)>| {
-                JsonValue::Obj(vec![
-                    ("name".into(), JsonValue::Str(name)),
-                    ("cat".into(), JsonValue::Str("fleet".into())),
-                    ("ph".into(), JsonValue::Str("i".into())),
-                    ("ts".into(), JsonValue::Float(ts)),
-                    ("pid".into(), JsonValue::UInt(1)),
-                    ("tid".into(), JsonValue::UInt(0)),
-                    ("s".into(), JsonValue::Str("t".into())),
-                    ("args".into(), JsonValue::Obj(args)),
-                ])
-            };
+        let mut started: BTreeMap<u32, u64> = BTreeMap::new();
+        for event in &timeline.events {
+            let (shard, at_ns) = (event.shard, event.at_ns);
             match event.kind {
                 SchedEventKind::Enqueue { worker } => {
-                    enqueued.entry(event.shard).or_insert(event.at_ns);
-                    out.push(instant(
-                        format!("enqueue shard-{:03}", event.shard),
-                        vec![("worker".into(), JsonValue::UInt(worker as u64))],
-                    ));
+                    enqueued.entry(shard).or_insert(at_ns);
+                    let args = vec![("worker".into(), uint(worker))];
+                    let name = format!("enqueue shard-{shard:03}");
+                    out.push(chrome::instant(&name, "fleet", at_ns, 0, args));
                 }
                 SchedEventKind::Steal { from, by } => {
-                    out.push(instant(
-                        format!("steal shard-{:03}", event.shard),
-                        vec![
-                            ("from".into(), JsonValue::UInt(from as u64)),
-                            ("by".into(), JsonValue::UInt(by as u64)),
-                        ],
-                    ));
+                    let args = vec![("from".into(), uint(from)), ("by".into(), uint(by))];
+                    let name = format!("steal shard-{shard:03}");
+                    out.push(chrome::instant(&name, "fleet", at_ns, 0, args));
                 }
                 SchedEventKind::Start { worker } => {
-                    started.insert(event.shard, (worker, event.at_ns));
-                    if let Some(&t0) = enqueued.get(&event.shard) {
-                        out.push(slice(
-                            format!("queue shard-{:03}", event.shard),
-                            0,
-                            t0 as f64 / 1e3,
-                            event.at_ns.saturating_sub(t0) as f64 / 1e3,
-                            vec![("worker".into(), JsonValue::UInt(worker as u64))],
-                        ));
+                    started.insert(shard, at_ns);
+                    if let Some(&t0) = enqueued.get(&shard) {
+                        let args = vec![("worker".into(), uint(worker))];
+                        let name = format!("queue shard-{shard:03}");
+                        let wait = at_ns.saturating_sub(t0);
+                        out.push(chrome::complete(&name, "fleet", t0, wait, 0, args));
                     }
                 }
                 SchedEventKind::Finish { worker } => {
-                    if let Some((_, t0)) = started.remove(&event.shard) {
-                        out.push(slice(
-                            format!("shard-{:03}", event.shard),
-                            worker as u64 + 1,
-                            t0 as f64 / 1e3,
-                            event.at_ns.saturating_sub(t0) as f64 / 1e3,
-                            vec![("shard".into(), JsonValue::UInt(event.shard as u64))],
-                        ));
+                    if let Some(t0) = started.remove(&shard) {
+                        let args = vec![("shard".into(), JsonValue::UInt(shard.into()))];
+                        let name = format!("shard-{shard:03}");
+                        let lane = worker as u64 + 1;
+                        let busy = at_ns.saturating_sub(t0);
+                        out.push(chrome::complete(&name, "fleet", t0, busy, lane, args));
                     }
                 }
             }
         }
 
-        // Shard telemetry lanes: reuse each telemetry's own Chrome
-        // export, remapping its local tids onto fresh global ones.
-        let mut next_tid = self.workers as u64 + 1;
-        for shard in &self.shards {
-            let mut remap: BTreeMap<u64, u64> = BTreeMap::new();
-            let JsonValue::Arr(events) = shard.telemetry.chrome_trace() else {
+        // Shard telemetry lanes, each local tid mapped onto a fresh
+        // global one the first time it appears.
+        let mut next_tid = timeline.workers as u64 + 1;
+        for result in self.results() {
+            let Some(telemetry) = &result.report.telemetry else {
                 continue;
             };
-            for event in events {
-                let JsonValue::Obj(mut fields) = event else {
-                    continue;
-                };
-                for (key, value) in fields.iter_mut() {
-                    if key == "tid" {
-                        if let JsonValue::UInt(local) = value {
-                            let global = *remap.entry(*local).or_insert_with(|| {
-                                let tid = next_tid;
-                                next_tid += 1;
-                                tid
-                            });
-                            *value = JsonValue::UInt(global);
-                        }
-                    }
-                }
-                // Prefix thread_name metadata so the lane names which
-                // machine the pipeline thread belonged to.
-                let is_meta = fields
-                    .iter()
-                    .any(|(k, v)| k == "ph" && matches!(v, JsonValue::Str(s) if s == "M"));
-                if is_meta {
-                    for (key, value) in fields.iter_mut() {
-                        if key == "args" {
-                            if let JsonValue::Obj(args) = value {
-                                for (ak, av) in args.iter_mut() {
-                                    if ak == "name" {
-                                        if let JsonValue::Str(name) = av {
-                                            *name = format!("shard-{:03} {name}", shard.shard);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                out.push(JsonValue::Obj(fields));
-            }
+            let mut lanes: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut tid = |local: u64| {
+                *lanes.entry(local).or_insert_with(|| {
+                    let tid = next_tid;
+                    next_tid += 1;
+                    tid
+                })
+            };
+            let prefix = format!("shard-{:03} ", result.shard.0);
+            telemetry.append_chrome_events(&mut out, &mut tid, &prefix);
         }
         JsonValue::Arr(out)
     }
@@ -365,7 +284,6 @@ impl FleetTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strider_support::obs::{FakeClock, Telemetry};
 
     fn trace_with_events(workers: usize, events: Vec<SchedEvent>) -> FleetTrace {
         let end_ns = events.iter().map(|e| e.at_ns).max().unwrap_or(0);
@@ -374,7 +292,6 @@ mod tests {
             start_ns: 0,
             end_ns,
             events,
-            shards: Vec::new(),
         }
     }
 
@@ -411,111 +328,5 @@ mod tests {
         assert_eq!(trace.queue_wait_p95_ns(), 0);
         assert_eq!(trace.steals(), 0);
         assert_eq!(trace.worker_idle_fraction(), 0.0);
-    }
-
-    #[test]
-    fn merged_trace_remaps_shard_tids_above_worker_lanes() {
-        // Two shards frozen independently: both telemetries use tid 1
-        // for their (only) span thread — the collision the merge fixes.
-        let shard_report = || {
-            let clock = Arc::new(FakeClock::new());
-            let telemetry = Telemetry::with_clock(clock.clone());
-            {
-                let _span = telemetry.span("scan");
-                clock.advance(100);
-            }
-            telemetry.report()
-        };
-        let a = shard_report();
-        let b = shard_report();
-        assert_eq!(a.spans[0].tid, b.spans[0].tid, "local tids collide");
-
-        let trace = FleetTrace {
-            workers: 2,
-            start_ns: 0,
-            end_ns: 1_000,
-            events: vec![
-                ev(0, 0, SchedEventKind::Enqueue { worker: 0 }),
-                ev(1, 0, SchedEventKind::Enqueue { worker: 1 }),
-                ev(1, 5, SchedEventKind::Steal { from: 1, by: 0 }),
-                ev(0, 10, SchedEventKind::Start { worker: 0 }),
-                ev(0, 500, SchedEventKind::Finish { worker: 0 }),
-            ],
-            shards: vec![
-                ShardTrace {
-                    shard: 0,
-                    machine: "m0".into(),
-                    telemetry: a,
-                },
-                ShardTrace {
-                    shard: 1,
-                    machine: "m1".into(),
-                    telemetry: b,
-                },
-            ],
-        };
-        assert_eq!(trace.steals(), 1);
-        let JsonValue::Arr(events) = trace.chrome_trace() else {
-            panic!("chrome trace must be an array");
-        };
-        let field = |e: &JsonValue, key: &str| -> Option<JsonValue> {
-            let JsonValue::Obj(fields) = e else {
-                return None;
-            };
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-        };
-        // Span slices (cat "scan") never land on the reserved scheduler
-        // or worker lanes, and no two shards share a tid.
-        let span_tids: Vec<u64> = events
-            .iter()
-            .filter(|e| {
-                matches!(field(e, "cat"), Some(JsonValue::Str(c)) if c == "scan")
-                    && matches!(field(e, "ph"), Some(JsonValue::Str(p)) if p == "X")
-            })
-            .map(|e| match field(e, "tid") {
-                Some(JsonValue::UInt(t)) => t,
-                other => panic!("bad tid {other:?}"),
-            })
-            .collect();
-        assert_eq!(span_tids.len(), 2);
-        assert!(span_tids.iter().all(|&t| t > 2), "{span_tids:?}");
-        assert_ne!(span_tids[0], span_tids[1]);
-        // Thread metadata names the lanes, shard-prefixed.
-        let names: Vec<String> = events
-            .iter()
-            .filter(|e| matches!(field(e, "ph"), Some(JsonValue::Str(p)) if p == "M"))
-            .filter_map(|e| {
-                let JsonValue::Obj(args) = field(e, "args")? else {
-                    return None;
-                };
-                args.into_iter()
-                    .find(|(k, _)| k == "name")
-                    .and_then(|(_, v)| match v {
-                        JsonValue::Str(s) => Some(s),
-                        _ => None,
-                    })
-            })
-            .collect();
-        assert!(names.iter().any(|n| n == "fleet-scheduler"), "{names:?}");
-        assert!(names.iter().any(|n| n == "fleet-worker-0"), "{names:?}");
-        assert!(names.iter().any(|n| n == "fleet-worker-1"), "{names:?}");
-        assert!(
-            names.iter().any(|n| n.starts_with("shard-000 ")),
-            "{names:?}"
-        );
-        assert!(
-            names.iter().any(|n| n.starts_with("shard-001 ")),
-            "{names:?}"
-        );
-        // Scheduler lane carries the queue slice and the steal instant.
-        assert!(events.iter().any(|e| {
-            matches!(field(e, "name"), Some(JsonValue::Str(n)) if n == "queue shard-000")
-        }));
-        assert!(events.iter().any(|e| {
-            matches!(field(e, "name"), Some(JsonValue::Str(n)) if n == "steal shard-001")
-        }));
     }
 }

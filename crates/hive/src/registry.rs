@@ -200,11 +200,6 @@ impl Registry {
         &self.hives
     }
 
-    /// Mutable access to the mounted hives.
-    pub fn hives_mut(&mut self) -> &mut [Hive] {
-        &mut self.hives
-    }
-
     /// Finds the hive whose mount point is a prefix of `path` (longest wins),
     /// together with the path components relative to the hive root.
     pub fn resolve(&self, path: &NtPath) -> Option<(&Hive, Vec<NtString>)> {

@@ -247,11 +247,6 @@ impl Kernel {
         self.processes.get(&pid.0)
     }
 
-    /// Mutable access to a process object.
-    pub fn process_mut(&mut self, pid: Pid) -> Option<&mut Eprocess> {
-        self.processes.get_mut(&pid.0)
-    }
-
     /// Iterates over every live process object (the object table itself,
     /// not the APL — this is the omniscient simulator view, used by tests).
     pub fn processes(&self) -> impl Iterator<Item = &Eprocess> {

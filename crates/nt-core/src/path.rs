@@ -87,21 +87,9 @@ impl NtPath {
         p
     }
 
-    /// Returns a new path with all of `other`'s components appended.
-    pub fn join_path(&self, other: &NtPath) -> NtPath {
-        let mut p = self.clone();
-        p.components.extend(other.components.iter().cloned());
-        p
-    }
-
     /// Number of components below the root.
     pub fn depth(&self) -> usize {
         self.components.len()
-    }
-
-    /// Whether this is just a root with no components.
-    pub fn is_root(&self) -> bool {
-        self.components.is_empty()
     }
 
     /// Case-insensitive prefix test (root must match case-insensitively too).

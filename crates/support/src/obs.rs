@@ -41,7 +41,10 @@
 //! * a **Chrome-trace exporter**: [`TelemetryReport::chrome_trace`] emits
 //!   the span forest in the `trace_event` JSON array format (stable
 //!   tid/pid per pipeline thread) that opens directly in Perfetto or
-//!   `chrome://tracing`.
+//!   `chrome://tracing`. The [`chrome`] module is the one place that
+//!   builds trace event objects, and
+//!   [`TelemetryReport::append_chrome_events`] writes a report onto lanes
+//!   a merged trace (a fleet's) assigns it.
 
 use crate::json::{JsonValue, ToJson};
 use crate::sync::Mutex;
@@ -1328,89 +1331,71 @@ impl TelemetryReport {
     /// always 1 (one process), `tid` is the registry-stable
     /// [`SpanRecord::tid`].
     pub fn chrome_trace(&self) -> JsonValue {
-        fn attr_json(value: &AttrValue) -> JsonValue {
-            match value {
+        let mut out = Vec::new();
+        self.append_chrome_events(&mut out, &mut |tid| tid, "");
+        JsonValue::Arr(out)
+    }
+
+    /// Appends [`chrome_trace`](Self::chrome_trace)'s events to `out`,
+    /// each written on lane `tid(local tid)` and every lane name prefixed
+    /// with `prefix`. This is how a merged trace places independently
+    /// frozen reports, whose local tids collide, on lanes of its own:
+    /// `tid` is called in event order, so a mapping that hands out a fresh
+    /// id on first sight numbers the lanes in the order they appear.
+    pub fn append_chrome_events(
+        &self,
+        out: &mut Vec<JsonValue>,
+        tid: &mut dyn FnMut(u64) -> u64,
+        prefix: &str,
+    ) {
+        fn args(attrs: &[(String, AttrValue)]) -> Vec<(String, JsonValue)> {
+            let json = |value: &AttrValue| match value {
                 AttrValue::Str(s) => JsonValue::Str(s.clone()),
                 AttrValue::UInt(n) => JsonValue::UInt(*n),
                 AttrValue::Int(n) => JsonValue::Int(*n),
                 AttrValue::Float(x) => JsonValue::Float(*x),
                 AttrValue::Bool(b) => JsonValue::Bool(*b),
-            }
+            };
+            attrs.iter().map(|(k, v)| (k.clone(), json(v))).collect()
         }
-        fn walk(span: &SpanRecord, out: &mut Vec<JsonValue>) {
-            let args: Vec<(String, JsonValue)> = span
-                .attrs
-                .iter()
-                .map(|(k, v)| (k.clone(), attr_json(v)))
-                .collect();
-            out.push(JsonValue::Obj(vec![
-                ("name".into(), JsonValue::Str(span.name.clone())),
-                ("cat".into(), JsonValue::Str("scan".into())),
-                ("ph".into(), JsonValue::Str("X".into())),
-                ("ts".into(), JsonValue::Float(span.start_ns as f64 / 1e3)),
-                (
-                    "dur".into(),
-                    JsonValue::Float(span.duration_ns() as f64 / 1e3),
-                ),
-                ("pid".into(), JsonValue::UInt(1)),
-                ("tid".into(), JsonValue::UInt(span.tid)),
-                ("args".into(), JsonValue::Obj(args)),
-            ]));
+        fn walk(span: &SpanRecord, tid: &mut dyn FnMut(u64) -> u64, out: &mut Vec<JsonValue>) {
+            let lane = tid(span.tid);
+            let (start, dur) = (span.start_ns, span.duration_ns());
+            out.push(chrome::complete(
+                &span.name,
+                "scan",
+                start,
+                dur,
+                lane,
+                args(&span.attrs),
+            ));
             if span.allocs > 0 || span.alloc_bytes > 0 {
-                out.push(JsonValue::Obj(vec![
-                    ("name".into(), JsonValue::Str("mem".into())),
-                    ("cat".into(), JsonValue::Str("scan".into())),
-                    ("ph".into(), JsonValue::Str("C".into())),
-                    ("ts".into(), JsonValue::Float(span.end_ns as f64 / 1e3)),
-                    ("pid".into(), JsonValue::UInt(1)),
-                    ("tid".into(), JsonValue::UInt(span.tid)),
-                    (
-                        "args".into(),
-                        JsonValue::Obj(vec![
-                            ("allocs".into(), JsonValue::UInt(span.allocs)),
-                            ("alloc_bytes".into(), JsonValue::UInt(span.alloc_bytes)),
-                        ]),
-                    ),
-                ]));
+                let series = vec![
+                    ("allocs".into(), JsonValue::UInt(span.allocs)),
+                    ("alloc_bytes".into(), JsonValue::UInt(span.alloc_bytes)),
+                ];
+                out.push(chrome::counter("mem", "scan", span.end_ns, lane, series));
             }
             for event in &span.events {
-                let args: Vec<(String, JsonValue)> = event
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), attr_json(v)))
-                    .collect();
-                out.push(JsonValue::Obj(vec![
-                    ("name".into(), JsonValue::Str(event.name.clone())),
-                    ("cat".into(), JsonValue::Str("scan".into())),
-                    ("ph".into(), JsonValue::Str("i".into())),
-                    ("ts".into(), JsonValue::Float(event.at_ns as f64 / 1e3)),
-                    ("pid".into(), JsonValue::UInt(1)),
-                    ("tid".into(), JsonValue::UInt(span.tid)),
-                    ("s".into(), JsonValue::Str("t".into())),
-                    ("args".into(), JsonValue::Obj(args)),
-                ]));
+                let attrs = args(&event.attrs);
+                out.push(chrome::instant(
+                    &event.name,
+                    "scan",
+                    event.at_ns,
+                    lane,
+                    attrs,
+                ));
             }
             for child in &span.children {
-                walk(child, out);
+                walk(child, tid, out);
             }
         }
-        let mut out = Vec::new();
-        for (tid, name) in &self.threads {
-            out.push(JsonValue::Obj(vec![
-                ("name".into(), JsonValue::Str("thread_name".into())),
-                ("ph".into(), JsonValue::Str("M".into())),
-                ("pid".into(), JsonValue::UInt(1)),
-                ("tid".into(), JsonValue::UInt(*tid)),
-                (
-                    "args".into(),
-                    JsonValue::Obj(vec![("name".into(), JsonValue::Str(name.clone()))]),
-                ),
-            ]));
+        for (local, name) in &self.threads {
+            out.push(chrome::thread_name(tid(*local), &format!("{prefix}{name}")));
         }
         for span in &self.spans {
-            walk(span, &mut out);
+            walk(span, tid, out);
         }
-        JsonValue::Arr(out)
     }
 
     /// Writes [`chrome_trace`](Self::chrome_trace) as
@@ -1427,6 +1412,86 @@ impl TelemetryReport {
     ) -> std::io::Result<PathBuf> {
         let json = self.chrome_trace().render_pretty(2);
         crate::store::Artifact::ScanTrace.write(dir, label, json.as_bytes())
+    }
+}
+
+/// The Chrome `trace_event` objects every trace export writes — the one
+/// place the format lives. Timestamps are taken in nanoseconds and
+/// written in microseconds, as the format requires; `pid` is always 1.
+pub mod chrome {
+    use crate::json::JsonValue;
+
+    type Fields = Vec<(String, JsonValue)>;
+
+    fn text(s: &str) -> JsonValue {
+        JsonValue::Str(s.into())
+    }
+
+    fn micros(ns: u64) -> JsonValue {
+        JsonValue::Float(ns as f64 / 1e3)
+    }
+
+    /// `thread_name` metadata (`"ph":"M"`): labels lane `tid` in the
+    /// viewer.
+    pub fn thread_name(tid: u64, name: &str) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("name".into(), text("thread_name")),
+            ("ph".into(), text("M")),
+            ("pid".into(), JsonValue::UInt(1)),
+            ("tid".into(), JsonValue::UInt(tid)),
+            (
+                "args".into(),
+                JsonValue::Obj(vec![("name".into(), text(name))]),
+            ),
+        ])
+    }
+
+    /// A complete slice (`"ph":"X"`) from `ts_ns` lasting `dur_ns`.
+    pub fn complete(
+        name: &str,
+        cat: &str,
+        ts_ns: u64,
+        dur_ns: u64,
+        tid: u64,
+        args: Fields,
+    ) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("name".into(), text(name)),
+            ("cat".into(), text(cat)),
+            ("ph".into(), text("X")),
+            ("ts".into(), micros(ts_ns)),
+            ("dur".into(), micros(dur_ns)),
+            ("pid".into(), JsonValue::UInt(1)),
+            ("tid".into(), JsonValue::UInt(tid)),
+            ("args".into(), JsonValue::Obj(args)),
+        ])
+    }
+
+    /// A thread-scoped instant (`"ph":"i"`).
+    pub fn instant(name: &str, cat: &str, ts_ns: u64, tid: u64, args: Fields) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("name".into(), text(name)),
+            ("cat".into(), text(cat)),
+            ("ph".into(), text("i")),
+            ("ts".into(), micros(ts_ns)),
+            ("pid".into(), JsonValue::UInt(1)),
+            ("tid".into(), JsonValue::UInt(tid)),
+            ("s".into(), text("t")),
+            ("args".into(), JsonValue::Obj(args)),
+        ])
+    }
+
+    /// A counter sample (`"ph":"C"`): each `args` entry is one series.
+    pub fn counter(name: &str, cat: &str, ts_ns: u64, tid: u64, args: Fields) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("name".into(), text(name)),
+            ("cat".into(), text(cat)),
+            ("ph".into(), text("C")),
+            ("ts".into(), micros(ts_ns)),
+            ("pid".into(), JsonValue::UInt(1)),
+            ("tid".into(), JsonValue::UInt(tid)),
+            ("args".into(), JsonValue::Obj(args)),
+        ])
     }
 }
 

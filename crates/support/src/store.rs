@@ -408,7 +408,9 @@ pub enum Artifact {
     Perf,
     /// `TELEMETRY_EXPO_<label>.prom`: a Prometheus-text exposition.
     Exposition,
-    /// `FLEET_TRACE_<label>.json`: a merged fleet Chrome trace.
+    /// `FLEET_TRACE_<label>.json`: a fleet run's merged Chrome trace —
+    /// its scheduler timeline plus every shard's telemetry, written by
+    /// `FleetReport::write_chrome_trace_in` in `strider-fleet`.
     FleetTrace,
 }
 

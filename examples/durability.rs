@@ -85,7 +85,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let store = RecordStore::open(&path)?; // reopen repairs any torn tail
     let resumed = scheduler().sweep_durable(&mut fleet()?, &store, DurabilityMode::WalAppend)?;
-    let restored = resumed.results().iter().filter(|r| r.restored).count();
+    let restored = resumed
+        .results()
+        .iter()
+        .filter(|r| r.disposition == ShardDisposition::Restored)
+        .count();
     assert!(restored > 0, "the journal must have saved some shards");
     assert_eq!(resumed.result_digest(), reference_digest);
     println!(

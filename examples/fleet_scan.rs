@@ -116,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resumed
             .results()
             .iter()
-            .filter(|r| !r.restored)
+            .filter(|r| r.disposition != ShardDisposition::Restored)
             .map(|r| r.shard)
             .collect::<Vec<_>>(),
         vec![ShardId(7)],

@@ -1,9 +1,10 @@
 //! The performance attribution plane end to end: per-span allocation
 //! accounting, the critical-path `PerfReport` decomposing a hardened
 //! sweep's quorum tax into work / wait / allocator churn, and a
-//! 64-machine fleet sweep merged — scheduler lanes, named worker lanes,
-//! and every shard's spans on globally unique tids — into one Chrome
-//! trace, with the queue-wait series feeding the worker-starvation rule.
+//! 64-machine fleet sweep whose `FleetReport` exports one merged Chrome
+//! trace — scheduler lanes, named worker lanes, and every shard's spans
+//! on globally unique tids — while its timeline's queue-wait series
+//! feeds the worker-starvation rule.
 //!
 //! Self-validating and headless: it asserts the decomposition, re-parses
 //! every exported artifact, and checks the merged trace's lane naming,
@@ -143,7 +144,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One merged Chrome trace: scheduler lane + named worker lanes +
     // every shard's spans on globally unique tids.
-    let JsonValue::Arr(events) = trace.chrome_trace() else {
+    let JsonValue::Arr(events) = report.chrome_trace() else {
         panic!("chrome trace must be a JSON array");
     };
     let field = |e: &JsonValue, key: &str| e.field(key).ok().cloned();
@@ -188,7 +189,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(scan_tids.len() >= 64, "{} shard lanes", scan_tids.len());
     assert!(scan_tids.iter().all(|&t| t > 4), "above reserved lanes");
 
-    let trace_path = trace.write_chrome_trace_in(&report_dir(), "fleet64")?;
+    let trace_path = report.write_chrome_trace_in(&report_dir(), "fleet64")?;
     JsonValue::parse(&std::fs::read_to_string(&trace_path)?)?;
     println!("merged fleet trace written to {}", trace_path.display());
 
@@ -201,7 +202,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut monitor = FleetMonitor::new(scheduler.detector().clone())
         .with_alert_policy(FleetAlertPolicy::default().with_queue_wait_p95_max_ns(1));
-    let transitions = monitor.ingest_trace(&trace);
+    let transitions = monitor.ingest_trace(trace);
     assert!(monitor.core.engine().is_firing("fleet.worker_starvation"));
     assert!(transitions
         .iter()

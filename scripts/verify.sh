@@ -15,6 +15,10 @@ else
     echo "==> cargo fmt not installed; skipping format check"
 fi
 
+# Information, not a gate: the line counts the ROADMAP size targets use.
+echo "==> line counts (scripts/loc)"
+scripts/loc
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --offline -- -D warnings"
     cargo clippy --workspace --all-targets --offline -- -D warnings

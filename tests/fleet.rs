@@ -190,7 +190,7 @@ fn stalled_shard_lands_degraded_without_sinking_the_fleet_report() {
     assert_eq!(resumed.swept, 8);
     for result in resumed.results() {
         assert_eq!(
-            result.restored,
+            result.disposition == ShardDisposition::Restored,
             result.shard != ShardId(5),
             "{}",
             result.shard
@@ -264,7 +264,7 @@ fn killed_fleet_sweep_resumes_only_the_unfinished_shards() {
     assert!(resumed.unswept.is_empty());
     for result in resumed.results() {
         assert_eq!(
-            result.restored,
+            result.disposition == ShardDisposition::Restored,
             done.contains(&result.shard),
             "{} should {}have been restored",
             result.shard,
@@ -274,7 +274,7 @@ fn killed_fleet_sweep_resumes_only_the_unfinished_shards() {
                 "not "
             }
         );
-        if result.restored {
+        if result.disposition == ShardDisposition::Restored {
             assert!(result.report.telemetry.is_none());
         }
     }
@@ -590,7 +590,10 @@ fn durable_sweep_killed_mid_journal_resumes_to_an_identical_digest() {
         .sweep_durable(&mut build(), &store, DurabilityMode::WalAppend)
         .unwrap();
     assert!(
-        resumed.results().iter().any(|r| r.restored),
+        resumed
+            .results()
+            .iter()
+            .any(|r| r.disposition == ShardDisposition::Restored),
         "the journal must have saved some shards"
     );
     assert_eq!(resumed.result_digest(), reference);

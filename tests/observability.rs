@@ -532,14 +532,7 @@ fn artifact_file_names_are_pinned_for_every_kind() {
             Exposition::new().write_in(dir, label)
         }),
         ("FLEET_TRACE_", |dir, label| {
-            let trace = FleetTrace {
-                workers: 0,
-                start_ns: 0,
-                end_ns: 0,
-                events: Vec::new(),
-                shards: Vec::new(),
-            };
-            trace.write_chrome_trace_in(dir, label)
+            FleetReport::default().write_chrome_trace_in(dir, label)
         }),
     ];
     let dir = std::env::temp_dir().join(format!("strider-artifacts-{}", std::process::id()));
