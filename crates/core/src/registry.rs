@@ -13,7 +13,7 @@ use std::rc::Rc;
 use strider_hive::prelude::{AsepHook, AsepLocation, KeyView, ViewedValue};
 use strider_hive::{asep, RawHive};
 use strider_nt_core::{IoStats, NtPath, NtStatus, NtString};
-use strider_support::obs::Telemetry;
+use strider_support::obs::{SpanGuard, Telemetry};
 use strider_support::task::Supervision;
 use strider_winapi::{CallContext, ChainEntry, ChainStats, DiskImage, Machine, Query, Row};
 
@@ -266,13 +266,43 @@ impl RegistryScanner {
         snap
     }
 
-    /// Parses hive bytes per the policy, accumulating salvage defects.
-    fn parse_hive(&self, bytes: &[u8], defects: &mut u64) -> Result<RawHive, NtStatus> {
-        let (raw, found) =
-            self.policy
-                .parse_image(bytes, RawHive::parse, RawHive::parse_salvage)?;
-        *defects += found;
-        Ok(raw)
+    /// The per-hive loop behind every hive-parsing scan: counts one
+    /// sequential read per `(mount, bytes)` in `io`, parses the bytes per
+    /// the policy, and records the salvage defects on `span`.
+    fn parse_hives<B: AsRef<[u8]>>(
+        &self,
+        span: &SpanGuard,
+        io: &mut IoStats,
+        hives: impl Iterator<Item = Result<(NtPath, B), NtStatus>>,
+    ) -> Result<Vec<(NtPath, RawHive)>, NtStatus> {
+        let mut parsed = Vec::new();
+        let mut defects = 0;
+        for hive in hives {
+            let (mount, bytes) = hive?;
+            io.record_sequential(bytes.as_ref().len() as u64);
+            let (raw, found) =
+                self.policy
+                    .parse_image(bytes.as_ref(), RawHive::parse, RawHive::parse_salvage)?;
+            defects += found;
+            parsed.push((mount, raw));
+        }
+        record_defects(&self.telemetry, span, "registry", io, defects);
+        Ok(parsed)
+    }
+
+    /// Copies each mounted hive from inside the box, checking the
+    /// supervision first and retrying transient failures per the policy.
+    fn copied_hives<'a>(
+        &'a self,
+        machine: &'a Machine,
+    ) -> impl Iterator<Item = Result<(NtPath, Vec<u8>), NtStatus>> + 'a {
+        machine.registry().hives().iter().map(move |hive| {
+            self.supervision.checkpoint().map_err(interrupt_status)?;
+            let mount = hive.mount().clone();
+            let copy = || machine.try_copy_hive_bytes(&mount);
+            let bytes = self.policy.supervised_retry(&self.supervision, copy)?;
+            Ok((mount, bytes))
+        })
     }
 
     /// The low-level inside-the-box scan: copy each hive's bytes (a step
@@ -285,20 +315,8 @@ impl RegistryScanner {
     /// retried per the [`ScanPolicy`]) or does not parse with salvage off.
     pub fn low_scan(&self, machine: &Machine) -> Result<Snapshot<HookFact>, NtStatus> {
         let span = self.telemetry.span("registry.low_scan");
-        let mut parsed = Vec::new();
         let mut io = IoStats::default();
-        let mut defects = 0;
-        for hive in machine.registry().hives() {
-            self.supervision.checkpoint().map_err(interrupt_status)?;
-            let mount = hive.mount().clone();
-            let bytes = self
-                .policy
-                .supervised_retry(&self.supervision, || machine.try_copy_hive_bytes(&mount))?;
-            io.record_sequential(bytes.len() as u64);
-            let raw = self.parse_hive(&bytes, &mut defects)?;
-            parsed.push((mount, raw));
-        }
-        record_defects(&self.telemetry, &span, "registry", &mut io, defects);
+        let parsed = self.parse_hives(&span, &mut io, self.copied_hives(machine))?;
         let hooks = asep::extract_raw(&parsed, &self.catalog);
         let mut snap = Snapshot::new(ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now()));
         snap.meta.io = io;
@@ -322,15 +340,9 @@ impl RegistryScanner {
         mode: OutsideRegistryMode,
     ) -> Result<Snapshot<HookFact>, NtStatus> {
         let span = self.telemetry.span("registry.outside_scan");
-        let mut parsed = Vec::new();
         let mut io = IoStats::default();
-        let mut defects = 0;
-        for (mount, bytes) in &image.hives {
-            io.record_sequential(bytes.len() as u64);
-            let raw = self.parse_hive(bytes, &mut defects)?;
-            parsed.push((mount.clone(), raw));
-        }
-        record_defects(&self.telemetry, &span, "registry", &mut io, defects);
+        let hives = image.hives.iter().map(|(m, bytes)| Ok((m.clone(), bytes)));
+        let parsed = self.parse_hives(&span, &mut io, hives)?;
         let hooks = match mode {
             OutsideRegistryMode::RawParse => asep::extract_raw(&parsed, &self.catalog),
             OutsideRegistryMode::MountedWin32 => asep::extract_hooks_with(
@@ -461,20 +473,15 @@ impl RegistryScanner {
         let span = self.telemetry.span("registry.full_low_scan");
         let mut meta = ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now());
         let mut facts = Vec::new();
-        let mut defects = 0;
-        for hive in machine.registry().hives() {
-            self.supervision.checkpoint().map_err(interrupt_status)?;
-            let mount = hive.mount().clone();
-            let bytes = self
-                .policy
-                .supervised_retry(&self.supervision, || machine.try_copy_hive_bytes(&mount))?;
-            meta.io.record_sequential(bytes.len() as u64);
-            let raw = self.parse_hive(&bytes, &mut defects)?;
-            let root = asep::RawKeyView(raw.root());
+        for (mount, raw) in self.parse_hives(&span, &mut meta.io, self.copied_hives(machine))? {
             let path_key = mount.to_string().to_ascii_lowercase();
-            walk_key_view(&root, &path_key, &mut meta.io, &mut facts);
+            walk_key_view(
+                &asep::RawKeyView(raw.root()),
+                &path_key,
+                &mut meta.io,
+                &mut facts,
+            );
         }
-        record_defects(&self.telemetry, &span, "registry", &mut meta.io, defects);
         let snap = Snapshot::from_facts(meta, facts);
         record_view_entries(&self.telemetry, &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);

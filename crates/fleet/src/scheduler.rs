@@ -238,13 +238,14 @@ impl FleetScheduler {
     ) -> Result<FleetReport, DurableSweepError> {
         let (mut checkpoint, fenced) = match FleetCheckpoint::resume(fleet, store)? {
             Some(state) => (state.checkpoint, state.quarantined),
-            None => (FleetCheckpoint::new(fleet), BTreeMap::new()),
+            None => {
+                // A store with no usable base needs one before any shard
+                // record can land, or a rerun could never replay them.
+                let fresh = FleetCheckpoint::new(fleet);
+                store.append(fleet_record(&fresh, &BTreeMap::new()).as_bytes())?;
+                (fresh, BTreeMap::new())
+            }
         };
-        // A fresh WAL needs its base record before any shard record can
-        // land; a resumed store already has one.
-        if store.recover()?.records.is_empty() {
-            store.append(fleet_record(&checkpoint, &fenced).as_bytes())?;
-        }
         let mut io_failure: Option<std::io::Error> = None;
         let mut persist = |shard: u32,
                            snapshot: Option<&SweepCheckpoint>,
@@ -682,6 +683,30 @@ mod tests {
                 result.shard
             );
         }
+    }
+
+    #[test]
+    fn durable_sweep_lays_a_base_under_a_store_that_has_none() {
+        let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(3, 7)).unwrap();
+        let dir = std::env::temp_dir().join(format!("strider-stray-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = RecordStore::open(dir.join("fleet.wal")).unwrap();
+        // A valid shard record with no base ahead of it: replay finds no
+        // base, so the store is a cold start.
+        let stray = FleetCheckpoint::new(&fleet);
+        store
+            .append(shard_record(0, &stray.shards[0]).as_bytes())
+            .unwrap();
+        assert!(FleetCheckpoint::resume(&fleet, &store).unwrap().is_none());
+        scheduler()
+            .sweep_durable(&mut fleet, &store, DurabilityMode::WalAppend)
+            .unwrap();
+        let state = FleetCheckpoint::resume(&fleet, &store)
+            .unwrap()
+            .expect("the sweep laid a base record");
+        assert!(state.checkpoint.is_complete());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -308,7 +308,7 @@ mod tests {
         let gw = EvasiveGhostware::new(EvasiveTactic::UnhideDuringLowScan { window: 4 });
         gw.infect(&mut m).unwrap();
         assert!(!sees_file(&m), "hidden before any raw read");
-        let _ = m.read_raw_volume_image();
+        m.try_read_raw_volume_image().unwrap();
         assert!(sees_file(&m), "honest right after a raw read");
         // Burn through the honesty window with unrelated queries.
         let ctx = m.context_for_name("explorer.exe").unwrap();

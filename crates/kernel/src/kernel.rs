@@ -6,7 +6,6 @@ use crate::ssdt::Ssdt;
 use std::collections::BTreeMap;
 use std::fmt;
 use strider_nt_core::{NtPath, NtString, Pid, Tick, Tid};
-use strider_support::fault::TransientFaults;
 
 /// Error type for kernel operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +77,6 @@ pub struct Kernel {
     /// The subsystem (csrss) handle table: one handle per Win32 process.
     csrss_handles: Vec<Pid>,
     dump_scrubbers: Vec<DumpScrub>,
-    /// Transient dump-read fault countdown (fault-injection harness).
-    dump_faults: Option<TransientFaults>,
     next_pid: u32,
     next_tid: u32,
     now: Tick,
@@ -106,7 +103,6 @@ impl Kernel {
             registry_callbacks: Vec::new(),
             csrss_handles: Vec::new(),
             dump_scrubbers: Vec::new(),
-            dump_faults: None,
             next_pid: 4,
             next_tid: 4,
             now: Tick::ZERO,
@@ -548,26 +544,6 @@ impl Kernel {
         dump::write_dump(self)
     }
 
-    /// Arms the fault-injection harness: the next `n` [`try_crash_dump`]
-    /// calls fail before the device recovers.
-    ///
-    /// [`try_crash_dump`]: Kernel::try_crash_dump
-    pub fn inject_dump_faults(&mut self, n: u32) {
-        self.dump_faults = Some(TransientFaults::failing(n));
-    }
-
-    /// Fallible [`crash_dump`](Kernel::crash_dump): `None` means a transient
-    /// device failure that a retry may recover from. Without injected faults
-    /// it always succeeds.
-    pub fn try_crash_dump(&self) -> Option<Vec<u8>> {
-        if let Some(faults) = &self.dump_faults {
-            if faults.should_fail() {
-                return None;
-            }
-        }
-        Some(self.crash_dump())
-    }
-
     pub(crate) fn apl_head(&self) -> Option<Pid> {
         self.apl_head
     }
@@ -579,22 +555,11 @@ impl Kernel {
 // ---------------------------------------------------------------------
 
 strider_support::impl_json!(struct DumpScrub { pids, module_names });
-strider_support::impl_json!(struct Kernel { processes, threads, apl_head, apl_tail, drivers, ssdt, filter_stack, registry_callbacks, csrss_handles, dump_scrubbers, dump_faults, next_pid, next_tid, now, rr_cursor });
+strider_support::impl_json!(struct Kernel { processes, threads, apl_head, apl_tail, drivers, ssdt, filter_stack, registry_callbacks, csrss_handles, dump_scrubbers, next_pid, next_tid, now, rr_cursor });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn injected_dump_faults_fail_then_recover() {
-        let mut k = Kernel::with_base_processes();
-        assert!(k.try_crash_dump().is_some(), "no faults armed");
-        k.inject_dump_faults(2);
-        assert!(k.try_crash_dump().is_none());
-        assert!(k.try_crash_dump().is_none());
-        let dump = k.try_crash_dump().expect("device recovered");
-        assert_eq!(dump, k.crash_dump());
-    }
 
     #[test]
     fn base_processes_are_linked_and_threaded() {

@@ -51,7 +51,7 @@ pub use dump::{DumpError, DumpProcess, MemoryDump};
 pub use kernel::{DumpScrub, Kernel, KernelError};
 pub use process::{Driver, Eprocess, Ethread, ModuleEntry, ThreadState};
 pub use ssdt::{Ssdt, SsdtEntry, SyscallId};
-pub use strider_support::fault::{Defect, DefectKind, Salvaged, TransientFaults};
+pub use strider_support::fault::{Defect, DefectKind, Salvaged};
 
 /// Convenient re-exports.
 pub mod prelude {

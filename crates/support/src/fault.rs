@@ -9,7 +9,12 @@
 //!   from a seed so every failure reproduces. [`TransientFaults`] models a
 //!   device that fails N reads and then recovers, to exercise retry paths;
 //!   [`Stall`] models a read that stays *pending* for N polls (or forever),
-//!   to exercise deadline and cancellation paths.
+//!   to exercise deadline and cancellation paths. The simulated machine
+//!   arms one stall, one countdown and one plan per truth source (volume,
+//!   hive, dump) and checks them in one read gate, in that order (see
+//!   `strider_winapi::FaultInjector`). [`CrashPlan`] kills a durable
+//!   writer at a seeded byte offset of its appends, to exercise crash
+//!   recovery of the one record store write path.
 //! * **Salvage** — the typed damage report the low-level parsers return in
 //!   salvage mode: [`Salvaged<T>`] pairs a best-effort value with the
 //!   [`Defect`]s encountered, instead of aborting on the first bad byte.
@@ -227,23 +232,6 @@ impl Clone for TransientFaults {
     }
 }
 
-// Serialized as the bare remaining-failure count, so hosts embedding a
-// fault countdown (e.g. the simulated kernel) stay JSON-roundtrippable.
-impl crate::json::ToJson for TransientFaults {
-    fn to_json(&self) -> crate::json::JsonValue {
-        crate::json::JsonValue::UInt(self.remaining() as u64)
-    }
-}
-
-impl crate::json::FromJson for TransientFaults {
-    fn from_json(value: &crate::json::JsonValue) -> Result<Self, crate::json::JsonError> {
-        let n = value.as_u64()?;
-        let n = u32::try_from(n)
-            .map_err(|_| crate::json::JsonError(format!("{n} out of range for fault count")))?;
-        Ok(Self::failing(n))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Stall — "pending until polled N times" (a liveness fault)
 // ---------------------------------------------------------------------
@@ -319,22 +307,10 @@ impl Clone for Stall {
 // CrashPlan — "the process dies mid-write" (a durability fault)
 // ---------------------------------------------------------------------
 
-/// Where a [`CrashPlan`] kills the writer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Die after exactly `n` cumulative bytes have reached the file across
-    /// all writes the plan observed — the write that crosses the threshold
-    /// lands only its admitted prefix, leaving a torn tail on disk.
-    AtWriteByte(u64),
-    /// Die after the commit image is fully written but before the atomic
-    /// rename publishes it — the visible file keeps its previous state.
-    BeforeRename,
-}
-
 /// A one-shot, seeded process-death injection for durable writers.
 ///
 /// The plan observes every byte a [`store::RecordStore`](crate::store)
-/// write pushes toward disk and, at the configured [`CrashPoint`], stops
+/// append pushes toward disk and, once its byte offset is reached, stops
 /// the write mid-byte-stream and returns the distinctive
 /// [`CrashPlan::crash_error`] — the caller treats that as the process
 /// dying and must recover by reopening the store. Interior-mutable like
@@ -354,7 +330,8 @@ pub enum CrashPoint {
 /// ```
 #[derive(Debug)]
 pub struct CrashPlan {
-    point: CrashPoint,
+    /// Cumulative byte count at which the writer dies.
+    at: u64,
     written: AtomicU64,
     fired: AtomicBool,
 }
@@ -362,20 +339,12 @@ pub struct CrashPlan {
 const CRASH_MESSAGE: &str = "injected crash (CrashPlan)";
 
 impl CrashPlan {
-    /// A plan that kills the writer once `n` cumulative bytes have landed.
+    /// A plan that kills the writer once `n` cumulative bytes have landed
+    /// across all writes it observes: the write that crosses the threshold
+    /// lands only its admitted prefix, leaving a torn tail on disk.
     pub fn at_write_byte(n: u64) -> Self {
         Self {
-            point: CrashPoint::AtWriteByte(n),
-            written: AtomicU64::new(0),
-            fired: AtomicBool::new(false),
-        }
-    }
-
-    /// A plan that kills a commit after its temp file is complete but
-    /// before the rename that would publish it.
-    pub fn before_rename() -> Self {
-        Self {
-            point: CrashPoint::BeforeRename,
+            at: n,
             written: AtomicU64::new(0),
             fired: AtomicBool::new(false),
         }
@@ -386,11 +355,6 @@ impl CrashPlan {
     /// offset in `0..written()`.
     pub fn never() -> Self {
         Self::at_write_byte(u64::MAX)
-    }
-
-    /// The configured kill point.
-    pub fn point(&self) -> CrashPoint {
-        self.point
     }
 
     /// Whether the crash has fired.
@@ -409,20 +373,11 @@ impl CrashPlan {
     /// [`CrashPlan::crash_error`].
     pub fn admit(&self, len: u64) -> Option<u64> {
         let before = self.written.fetch_add(len, Ordering::SeqCst);
-        let CrashPoint::AtWriteByte(at) = self.point else {
-            return None;
-        };
-        if before + len > at && !self.fired.swap(true, Ordering::SeqCst) {
-            Some(at.saturating_sub(before))
+        if before + len > self.at && !self.fired.swap(true, Ordering::SeqCst) {
+            Some(self.at.saturating_sub(before))
         } else {
             None
         }
-    }
-
-    /// Whether a commit should die *now*, between temp-write and rename.
-    /// Consumes the plan's one shot when it returns `true`.
-    pub fn take_rename_crash(&self) -> bool {
-        self.point == CrashPoint::BeforeRename && !self.fired.swap(true, Ordering::SeqCst)
     }
 
     /// The error an injected crash surfaces as. Distinguishable from real
@@ -668,16 +623,6 @@ mod tests {
         let plan = CrashPlan::at_write_byte(0);
         assert_eq!(plan.admit(5), Some(0));
         assert!(plan.fired());
-    }
-
-    #[test]
-    fn rename_crash_consumes_the_one_shot() {
-        let plan = CrashPlan::before_rename();
-        assert_eq!(plan.admit(512), None, "byte writes pass through");
-        assert!(plan.take_rename_crash());
-        assert!(!plan.take_rename_crash(), "second commit survives");
-        let byte_plan = CrashPlan::at_write_byte(3);
-        assert!(!byte_plan.take_rename_crash(), "wrong point never fires");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | [`task`]  | `tokio-util` + failsafe | cooperative supervision: a hierarchical [`task::CancellationToken`], [`task::Deadline`]/[`task::TimeBudget`] over the [`obs::Clock`] seam, and a Closed→Open→HalfOpen [`task::CircuitBreaker`] |
 //! | [`alert`] | `prometheus` + alertmanager rules | timestamped [`alert::TimeSeries`] with windowed queries, a declarative [`alert::AlertEngine`] (threshold/baseline/rate/absence/quantile [`alert::AlertRule`]s with `for_ns` hysteresis, bounded [`alert::AlertLog`]), and Prometheus-text [`alert::Exposition`] writing `TELEMETRY_EXPO_<label>.prom` snapshots |
 //! | [`prof`]  | `dhat`/`tracing-flame` (attribution core) | a counting `#[global_allocator]` ([`prof::CountingAlloc`]) with thread-local alloc/bytes/peak/wait counters, span-scoped attribution ([`prof::begin_scope`]), and the [`prof::PerfReport`] critical-path analyzer writing `SCAN_PERF_<label>.json` |
-//! | [`store`] | `sled`/`redb` (durability core) | the durable state plane: a checksummed generational [`store::RecordStore`] with atomic temp+rename commits, O(1) WAL appends, torn-tail recovery with generation fallback ([`store::Recovered`]), crash injection via [`fault::CrashPlan`], and the [`store::atomic_write_file`] commit primitive every [`store::Artifact`] export uses |
+//! | [`store`] | `sled`/`redb` (durability core) | the durable state plane: a checksummed generational [`store::RecordStore`] with one write path (O(1) WAL appends), torn-tail recovery with generation fallback ([`store::Recovered`]), crash injection via [`fault::CrashPlan`], and the [`store::atomic_write_file`] commit primitive every [`store::Artifact`] export uses |
 //!
 //! The guiding rule is *API-shape compatibility where it is cheap, clarity
 //! where it is not*: call sites in the workspace read almost identically to

@@ -1,21 +1,17 @@
-//! Durable state plane: a checksummed, generational record store with
-//! atomic commits, an append-only WAL mode, and torn-tail recovery.
+//! Durable state plane: a checksummed, generational record store with one
+//! write path — an append-only WAL — and torn-tail recovery.
 //!
 //! Everything the detector persists between runs — sweep and fleet
 //! checkpoints, monitor baselines, alert logs — is part of the attack
 //! surface: a rootkit that can crash the scanner mid-checkpoint or flip a
 //! bit in its baseline wins without ever hiding better. The store closes
-//! that door with three guarantees:
+//! that door with two guarantees:
 //!
-//! * **Atomic commits** — [`RecordStore::commit`] writes a fresh image to
-//!   a temp file and publishes it with `rename`, so the visible file is
-//!   always either the old state or the new state, never a blend. The
-//!   committed image carries the *previous* last-good record ahead of the
-//!   new one, so even post-publish corruption of the newest generation
-//!   falls back one generation instead of losing everything.
 //! * **O(1) WAL appends** — [`RecordStore::append`] adds one framed
-//!   record to the file tail without rewriting what came before, for
-//!   incremental writers like per-shard fleet checkpoints.
+//!   record to the file tail without rewriting what came before. A crash
+//!   mid-append tears only the new frame, and every earlier generation
+//!   stays intact on disk, so even a corrupted newest record falls back
+//!   one generation instead of losing everything.
 //! * **Recovery, never panic** — [`RecordStore::recover`] walks the
 //!   frames, validates magic + length + FNV-1a checksum + monotonic
 //!   generation, and stops at the first damage: a torn or corrupted tail
@@ -24,11 +20,15 @@
 //!   additionally *repairs* the file by truncating the damaged tail so
 //!   later appends land after valid frames.
 //!
+//! A caller that wants one current state reads `recover()?.latest()`.
+//! Whole-file exports that are written once, not journaled, go through
+//! [`atomic_write_file`] (temp file, then `rename`) instead.
+//!
 //! Crash injection rides the existing fault vocabulary: give the store a
-//! [`CrashPlan`] and any write dies at a seeded
-//! byte offset (or between temp-write and rename), leaving exactly the
-//! torn prefix a real process death would. Tests then reopen the store —
-//! the "restarted process" — and must find a recoverable state.
+//! [`CrashPlan`] and any append dies at a seeded byte offset, leaving
+//! exactly the torn prefix a real process death would. Tests then reopen
+//! the store — the "restarted process" — and must find a recoverable
+//! state.
 //!
 //! The store targets *process-crash* safety (the adversary kills or
 //! corrupts the scanner), not power-loss durability: writes are flushed,
@@ -258,11 +258,9 @@ pub struct RecordStore {
 impl RecordStore {
     /// Opens (or creates lazily) the store at `path`, repairing any
     /// damaged tail: the file is truncated back to the end of its last
-    /// valid frame so subsequent appends land after good data. A stale
-    /// temp file from a crashed commit is discarded.
+    /// valid frame so subsequent appends land after good data.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
-        let _ = fs::remove_file(commit_tmp_path(&path));
         let recovered = recover_path(&path)?;
         if !recovered.defects.is_empty() {
             if recovered.good_end == 0 {
@@ -281,7 +279,7 @@ impl RecordStore {
         })
     }
 
-    /// Arms crash injection: every subsequent write consults `plan`.
+    /// Arms crash injection: every subsequent append consults `plan`.
     pub fn with_crash_plan(mut self, plan: Arc<CrashPlan>) -> Self {
         self.crash = Some(plan);
         self
@@ -290,37 +288,6 @@ impl RecordStore {
     /// The backing file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Atomically replaces the store contents with `payload` as a new
-    /// generation, keeping the previous last-good record ahead of it so a
-    /// later corruption of the newest record falls back one generation.
-    /// Returns the committed generation.
-    pub fn commit(&self, payload: &[u8]) -> io::Result<u64> {
-        let mut next = self.next_generation.lock();
-        let generation = *next;
-        let previous = self.recover()?.records.pop();
-        let mut image =
-            Vec::with_capacity(FILE_MAGIC.len() + 2 * FRAME_HEADER_BYTES + payload.len());
-        image.extend_from_slice(&FILE_MAGIC);
-        if let Some(prev) = previous {
-            encode_frame(&mut image, prev.generation, &prev.payload);
-        }
-        encode_frame(&mut image, generation, payload);
-
-        let tmp = commit_tmp_path(&self.path);
-        let mut file = File::create(&tmp)?;
-        self.guarded_write(&mut file, &image)?;
-        file.flush()?;
-        drop(file);
-        if let Some(plan) = &self.crash {
-            if plan.take_rename_crash() {
-                return Err(CrashPlan::crash_error());
-            }
-        }
-        fs::rename(&tmp, &self.path)?;
-        *next = generation + 1;
-        Ok(generation)
     }
 
     /// Appends `payload` as one framed record — O(1) in the file size.
@@ -360,12 +327,6 @@ impl RecordStore {
         }
         file.write_all(bytes)
     }
-}
-
-fn commit_tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 // ---------------------------------------------------------------------
@@ -479,29 +440,12 @@ mod tests {
     }
 
     #[test]
-    fn commit_keeps_previous_generation_for_fallback() {
-        let dir = scratch("commit");
-        let store = RecordStore::open(dir.join("s.db")).unwrap();
-        store.commit(b"alpha").unwrap();
-        store.commit(b"beta").unwrap();
-        store.commit(b"gamma").unwrap();
-        let rec = store.recover().unwrap();
-        assert!(rec.is_clean());
-        // Only the previous + newest generations survive each commit.
-        assert_eq!(rec.records.len(), 2);
-        assert_eq!(rec.records[0].payload, b"beta");
-        assert_eq!(rec.latest().unwrap().payload, b"gamma");
-        assert!(rec.records[0].generation < rec.records[1].generation);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn bit_flip_in_newest_record_falls_back_a_generation() {
         let dir = scratch("bitflip");
         let path = dir.join("s.db");
         let store = RecordStore::open(&path).unwrap();
-        store.commit(b"previous good state").unwrap();
-        store.commit(b"newest state").unwrap();
+        store.append(b"previous good state").unwrap();
+        store.append(b"newest state").unwrap();
         let clean = store.recover().unwrap();
         let newest_at = clean.latest().unwrap().offset as usize;
         // Flip one bit inside the newest frame's payload.
@@ -518,8 +462,8 @@ mod tests {
         );
         // open() repaired the tail, so the re-read is clean again.
         assert!(rec.is_clean());
-        // And the next commit continues the generation sequence.
-        let g = reopened.commit(b"after repair").unwrap();
+        // And the next append continues the generation sequence.
+        let g = reopened.append(b"after repair").unwrap();
         assert!(g > rec.last_generation().unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -599,29 +543,6 @@ mod tests {
         assert_eq!(rec.latest().unwrap().payload, b"committed before the crash");
         store.append(b"after restart").unwrap();
         assert_eq!(store.recover().unwrap().records.len(), 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crash_before_rename_keeps_previous_state() {
-        let dir = scratch("crash-rename");
-        let path = dir.join("s.db");
-        {
-            let store = RecordStore::open(&path).unwrap();
-            store.commit(b"published").unwrap();
-        }
-        let plan = Arc::new(CrashPlan::before_rename());
-        let store = RecordStore::open(&path)
-            .unwrap()
-            .with_crash_plan(plan.clone());
-        let err = store.commit(b"never published").unwrap_err();
-        assert!(CrashPlan::is_crash(&err));
-        assert!(plan.fired());
-
-        let store = RecordStore::open(&path).unwrap();
-        let rec = store.recover().unwrap();
-        assert!(rec.is_clean());
-        assert_eq!(rec.latest().unwrap().payload, b"published");
         fs::remove_dir_all(&dir).unwrap();
     }
 

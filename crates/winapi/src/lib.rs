@@ -76,7 +76,7 @@ pub use machine::{
 pub use query::{
     CallContext, FileRow, ModuleRow, ProcessRow, Query, QueryKind, RegKeyRow, RegValueRow, Row,
 };
-pub use strider_support::fault::{FaultPlan, TransientFaults};
+pub use strider_support::fault::FaultPlan;
 pub use tap::{RawSource, ScanTap};
 pub use trace::{ChainStats, ChainTrace, LevelHop};
 
@@ -86,6 +86,6 @@ pub mod prelude {
         CallContext, ChainEntry, ChainStats, ChainTrace, DiskImage, FaultInjector, FaultPlan,
         FileRow, HiveCopyTamper, Hook, HookId, HookRegistry, HookScope, HookStyle, Level, LevelHop,
         Machine, ModuleRow, ProcessRow, Query, QueryFilter, QueryKind, RawImageTamper, RawSource,
-        RegKeyRow, RegValueRow, Row, ScanTap, TickTask, TransientFaults,
+        RegKeyRow, RegValueRow, Row, ScanTap, TickTask,
     };
 }

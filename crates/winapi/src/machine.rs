@@ -71,11 +71,15 @@ pub struct DiskImage {
     pub hives: Vec<(NtPath, Vec<u8>)>,
 }
 
-/// Deterministic fault injection for a machine's low-level read paths — the
-/// harness that exercises the robustness layer. Transient countdowns make
-/// the `try_*` read methods fail with [`NtStatus::DeviceNotReady`] N times
-/// before recovering (retry paths); [`FaultPlan`]s corrupt the bytes those
-/// reads return (salvage paths). Armed via [`Machine::set_fault_injector`].
+/// Deterministic fault injection for a machine's three low-level truth
+/// sources ([`RawSource`]) — the harness that exercises the robustness
+/// layer. Every `try_*` read passes one gate that consults the source's
+/// armed faults in a fixed order: a [`Stall`] answers
+/// [`NtStatus::Pending`] until it drains (deadline paths), a transient
+/// countdown answers [`NtStatus::DeviceNotReady`] N times before recovering
+/// (retry paths), and a [`FaultPlan`] corrupts the bytes a read that gets
+/// through returns (salvage paths). Armed via
+/// [`Machine::set_fault_injector`].
 ///
 /// # Examples
 ///
@@ -97,15 +101,20 @@ pub struct DiskImage {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
-    volume_faults: Option<TransientFaults>,
-    hive_faults: Option<TransientFaults>,
-    dump_faults: Option<TransientFaults>,
-    volume_plan: Option<FaultPlan>,
-    dump_plan: Option<FaultPlan>,
+    volume: ReadFaults,
+    hive: ReadFaults,
+    dump: ReadFaults,
+    /// Hive corruption is per mount, so `hive.plan` stays unset.
     hive_plans: Vec<(NtPath, FaultPlan)>,
-    volume_stall: Option<Stall>,
-    hive_stall: Option<Stall>,
-    dump_stall: Option<Stall>,
+}
+
+/// The faults armed on one truth source, in the order the gate consults
+/// them.
+#[derive(Debug, Clone, Default)]
+struct ReadFaults {
+    stall: Stall,
+    transient: TransientFaults,
+    plan: Option<FaultPlan>,
 }
 
 impl FaultInjector {
@@ -116,31 +125,33 @@ impl FaultInjector {
 
     /// The next `n` raw-volume reads fail transiently.
     pub fn fail_volume_reads(mut self, n: u32) -> Self {
-        self.volume_faults = Some(TransientFaults::failing(n));
+        self.volume.transient = TransientFaults::failing(n);
         self
     }
 
     /// The next `n` hive copies (any mount) fail transiently.
     pub fn fail_hive_reads(mut self, n: u32) -> Self {
-        self.hive_faults = Some(TransientFaults::failing(n));
+        self.hive.transient = TransientFaults::failing(n);
         self
     }
 
     /// The next `n` crash-dump captures fail transiently.
     pub fn fail_dump_reads(mut self, n: u32) -> Self {
-        self.dump_faults = Some(TransientFaults::failing(n));
+        self.dump.transient = TransientFaults::failing(n);
         self
     }
 
     /// Every successful raw-volume read returns bytes corrupted by `plan`.
     pub fn corrupt_volume(mut self, plan: FaultPlan) -> Self {
-        self.volume_plan = Some(plan);
+        self.volume.plan = Some(plan);
         self
     }
 
     /// Every successful copy of the hive mounted at `mount` returns bytes
-    /// corrupted by `plan`.
+    /// corrupted by `plan`, which replaces any earlier plan for that mount
+    /// (matched case-insensitively).
     pub fn corrupt_hive(mut self, mount: NtPath, plan: FaultPlan) -> Self {
+        self.hive_plans.retain(|(m, _)| !m.eq_ignore_case(&mount));
         self.hive_plans.push((mount, plan));
         self
     }
@@ -148,29 +159,49 @@ impl FaultInjector {
     /// Every successful crash-dump capture returns bytes corrupted by
     /// `plan`.
     pub fn corrupt_dump(mut self, plan: FaultPlan) -> Self {
-        self.dump_plan = Some(plan);
+        self.dump.plan = Some(plan);
         self
     }
 
     /// Raw-volume reads return [`NtStatus::Pending`] until `stall` drains
     /// (a [`Stall::forever`] never does — only a deadline escapes it).
     pub fn stall_volume_reads(mut self, stall: Stall) -> Self {
-        self.volume_stall = Some(stall);
+        self.volume.stall = stall;
         self
     }
 
     /// Hive copies (any mount) return [`NtStatus::Pending`] until `stall`
     /// drains.
     pub fn stall_hive_reads(mut self, stall: Stall) -> Self {
-        self.hive_stall = Some(stall);
+        self.hive.stall = stall;
         self
     }
 
     /// Crash-dump captures return [`NtStatus::Pending`] until `stall`
     /// drains.
     pub fn stall_dump_reads(mut self, stall: Stall) -> Self {
-        self.dump_stall = Some(stall);
+        self.dump.stall = stall;
         self
+    }
+
+    fn source(&self, source: RawSource) -> &ReadFaults {
+        match source {
+            RawSource::Volume => &self.volume,
+            RawSource::Hive => &self.hive,
+            RawSource::Dump => &self.dump,
+        }
+    }
+
+    /// The plan corrupting a read of `source` (of the hive at `mount`).
+    fn plan(&self, source: RawSource, mount: Option<&NtPath>) -> Option<&FaultPlan> {
+        match mount {
+            Some(mount) => self
+                .hive_plans
+                .iter()
+                .find(|(m, _)| m.eq_ignore_case(mount))
+                .map(|(_, plan)| plan),
+            None => self.source(source).plan.as_ref(),
+        }
     }
 }
 
@@ -179,10 +210,11 @@ impl FaultInjector {
 /// All ordinary software — OS utilities, services, GhostBuster's high-level
 /// scans, the anti-virus scanner — observes the machine through
 /// [`Machine::query`], which routes through every installed hook.
-/// Low-level scans use [`Machine::copy_hive_bytes`] /
-/// [`Machine::read_raw_volume_image`] / direct kernel traversals, and
-/// outside-the-box scans use [`Machine::snapshot_disk`] and
-/// [`strider_kernel::Kernel::crash_dump`].
+/// Low-level scans read the volume and hive truth sources through one
+/// fault gate ([`Machine::try_read_raw_volume_image`],
+/// [`Machine::try_copy_hive_bytes`]) or traverse the kernel directly, and
+/// outside-the-box scans use [`Machine::snapshot_disk`] and the same
+/// gate's [`Machine::try_crash_dump`].
 ///
 /// # Examples
 ///
@@ -797,44 +829,11 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Low-level scan sources (inside the box)
+    // Low-level scan sources (inside the box) and their fault gate
     // ------------------------------------------------------------------
 
-    /// Reads the raw volume image from inside the box, as the low-level MFT
-    /// scan does. Ghostware with sufficient privilege may tamper with this
-    /// copy — which is why this source is a truth *approximation*.
-    pub fn read_raw_volume_image(&self) -> Vec<u8> {
-        self.tap.record_raw_read(RawSource::Volume);
-        let mut bytes = self.volume.to_image();
-        for (_, t) in &self.image_tampers {
-            bytes = t.tamper(bytes);
-        }
-        bytes
-    }
-
-    /// Copies a hive's backing bytes from inside the box (the low-level
-    /// Registry scan's "copy and parse" step), subject to tampering.
-    pub fn copy_hive_bytes(&self, mount: &NtPath) -> Option<Vec<u8>> {
-        self.tap.record_raw_read(RawSource::Hive);
-        let hive = self
-            .registry
-            .hives()
-            .iter()
-            .find(|h| h.mount().eq_ignore_case(mount))?;
-        let mut bytes = hive.to_bytes();
-        for (_, t) in &self.hive_tampers {
-            bytes = t.tamper(mount, bytes);
-        }
-        Some(bytes)
-    }
-
-    // ------------------------------------------------------------------
-    // Fault-injection harness
-    // ------------------------------------------------------------------
-
-    /// Arms (or replaces) the machine's fault injector. Only the fallible
-    /// `try_*` read paths consult it; the legacy infallible readers are
-    /// untouched.
+    /// Arms (or replaces) the machine's fault injector, which the `try_*`
+    /// truth-source reads consult.
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
         self.faults = Some(faults);
     }
@@ -844,7 +843,7 @@ impl Machine {
         self.faults = None;
     }
 
-    /// Attaches a flight-recorder handle: the fallible `try_*` read paths
+    /// Attaches a flight-recorder handle: the `try_*` truth-source reads
     /// log every injected stall, transient failure, and applied
     /// corruption plan into it, so a degraded pipeline's black box shows
     /// the device-level trouble that preceded the failure.
@@ -873,43 +872,23 @@ impl Machine {
         }
     }
 
-    /// Fallible [`read_raw_volume_image`]: consumes one transient fault
-    /// ([`NtStatus::DeviceNotReady`]) if armed, then returns the (possibly
-    /// plan-corrupted) image bytes.
-    ///
-    /// [`read_raw_volume_image`]: Machine::read_raw_volume_image
+    /// Reads the raw volume image from inside the box, as the low-level
+    /// MFT scan does. Ghostware with sufficient privilege may tamper with
+    /// this copy — which is why this source is a truth *approximation*.
     ///
     /// # Errors
     ///
     /// [`NtStatus::Pending`] while an injected stall holds the read;
     /// [`NtStatus::DeviceNotReady`] while injected transient faults remain.
     pub fn try_read_raw_volume_image(&self) -> Result<Vec<u8>, NtStatus> {
-        if let Some(f) = &self.faults {
-            if f.volume_stall.as_ref().is_some_and(|s| s.poll_pending()) {
-                self.flight_fault("volume.read", "stalled (Pending)");
-                return Err(NtStatus::Pending);
-            }
-            if f.volume_faults.as_ref().is_some_and(|t| t.should_fail()) {
-                self.flight_fault("volume.read", "transient DeviceNotReady");
-                return Err(NtStatus::DeviceNotReady);
-            }
-        }
-        let bytes = self.read_raw_volume_image();
-        Ok(
-            match self.faults.as_ref().and_then(|f| f.volume_plan.as_ref()) {
-                Some(plan) => {
-                    self.flight_fault("volume.read", "corruption plan applied");
-                    plan.apply(&bytes)
-                }
-                None => bytes,
-            },
-        )
+        self.gated_read(RawSource::Volume, None, || {
+            let tampers = self.image_tampers.iter();
+            Ok(tampers.fold(self.volume.to_image(), |b, (_, t)| t.tamper(b)))
+        })
     }
 
-    /// Fallible [`copy_hive_bytes`]: consumes one transient fault if armed,
-    /// then returns the (possibly plan-corrupted) hive bytes.
-    ///
-    /// [`copy_hive_bytes`]: Machine::copy_hive_bytes
+    /// Copies a hive's backing bytes from inside the box (the low-level
+    /// Registry scan's "copy and parse" step), subject to tampering.
     ///
     /// # Errors
     ///
@@ -917,67 +896,64 @@ impl Machine {
     /// [`NtStatus::DeviceNotReady`] while injected transient faults remain;
     /// [`NtStatus::ObjectNameNotFound`] if no hive is mounted at `mount`.
     pub fn try_copy_hive_bytes(&self, mount: &NtPath) -> Result<Vec<u8>, NtStatus> {
-        if let Some(f) = &self.faults {
-            if f.hive_stall.as_ref().is_some_and(|s| s.poll_pending()) {
-                self.flight_fault("hive.copy", "stalled (Pending)");
-                return Err(NtStatus::Pending);
-            }
-            if f.hive_faults.as_ref().is_some_and(|t| t.should_fail()) {
-                self.flight_fault("hive.copy", "transient DeviceNotReady");
-                return Err(NtStatus::DeviceNotReady);
-            }
-        }
-        let bytes = self
-            .copy_hive_bytes(mount)
-            .ok_or(NtStatus::ObjectNameNotFound)?;
-        let plan = self.faults.as_ref().and_then(|f| {
-            f.hive_plans
-                .iter()
-                .find(|(m, _)| m.eq_ignore_case(mount))
-                .map(|(_, p)| p)
-        });
-        Ok(match plan {
-            Some(plan) => {
-                self.flight_fault("hive.copy", &format!("corruption plan applied to {mount}"));
-                plan.apply(&bytes)
-            }
-            None => bytes,
+        self.gated_read(RawSource::Hive, Some(mount), || {
+            let mut hives = self.registry.hives().iter();
+            let hive = hives.find(|h| h.mount().eq_ignore_case(mount));
+            let bytes = hive.ok_or(NtStatus::ObjectNameNotFound)?.to_bytes();
+            let tampers = self.hive_tampers.iter();
+            Ok(tampers.fold(bytes, |b, (_, t)| t.tamper(mount, b)))
         })
     }
 
-    /// Fallible crash-dump capture: consumes one transient fault if armed
-    /// here or injected into the kernel itself, then returns the (possibly
-    /// plan-corrupted) dump bytes.
+    /// Captures a crash dump of the kernel from inside the box.
     ///
     /// # Errors
     ///
     /// [`NtStatus::Pending`] while an injected stall holds the capture;
-    /// [`NtStatus::DeviceNotReady`] while transient faults remain.
+    /// [`NtStatus::DeviceNotReady`] while injected transient faults remain.
     pub fn try_crash_dump(&self) -> Result<Vec<u8>, NtStatus> {
-        if let Some(f) = &self.faults {
-            if f.dump_stall.as_ref().is_some_and(|s| s.poll_pending()) {
-                self.flight_fault("kernel.dump", "stalled (Pending)");
+        self.gated_read(RawSource::Dump, None, || Ok(self.kernel.crash_dump()))
+    }
+
+    /// The one gate every truth-source read passes, in a fixed order: an
+    /// armed stall answers `Pending`, then a transient fault answers
+    /// `DeviceNotReady`, then the tap records the read, then `read` runs
+    /// (ghostware tampers included), then the source's corruption plan —
+    /// for a hive copy, the plan of the hive at `mount` — rewrites the
+    /// bytes. Each injected fault lands in the flight recorder.
+    fn gated_read(
+        &self,
+        source: RawSource,
+        mount: Option<&NtPath>,
+        read: impl FnOnce() -> Result<Vec<u8>, NtStatus>,
+    ) -> Result<Vec<u8>, NtStatus> {
+        let what = match source {
+            RawSource::Volume => "volume.read",
+            RawSource::Hive => "hive.copy",
+            RawSource::Dump => "kernel.dump",
+        };
+        if let Some(armed) = self.faults.as_ref().map(|f| f.source(source)) {
+            if armed.stall.poll_pending() {
+                self.flight_fault(what, "stalled (Pending)");
                 return Err(NtStatus::Pending);
             }
-            if f.dump_faults.as_ref().is_some_and(|t| t.should_fail()) {
-                self.flight_fault("kernel.dump", "transient DeviceNotReady");
+            if armed.transient.should_fail() {
+                self.flight_fault(what, "transient DeviceNotReady");
                 return Err(NtStatus::DeviceNotReady);
             }
         }
-        self.tap.record_raw_read(RawSource::Dump);
-        let bytes = self.kernel.try_crash_dump().ok_or_else(|| {
-            self.flight_fault("kernel.dump", "kernel capture DeviceNotReady");
-            NtStatus::DeviceNotReady
-        })?;
-        Ok(
-            match self.faults.as_ref().and_then(|f| f.dump_plan.as_ref()) {
-                Some(plan) => {
-                    self.flight_fault("kernel.dump", "corruption plan applied");
-                    plan.apply(&bytes)
-                }
-                None => bytes,
-            },
-        )
+        self.tap.record_raw_read(source);
+        let bytes = read()?;
+        let Some(plan) = self.faults.as_ref().and_then(|f| f.plan(source, mount)) else {
+            return Ok(bytes);
+        };
+        match mount {
+            Some(mount) => {
+                self.flight_fault(what, &format!("corruption plan applied to {mount}"));
+            }
+            None => self.flight_fault(what, "corruption plan applied"),
+        }
+        Ok(plan.apply(&bytes))
     }
 
     /// Registers ghostware interference with hive copies.
@@ -1300,6 +1276,7 @@ mod tests {
         let software = p("HKLM\\SOFTWARE");
         let clean_vol = m.try_read_raw_volume_image().unwrap();
         let clean_hive = m.try_copy_hive_bytes(&software).unwrap();
+        let clean_system = m.try_copy_hive_bytes(&p("HKLM\\SYSTEM")).unwrap();
         m.set_fault_injector(
             FaultInjector::new()
                 .corrupt_volume(FaultPlan::new(1).bit_flips(8))
@@ -1311,10 +1288,26 @@ mod tests {
         // Only the targeted mount is corrupted.
         assert_eq!(
             m.try_copy_hive_bytes(&p("HKLM\\SYSTEM")).unwrap(),
-            m.copy_hive_bytes(&p("HKLM\\SYSTEM")).unwrap()
+            clean_system
         );
         let dump = m.try_crash_dump().unwrap();
         assert!(dump.len() < m.kernel().crash_dump().len());
+    }
+
+    #[test]
+    fn a_later_hive_plan_replaces_an_earlier_one_for_the_same_mount() {
+        let mut m = Machine::with_base_system("replan").unwrap();
+        let clean = m.try_copy_hive_bytes(&p("HKLM\\SOFTWARE")).unwrap();
+        let second = FaultPlan::new(2).torn_sectors(1);
+        m.set_fault_injector(
+            FaultInjector::new()
+                .corrupt_hive(p("HKLM\\SOFTWARE"), FaultPlan::new(1).bit_flips(8))
+                .corrupt_hive(p("hklm\\software"), second.clone()),
+        );
+        assert_eq!(
+            m.try_copy_hive_bytes(&p("HKLM\\SOFTWARE")).unwrap(),
+            second.apply(&clean)
+        );
     }
 
     fn name_filter(substr: &'static str) -> Arc<dyn QueryFilter> {
@@ -1684,7 +1677,7 @@ mod tests {
         let mut m = base();
         m.add_hive_tamper("evil", Arc::new(Zero));
         let mount = p("HKLM\\SOFTWARE");
-        assert_eq!(m.copy_hive_bytes(&mount).unwrap().len(), 4);
+        assert_eq!(m.try_copy_hive_bytes(&mount).unwrap().len(), 4);
         let img = m.snapshot_disk().unwrap();
         let (_, bytes) = img
             .hives

@@ -31,17 +31,21 @@ use crate::query::QueryKind;
 /// How many distinct recent caller image names the tap retains.
 const RECENT_CALLERS: usize = 16;
 
-/// Which low-level truth source a raw read touched.
+/// Which low-level truth source a raw read touched. It is also the key
+/// of the machine's one read gate: a [`FaultInjector`] arms its stall,
+/// transient and corruption faults per source, and every gated read is
+/// tapped here once it gets past the stall and the transient fault.
+///
+/// [`FaultInjector`]: crate::FaultInjector
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RawSource {
-    /// The raw NTFS volume image ([`read_raw_volume_image`] and its
-    /// fallible wrapper).
+    /// The raw NTFS volume image ([`try_read_raw_volume_image`]).
     ///
-    /// [`read_raw_volume_image`]: crate::Machine::read_raw_volume_image
+    /// [`try_read_raw_volume_image`]: crate::Machine::try_read_raw_volume_image
     Volume,
-    /// A Registry hive's backing bytes ([`copy_hive_bytes`]).
+    /// A Registry hive's backing bytes ([`try_copy_hive_bytes`]).
     ///
-    /// [`copy_hive_bytes`]: crate::Machine::copy_hive_bytes
+    /// [`try_copy_hive_bytes`]: crate::Machine::try_copy_hive_bytes
     Hive,
     /// A kernel crash-dump capture ([`try_crash_dump`]).
     ///

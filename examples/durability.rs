@@ -11,7 +11,7 @@
 //!    finished shards from disk and sweeps only the rest — and the merged
 //!    report's [`FleetReport::result_digest`] is byte-identical to an
 //!    uninterrupted run's.
-//! 2. **Generation fallback.** A bit flipped inside the newest committed
+//! 2. **Generation fallback.** A bit flipped inside the newest appended
 //!    checkpoint frame fails its checksum on reopen; recovery falls back
 //!    to the previous generation instead of panicking or trusting the
 //!    damaged bytes.
@@ -98,13 +98,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ------------------------------------------------------------------
-    // Act 3 — flip one bit in the newest committed frame: recovery falls
+    // Act 3 — flip one bit in the newest appended frame: recovery falls
     // back a generation instead of panicking.
     // ------------------------------------------------------------------
     let cp_path = dir.join("checkpoint.store");
     let store = RecordStore::open(&cp_path)?;
-    store.commit(b"generation-one")?;
-    store.commit(b"generation-two")?;
+    store.append(b"generation-one")?;
+    store.append(b"generation-two")?;
     let newest_offset = store.recover()?.latest().expect("two generations").offset;
     let mut bytes = std::fs::read(&cp_path)?;
     bytes[newest_offset as usize + 30] ^= 0x10; // one bit, inside the payload

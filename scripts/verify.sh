@@ -43,7 +43,8 @@ cargo test -q --offline --workspace
 # with finite and permanent stalls — every sweep must terminate before its
 # deadline on the fake clock) and the crash matrix (seeded kill points at
 # journal frame boundaries ±1 and random interior bytes, each resuming to a
-# byte-identical result digest, plus the bit-flip generation fallback) run
+# byte-identical result digest, plus the bit-flip generation fallback over
+# two appended generations — `append` is the store's only write path) run
 # again under fixed seeds so CI failures reproduce byte-for-byte. Override
 # with FAULT_SEED=<n> to explore a different schedule.
 echo "==> pinned-seed fault runs (chaos sweeps, crash matrix)"

@@ -385,7 +385,7 @@ fn telemetry_vocabulary_of_both_sweep_flows_is_pinned() {
     // damaged SOFTWARE bin (defects), and the decoy pumps fire.
     let mut m = infected_machine();
     let software: NtPath = "HKLM\\SOFTWARE".parse().unwrap();
-    let len = m.copy_hive_bytes(&software).unwrap().len();
+    let len = m.try_copy_hive_bytes(&software).unwrap().len();
     m.set_fault_injector(
         FaultInjector::new()
             .corrupt_volume(FaultPlan::new(3).truncate_to(0.9))
@@ -792,7 +792,7 @@ fn chain_attribution_is_pinned_per_level() {
     };
     let ctx = m.context_for_name("explorer.exe").unwrap();
     let (_, lying) = m.query_traced(&ctx, &system32, w).unwrap();
-    let _ = m.read_raw_volume_image();
+    m.try_read_raw_volume_image().unwrap();
     let (_, honest) = m.query_traced(&ctx, &system32, w).unwrap();
     // A base machine's `C:\windows\system32` plus the sample's two files.
     let truth = 20;

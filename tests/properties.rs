@@ -1436,11 +1436,11 @@ fn fault_bit_flipped_checkpoint_falls_back_one_generation_without_panic() {
             std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
             let path = dir.join("cp.store");
 
-            // Two committed generations; the commit image keeps the
-            // previous good frame ahead of the new one.
+            // Two appended generations: the file holds the header, the
+            // older good frame, then the newest one.
             let store = RecordStore::open(&path).map_err(|e| e.to_string())?;
-            store.commit(b"generation-one").map_err(|e| e.to_string())?;
-            store.commit(b"generation-two").map_err(|e| e.to_string())?;
+            store.append(b"generation-one").map_err(|e| e.to_string())?;
+            store.append(b"generation-two").map_err(|e| e.to_string())?;
             let clean = store.recover().map_err(|e| e.to_string())?;
             prop_assert_eq!(clean.records.len(), 2);
             let newest = clean.records.last().unwrap();

@@ -90,7 +90,7 @@ fn fault_sweep_with_corrupted_hive_bin_still_reports_surviving_aseps() {
     // hxdef hooks live in SYSTEM\CurrentControlSet\Services, a different
     // hive file, so salvage must keep them reachable.
     let software: NtPath = "HKLM\\SOFTWARE".parse().unwrap();
-    let len = m.copy_hive_bytes(&software).unwrap().len();
+    let len = m.try_copy_hive_bytes(&software).unwrap().len();
     m.set_fault_injector(
         FaultInjector::new().corrupt_hive(software, FaultPlan::new(7).zero_range(len / 3, 64)),
     );

@@ -304,3 +304,113 @@ fn context_for_dead_pid_is_none() {
     assert!(m.context_for(strider_nt_core::Pid(424242)).is_none());
     assert!(m.context_for_name("nope.exe").is_none());
 }
+
+/// One gated raw read, preceded by one query so the tap's query distance
+/// shows whether the read itself was tapped: the read's result, then the
+/// tap's `raw_reads()` and `queries_since_raw_read()` right after it.
+fn tapped_read(
+    m: &Machine,
+    ctx: &CallContext,
+    read: impl Fn(&Machine) -> Result<Vec<u8>, NtStatus>,
+) -> (Result<Vec<u8>, NtStatus>, u64, Option<u64>) {
+    m.query(ctx, &Query::ProcessList, ChainEntry::Native)
+        .unwrap();
+    let out = read(m);
+    let tap = m.scan_tap();
+    (out, tap.raw_reads(), tap.queries_since_raw_read())
+}
+
+#[test]
+fn every_raw_read_runs_stall_then_transient_then_tap_then_read_then_plan() {
+    use std::sync::Arc;
+    use strider_support::fault::{FaultPlan, Stall};
+    use strider_support::obs::{FakeClock, FlightEventKind, FlightRecorder};
+
+    let software: NtPath = "HKLM\\SOFTWARE".parse().unwrap();
+    let mut m = Machine::with_base_system("pin").unwrap();
+    let ctx = m.context_for_name("explorer.exe").unwrap();
+    let clean_volume = m.try_read_raw_volume_image().unwrap();
+    let clean_hive = m.try_copy_hive_bytes(&software).unwrap();
+    let clean_dump = m.try_crash_dump().unwrap();
+    assert_eq!(m.scan_tap().raw_reads(), 3);
+
+    let volume_plan = FaultPlan::new(11).bit_flips(6);
+    let hive_plan = FaultPlan::new(12).torn_sectors(1);
+    let dump_plan = FaultPlan::new(13).truncate_to(0.5);
+    let recorder = FlightRecorder::new(Arc::new(FakeClock::new()));
+    m.set_flight_recorder(recorder.clone());
+    m.set_fault_injector(
+        FaultInjector::new()
+            .stall_volume_reads(Stall::after_polls(1))
+            .fail_volume_reads(1)
+            .corrupt_volume(volume_plan.clone())
+            .stall_hive_reads(Stall::after_polls(1))
+            .fail_hive_reads(1)
+            .corrupt_hive(software.clone(), hive_plan.clone())
+            .stall_dump_reads(Stall::after_polls(1))
+            .fail_dump_reads(1)
+            .corrupt_dump(dump_plan.clone()),
+    );
+
+    let volume = |m: &Machine| m.try_read_raw_volume_image();
+    let hive = |m: &Machine| m.try_copy_hive_bytes(&software);
+    let dump = |m: &Machine| m.try_crash_dump();
+    // Stalled and transient reads fail before the tap sees them; the read
+    // that gets through is tapped and returns the plan-corrupted bytes.
+    let expected = [
+        (Err(NtStatus::Pending), 3, Some(1)),
+        (Err(NtStatus::DeviceNotReady), 3, Some(2)),
+        (Ok(volume_plan.apply(&clean_volume)), 4, Some(0)),
+        (Err(NtStatus::Pending), 4, Some(1)),
+        (Err(NtStatus::DeviceNotReady), 4, Some(2)),
+        (Ok(hive_plan.apply(&clean_hive)), 5, Some(0)),
+        // An unknown mount is tapped, then fails hard, with no plan.
+        (Err(NtStatus::ObjectNameNotFound), 6, Some(0)),
+        (Err(NtStatus::Pending), 6, Some(1)),
+        (Err(NtStatus::DeviceNotReady), 6, Some(2)),
+        (Ok(dump_plan.apply(&clean_dump)), 7, Some(0)),
+    ];
+    let got = [
+        tapped_read(&m, &ctx, volume),
+        tapped_read(&m, &ctx, volume),
+        tapped_read(&m, &ctx, volume),
+        tapped_read(&m, &ctx, hive),
+        tapped_read(&m, &ctx, hive),
+        tapped_read(&m, &ctx, hive),
+        tapped_read(&m, &ctx, |m: &Machine| {
+            m.try_copy_hive_bytes(&"HKLM\\NOPE".parse().unwrap())
+        }),
+        tapped_read(&m, &ctx, dump),
+        tapped_read(&m, &ctx, dump),
+        tapped_read(&m, &ctx, dump),
+    ];
+    for (i, (got, want)) in got.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "read {i}");
+    }
+
+    let snapshot = recorder.snapshot();
+    let events: Vec<(FlightEventKind, &str, &str)> = snapshot
+        .events
+        .iter()
+        .map(|e| (e.kind, e.what.as_str(), e.detail.as_str()))
+        .collect();
+    let fault = FlightEventKind::Fault;
+    assert_eq!(
+        events,
+        vec![
+            (fault, "volume.read", "stalled (Pending)"),
+            (fault, "volume.read", "transient DeviceNotReady"),
+            (fault, "volume.read", "corruption plan applied"),
+            (fault, "hive.copy", "stalled (Pending)"),
+            (fault, "hive.copy", "transient DeviceNotReady"),
+            (
+                fault,
+                "hive.copy",
+                "corruption plan applied to HKLM\\SOFTWARE"
+            ),
+            (fault, "kernel.dump", "stalled (Pending)"),
+            (fault, "kernel.dump", "transient DeviceNotReady"),
+            (fault, "kernel.dump", "corruption plan applied"),
+        ]
+    );
+}
