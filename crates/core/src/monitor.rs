@@ -25,11 +25,12 @@
 //!
 //! The series, the rules and the pass loop live in a [`MonitorCore`]
 //! shared with the fleet monitor; this module keeps the sweep-specific
-//! observe step. Callers add their own [`AlertRule`]s (thresholds,
-//! rates, absence, quantiles, with `for_ns` hysteresis) over the same
-//! series through the public [`SweepMonitor::core`]. Every rule transition
+//! judge step ([`SweepMonitor::judge`]), which the fleet monitor runs on
+//! every shard its scheduler swept. Callers add their own [`AlertRule`]s
+//! (thresholds, rates, absence, quantiles, with `for_ns` hysteresis) over
+//! the same series through the public [`SweepMonitor::core`]. Every rule transition
 //! lands in the engine's bounded [`AlertLog`] *and* in the sweep's
-//! flight recorder, so each typed [`MonitorIncident`] — and any black
+//! flight dump, so each typed [`MonitorIncident`] — and any black
 //! box — carries the alert trail as evidence.
 //! [`SweepMonitor::prometheus`] snapshots the whole plane (telemetry
 //! counters/gauges/histograms, series gauges, active alerts); its
@@ -51,7 +52,9 @@ use strider_nt_core::NtStatus;
 use strider_support::alert::{
     AlertCondition, AlertRule, AlertTransition, Exposition, MonitorCore, Severity,
 };
-use strider_support::obs::{fmt_ns, Clock, FlightDump, Telemetry, TelemetryReport};
+use strider_support::obs::{
+    fmt_ns, Clock, FlightDump, FlightEvent, FlightRecorder, Telemetry, TelemetryReport,
+};
 use strider_winapi::Machine;
 
 /// Tuning knobs for a [`SweepMonitor`].
@@ -286,9 +289,8 @@ impl fmt::Display for MonitorIncident {
 pub struct MonitorObservation {
     /// Monitor clock reading when the sweep started.
     pub at_ns: u64,
-    /// The sweep itself (telemetry always attached, re-frozen after
-    /// alert evaluation so its flight dump includes this sweep's alert
-    /// transitions).
+    /// The sweep itself. Its flight dump ends with this sweep's alert
+    /// transitions.
     pub report: SweepReport,
     /// Alert-rule transitions this sweep's evaluation produced.
     pub transitions: Vec<AlertTransition>,
@@ -304,8 +306,10 @@ pub struct MonitorObservation {
 /// carries its own span forest, metrics, and flight-recorder dump. After
 /// the sweep, its metrics are folded into the core's rolling series and
 /// the core evaluates every rule — the built-ins derived from the
-/// baseline plus any caller-added rules — recording transitions into the
-/// sweep's flight ring *before* the attached report is frozen.
+/// baseline plus any caller-added rules — and appends the transitions to
+/// the sweep's flight dump. [`judge`](SweepMonitor::judge) is that second
+/// half on its own, for sweeps run elsewhere (the fleet monitor judges
+/// what its scheduler swept).
 ///
 /// Recording or installing a baseline, or replacing the configuration,
 /// rebuilds the built-in rules, which resets alert states (a new
@@ -408,49 +412,57 @@ impl SweepMonitor {
     /// Propagates sweep failures.
     pub fn record_baseline(&mut self, machine: &mut Machine) -> Result<&SweepBaseline, NtStatus> {
         let at_ns = self.clock().now_ns();
-        let telemetry = Telemetry::with_clock(self.clock());
-        let report = self
-            .detector
-            .clone()
-            .with_telemetry(telemetry)
-            .inside_sweep(machine)?;
-        self.baseline = Some(SweepBaseline::from_report(machine.name(), at_ns, &report));
-        self.rebuild_rules();
+        let report = self.sweep(machine)?;
+        self.set_baseline(SweepBaseline::from_report(machine.name(), at_ns, &report));
         Ok(self.baseline.as_ref().expect("just recorded"))
     }
 
-    /// Runs one monitored sweep: scan, fold the sweep's metrics into the
-    /// rolling series, evaluate every alert rule (recording transitions
-    /// into the sweep's flight ring before the report freezes), and
-    /// translate firing built-in rules into typed incidents.
+    /// Runs one monitored sweep and [`judge`](Self::judge)s it.
     ///
     /// # Errors
     ///
     /// Propagates sweep failures.
     pub fn observe(&mut self, machine: &mut Machine) -> Result<MonitorObservation, NtStatus> {
-        let at_ns = self.clock().now_ns();
+        Ok(self.judge(self.sweep(machine)?))
+    }
+
+    /// One sweep with a fresh telemetry registry on the monitor clock.
+    fn sweep(&self, machine: &mut Machine) -> Result<SweepReport, NtStatus> {
         let telemetry = Telemetry::with_clock(self.clock());
-        let mut report = self
-            .detector
+        self.detector
             .clone()
-            .with_telemetry(telemetry.clone())
-            .inside_sweep(machine)?;
+            .with_telemetry(telemetry)
+            .inside_sweep(machine)
+    }
+
+    /// Judges a finished sweep against the baseline: folds its metrics
+    /// into the rolling series, evaluates every alert rule, and
+    /// translates firing built-in rules into typed incidents. The sweep
+    /// may have run anywhere (a fleet worker, say); its report's frozen
+    /// flight ring gains this evaluation's alert transitions, so the
+    /// incidents' flight dumps carry them.
+    pub fn judge(&mut self, mut report: SweepReport) -> MonitorObservation {
         let now_ns = self.clock().now_ns();
+        let at_ns = report
+            .telemetry
+            .as_ref()
+            .and_then(|t| t.spans.first())
+            .map_or(now_ns, |root| root.start_ns);
         self.update_series(now_ns, &report);
-        let transitions = self.core.evaluate(now_ns, Some(telemetry.recorder()));
-        // Re-freeze the attached telemetry: the sweep froze its own copy
-        // before the alert pass ran, and incidents should ship flight
-        // dumps that include this sweep's alert transitions.
-        report.telemetry = Some(telemetry.report());
+        let recorder = FlightRecorder::new(self.clock());
+        let transitions = self.core.evaluate(now_ns, Some(&recorder));
+        if let Some(telemetry) = report.telemetry.as_mut() {
+            append_flight(&mut telemetry.flight, recorder.snapshot());
+        }
         let incidents = self.incidents(&report);
         self.last_telemetry = report.telemetry.clone();
         self.sweeps_run += 1;
-        Ok(MonitorObservation {
+        MonitorObservation {
             at_ns,
             report,
             transitions,
             incidents,
-        })
+        }
     }
 
     /// Runs `sweeps` monitored sweeps, sleeping the configured interval on
@@ -610,6 +622,21 @@ impl SweepMonitor {
             core.push("sweep.downgrades", at_ns, count as f64);
         }
     }
+}
+
+/// Appends `later`'s events to a frozen ring dump, continuing its
+/// sequence numbers and evicting the oldest past its capacity.
+fn append_flight(dump: &mut FlightDump, later: FlightDump) {
+    let next = dump.events.last().map_or(dump.dropped, |e| e.seq + 1);
+    let renumbered = later
+        .events
+        .into_iter()
+        .zip(next..)
+        .map(|(e, seq)| FlightEvent { seq, ..e });
+    dump.events.extend(renumbered);
+    let excess = dump.events.len().saturating_sub(dump.capacity as usize);
+    dump.events.drain(..excess);
+    dump.dropped += excess as u64;
 }
 
 /// The built-in rules: the drift rules derived from the baseline and
@@ -793,7 +820,7 @@ mod tests {
         assert_eq!(observation.transitions.len(), 1);
         assert!(monitor.core.engine().is_firing("always_on"));
         assert_eq!(monitor.core.engine().log().len(), 1);
-        // The re-frozen report's flight dump carries the alert event.
+        // The report's flight dump carries the alert event.
         let flight = &observation.report.telemetry.as_ref().unwrap().flight;
         assert!(flight
             .events

@@ -32,26 +32,29 @@
 //! flight-recorder evidence — surfaced in [`FleetReport::quarantined`],
 //! never silently dropped and never an `Err` that sinks the fleet.
 //!
-//! [`FleetMonitor`] adds the continuous story: one
-//! [`SweepMonitor`](strider_ghostbuster::SweepMonitor) per shard (every
-//! machine diffs against its *own* baseline) with fleet rollup series and
-//! [`FleetIncident`]s tagged by shard, each carrying that shard's
-//! flight-recorder dump as evidence. On top of the rollups sits an
-//! alerting plane: a [`FleetAlertPolicy`] installs fleet-level rules
-//! (infection-rate spike, degraded-shard fraction, p95 sweep-latency SLO,
-//! worker starvation) into an
-//! [`AlertEngine`](strider_support::alert::AlertEngine) evaluated
-//! after every pass, and both the live monitor and the merged
-//! [`FleetReport`] export Prometheus-text snapshots
-//! (`TELEMETRY_EXPO_<label>.prom`).
+//! [`FleetMonitor`] adds the continuous story on top of the scheduler: a
+//! monitored pass is one [`FleetScheduler`] run followed by judging each
+//! swept shard's report with that shard's
+//! [`SweepMonitor`](strider_ghostbuster::SweepMonitor) (every machine
+//! diffs against its *own* baseline), so a monitored fleet gets the same
+//! work stealing, heal retries and timeline as any sweep. Incidents come
+//! back as [`FleetIncident`]s tagged by shard, each carrying that shard's
+//! flight-recorder dump as evidence, and a shard fenced after consecutive
+//! failed passes is the same [`QuarantineRecord`] the journal stores. On
+//! top of the rollups sits an alerting plane: a [`FleetAlertPolicy`]
+//! installs fleet-level rules (infection-rate spike, degraded-shard
+//! fraction, p95 sweep-latency SLO, worker starvation) into an
+//! [`AlertEngine`](strider_support::alert::AlertEngine) evaluated after
+//! every pass, and both the live monitor and the merged [`FleetReport`]
+//! export Prometheus-text snapshots (`TELEMETRY_EXPO_<label>.prom`).
 //!
 //! Performance attribution rides on the same machinery: every fleet sweep
 //! records each scheduler decision (shard enqueue, steal, sweep
 //! start/finish) on the policy clock into its [`FleetReport`], the one
 //! record of the run. [`FleetReport::trace`] returns that timeline as a
-//! [`FleetTrace`], whose queue-wait and worker-occupancy metrics feed the
-//! monitor's `fleet.queue_wait_p95_ns` / `fleet.worker_idle_fraction`
-//! series (see [`FleetMonitor::ingest_trace`]), and
+//! [`FleetTrace`], whose queue-wait and worker-occupancy metrics every
+//! monitored pass pushes into its `fleet.queue_wait_p95_ns` /
+//! `fleet.worker_idle_fraction` series, and
 //! [`FleetReport::chrome_trace`] merges scheduler lanes, named worker
 //! lanes, and every shard's telemetry spans — on globally unique tids —
 //! into one fleet-wide Chrome trace (`FLEET_TRACE_<label>.json`).
@@ -94,9 +97,7 @@ pub use durable::{
     recover_state, DurabilityMode, DurableFleetState, DurableSweepError, FleetHealPolicy,
     QuarantineRecord,
 };
-pub use monitor::{
-    FleetAlertPolicy, FleetIncident, FleetMonitor, FleetObservation, ShardFailure, ShardQuarantine,
-};
+pub use monitor::{FleetAlertPolicy, FleetIncident, FleetMonitor, FleetObservation, ShardFailure};
 pub use registry::{FleetMachine, FleetRegistry, FleetSpec, ShardId};
 pub use report::{
     CheckpointMismatch, FleetCheckpoint, FleetReport, PipelineRollup, Prevalence, ShardDisposition,
@@ -112,6 +113,6 @@ pub mod prelude {
         FleetCheckpoint, FleetControl, FleetHealPolicy, FleetIncident, FleetMachine, FleetMonitor,
         FleetObservation, FleetRegistry, FleetReport, FleetScheduler, FleetSpec, FleetTrace,
         PipelineRollup, Prevalence, QuarantineRecord, SchedEvent, SchedEventKind, ShardDisposition,
-        ShardFailure, ShardId, ShardQuarantine, ShardResult,
+        ShardFailure, ShardId, ShardResult,
     };
 }

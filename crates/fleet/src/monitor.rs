@@ -2,17 +2,20 @@
 //! machine diffs against *its own* baseline) plus fleet-level rollup
 //! series, with incidents tagged by shard and fleet-level alert rules
 //! (infection-rate spike, degraded-shard fraction, sweep-latency SLO,
-//! worker starvation) evaluated after every pass. The rollup series, the
-//! rules and the pass loop live in the same [`MonitorCore`] the shard
-//! monitors use; this module keeps the fleet observe step: per-shard
-//! monitors, rollups, quarantine and [`FleetMonitor::ingest_trace`].
+//! worker starvation) evaluated after every pass. A pass is one
+//! [`FleetScheduler`] run followed by judging each shard's report; the
+//! rollup series, the rules and the pass loop live in the same
+//! [`MonitorCore`] the shard monitors use.
 
-use crate::registry::{FleetRegistry, ShardId};
+use crate::durable::QuarantineRecord;
+use crate::registry::{FleetMachine, FleetRegistry, ShardId};
+use crate::report::{FleetCheckpoint, ShardDisposition};
+use crate::scheduler::{entry_failed, FleetControl, FleetScheduler};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use strider_ghostbuster::{
-    GhostBuster, MonitorConfig, MonitorIncident, MonitorObservation, SweepMonitor,
+    MonitorConfig, MonitorIncident, MonitorObservation, SweepBaseline, SweepMonitor,
 };
 use strider_nt_core::NtStatus;
 use strider_support::alert::{
@@ -51,8 +54,7 @@ impl fmt::Display for FleetIncident {
 ///   per-shard sweep durations this pass) above
 ///   [`sweep_p95_slo_ns`](Self::sweep_p95_slo_ns) (warning);
 /// * `fleet.worker_starvation` — `fleet.queue_wait_p95_ns` (p95 shard
-///   queue wait from an ingested [`FleetTrace`](crate::FleetTrace), see
-///   [`FleetMonitor::ingest_trace`]) above
+///   queue wait in the pass's own [`FleetTrace`](crate::FleetTrace)) above
 ///   [`queue_wait_p95_max_ns`](Self::queue_wait_p95_max_ns) (warning):
 ///   shards sitting that long on worker deques means the pool is
 ///   under-provisioned or a worker is wedged on one slow machine.
@@ -135,8 +137,9 @@ impl FleetAlertPolicy {
     }
 }
 
-/// One shard's failed monitoring pass: the sweep could not enter the
-/// machine, or its report came back with degraded pipelines. Failures are
+/// One shard's failed monitoring pass: its report came back with degraded
+/// pipelines (every pipeline, when the scanner could not enter the
+/// machine), or the scheduler's heal policy quarantined it. Failures are
 /// counted per shard; enough *consecutive* ones quarantine the shard
 /// (see [`FleetMonitor::with_quarantine_after`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -161,37 +164,6 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// A shard the fleet monitor has fenced off after too many consecutive
-/// failed passes. Quarantined shards are skipped by later passes (their
-/// failures no longer drown the rollups) but stay visible — in
-/// [`FleetMonitor::quarantined`], the `fleet.quarantined` series, and
-/// this record's flight-recorder evidence — until an operator
-/// [`unquarantine`](FleetMonitor::unquarantine)s them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardQuarantine {
-    /// The fenced shard.
-    pub shard: ShardId,
-    /// That shard's machine name.
-    pub machine: String,
-    /// Consecutive failed passes that tripped the fence.
-    pub failures: u32,
-    /// The final failure's reason.
-    pub reason: String,
-    /// The monitor's flight ring at fencing time — the failure events
-    /// leading up to the quarantine.
-    pub evidence: FlightDump,
-}
-
-impl fmt::Display for ShardQuarantine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{}] QUARANTINED after {} failed passes: {}",
-            self.shard, self.machine, self.failures, self.reason
-        )
-    }
-}
-
 /// One fleet-wide monitoring pass: every observed shard's observation
 /// plus the incidents, failures, and fleet-level alert transitions raised
 /// across the fleet.
@@ -206,10 +178,10 @@ pub struct FleetObservation {
     pub shards: Vec<MonitorObservation>,
     /// Every incident of the pass, tagged with its shard.
     pub incidents: Vec<FleetIncident>,
-    /// Shards whose pass failed this round (entry error or degraded
-    /// pipelines) — the raw signal behind quarantine counting.
+    /// Shards whose pass failed this round (degraded pipelines, or a
+    /// heal-policy quarantine) — the raw signal behind quarantine counting.
     pub failures: Vec<ShardFailure>,
-    /// Shards currently quarantined (and therefore skipped this pass).
+    /// Shards fenced after this pass: skipped by it, or fenced during it.
     pub quarantined: Vec<ShardId>,
     /// Fleet-level alert transitions this pass produced.
     pub transitions: Vec<AlertTransition>,
@@ -227,29 +199,32 @@ impl FleetObservation {
     }
 }
 
-/// Drives one [`SweepMonitor`] per fleet machine and rolls their signals
-/// up into the fleet-level series of a [`MonitorCore`], whose engine
-/// holds the fleet rules.
+/// Judges what a [`FleetScheduler`] sweeps: one [`SweepMonitor`] per fleet
+/// machine, with their signals rolled up into the fleet-level series of a
+/// [`MonitorCore`], whose engine holds the fleet rules.
 ///
 /// Per-shard baselines matter because machines differ: a 30 s file scan is
 /// normal on a large shard and a regression on a tiny one. The fleet
 /// monitor therefore compares every machine against *its own* recorded
 /// baseline, and only the rollups (infected count, total incidents,
 /// degraded pipelines, infection rate, degraded fraction, p95 sweep
-/// latency) are fleet-global. The [`FleetAlertPolicy`] rules — plus any
-/// custom rules [`add_rule`](MonitorCore::add_rule)d to its
-/// [`core`](Self::core) — are evaluated over those
-/// rollup series after every pass, and every transition lands in the
-/// monitor's own [`FlightRecorder`] (see [`flight`](Self::flight)) so
-/// fleet alerts carry a black box just like shard incidents do.
+/// latency, and the pass's queue wait and worker idle fraction) are
+/// fleet-global. The [`FleetAlertPolicy`] rules — plus any custom rules
+/// [`add_rule`](MonitorCore::add_rule)d to its [`core`](Self::core) — are
+/// evaluated over those rollup series after every pass, and every
+/// transition lands in the monitor's own [`FlightRecorder`] (see
+/// [`flight`](Self::flight)) so fleet alerts carry a black box just like
+/// shard incidents do.
 ///
-/// Monitoring passes run shard-serially on the calling thread: the
-/// monitor's job is drift detection on a schedule, not throughput — use
-/// [`FleetScheduler`](crate::FleetScheduler) when sweep latency is what
-/// matters.
+/// Every pass, baselines included, is one run of the scheduler the
+/// monitor was built from, so its worker count, work stealing and
+/// [`FleetHealPolicy`](crate::FleetHealPolicy) apply, and each shard sweep
+/// gets fresh circuit breakers. Fenced shards go into that run the way a
+/// durable restart's journaled fences do: they come back
+/// [`ShardDisposition::Quarantined`] without being swept.
 #[derive(Debug, Clone)]
 pub struct FleetMonitor {
-    detector: GhostBuster,
+    scheduler: FleetScheduler,
     config: MonitorConfig,
     alert_policy: FleetAlertPolicy,
     /// The fleet rollup series, the fleet rules (add custom ones with
@@ -257,28 +232,26 @@ pub struct FleetMonitor {
     pub core: MonitorCore,
     recorder: FlightRecorder,
     shards: Vec<SweepMonitor>,
-    machines: Vec<String>,
     passes_run: u64,
     quarantine_after: u32,
     failure_streaks: Vec<u32>,
-    quarantined: BTreeMap<u32, ShardQuarantine>,
+    quarantined: BTreeMap<u32, QuarantineRecord>,
 }
 
 impl FleetMonitor {
-    /// A fleet monitor cloning per-shard monitors from `detector`, with
-    /// default [`MonitorConfig`] and [`FleetAlertPolicy`].
-    pub fn new(detector: GhostBuster) -> Self {
-        let recorder = FlightRecorder::new(detector.policy().clock().clone());
+    /// A fleet monitor sweeping through `scheduler`, with default
+    /// [`MonitorConfig`] and [`FleetAlertPolicy`].
+    pub fn new(scheduler: FleetScheduler) -> Self {
+        let recorder = FlightRecorder::new(scheduler.detector().policy().clock().clone());
         let config = MonitorConfig::default();
         let alert_policy = FleetAlertPolicy::default();
         FleetMonitor {
-            detector,
+            scheduler,
             core: MonitorCore::new(config.history, alert_policy.rules()),
             config,
             alert_policy,
             recorder,
             shards: Vec::new(),
-            machines: Vec::new(),
             passes_run: 0,
             quarantine_after: u32::MAX,
             failure_streaks: Vec::new(),
@@ -286,18 +259,22 @@ impl FleetMonitor {
         }
     }
 
-    /// Fences a shard after `passes` *consecutive* failed passes (entry
-    /// error or degraded pipelines): later passes skip it, its record
+    /// Fences a shard after `passes` *consecutive* failed passes
+    /// (degraded pipelines): later passes skip it, its record
     /// lands in [`quarantined`](Self::quarantined) with flight evidence,
     /// and the `fleet.quarantined` series counts it. Default: never
-    /// (`u32::MAX`). A successful pass resets a shard's streak.
+    /// (`u32::MAX`). A successful pass resets a shard's streak. A shard
+    /// the scheduler's heal policy quarantines is fenced at once.
     pub fn with_quarantine_after(mut self, passes: u32) -> Self {
         self.quarantine_after = passes.max(1);
         self
     }
 
-    /// The shards currently fenced off, in shard order.
-    pub fn quarantined(&self) -> Vec<&ShardQuarantine> {
+    /// The shards currently fenced off, in shard order. A record the
+    /// monitor made counts consecutive failed passes in `attempts` and
+    /// carries the monitor's flight ring as evidence; one the scheduler
+    /// made keeps its attempts and evidence.
+    pub fn quarantined(&self) -> Vec<&QuarantineRecord> {
         self.quarantined.values().collect()
     }
 
@@ -354,49 +331,54 @@ impl FleetMonitor {
     }
 
     fn clock(&self) -> Arc<dyn Clock> {
-        self.detector.policy().clock().clone()
+        self.scheduler.detector().policy().clock().clone()
     }
 
-    /// Records one baseline sweep per machine, creating the per-shard
-    /// monitors. Each shard's monitor gets its own detector clone with
-    /// fresh circuit breakers, so one machine's failures never trip
-    /// another's breakers.
+    /// Sweeps the fleet once through the scheduler and installs each
+    /// shard's report as that shard's baseline, creating the per-shard
+    /// monitors and lifting every fence.
     ///
     /// # Errors
     ///
-    /// Propagates the first shard's sweep failure.
+    /// [`NtStatus::NoSuchProcess`] when the scanner could not enter some
+    /// machine, and [`NtStatus::Cancelled`] when the scheduler's
+    /// cancellation left some shard unswept: no monitor keeps a baseline
+    /// from a machine it never swept.
     pub fn record_baselines(&mut self, fleet: &mut FleetRegistry) -> Result<usize, NtStatus> {
-        let policy = self.detector.policy().clone();
-        self.shards = fleet
-            .machines()
+        let taken_at_ns = self.clock().now_ns();
+        let report = self.scheduler.sweep(fleet)?;
+        if !report.unswept.is_empty() {
+            return Err(NtStatus::Cancelled);
+        }
+        if report.results().iter().any(|r| entry_failed(&r.report)) {
+            return Err(NtStatus::NoSuchProcess);
+        }
+        let (detector, config) = (self.scheduler.detector(), &self.config);
+        self.shards = report
+            .results()
             .iter()
-            .map(|_| {
-                SweepMonitor::new(self.detector.clone().with_policy(policy.clone()))
-                    .with_config(self.config.clone())
+            .map(|r| {
+                let mut monitor = SweepMonitor::new(detector.clone()).with_config(config.clone());
+                let baseline = SweepBaseline::from_report(&r.machine, taken_at_ns, &r.report);
+                monitor.set_baseline(baseline);
+                monitor
             })
-            .collect();
-        self.machines = fleet
-            .machines()
-            .iter()
-            .map(|m| m.machine.name().to_string())
             .collect();
         self.failure_streaks = vec![0; self.shards.len()];
         self.quarantined.clear();
-        for (monitor, shard) in self.shards.iter_mut().zip(fleet.machines_mut()) {
-            monitor.record_baseline(&mut shard.machine)?;
-        }
         Ok(self.shards.len())
     }
 
-    /// Runs one monitoring pass over the whole fleet: every
-    /// non-quarantined shard is observed against its own baseline,
-    /// incidents are tagged with their shard, the fleet rollup series are
-    /// updated, and the fleet alert rules are evaluated.
+    /// Runs one monitoring pass over the whole fleet: one scheduler run
+    /// that skips the fenced shards, then every swept shard's report
+    /// judged against that shard's baseline in shard order, incidents
+    /// tagged with their shard, the fleet rollup series (the run's own
+    /// timeline included) updated, and the fleet alert rules evaluated.
     ///
-    /// A shard whose pass fails — the scanner cannot enter the machine,
-    /// or the observation comes back with degraded pipelines — no longer
-    /// sinks the fleet: the failure is recorded (with a flight event) in
-    /// [`FleetObservation::failures`], and once a shard fails
+    /// A shard whose pass fails — its report comes back with degraded
+    /// pipelines, or the scheduler's heal policy quarantines it — no
+    /// longer sinks the fleet: the failure is recorded (with a flight
+    /// event) in [`FleetObservation::failures`], and once a shard fails
     /// [`with_quarantine_after`](Self::with_quarantine_after) consecutive
     /// passes it is fenced off and skipped until
     /// [`unquarantine`](Self::unquarantine)d.
@@ -406,88 +388,68 @@ impl FleetMonitor {
     /// [`NtStatus::InvalidParameter`] when baselines were not recorded
     /// for this fleet.
     pub fn observe(&mut self, fleet: &mut FleetRegistry) -> Result<FleetObservation, NtStatus> {
+        let baselined = |(m, shard): (&FleetMachine, &SweepMonitor)| {
+            shard
+                .baseline()
+                .is_some_and(|b| b.machine == m.machine.name())
+        };
         if self.shards.len() != fleet.len()
-            || fleet
-                .machines()
-                .iter()
-                .zip(&self.machines)
-                .any(|(m, name)| m.machine.name() != name)
+            || !fleet.machines().iter().zip(&self.shards).all(baselined)
         {
             return Err(NtStatus::InvalidParameter);
         }
         let at_ns = self.clock().now_ns();
+        let mut checkpoint = FleetCheckpoint::new(fleet);
+        let report = self.scheduler.sweep_core(
+            fleet,
+            &mut checkpoint,
+            &mut |_| FleetControl::Continue,
+            &self.quarantined,
+            None,
+        )?;
+        let queue_wait_ns = report.trace().queue_wait_p95_ns() as f64;
+        let idle = report.trace().worker_idle_fraction();
+
         let mut shard_ids = Vec::with_capacity(fleet.len());
         let mut observations = Vec::with_capacity(fleet.len());
         let mut incidents = Vec::new();
         let mut failures = Vec::new();
-        for (i, (monitor, shard)) in self.shards.iter_mut().zip(fleet.machines_mut()).enumerate() {
-            if self.quarantined.contains_key(&(i as u32)) {
+        for result in report.results {
+            let i = result.shard.0;
+            if self.quarantined.contains_key(&i) {
                 continue;
             }
-            let machine_name = shard.machine.name().to_string();
-            let failure_reason = match monitor.observe(&mut shard.machine) {
-                Ok(observation) => {
-                    for incident in &observation.incidents {
-                        incidents.push(FleetIncident {
-                            shard: ShardId(i as u32),
-                            machine: machine_name.clone(),
-                            incident: incident.clone(),
-                        });
-                    }
+            // A shard the heal policy quarantined has no verdict to judge.
+            let (reason, fence) = match result.disposition {
+                ShardDisposition::Quarantined(record) => {
+                    (Some(record.reason.clone()), Some(record))
+                }
+                _ => {
+                    let observation = self.shards[i as usize].judge(result.report);
+                    incidents.extend(observation.incidents.iter().map(|incident| FleetIncident {
+                        shard: result.shard,
+                        machine: result.machine.clone(),
+                        incident: incident.clone(),
+                    }));
                     let degraded = observation.report.health.degraded_pipelines();
                     let reason = (!degraded.is_empty())
                         .then(|| format!("degraded pipelines: {}", degraded.join(", ")));
-                    shard_ids.push(ShardId(i as u32));
+                    shard_ids.push(result.shard);
                     observations.push(observation);
-                    reason
+                    (reason, None)
                 }
-                Err(status) => Some(format!("could not observe machine: {status:?}")),
             };
-            match failure_reason {
-                None => self.failure_streaks[i] = 0,
-                Some(reason) => {
-                    self.failure_streaks[i] += 1;
-                    let consecutive = self.failure_streaks[i];
-                    self.recorder.fault(
-                        "fleet.shard_failure",
-                        &format!(
-                            "shard-{i:03} [{machine_name}] pass failed ({consecutive} consecutive): {reason}"
-                        ),
-                    );
-                    failures.push(ShardFailure {
-                        shard: ShardId(i as u32),
-                        machine: machine_name.clone(),
-                        reason: reason.clone(),
-                        consecutive,
-                    });
-                    if consecutive >= self.quarantine_after {
-                        self.recorder.fault(
-                            "fleet.shard_quarantine",
-                            &format!(
-                                "shard-{i:03} [{machine_name}] fenced after {consecutive} failed passes"
-                            ),
-                        );
-                        self.quarantined.insert(
-                            i as u32,
-                            ShardQuarantine {
-                                shard: ShardId(i as u32),
-                                machine: machine_name,
-                                failures: consecutive,
-                                reason,
-                                evidence: self.recorder.snapshot(),
-                            },
-                        );
-                    }
-                }
+            match reason {
+                None => self.failure_streaks[i as usize] = 0,
+                Some(reason) => failures.push(self.fail(i, result.machine, reason, fence)),
             }
         }
 
+        // The merged report's aggregates cover exactly the judged shards.
         let now_ns = self.clock().now_ns();
-        let shard_count = observations.len().max(1) as f64;
-        let infected = observations
-            .iter()
-            .filter(|o| o.report.is_infected())
-            .count() as f64;
+        let shard_count = report.swept.max(1) as f64;
+        let infected = report.infected as f64;
+        let degraded: u64 = report.health.values().map(|r| r.degraded).sum();
         let degraded_shards = observations
             .iter()
             .filter(|o| !o.report.health.degraded_pipelines().is_empty())
@@ -499,10 +461,6 @@ impl FleetMonitor {
         let suspicious: usize = observations
             .iter()
             .map(|o| o.report.suspicious_count())
-            .sum();
-        let degraded: usize = observations
-            .iter()
-            .map(|o| o.report.health.degraded_pipelines().len())
             .sum();
 
         let core = &mut self.core;
@@ -519,6 +477,8 @@ impl FleetMonitor {
         core.push("fleet.p95_sweep_ns", now_ns, p95_ns);
         core.push("fleet.failures", now_ns, failures.len() as f64);
         core.push("fleet.quarantined", now_ns, self.quarantined.len() as f64);
+        core.push("fleet.queue_wait_p95_ns", now_ns, queue_wait_ns);
+        core.push("fleet.worker_idle_fraction", now_ns, idle);
         let transitions = core.evaluate(now_ns, Some(&self.recorder));
 
         self.passes_run += 1;
@@ -533,24 +493,45 @@ impl FleetMonitor {
         })
     }
 
-    /// Feeds a fleet sweep's scheduler timeline into the fleet rollup
-    /// series: pushes `fleet.queue_wait_p95_ns` (p95 shard queue wait)
-    /// and `fleet.worker_idle_fraction` (capacity spent outside shard
-    /// sweeps) at the current clock reading, then re-evaluates the fleet
-    /// alert rules so `fleet.worker_starvation` can fire. Returns the
-    /// alert transitions the evaluation produced.
-    ///
-    /// Unlike [`observe`](Self::observe) this needs no baselines: the
-    /// trace comes from a scheduler run's
-    /// [`FleetReport::trace`](crate::FleetReport::trace), not from this
-    /// monitor's own pass.
-    pub fn ingest_trace(&mut self, trace: &crate::FleetTrace) -> Vec<AlertTransition> {
-        let now_ns = self.clock().now_ns();
-        let wait_ns = trace.queue_wait_p95_ns() as f64;
-        self.core.push("fleet.queue_wait_p95_ns", now_ns, wait_ns);
-        let idle = trace.worker_idle_fraction();
-        self.core.push("fleet.worker_idle_fraction", now_ns, idle);
-        self.core.evaluate(now_ns, Some(&self.recorder))
+    /// Counts one failed pass for `shard` and fences it when the
+    /// scheduler already quarantined it (`fence`) or its streak reached
+    /// the quarantine threshold.
+    fn fail(
+        &mut self,
+        shard: u32,
+        machine: String,
+        reason: String,
+        fence: Option<QuarantineRecord>,
+    ) -> ShardFailure {
+        let streak = &mut self.failure_streaks[shard as usize];
+        *streak += 1;
+        let consecutive = *streak;
+        self.recorder.fault(
+            "fleet.shard_failure",
+            &format!(
+                "shard-{shard:03} [{machine}] pass failed ({consecutive} consecutive): {reason}"
+            ),
+        );
+        if fence.is_some() || consecutive >= self.quarantine_after {
+            self.recorder.fault(
+                "fleet.shard_quarantine",
+                &format!("shard-{shard:03} [{machine}] fenced after {consecutive} failed passes"),
+            );
+            let record = fence.unwrap_or_else(|| QuarantineRecord {
+                shard,
+                machine: machine.clone(),
+                attempts: consecutive,
+                reason: reason.clone(),
+                evidence: self.recorder.snapshot(),
+            });
+            self.quarantined.insert(shard, record);
+        }
+        ShardFailure {
+            shard: ShardId(shard),
+            machine,
+            reason,
+            consecutive,
+        }
     }
 
     /// Runs `passes` monitoring passes, sleeping the configured interval
@@ -584,12 +565,12 @@ impl FleetMonitor {
 mod tests {
     use super::*;
     use crate::registry::FleetSpec;
-    use strider_ghostbuster::ScanPolicy;
+    use strider_ghostbuster::{GhostBuster, ScanPolicy};
     use strider_support::obs::FakeClock;
 
     fn fake_monitor() -> FleetMonitor {
         let policy = ScanPolicy::resilient().with_clock(Arc::new(FakeClock::new()));
-        FleetMonitor::new(GhostBuster::new().with_policy(policy))
+        FleetMonitor::new(FleetScheduler::new(GhostBuster::new().with_policy(policy)))
     }
 
     #[test]

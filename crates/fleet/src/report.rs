@@ -2,13 +2,14 @@
 //! [`FleetReport`], and the durable [`FleetCheckpoint`] a killed fleet
 //! sweep resumes from.
 
+use crate::durable::QuarantineRecord;
 use crate::registry::{FleetRegistry, ShardId};
 use crate::trace::FleetTrace;
 use std::collections::BTreeMap;
 use std::fmt;
 use strider_ghostbuster::{PipelineStatus, SweepCheckpoint, SweepReport};
 use strider_support::alert::Exposition;
-use strider_support::obs::{FlightDump, HistogramSketch};
+use strider_support::obs::HistogramSketch;
 
 /// How a shard's result came to be — swept fresh, restored from a
 /// checkpoint, recovered after retries, or quarantined when its retry
@@ -30,15 +31,9 @@ pub enum ShardDisposition {
     /// The shard failed every attempt in its retry budget and was fenced
     /// off. Its report is the last failed attempt's (verdict untrusted);
     /// the fleet aggregates exclude it from sweep/infection/health counts
-    /// and surface it in [`FleetReport::quarantined`] instead.
-    Quarantined {
-        /// Attempts burned before giving up.
-        attempts: u32,
-        /// Why the final attempt failed.
-        reason: String,
-        /// Flight-recorder evidence: one fault event per failed attempt.
-        evidence: FlightDump,
-    },
+    /// and surface it in [`FleetReport::quarantined`] instead. The record
+    /// is the one the durable journal stores and the fleet monitor fences.
+    Quarantined(QuarantineRecord),
 }
 
 impl ShardDisposition {
@@ -56,10 +51,8 @@ impl fmt::Display for ShardDisposition {
             ShardDisposition::Recovered { attempts } => {
                 write!(f, "recovered (attempt {attempts})")
             }
-            ShardDisposition::Quarantined {
-                attempts, reason, ..
-            } => {
-                write!(f, "QUARANTINED after {attempts} attempts: {reason}")
+            ShardDisposition::Quarantined(q) => {
+                write!(f, "QUARANTINED after {} attempts: {}", q.attempts, q.reason)
             }
         }
     }
@@ -140,7 +133,7 @@ pub struct FleetReport {
     /// dropped: each keeps its [`ShardResult`] (with flight-recorder
     /// evidence in its [`ShardDisposition::Quarantined`]) in `results`.
     pub quarantined: Vec<ShardId>,
-    results: Vec<ShardResult>,
+    pub(crate) results: Vec<ShardResult>,
     /// The scheduler timeline every run records. Kept out of
     /// [`FleetReport::result_digest`].
     pub(crate) timeline: FleetTrace,
@@ -279,14 +272,11 @@ impl FleetReport {
             }
         }
         for result in &self.results {
-            if let ShardDisposition::Quarantined {
-                attempts, reason, ..
-            } = &result.disposition
-            {
+            if let ShardDisposition::Quarantined(q) = &result.disposition {
                 let _ = writeln!(
                     out,
-                    "shard|{:03}|{}|quarantined|attempts={attempts}|reason={reason}",
-                    result.shard.0, result.machine
+                    "shard|{:03}|{}|quarantined|attempts={}|reason={}",
+                    result.shard.0, result.machine, q.attempts, q.reason
                 );
                 continue;
             }

@@ -251,19 +251,8 @@ impl FleetScheduler {
                            snapshot: Option<&SweepCheckpoint>,
                            result: &ShardResult|
          -> std::io::Result<()> {
-            let record = if let ShardDisposition::Quarantined {
-                attempts,
-                reason,
-                evidence,
-            } = &result.disposition
-            {
-                quarantine_record(&QuarantineRecord {
-                    shard,
-                    machine: result.machine.clone(),
-                    attempts: *attempts,
-                    reason: reason.clone(),
-                    evidence: evidence.clone(),
-                })
+            let record = if let ShardDisposition::Quarantined(fence) = &result.disposition {
+                quarantine_record(fence)
             } else if let Some(cp) = snapshot {
                 shard_record(shard, cp)
             } else {
@@ -298,7 +287,7 @@ impl FleetScheduler {
     /// called on the ingest thread per worker-swept shard; when it fails
     /// the run cancels (the simulated process death) and stops journaling.
     /// Every run records its scheduler timeline into the report.
-    fn sweep_core(
+    pub(crate) fn sweep_core(
         &self,
         fleet: &mut FleetRegistry,
         checkpoint: &mut FleetCheckpoint,
@@ -326,32 +315,21 @@ impl FleetScheduler {
         // a previous run quarantined stay fenced.
         let mut pending: Vec<usize> = Vec::new();
         for (i, shard) in checkpoint.shards.iter().enumerate() {
-            if let Some(q) = quarantined.get(&(i as u32)) {
-                let disposition = ShardDisposition::Quarantined {
-                    attempts: q.attempts,
-                    reason: q.reason.clone(),
-                    evidence: q.evidence.clone(),
-                };
-                let fallback =
-                    entry_failure_report(&fleet.machines()[i].machine, "shard is quarantined");
-                let result = meta[i].result(ShardId(i as u32), disposition, fallback);
-                if observer(&result) == FleetControl::Stop {
-                    root.cancel();
-                }
-                report.absorb(result);
+            let (disposition, shard_report) = if let Some(q) = quarantined.get(&(i as u32)) {
+                let machine = &fleet.machines()[i].machine;
+                let fallback = entry_failure_report(machine, "shard is quarantined");
+                (ShardDisposition::Quarantined(q.clone()), fallback)
             } else if shard.is_complete() {
-                let result = meta[i].result(
-                    ShardId(i as u32),
-                    ShardDisposition::Restored,
-                    restore_report(shard),
-                );
-                if observer(&result) == FleetControl::Stop {
-                    root.cancel();
-                }
-                report.absorb(result);
+                (ShardDisposition::Restored, restore_report(shard))
             } else {
                 pending.push(i);
+                continue;
+            };
+            let result = meta[i].result(ShardId(i as u32), disposition, shard_report);
+            if observer(&result) == FleetControl::Stop {
+                root.cancel();
             }
+            report.absorb(result);
         }
 
         if !pending.is_empty() && !root.is_cancelled() {
@@ -548,14 +526,14 @@ impl FleetScheduler {
                     "shard.quarantine",
                     &format!("shard-{shard:03} fenced after {attempt} attempts"),
                 );
-                return (
-                    report,
-                    ShardDisposition::Quarantined {
-                        attempts: attempt,
-                        reason,
-                        evidence: recorder.snapshot(),
-                    },
-                );
+                let record = QuarantineRecord {
+                    shard,
+                    machine: machine.name().to_string(),
+                    attempts: attempt,
+                    reason,
+                    evidence: recorder.snapshot(),
+                };
+                return (report, ShardDisposition::Quarantined(record));
             }
             // Give the retry a clean slate on exactly the failed
             // pipelines: degraded outcomes that were checkpointed (e.g. a
@@ -634,16 +612,26 @@ fn restore_report(checkpoint: &SweepCheckpoint) -> SweepReport {
     }))
 }
 
+/// How every pipeline of [`entry_failure_report`] degrades.
+const ENTRY_FAILURE: &str = "could not enter machine";
+
 /// The all-degraded report for a machine the scanner could not enter.
 fn entry_failure_report(machine: &Machine, reason: &str) -> SweepReport {
     SweepReport::from_pipelines(Pipeline::ALL.map(|p| {
         (
             DiffReport::empty(p.truth_view(), machine.now()),
             PipelineStatus::Degraded {
-                reason: format!("could not enter machine: {reason}"),
+                reason: format!("{ENTRY_FAILURE}: {reason}"),
             },
         )
     }))
+}
+
+/// Whether `report` is an [`entry_failure_report`]: no pipeline ran.
+pub(crate) fn entry_failed(report: &SweepReport) -> bool {
+    report.health.each().all(|(_, status)| {
+        matches!(status, PipelineStatus::Degraded { reason } if reason.starts_with(ENTRY_FAILURE))
+    })
 }
 
 #[cfg(test)]
@@ -707,6 +695,15 @@ mod tests {
             .expect("the sweep laid a base record");
         assert!(state.checkpoint.is_complete());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn entry_failure_reports_are_told_apart_from_degraded_sweeps() {
+        let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(1, 5)).unwrap();
+        let stand_in = entry_failure_report(&fleet.machines()[0].machine, "no such process");
+        assert!(entry_failed(&stand_in));
+        let report = scheduler().sweep(&mut fleet).unwrap();
+        assert!(!entry_failed(&report.results()[0].report));
     }
 
     #[test]

@@ -126,12 +126,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("resume re-swept shard-007 only; fleet clean");
 
     // ----------------------------------------------------------------
-    // Stage 3: continuous fleet monitoring — per-shard baselines, then a
-    // rootkit lands on one machine and the incident arrives shard-tagged
-    // with that shard's flight dump as evidence.
+    // Stage 3: continuous fleet monitoring through the same work-stealing
+    // scheduler — per-shard baselines, then a rootkit lands on one
+    // machine and the incident arrives shard-tagged with that shard's
+    // flight dump as evidence.
     // ----------------------------------------------------------------
     let mut clean_fleet = FleetRegistry::seeded(&FleetSpec::clean(6, 4096))?;
-    let mut monitor = FleetMonitor::new(GhostBuster::new().with_policy(policy))
+    let mut monitor = FleetMonitor::new(scheduler)
         .with_config(MonitorConfig::default().with_interval_ns(1_000_000_000));
     monitor.record_baselines(&mut clean_fleet)?;
     let calm = monitor.run(&mut clean_fleet, 2)?;

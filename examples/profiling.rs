@@ -193,18 +193,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     JsonValue::parse(&std::fs::read_to_string(&trace_path)?)?;
     println!("merged fleet trace written to {}", trace_path.display());
 
-    // The timeline feeds the alerting plane: queue-wait p95 and worker
-    // idle fraction become fleet series, and a starvation ceiling turns
-    // long deque waits into a firing rule.
+    // Every monitored pass feeds its own timeline to the alerting plane:
+    // queue-wait p95 and worker idle fraction become fleet series, and a
+    // starvation ceiling turns long deque waits into a firing rule. Eight
+    // shards on four workers, with stalls that advance the fake clock
+    // once the baselines are in, leave later shards waiting.
     assert!(
         trace.queue_wait_p95_ns() > 0,
         "later shards waited on deques"
     );
-    let mut monitor = FleetMonitor::new(scheduler.detector().clone())
+    let mut monitored = FleetRegistry::seeded(&FleetSpec::clean(8, 2027))?;
+    let mut monitor = FleetMonitor::new(scheduler)
         .with_alert_policy(FleetAlertPolicy::default().with_queue_wait_p95_max_ns(1));
-    let transitions = monitor.ingest_trace(trace);
+    monitor.record_baselines(&mut monitored)?;
+    for machine in monitored.machines_mut() {
+        machine
+            .machine
+            .set_fault_injector(FaultInjector::new().stall_volume_reads(Stall::after_polls(2)));
+    }
+    let pass = monitor.observe(&mut monitored)?;
     assert!(monitor.core.engine().is_firing("fleet.worker_starvation"));
-    assert!(transitions
+    assert!(pass
+        .transitions
         .iter()
         .any(|t| t.rule == "fleet.worker_starvation"));
     assert!(monitor

@@ -62,7 +62,8 @@ FAULT_SEED="${FAULT_SEED:-20260809}" cargo test -q --offline --test properties \
 #                SCAN_TELEMETRY_* schema keys;
 #   alerting   — the Pending→Firing→Resolved lifecycle and its
 #                TELEMETRY_EXPO_* file;
-#   fleet_scan — the work-stealing scheduler and fleet monitor;
+#   fleet_scan — the work-stealing scheduler, and the fleet monitor
+#                judging what that scheduler swept;
 #   durability — kill mid-journal, resume, compare digests, flip a bit,
 #                fall back a generation;
 #   evasion    — naive sweep loses, hardened monitor raises
@@ -97,12 +98,15 @@ diff -u docs/paper_tables_output.txt "$OBS_DIR/paper_tables_output.txt"
 echo "==> bench_diff smoke run"
 scripts/bench_diff >/dev/null
 
-# Fresh scan gate: re-run the file, registry and process scan benches and
-# the Fig. 3/4/6 and cross-time baseline benches in FAST mode and diff
-# them against the committed BENCH_<group>.json. All seven scan on the
-# calling thread, so their alloc columns are complete (the one whole-sweep
-# row, cross_view/full_sweep_infected, counts its calling thread only,
-# which is still deterministic).
+# Fresh scan gate: re-run the file, registry and process scan benches,
+# the Fig. 3/4/6 and cross-time baseline benches, the advanced-mode
+# ablation, the injection extensions, the outside-the-box false-positive
+# flows and the Unix rootkits in FAST mode and diff them against the
+# committed BENCH_<group>.json. All eleven scan on the calling thread, so
+# their alloc columns are complete (the one whole-sweep row,
+# cross_view/full_sweep_infected, counts its calling thread only, which
+# is still deterministic). The evasion and fleet_scan groups stay
+# ungated until their alloc columns count every thread.
 # Allocs and bytes per op are deterministic (a FAST run matches the
 # full-mode counts to the allocation), so they keep the default 2%
 # threshold. FAST timings are a few 20 ms samples on a possibly shared
@@ -110,7 +114,8 @@ scripts/bench_diff >/dev/null
 # change, so time only fails past 4x the baseline (--time-frac 3): a
 # gross regression, not noise.
 for bench in time_file_scan time_registry_scan time_process_scan \
-    fig3_hidden_files fig4_hidden_asep fig6_hidden_procs baseline_crosstime; do
+    fig3_hidden_files fig4_hidden_asep fig6_hidden_procs baseline_crosstime \
+    ablation_advanced ext_injection fp_outside linux_rootkits; do
     echo "==> fresh $bench bench"
     STRIDER_BENCH_FAST=1 STRIDER_BENCH_DIR="$OBS_DIR" cargo bench -q --offline \
         -p strider-bench --bench "$bench" >"$OBS_DIR/$bench.log" 2>&1 ||

@@ -290,7 +290,10 @@ fn killed_fleet_sweep_resumes_only_the_unfinished_shards() {
 fn fleet_monitor_tags_incidents_with_shard_and_flight_evidence() {
     let clock = Arc::new(FakeClock::default());
     let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(4, 91)).unwrap();
-    let mut monitor = FleetMonitor::new(GhostBuster::new().with_policy(fleet_policy(clock)))
+    // One worker: the stall's polls advance the shared fake clock, which
+    // a concurrent shard would read as its own latency.
+    let scheduler = FleetScheduler::new(detector(clock)).with_workers(1);
+    let mut monitor = FleetMonitor::new(scheduler)
         .with_config(MonitorConfig::default().with_interval_ns(1_000_000_000));
     assert_eq!(monitor.record_baselines(&mut fleet).unwrap(), 4);
 
@@ -338,7 +341,7 @@ fn fleet_monitor_tags_incidents_with_shard_and_flight_evidence() {
 fn fleet_infection_spike_rule_fires_and_exports_prometheus_text() {
     let clock = Arc::new(FakeClock::default());
     let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(8, 47)).unwrap();
-    let mut monitor = FleetMonitor::new(GhostBuster::new().with_policy(fleet_policy(clock)))
+    let mut monitor = FleetMonitor::new(FleetScheduler::new(detector(clock)))
         .with_config(MonitorConfig::default().with_interval_ns(1_000_000_000))
         .with_alert_policy(FleetAlertPolicy::default().with_infection_rate_max(0.25));
     monitor.record_baselines(&mut fleet).unwrap();
@@ -474,11 +477,12 @@ fn permanently_stalled_shard_is_quarantined_with_flight_evidence() {
         .result(ShardId(1))
         .expect("quarantined shard keeps its result");
     match &fenced.disposition {
-        ShardDisposition::Quarantined {
+        ShardDisposition::Quarantined(QuarantineRecord {
             attempts,
             reason,
             evidence,
-        } => {
+            ..
+        }) => {
             assert_eq!(*attempts, 2);
             assert!(reason.contains("files"), "{reason}");
             assert!(
@@ -634,9 +638,9 @@ fn quarantine_survives_the_durable_store_and_stays_fenced_on_resume() {
     assert_eq!(second.quarantined, vec![ShardId(3)]);
     assert_eq!(second.result_digest(), first.result_digest());
     match &second.result(ShardId(3)).unwrap().disposition {
-        ShardDisposition::Quarantined {
+        ShardDisposition::Quarantined(QuarantineRecord {
             attempts, evidence, ..
-        } => {
+        }) => {
             assert_eq!(*attempts, 2);
             assert!(!evidence.events.is_empty(), "evidence survives the journal");
         }
@@ -653,7 +657,8 @@ fn quarantine_survives_the_durable_store_and_stays_fenced_on_resume() {
 fn monitor_quarantines_a_failing_shard_instead_of_sinking_the_fleet() {
     let clock = Arc::new(FakeClock::default());
     let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(3, 97)).unwrap();
-    let mut monitor = FleetMonitor::new(detector(clock)).with_quarantine_after(2);
+    let scheduler = FleetScheduler::new(detector(clock)).with_workers(1);
+    let mut monitor = FleetMonitor::new(scheduler).with_quarantine_after(2);
     assert_eq!(monitor.record_baselines(&mut fleet).unwrap(), 3);
 
     // Break shard 1 after the baselines: every later pass degrades it.
@@ -676,7 +681,8 @@ fn monitor_quarantines_a_failing_shard_instead_of_sinking_the_fleet() {
     assert_eq!(pass.quarantined, vec![ShardId(1)]);
     let fenced = monitor.quarantined();
     assert_eq!(fenced.len(), 1);
-    assert_eq!(fenced[0].shard, ShardId(1));
+    assert_eq!(fenced[0].shard, 1);
+    assert_eq!(fenced[0].attempts, 2, "attempts counts the failed passes");
     assert!(
         fenced[0]
             .evidence
@@ -686,9 +692,16 @@ fn monitor_quarantines_a_failing_shard_instead_of_sinking_the_fleet() {
         "quarantine carries the failure trail"
     );
 
-    // Pass 3: the fenced shard is skipped — two shards observed, no new
-    // failures, and the rollup series records the fence.
+    // Pass 3: the fenced shard is skipped — not swept at all, two shards
+    // observed, no new failures, and the rollup series records the fence.
+    let raw_reads = fleet.machines()[1].machine.scan_tap().raw_reads();
     let pass = monitor.observe(&mut fleet).unwrap();
+    assert_eq!(
+        fleet.machines()[1].machine.scan_tap().raw_reads(),
+        raw_reads,
+        "a fenced shard is not swept"
+    );
+    assert_eq!(pass.quarantined, vec![ShardId(1)]);
     assert_eq!(pass.shards.len(), 2);
     assert_eq!(pass.shard_ids, vec![ShardId(0), ShardId(2)]);
     assert!(pass.failures.is_empty());
@@ -707,10 +720,90 @@ fn monitor_quarantines_a_failing_shard_instead_of_sinking_the_fleet() {
 }
 
 #[test]
+fn scheduler_quarantine_fences_the_shard_for_the_monitor() {
+    let clock = Arc::new(FakeClock::default());
+    let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(3, 83)).unwrap();
+    let scheduler = FleetScheduler::new(detector(clock))
+        .with_workers(1)
+        .with_heal(FleetHealPolicy::default().with_max_attempts(2));
+    let mut monitor = FleetMonitor::new(scheduler);
+    assert_eq!(monitor.record_baselines(&mut fleet).unwrap(), 3);
+    fleet.machines_mut()[2]
+        .machine
+        .set_fault_injector(FaultInjector::new().stall_volume_reads(Stall::forever()));
+
+    // The scheduler burns its two attempts and quarantines shard 2: that
+    // is the pass's failure, and the fence is the scheduler's record. Its
+    // untrusted verdict is not judged.
+    let pass = monitor.observe(&mut fleet).unwrap();
+    assert_eq!(pass.failures.len(), 1, "{:?}", pass.failures);
+    assert_eq!(pass.failures[0].shard, ShardId(2));
+    assert_eq!(pass.failures[0].consecutive, 1);
+    assert_eq!(pass.quarantined, vec![ShardId(2)]);
+    assert_eq!(pass.shard_ids, vec![ShardId(0), ShardId(1)]);
+    let fenced = monitor.quarantined();
+    assert_eq!(fenced.len(), 1);
+    assert_eq!(fenced[0].shard, 2);
+    assert_eq!(fenced[0].attempts, 2);
+    assert!(
+        fenced[0]
+            .evidence
+            .events
+            .iter()
+            .any(|e| e.what == "shard.attempt"),
+        "the scheduler's evidence: {:?}",
+        fenced[0].evidence
+    );
+
+    // The next pass skips the fenced shard without sweeping it.
+    let raw_reads = fleet.machines()[2].machine.scan_tap().raw_reads();
+    let pass = monitor.observe(&mut fleet).unwrap();
+    assert_eq!(
+        fleet.machines()[2].machine.scan_tap().raw_reads(),
+        raw_reads
+    );
+    assert!(pass.failures.is_empty(), "{:?}", pass.failures);
+    assert_eq!(pass.shard_ids, vec![ShardId(0), ShardId(1)]);
+    assert_eq!(pass.quarantined, vec![ShardId(2)]);
+    assert_eq!(monitor.core.series()["fleet.quarantined"].last(), Some(1.0));
+}
+
+#[test]
+fn every_monitored_pass_sweeps_with_fresh_circuit_breakers() {
+    // Two failures would open the files breaker for far longer than the
+    // test runs, if the breaker outlived its pass.
+    let clock = Arc::new(FakeClock::default());
+    let policy = fleet_policy(clock).with_breaker(2, 1_000_000_000_000);
+    let scheduler = FleetScheduler::new(GhostBuster::new().with_policy(policy)).with_workers(1);
+    let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(3, 97)).unwrap();
+    let mut monitor = FleetMonitor::new(scheduler);
+    monitor.record_baselines(&mut fleet).unwrap();
+    fleet.machines_mut()[1]
+        .machine
+        .set_fault_injector(FaultInjector::new().stall_volume_reads(Stall::forever()));
+
+    // Every pass scans the stalled volume again and times out; none is
+    // rejected by a breaker an earlier pass opened. The pass-streak fence
+    // is what stops the retrying.
+    for pass in 1..=3 {
+        let observation = monitor.observe(&mut fleet).unwrap();
+        assert_eq!(observation.failures[0].consecutive, pass);
+        assert_eq!(
+            observation.shards[1].report.health.files,
+            PipelineStatus::Degraded {
+                reason: "operation timed out".to_string()
+            },
+            "pass {pass}"
+        );
+    }
+}
+
+#[test]
 fn fleet_monitor_exposition_text_is_pinned() {
     let policy = ScanPolicy::resilient().with_clock(Arc::new(FakeClock::new()));
     let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(3, 13)).unwrap();
-    let mut monitor = FleetMonitor::new(GhostBuster::new().with_policy(policy));
+    let mut monitor =
+        FleetMonitor::new(FleetScheduler::new(GhostBuster::new().with_policy(policy)));
     monitor.record_baselines(&mut fleet).unwrap();
     monitor.observe(&mut fleet).unwrap();
     let expected = concat!(
@@ -730,8 +823,12 @@ fn fleet_monitor_exposition_text_is_pinned() {
         "fleet_p95_sweep_ns 0\n",
         "# TYPE fleet_quarantined gauge\n",
         "fleet_quarantined 0\n",
+        "# TYPE fleet_queue_wait_p95_ns gauge\n",
+        "fleet_queue_wait_p95_ns 0\n",
         "# TYPE fleet_suspicious gauge\n",
         "fleet_suspicious 0\n",
+        "# TYPE fleet_worker_idle_fraction gauge\n",
+        "fleet_worker_idle_fraction 0\n",
         "# TYPE strider_alert_active gauge\n",
         "strider_alert_active{rule=\"fleet.infection_spike\",severity=\"critical\"} 0\n",
         "strider_alert_active{rule=\"fleet.degraded_shards\",severity=\"warning\"} 0\n",
@@ -752,7 +849,8 @@ fn fleet_monitor_exposition_text_is_pinned() {
 fn fleet_config_reaches_shard_monitors_recorded_before_it() {
     let policy = ScanPolicy::resilient().with_clock(Arc::new(FakeClock::new()));
     let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(2, 17)).unwrap();
-    let mut monitor = FleetMonitor::new(GhostBuster::new().with_policy(policy));
+    let mut monitor =
+        FleetMonitor::new(FleetScheduler::new(GhostBuster::new().with_policy(policy)));
     monitor.record_baselines(&mut fleet).unwrap();
 
     let config = MonitorConfig {
@@ -781,5 +879,115 @@ fn fleet_config_reaches_shard_monitors_recorded_before_it() {
             "{rule}"
         );
         assert_eq!(shard.core.series()["sweep.suspicious"].len(), 1);
+    }
+}
+
+// ---------------------------------------------------------------------
+// One monitored pass, pinned: what the monitor judges must not depend on
+// how the pass was swept
+// ---------------------------------------------------------------------
+
+/// The sorted `(shard, incident variant, pipeline, identity)` of a pass.
+fn incident_keys(pass: &FleetObservation) -> Vec<(u32, &'static str, String, String)> {
+    let mut keys: Vec<_> = pass
+        .incidents
+        .iter()
+        .map(|i| {
+            let (variant, identity) = match &i.incident {
+                MonitorIncident::NewHiddenResource { identity, .. } => ("new", identity.clone()),
+                MonitorIncident::LatencyRegression { .. } => ("latency", String::new()),
+                MonitorIncident::HealthDowngrade { .. } => ("downgrade", String::new()),
+                MonitorIncident::EvasionSuspected { identity, .. } => ("evasion", identity.clone()),
+            };
+            (
+                i.shard.0,
+                variant,
+                i.incident.pipeline().to_string(),
+                identity,
+            )
+        })
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// Baselines a stall-free 12-machine fleet, infects three shards with
+/// three different families, and runs one monitored pass.
+fn pinned_pass(monitor: &mut FleetMonitor) -> FleetObservation {
+    let mut fleet = FleetRegistry::seeded(&FleetSpec::clean(12, 1212)).unwrap();
+    assert_eq!(monitor.record_baselines(&mut fleet).unwrap(), 12);
+    HackerDefender::default()
+        .infect(&mut fleet.machines_mut()[2].machine)
+        .unwrap();
+    Vanquish::default()
+        .infect(&mut fleet.machines_mut()[5].machine)
+        .unwrap();
+    Aphex::default()
+        .infect(&mut fleet.machines_mut()[9].machine)
+        .unwrap();
+    monitor.observe(&mut fleet).unwrap()
+}
+
+#[test]
+fn monitored_pass_is_pinned_at_any_worker_count() {
+    for workers in [1, 2, 4, 8] {
+        let scheduler =
+            FleetScheduler::new(detector(Arc::new(FakeClock::default()))).with_workers(workers);
+        assert_pinned(&mut FleetMonitor::new(scheduler));
+    }
+}
+
+/// The pass as the shard-serial monitor judged it; every worker count
+/// must reproduce it exactly.
+fn assert_pinned(monitor: &mut FleetMonitor) {
+    let pass = pinned_pass(monitor);
+
+    let new = |shard: u32, pipeline: &str, identity: &str| {
+        (shard, "new", pipeline.to_string(), identity.to_string())
+    };
+    let expected = vec![
+        new(2, "files", r"c:\windows\system32\drivers\hxdefdrv.sys"),
+        new(2, "files", r"c:\windows\system32\hxdef100.exe"),
+        new(2, "files", r"c:\windows\system32\hxdef100.ini"),
+        new(2, "processes", "pid:60"),
+        new(2, "registry", "Services|hackerdefender100|hxdef100.exe"),
+        new(2, "registry", "Services|hackerdefenderdrv100|hxdefdrv.sys"),
+        new(5, "files", r"c:\vanquish.log"),
+        new(5, "files", r"c:\windows\vanquish.dll"),
+        new(5, "files", r"c:\windows\vanquish.exe"),
+        new(5, "modules", "pid:12|vanquish.dll"),
+        new(5, "modules", "pid:16|vanquish.dll"),
+        new(5, "modules", "pid:20|vanquish.dll"),
+        new(5, "modules", "pid:24|vanquish.dll"),
+        new(5, "modules", "pid:28|vanquish.dll"),
+        new(5, "modules", "pid:8|vanquish.dll"),
+        new(5, "registry", r"Services|vanquish|c:\windows\vanquish.exe"),
+        new(9, "files", r"c:\windows\system32\~aphex.exe"),
+        new(9, "files", r"c:\windows\system32\~keys.log"),
+        new(9, "processes", "pid:60"),
+        new(
+            9,
+            "registry",
+            r"Run|~aphex.exe|c:\windows\system32\~aphex.exe",
+        ),
+    ];
+    assert_eq!(incident_keys(&pass), expected);
+    assert_eq!(
+        pass.infected_shards(),
+        vec![ShardId(2), ShardId(5), ShardId(9)]
+    );
+    let series = monitor.core.series();
+    for (name, value) in [
+        ("fleet.infected", 3.0),
+        ("fleet.suspicious", 20.0),
+        ("fleet.degraded", 0.0),
+        ("fleet.incidents", 20.0),
+        ("fleet.infection_rate", 0.25),
+        ("fleet.degraded_fraction", 0.0),
+        ("fleet.p95_sweep_ns", 0.0),
+        ("fleet.failures", 0.0),
+        ("fleet.quarantined", 0.0),
+    ] {
+        assert_eq!(series[name].last(), Some(value), "{name}");
     }
 }

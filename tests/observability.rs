@@ -358,6 +358,43 @@ fn flight_recorder_events_do_not_grow_the_report_json_unboundedly() {
     );
 }
 
+#[test]
+fn judging_a_sweep_keeps_its_full_flight_ring_at_capacity() {
+    use strider_support::alert::{AlertCondition, AlertRule};
+    let clock = Arc::new(FakeClock::default());
+    let mut monitor = fake_monitor(clock.clone());
+    monitor.core.add_rule(AlertRule::new(
+        "always_on",
+        "sweep.suspicious",
+        AlertCondition::Below(1_000.0),
+    ));
+    let mut machine = Machine::with_base_system("lab-full-ring").unwrap();
+    let mut report = GhostBuster::new()
+        .with_policy(supervised_policy(clock.clone()))
+        .with_telemetry(Telemetry::with_clock(clock.clone()))
+        .inside_sweep(&mut machine)
+        .unwrap();
+    // A sweep whose black box already overflowed its ring.
+    let flooded = Telemetry::with_clock(clock);
+    for i in 0..FLIGHT_CAPACITY + 5 {
+        flooded.recorder().mark("flood", &format!("event {i}"));
+    }
+    report.telemetry.as_mut().unwrap().flight = flooded.report().flight;
+
+    // The alert transition evicts the oldest event and continues the
+    // sequence numbers.
+    let observation = monitor.judge(report);
+    let flight = &observation.report.telemetry.as_ref().unwrap().flight;
+    assert_eq!(flight.len(), FLIGHT_CAPACITY);
+    assert_eq!(flight.dropped, 6);
+    let last = flight.last().unwrap();
+    assert_eq!(
+        (last.kind, last.what.as_str()),
+        (FlightEventKind::Alert, "always_on")
+    );
+    assert!(flight.events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+}
+
 // ---------------------------------------------------------------------
 // Telemetry vocabulary: the names every dashboard and alert rule keys on
 // ---------------------------------------------------------------------
