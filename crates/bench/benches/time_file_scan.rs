@@ -23,6 +23,16 @@ fn bench_file_scans(c: &mut Criterion) {
         ("small-300", WorkloadSpec::small(42)),
         ("medium-3k", WorkloadSpec::medium(42)),
         ("large-30k", WorkloadSpec::large(42)),
+        // Ten times `large`: with the three tiers below it, the curve
+        // shows each phase's complexity class.
+        (
+            "huge-300k",
+            WorkloadSpec {
+                file_count: 300_000,
+                dir_count: 15_000,
+                ..WorkloadSpec::large(42)
+            },
+        ),
     ] {
         let mut machine = victim_machine_sized(&spec).expect("machine builds");
         let gb = GhostBuster::new();

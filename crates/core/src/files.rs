@@ -12,7 +12,9 @@ use strider_nt_core::{NtPath, NtStatus, Tick};
 use strider_ntfs::VolumeImage;
 use strider_support::obs::Telemetry;
 use strider_support::task::Supervision;
-use strider_winapi::{CallContext, ChainEntry, ChainStats, DiskImage, Machine, Query, Row};
+use strider_winapi::{
+    CallContext, ChainEntry, ChainStats, DiskImage, Machine, PerParent, Query, Row,
+};
 
 /// The hidden-file scanner: high-level API walks, low-level MFT parses,
 /// and outside-the-box disk-image scans.
@@ -105,6 +107,7 @@ impl FileScanner {
             None => DecoyPump::disabled(),
         };
         let mut stack = vec![NtPath::root_of(machine.volume().label())];
+        let mut listed = PerParent::default();
         while let Some(dir) = stack.pop() {
             self.supervision.checkpoint().map_err(interrupt_status)?;
             meta.io.record_api_call();
@@ -123,17 +126,21 @@ impl FileScanner {
             let subdirs = stack.len();
             for row in rows {
                 if let Row::File(f) = row {
+                    // Rendered once per listing, then each row from its name.
+                    let (dir_key, dir_display) =
+                        listed.get(&f, |dir| (dir.fold_key(), dir.to_display_string()));
+                    let (key, path) = f.name.render_under(dir_key, dir_display);
                     facts.push((
-                        f.path.fold_key(),
+                        key,
                         FileFact {
-                            path: f.path.to_display_string(),
+                            path,
                             is_dir: f.is_dir,
                             size: f.size,
                             created: None,
                         },
                     ));
                     if f.is_dir {
-                        stack.push(f.path);
+                        stack.push(f.parent.join(f.name));
                     }
                 }
             }

@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::filters::{drop_rows, lower_name};
+use crate::filters::{drop_rows, lower_name, NamePatterns};
 use crate::{static_path, Ghostware, Infection, Technique};
 use strider_hive::ValueData;
 use strider_nt_core::{NtPath, NtStatus};
@@ -161,7 +161,7 @@ impl EvasiveGhostware {
 
     fn filter(&self, tap: ScanTap) -> Arc<dyn QueryFilter> {
         let tactic = self.tactic;
-        let stem = self.stem.to_ascii_lowercase();
+        let stem = NamePatterns::new(&[&self.stem]);
         let state = Arc::clone(&self.state);
         Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
             let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
@@ -177,7 +177,7 @@ impl EvasiveGhostware {
                         false
                     } else {
                         st.sense.lying_calls += 1;
-                        drop_rows(rows, |r| lower_name(r).contains(&stem))
+                        drop_rows(rows, |r| stem.matches(r))
                     }
                 }
                 EvasiveTactic::RehookAfterSweep {
@@ -203,16 +203,16 @@ impl EvasiveGhostware {
                         false
                     } else {
                         st.sense.lying_calls += 1;
-                        drop_rows(rows, |r| lower_name(r).contains(&stem))
+                        drop_rows(rows, |r| stem.matches(r))
                     }
                 }
                 EvasiveTactic::FlickerHiding { seed, grace } => {
                     st.sense.lying_calls += 1;
                     drop_rows(rows, |row| {
-                        let name = lower_name(row);
-                        if !name.contains(&stem) {
+                        if !stem.matches(row) {
                             return false;
                         }
+                        let name = lower_name(row);
                         let n = st.appearances.entry(name.clone()).or_insert(0);
                         *n += 1;
                         let appearance = *n;

@@ -1,7 +1,7 @@
 //! Reusable query-filter bodies for the ghostware corpus.
 
 use std::sync::Arc;
-use strider_winapi::{CallContext, Query, QueryFilter, Row};
+use strider_winapi::{CallContext, PerParent, Query, QueryFilter, Row};
 
 /// Drops every row `hidden` picks, returning whether any went — the
 /// body of every pure hider.
@@ -11,9 +11,62 @@ pub(crate) fn drop_rows(rows: &mut Vec<Row>, mut hidden: impl FnMut(&Row) -> boo
     rows.len() != before
 }
 
-/// A row's name, lowercased for case-insensitive pattern matching.
+/// A row's name as the Win32 layer shows it, lowercased: the text a
+/// [`NamePatterns`] matches against, for callers that keep the name.
 pub(crate) fn lower_name(row: &Row) -> String {
     row.name().to_win32_lossy().to_ascii_lowercase()
+}
+
+/// Case-insensitive substring patterns matched against a row's name as
+/// [`lower_name`] renders it — cut at the first NUL, a lone surrogate read
+/// as U+FFFD, ASCII-case-folded — straight from the name's UTF-16 units,
+/// so matching a row allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct NamePatterns(Vec<Vec<u16>>);
+
+impl NamePatterns {
+    pub(crate) fn new<S: AsRef<str>>(patterns: &[S]) -> Self {
+        NamePatterns(
+            patterns
+                .iter()
+                .map(|p| p.as_ref().to_ascii_lowercase().encode_utf16().collect())
+                .collect(),
+        )
+    }
+
+    /// Whether the row's name contains any of the patterns.
+    pub(crate) fn matches(&self, row: &Row) -> bool {
+        let units = row.name().units();
+        let name = &units[..units.iter().position(|&u| u == 0).unwrap_or(units.len())];
+        self.0.iter().any(|p| {
+            p.is_empty()
+                || (p.len() <= name.len()
+                    && (0..=name.len() - p.len()).any(|at| {
+                        p.iter()
+                            .enumerate()
+                            .all(|(i, &u)| win32_unit(name, at + i) == u)
+                    }))
+        })
+    }
+}
+
+/// `name[i]` as the Win32 view decodes and [`lower_name`] folds it.
+fn win32_unit(name: &[u16], i: usize) -> u16 {
+    const HIGH: std::ops::RangeInclusive<u16> = 0xD800..=0xDBFF;
+    const LOW: std::ops::RangeInclusive<u16> = 0xDC00..=0xDFFF;
+    let u = name[i];
+    let paired = if HIGH.contains(&u) {
+        name.get(i + 1).is_some_and(|n| LOW.contains(n))
+    } else if LOW.contains(&u) {
+        i > 0 && HIGH.contains(&name[i - 1])
+    } else {
+        return u8::try_from(u).map_or(u, |b| u16::from(b.to_ascii_lowercase()));
+    };
+    if paired {
+        u
+    } else {
+        0xFFFD
+    }
 }
 
 /// A filter that removes rows whose name contains any of the given
@@ -21,12 +74,9 @@ pub(crate) fn lower_name(row: &Row) -> String {
 /// (Hacker Defender's ini patterns, Aphex's prefix, Vanquish's
 /// `*vanquish*`).
 pub fn hide_names_containing(patterns: &[&str]) -> Arc<dyn QueryFilter> {
-    let patterns: Vec<String> = patterns.iter().map(|p| p.to_ascii_lowercase()).collect();
+    let patterns = NamePatterns::new(patterns);
     Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
-        drop_rows(rows, |r| {
-            let name = lower_name(r);
-            patterns.iter().any(|p| name.contains(p.as_str()))
-        })
+        drop_rows(rows, |r| patterns.matches(r))
     })
 }
 
@@ -34,14 +84,25 @@ pub fn hide_names_containing(patterns: &[&str]) -> Arc<dyn QueryFilter> {
 /// pattern — used by folder hiders where the hidden folder name only appears
 /// in the path.
 pub fn hide_paths_containing(patterns: &[String]) -> Arc<dyn QueryFilter> {
+    let names = NamePatterns::new(patterns);
     let patterns: Vec<String> = patterns.iter().map(|p| p.to_ascii_lowercase()).collect();
     Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
+        // Rows of one listing share their directory: it is rendered and
+        // lowercased once, and each row's path is built in one buffer.
+        let mut dir = PerParent::default();
+        let mut path = String::new();
         drop_rows(rows, |r| {
-            let hay = match r {
-                Row::File(f) => f.path.to_string().to_ascii_lowercase(),
-                other => lower_name(other),
+            let Row::File(f) = r else {
+                return names.matches(r);
             };
-            patterns.iter().any(|p| hay.contains(p.as_str()))
+            path.clear();
+            path.push_str(dir.get(f, |d| d.to_display_string().to_ascii_lowercase()));
+            path.push('\\');
+            let name_at = path.len();
+            // A `String` sink never fails.
+            let _ = f.name.write_display(&mut path);
+            path[name_at..].make_ascii_lowercase();
+            patterns.iter().any(|p| path.contains(p.as_str()))
         })
     })
 }
@@ -82,7 +143,10 @@ pub fn hide_pids(pids: Vec<u32>) -> Arc<dyn QueryFilter> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strider_nt_core::Pid;
+    use strider_nt_core::{NtPath, NtString, Pid};
+    use strider_support::check::{check, gen, Config};
+    use strider_support::prop_assert_eq;
+    use strider_support::rng::SplitMix64;
     use strider_winapi::{FileRow, ProcessRow, RegValueRow};
 
     fn ctx() -> CallContext {
@@ -90,10 +154,10 @@ mod tests {
     }
 
     fn file_row(path: &str) -> Row {
-        let path: strider_nt_core::NtPath = path.parse().unwrap();
+        let path: NtPath = path.parse().unwrap();
         Row::File(FileRow {
             name: path.file_name().unwrap().clone(),
-            path: path.clone(),
+            parent: Arc::new(path.parent().unwrap()),
             is_dir: false,
             attributes: strider_ntfs::FileAttributes::NORMAL,
             size: 0,
@@ -154,6 +218,127 @@ mod tests {
             _ => panic!("rows changed type"),
         }
         assert!(!f.filter(&ctx(), &q, &mut rows), "already scrubbed");
+    }
+
+    /// Name units: ASCII in both cases, non-ASCII, NUL, a valid surrogate
+    /// pair, both lone surrogate halves and U+FFFD itself.
+    const NAME_UNITS: &[u16] = &[
+        b'a' as u16,
+        b'B' as u16,
+        b'.' as u16,
+        0xE9,
+        0xC9,
+        0,
+        0xD83D,
+        0xDE00,
+        0xD800,
+        0xDC00,
+        0xFFFD,
+    ];
+    const PATTERN_CHARS: &[char] = &['a', 'b', 'A', 'B', '.', 'é', 'É', '\u{FFFD}', '😀'];
+
+    /// Edge units around the pattern itself (upper-cased) half the time, so
+    /// that matches are common.
+    fn name_and_pattern(rng: &mut SplitMix64) -> ((Vec<u16>, Vec<u16>), String, bool) {
+        let edge = |r: &mut SplitMix64| gen::vec_of(r, 0, 4, |r| *r.choose(NAME_UNITS));
+        let len: usize = rng.gen_range(0..4);
+        let pattern = (0..len).map(|_| *rng.choose(PATTERN_CHARS)).collect();
+        ((edge(rng), edge(rng)), pattern, rng.chance(1, 2))
+    }
+
+    fn units_of(
+        ((before, after), pattern, embed): &((Vec<u16>, Vec<u16>), String, bool),
+    ) -> Vec<u16> {
+        let mut units = before.clone();
+        if *embed {
+            units.extend(pattern.to_ascii_uppercase().encode_utf16());
+        }
+        units.extend(after);
+        units
+    }
+
+    #[test]
+    fn name_patterns_decide_exactly_what_the_lowered_name_contains() {
+        check(
+            "name_patterns_decide_exactly_what_the_lowered_name_contains",
+            Config::with_cases(3_000),
+            name_and_pattern,
+            |input| {
+                let row = Row::Process(ProcessRow {
+                    pid: Pid(8),
+                    image_name: NtString::from_units(&units_of(input)),
+                    image_path: String::new(),
+                });
+                let pattern = &input.1;
+                prop_assert_eq!(
+                    NamePatterns::new(&[pattern]).matches(&row),
+                    lower_name(&row).contains(&pattern.to_ascii_lowercase())
+                );
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn path_patterns_decide_exactly_what_the_lowered_path_contains() {
+        check(
+            "path_patterns_decide_exactly_what_the_lowered_path_contains",
+            Config::with_cases(1_000),
+            |rng| {
+                let parents = gen::vec_of(rng, 1, 3, |r| gen::vec_of(r, 0, 2, name_and_pattern));
+                (
+                    parents,
+                    gen::vec_of(rng, 0, 8, |r| (r.gen_range(0..3), name_and_pattern(r))),
+                )
+            },
+            |(parents, rows)| {
+                if parents.is_empty() {
+                    return Ok(()); // shrunk below the generator's invariant
+                }
+                let name = |input| NtString::from_units(&units_of(input));
+                let parents: Vec<Arc<NtPath>> = parents
+                    .iter()
+                    .map(|dir| Arc::new(NtPath::from_components("C:", dir.iter().map(name))))
+                    .collect();
+                let mut listing: Vec<Row> = rows
+                    .iter()
+                    .map(|(i, n)| {
+                        Row::File(FileRow {
+                            name: name(n),
+                            parent: Arc::clone(&parents[i % parents.len()]),
+                            is_dir: false,
+                            attributes: strider_ntfs::FileAttributes::NORMAL,
+                            size: 0,
+                        })
+                    })
+                    .collect();
+                // Patterns cut from the first row's full path on either side
+                // of its middle, so some straddle the directory and the name.
+                let Some(Row::File(first)) = listing.first() else {
+                    return Ok(());
+                };
+                let full: Vec<char> = first.path().to_string().chars().collect();
+                let cut = full.len() / 2;
+                let patterns: Vec<String> = [full.get(2..cut), full.get(cut..)]
+                    .into_iter()
+                    .flatten()
+                    .map(|p| p.iter().collect())
+                    .collect();
+                let mut expected = listing.clone();
+                expected.retain(|r| match r {
+                    Row::File(f) => {
+                        let hay = f.path().to_string().to_ascii_lowercase();
+                        !patterns
+                            .iter()
+                            .any(|p| hay.contains(&p.to_ascii_lowercase()))
+                    }
+                    _ => true,
+                });
+                hide_paths_containing(&patterns).filter(&ctx(), &Query::ProcessList, &mut listing);
+                prop_assert_eq!(listing, expected);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -12,6 +12,9 @@ pub(crate) const RESERVED_DEVICE_NAMES: &[&str] = &[
 /// Characters the Win32 layer rejects in file names (the native layer does not).
 pub(crate) const WIN32_ILLEGAL_CHARS: &[char] = &['<', '>', ':', '"', '/', '|', '?', '*'];
 
+/// The extension separator, as a UTF-16 unit.
+const DOT: u16 = b'.' as u16;
+
 /// A counted UTF-16 string — the native NT name representation.
 ///
 /// NT stores names as `UNICODE_STRING`s: a length plus a buffer, with no
@@ -137,6 +140,23 @@ impl NtString {
         Ok(())
     }
 
+    /// The fold key and display form of `dir.join(self)`, rendered from
+    /// `dir`'s own [`NtPath::fold_key`](crate::NtPath::fold_key) and
+    /// [`NtPath::to_display_string`](crate::NtPath::to_display_string):
+    /// one allocation each, and no path is built.
+    pub fn render_under(&self, dir_key: &str, dir_display: &str) -> (String, String) {
+        let mut key = String::with_capacity(dir_key.len() + 1 + self.len());
+        key.push_str(dir_key);
+        key.push('\\');
+        let mut display = String::with_capacity(dir_display.len() + 1 + self.len());
+        display.push_str(dir_display);
+        display.push('\\');
+        // A `String` sink never fails.
+        let _ = self.write_fold_key(&mut key);
+        let _ = self.write_display(&mut display);
+        (key, display)
+    }
+
     /// Case-insensitive equality per NT name-comparison rules.
     pub fn eq_ignore_case(&self, other: &NtString) -> bool {
         self.fold_key() == other.fold_key()
@@ -159,19 +179,29 @@ impl NtString {
         if self.contains_nul() {
             return Err(Win32NameError::EmbeddedNul);
         }
-        let s = self.to_win32_lossy();
-        if let Some(c) = s.chars().find(|c| WIN32_ILLEGAL_CHARS.contains(c)) {
+        // The rules read the name as Win32 decodes it (a lone surrogate is
+        // U+FFFD), straight from the units: a legal name costs no copy.
+        let chars = || {
+            char::decode_utf16(self.units.iter().copied())
+                .map(|c| c.unwrap_or(char::REPLACEMENT_CHARACTER))
+        };
+        if let Some(c) = chars().find(|c| WIN32_ILLEGAL_CHARS.contains(c)) {
             return Err(Win32NameError::IllegalCharacter(c));
         }
-        if let Some(c) = s.chars().find(|&c| (c as u32) < 0x20) {
+        if let Some(c) = chars().find(|&c| (c as u32) < 0x20) {
             return Err(Win32NameError::ControlCharacter(c as u32));
         }
-        if s.ends_with('.') || s.ends_with(' ') {
+        if matches!(self.units.last(), Some(&u) if u == DOT || u == u16::from(b' ')) {
             return Err(Win32NameError::TrailingDotOrSpace);
         }
-        let stem = s.split('.').next().unwrap_or("").to_ascii_uppercase();
-        if RESERVED_DEVICE_NAMES.contains(&stem.as_str()) {
-            return Err(Win32NameError::ReservedDeviceName(stem));
+        let stem = self.units.split(|&u| u == DOT).next().unwrap_or(&[]);
+        if let Some(reserved) = RESERVED_DEVICE_NAMES.iter().find(|r| {
+            r.len() == stem.len()
+                && r.bytes()
+                    .zip(stem)
+                    .all(|(b, &u)| u8::try_from(u).is_ok_and(|c| c.to_ascii_uppercase() == b))
+        }) {
+            return Err(Win32NameError::ReservedDeviceName((*reserved).to_string()));
         }
         Ok(())
     }
@@ -260,6 +290,109 @@ strider_support::impl_json!(struct NtString { units });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NtPath;
+    use strider_support::check::{check, gen, Config};
+    use strider_support::prop_assert_eq;
+
+    /// Units that reach every Win32 rule: letters in both cases, dots and
+    /// spaces, NUL, a control and an illegal character, non-ASCII, U+FFFD
+    /// and both surrogate halves.
+    const EDGE_UNITS: &[u16] = &[
+        b'a' as u16,
+        b'C' as u16,
+        b'o' as u16,
+        b'N' as u16,
+        b'1' as u16,
+        b'.' as u16,
+        b' ' as u16,
+        b'\\' as u16,
+        b'<' as u16,
+        b':' as u16,
+        0,
+        1,
+        0xE9,
+        0xFFFD,
+        0xD800,
+        0xDC00,
+    ];
+
+    /// Stems that are, or nearly are, reserved device names.
+    const STEMS: &[&str] = &[
+        "", "con", "CoN", "lpt1", "LPT", "nul", "com9", "aux", "console",
+    ];
+
+    /// A name: one of [`STEMS`], then edge units.
+    fn edge_name(rng: &mut strider_support::rng::SplitMix64) -> (usize, Vec<u16>) {
+        (
+            rng.gen_range(0..STEMS.len()),
+            gen::vec_of(rng, 0, 6, |r| *r.choose(EDGE_UNITS)),
+        )
+    }
+
+    fn name_of((stem, units): &(usize, Vec<u16>)) -> NtString {
+        let mut all: Vec<u16> = STEMS[stem % STEMS.len()].encode_utf16().collect();
+        all.extend(units);
+        NtString::from_units(&all)
+    }
+
+    /// The Win32 rules applied to the decoded name, as they read before
+    /// [`NtString::validate_win32`] worked on the units directly.
+    fn validate_decoded(n: &NtString) -> Result<(), Win32NameError> {
+        if n.is_empty() {
+            return Err(Win32NameError::Empty);
+        }
+        if n.contains_nul() {
+            return Err(Win32NameError::EmbeddedNul);
+        }
+        let s = n.to_win32_lossy();
+        if let Some(c) = s.chars().find(|c| WIN32_ILLEGAL_CHARS.contains(c)) {
+            return Err(Win32NameError::IllegalCharacter(c));
+        }
+        if let Some(c) = s.chars().find(|&c| (c as u32) < 0x20) {
+            return Err(Win32NameError::ControlCharacter(c as u32));
+        }
+        if s.ends_with('.') || s.ends_with(' ') {
+            return Err(Win32NameError::TrailingDotOrSpace);
+        }
+        let stem = s.split('.').next().unwrap_or("").to_ascii_uppercase();
+        if RESERVED_DEVICE_NAMES.contains(&stem.as_str()) {
+            return Err(Win32NameError::ReservedDeviceName(stem));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn win32_rules_on_units_match_the_decoded_name() {
+        check(
+            "win32_rules_on_units_match_the_decoded_name",
+            Config::with_cases(2_000),
+            edge_name,
+            |name| {
+                let n = name_of(name);
+                prop_assert_eq!(n.validate_win32(), validate_decoded(&n));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn render_under_matches_the_joined_path() {
+        check(
+            "render_under_matches_the_joined_path",
+            Config::with_cases(500),
+            |rng| (gen::vec_of(rng, 0, 4, edge_name), edge_name(rng)),
+            |(dir, name)| {
+                let dir = NtPath::from_components("C:", dir.iter().map(name_of));
+                let name = name_of(name);
+                let joined = dir.join(name.clone());
+                prop_assert_eq!(
+                    name.render_under(&dir.fold_key(), &dir.to_display_string()),
+                    (joined.fold_key(), joined.to_display_string())
+                );
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn roundtrip_simple() {

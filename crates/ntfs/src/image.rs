@@ -288,17 +288,11 @@ impl VolumeImage {
                     Some((key, display)) => (key.as_str(), display.as_str()),
                     None => (root_key.as_str(), self.label.as_str()),
                 };
-                let name = &self.entries[k].name;
-                let mut key = String::with_capacity(parent_key.len() + 1 + name.len());
-                key.push_str(parent_key);
-                key.push('\\');
-                let mut display = String::with_capacity(parent_display.len() + 1 + name.len());
-                display.push_str(parent_display);
-                display.push('\\');
-                // A `String` sink never fails.
-                let _ = name.write_fold_key(&mut key);
-                let _ = name.write_display(&mut display);
-                rendered[k] = Some((key, display));
+                rendered[k] = Some(
+                    self.entries[k]
+                        .name
+                        .render_under(parent_key, parent_display),
+                );
                 parent = Some(k);
             }
         }

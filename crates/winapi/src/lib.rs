@@ -74,7 +74,8 @@ pub use machine::{
     ChainEntry, DiskImage, FaultInjector, HiveCopyTamper, Machine, RawImageTamper, TickTask,
 };
 pub use query::{
-    CallContext, FileRow, ModuleRow, ProcessRow, Query, QueryKind, RegKeyRow, RegValueRow, Row,
+    CallContext, FileRow, ModuleRow, PerParent, ProcessRow, Query, QueryKind, RegKeyRow,
+    RegValueRow, Row,
 };
 pub use strider_support::fault::FaultPlan;
 pub use tap::{RawSource, ScanTap};

@@ -2,14 +2,15 @@
 
 use crate::hooks::{syscall_for, HookId, HookRegistry, HookScope, HookStyle, Level, QueryFilter};
 use crate::query::{
-    CallContext, FileRow, ModuleRow, ProcessRow, Query, QueryKind, RegKeyRow, RegValueRow, Row,
+    CallContext, FileRow, ModuleRow, PerParent, ProcessRow, Query, QueryKind, RegKeyRow,
+    RegValueRow, Row,
 };
 use crate::tap::{RawSource, ScanTap};
 use crate::trace::{ChainTrace, LevelHop};
 use std::sync::Arc;
 use strider_hive::{Registry, RegistryError, ValueData};
 use strider_kernel::{Kernel, SyscallId};
-use strider_nt_core::{FileRecordNumber, NtPath, NtStatus, NtString, Pid, Tick};
+use strider_nt_core::{FileRecordNumber, NtPath, NtStatus, NtString, Pid, Tick, MAX_PATH};
 use strider_ntfs::{NtfsError, NtfsVolume};
 use strider_support::fault::{FaultPlan, Stall, TransientFaults};
 use strider_support::obs::FlightRecorder;
@@ -692,10 +693,12 @@ impl Machine {
                 let children = self.volume.list_children(path).map_err(ntfs_status)?;
                 // Sized to the directory index up front: one allocation.
                 let mut rows = Vec::with_capacity(children.size_hint().1.unwrap_or(0));
+                // One copy of the directory per listing; a row adds its name.
+                let parent = Arc::new(path.clone());
                 rows.extend(children.map(|rec| {
                     Row::File(FileRow {
                         name: rec.name.clone(),
-                        path: path.join(rec.name.clone()),
+                        parent: Arc::clone(&parent),
                         is_dir: rec.is_directory(),
                         attributes: rec.std_info.attributes,
                         size: rec.total_stream_bytes(),
@@ -1156,8 +1159,17 @@ impl Machine {
 fn win32_marshal(rows: &mut Vec<Row>) -> bool {
     let before = rows.len();
     let mut truncated = false;
+    let mut parent = PerParent::default();
     rows.retain_mut(|row| match row {
-        Row::File(r) => r.path.is_win32_visible(),
+        Row::File(r) => {
+            // Exactly `r.path().is_win32_visible()`, with the directory
+            // measured once for every row that shares it.
+            let &(dir_len, dir_legal) = parent.get(r, |dir| {
+                let legal = dir.components().iter().all(NtString::is_win32_legal);
+                (dir.char_len(), legal)
+            });
+            dir_len + 1 + r.name.len() <= MAX_PATH && dir_legal && r.name.is_win32_legal()
+        }
         Row::RegKey(RegKeyRow { name, .. }) | Row::RegValue(RegValueRow { name, .. }) => {
             truncated |= truncate_at_nul(name);
             true
@@ -1482,6 +1494,84 @@ mod tests {
         };
         assert!(m.query(&ctx, &q, ChainEntry::Win32).unwrap().is_empty());
         assert_eq!(m.query(&ctx, &q, ChainEntry::Native).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn win32_marshal_keeps_exactly_the_win32_visible_joined_paths() {
+        use strider_support::check::{check, gen, Config};
+        use strider_support::prop_assert_eq;
+        use strider_support::rng::SplitMix64;
+        const UNITS: &[u16] = &[
+            b'x' as u16,
+            b'.' as u16,
+            b' ' as u16,
+            b'<' as u16,
+            0,
+            1,
+            0xD800,
+        ];
+        const STEMS: &[&str] = &["", "con", "LPT1", "nul", "data"];
+        /// A stem, edge units, then padding that carries the joined path
+        /// across `MAX_PATH`.
+        fn part(rng: &mut SplitMix64) -> (usize, Vec<u16>, usize) {
+            (
+                rng.gen_range(0..STEMS.len()),
+                gen::vec_of(rng, 0, 3, |r| *r.choose(UNITS)),
+                rng.gen_range(0..MAX_PATH),
+            )
+        }
+        fn name((stem, units, pad): &(usize, Vec<u16>, usize)) -> NtString {
+            let mut all: Vec<u16> = STEMS[stem % STEMS.len()].encode_utf16().collect();
+            all.extend(units);
+            all.extend(std::iter::repeat_n(u16::from(b'a'), *pad));
+            NtString::from_units(&all)
+        }
+        let mut at_the_limit = 0;
+        check(
+            "win32_marshal_keeps_exactly_the_win32_visible_joined_paths",
+            Config::with_cases(1_000),
+            |rng| {
+                (
+                    gen::vec_of(rng, 1, 3, |r| gen::vec_of(r, 0, 2, part)),
+                    gen::vec_of(rng, 0, 12, |r| (r.gen_range(0..3), part(r))),
+                )
+            },
+            |(parents, rows)| {
+                if parents.is_empty() {
+                    return Ok(()); // shrunk below the generator's invariant
+                }
+                let parents: Vec<Arc<NtPath>> = parents
+                    .iter()
+                    .map(|dir| Arc::new(NtPath::from_components("C:", dir.iter().map(name))))
+                    .collect();
+                // Rows of several listings, interleaved.
+                let mut listing: Vec<Row> = rows
+                    .iter()
+                    .map(|(i, n)| {
+                        Row::File(FileRow {
+                            name: name(n),
+                            parent: Arc::clone(&parents[i % parents.len()]),
+                            is_dir: false,
+                            attributes: strider_ntfs::FileAttributes::NORMAL,
+                            size: 0,
+                        })
+                    })
+                    .collect();
+                let mut expected = listing.clone();
+                expected.retain(|r| matches!(r, Row::File(f) if f.path().is_win32_visible()));
+                at_the_limit += listing
+                    .iter()
+                    .filter(|r| {
+                        matches!(r, Row::File(f) if f.path().char_len().abs_diff(MAX_PATH) <= 1)
+                    })
+                    .count();
+                let changed = win32_marshal(&mut listing);
+                prop_assert_eq!(changed, listing.len() != rows.len());
+                prop_assert_eq!(listing, expected);
+                Ok(())
+            },
+        );
+        assert!(at_the_limit > 0, "no generated path sat at MAX_PATH");
     }
 
     #[test]

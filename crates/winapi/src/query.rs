@@ -1,6 +1,7 @@
 //! Queries and result rows flowing through the layered API chain.
 
 use std::fmt;
+use std::sync::Arc;
 use strider_nt_core::{NtPath, NtString, Pid};
 use strider_ntfs::FileAttributes;
 
@@ -74,18 +75,60 @@ impl Query {
 }
 
 /// A file or directory row.
+///
+/// Every row of one directory listing shares that directory through one
+/// [`Arc`]: the chain copies a row's name, never its path. Hot callers
+/// render a row from its parent's rendering plus the name
+/// ([`NtString::render_under`]); [`FileRow::path`] builds the full path
+/// for the cold ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileRow {
     /// Entry name within its directory.
     pub name: NtString,
-    /// Full path of the entry.
-    pub path: NtPath,
+    /// The listed directory, shared by every row of the listing.
+    pub parent: Arc<NtPath>,
     /// Whether the entry is a directory.
     pub is_dir: bool,
     /// DOS attributes.
     pub attributes: FileAttributes,
     /// Total data size in bytes.
     pub size: u64,
+}
+
+impl FileRow {
+    /// The entry's full path, joined on demand.
+    pub fn path(&self) -> NtPath {
+        self.parent.join(self.name.clone())
+    }
+}
+
+/// A value derived from a listing's directory — its rendering, its Win32
+/// length — computed once for the rows that share that directory and
+/// again only when a row with another parent comes by.
+#[derive(Debug)]
+pub struct PerParent<T>(Option<(Arc<NtPath>, T)>);
+
+impl<T> Default for PerParent<T> {
+    fn default() -> Self {
+        PerParent(None)
+    }
+}
+
+impl<T> PerParent<T> {
+    /// The value for `row`'s parent, derived from it on a change of parent.
+    pub fn get(&mut self, row: &FileRow, derive: impl FnOnce(&NtPath) -> T) -> &T {
+        if self
+            .0
+            .as_ref()
+            .is_some_and(|(dir, _)| !Arc::ptr_eq(dir, &row.parent))
+        {
+            self.0 = None;
+        }
+        &self
+            .0
+            .get_or_insert_with(|| (Arc::clone(&row.parent), derive(&row.parent)))
+            .1
+    }
 }
 
 /// A Registry subkey row.
@@ -163,7 +206,7 @@ impl Row {
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Row::File(r) => write!(f, "file {}", r.path),
+            Row::File(r) => write!(f, "file {}", r.path()),
             Row::RegKey(r) => write!(f, "key {}", r.path),
             Row::RegValue(r) => write!(f, "value {}\\{}", r.key, r.name),
             Row::Process(r) => write!(f, "process {} {}", r.pid, r.image_name),

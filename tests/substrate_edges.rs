@@ -414,3 +414,114 @@ fn every_raw_read_runs_stall_then_transient_then_tap_then_read_then_plan() {
         ]
     );
 }
+
+/// Digest of one high-level file walk: every snapshot row (key, display
+/// path, `is_dir`, `size`), then the traced chain trip of every directory
+/// the walk listed (root first), plus the aggregated [`ChainStats`].
+fn high_scan_digest(m: &Machine, ctx: &CallContext, entry: ChainEntry) -> String {
+    use std::fmt::Write;
+    let snap = FileScanner::new().high_scan(m, ctx, entry).unwrap();
+    let mut text = String::new();
+    let mut dirs = vec![NtPath::root_of(m.volume().label())];
+    for (key, fact) in snap.iter() {
+        writeln!(text, "{key}|{}|{}|{}", fact.path, fact.is_dir, fact.size).unwrap();
+        if fact.is_dir {
+            dirs.push(fact.path.parse().unwrap());
+        }
+    }
+    let mut stats = ChainStats::default();
+    for dir in dirs {
+        let (_, trace) = m
+            .query_traced(ctx, &Query::DirectoryEnum { path: dir }, entry)
+            .unwrap();
+        stats.absorb(&trace);
+        write!(text, "{}>", trace.truth_rows).unwrap();
+        for hop in &trace.hops {
+            write!(
+                text,
+                "{:?}:{}:{}:{} ",
+                hop.level, hop.rows_in, hop.rows_out, hop.mutated
+            )
+            .unwrap();
+        }
+        writeln!(text, "{}>{}", trace.marshal_mutated, trace.final_rows).unwrap();
+    }
+    format!(
+        "{:?} rows={} queries={} diverted={} marshal={} levels={:?} digest={:016x}",
+        entry,
+        snap.len(),
+        stats.queries,
+        stats.diverted,
+        stats.marshal_mutations,
+        stats.mutations_by_level,
+        strider_support::rng::fnv1a(text.as_bytes()),
+    )
+}
+
+/// Pins `FileScanner::high_scan` on a small lab machine infected with each
+/// Windows sample, through both chain entries: the naming trick (rows the
+/// Win32 marshalling drops), the path-pattern filter drivers, and every
+/// name-pattern hider must keep producing the same rows and hop counts.
+#[test]
+fn file_high_scan_is_pinned_for_every_windows_sample() {
+    let samples: Vec<Box<dyn Ghostware>> = vec![
+        Box::new(Urbin),
+        Box::new(Mersting),
+        Box::new(Vanquish::default()),
+        Box::new(Aphex::default()),
+        Box::new(HackerDefender::default()),
+        Box::new(ProBotSe::default()),
+        Box::new(FileHider::hide_files_33()),
+        Box::new(FileHider::hide_folders_xp()),
+        Box::new(FileHider::advanced_hide_folders()),
+        Box::new(FileHider::file_folder_protector()),
+        Box::new(Berbew::default()),
+        Box::new(Fu::default()),
+        Box::new(NamingTrick),
+        Box::new(AdsHider::default()),
+    ];
+    let mut got = Vec::new();
+    for sample in samples {
+        let mut m = standard_lab_machine("pin", &WorkloadSpec::small(26), false).unwrap();
+        sample.infect(&mut m).unwrap();
+        let ctx = GhostBuster::new().enter(&mut m).unwrap();
+        for entry in [ChainEntry::Win32, ChainEntry::Native] {
+            got.push(format!(
+                "{} {}",
+                sample.name(),
+                high_scan_digest(&m, &ctx, entry)
+            ));
+        }
+    }
+    let pinned: &[&str] = &[
+        "Urbin Win32 rows=383 queries=47 diverted=1 marshal=0 levels={\"Iat\": 1} digest=1468ea3be5c05eaa",
+        "Urbin Native rows=384 queries=47 diverted=0 marshal=0 levels={} digest=f459e44c57308ddf",
+        "Mersting Win32 rows=383 queries=47 diverted=1 marshal=0 levels={\"Iat\": 1} digest=1468ea3be5c05eaa",
+        "Mersting Native rows=384 queries=47 diverted=0 marshal=0 levels={} digest=4f1cfecb7bfdd34c",
+        "Vanquish Win32 rows=383 queries=47 diverted=2 marshal=0 levels={\"Win32ApiCode\": 2} digest=39e006017b3349ad",
+        "Vanquish Native rows=386 queries=47 diverted=0 marshal=0 levels={} digest=ad85069b358ade41",
+        "Aphex Win32 rows=383 queries=47 diverted=1 marshal=0 levels={\"Win32ApiCode\": 1} digest=5a6428ef44f3dece",
+        "Aphex Native rows=385 queries=47 diverted=0 marshal=0 levels={} digest=d6b25a713a46d541",
+        "Hacker Defender 1.0 Win32 rows=383 queries=47 diverted=2 marshal=0 levels={\"NtdllCode\": 2} digest=4eed5d55e7adbf93",
+        "Hacker Defender 1.0 Native rows=383 queries=47 diverted=2 marshal=0 levels={\"NtdllCode\": 2} digest=42f82271599aa5d9",
+        "ProBot SE Win32 rows=383 queries=47 diverted=2 marshal=0 levels={\"Ssdt\": 2} digest=7b47962c114f7a47",
+        "ProBot SE Native rows=383 queries=47 diverted=2 marshal=0 levels={\"Ssdt\": 2} digest=4b92675d505220f9",
+        "Hide Files 3.3 Win32 rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=338750c48fc1c719",
+        "Hide Files 3.3 Native rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=86533085f5775a39",
+        "Hide Folders XP Win32 rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=24caa76f613f7e01",
+        "Hide Folders XP Native rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=3aa0411d9abe3cad",
+        "Advanced Hide Folders Win32 rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=6165e64f853c2b97",
+        "Advanced Hide Folders Native rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=24935b06655544c9",
+        "File & Folder Protector Win32 rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=a4d01a4724e91143",
+        "File & Folder Protector Native rows=385 queries=48 diverted=1 marshal=0 levels={\"FilterDriver\": 1} digest=41b2c286ca9df5ff",
+        "Berbew Win32 rows=384 queries=47 diverted=0 marshal=0 levels={} digest=907c5d7b8630d37b",
+        "Berbew Native rows=384 queries=47 diverted=0 marshal=0 levels={} digest=0d5ef9cbebbd9aed",
+        "FU Win32 rows=385 queries=47 diverted=0 marshal=0 levels={} digest=525c64a5be5d5d71",
+        "FU Native rows=385 queries=47 diverted=0 marshal=0 levels={} digest=baf040940de62cd1",
+        "NamingTrick Win32 rows=392 queries=56 diverted=4 marshal=4 levels={} digest=9f6f1498d45e43df",
+        "NamingTrick Native rows=403 queries=63 diverted=0 marshal=0 levels={} digest=7bbac8086f2d5b68",
+        "AdsHider Win32 rows=384 queries=47 diverted=0 marshal=0 levels={} digest=aee5450db860a732",
+        "AdsHider Native rows=384 queries=47 diverted=0 marshal=0 levels={} digest=aa8d2707e17dbfce",
+    ];
+    assert_eq!(got, pinned, "{got:#?}");
+}
