@@ -1,7 +1,7 @@
 //! The Section 5 Linux/Unix experiments.
 
 use strider_ghostbuster::UnixGhostBuster;
-use strider_ghostware::unix::{unix_corpus, UnixRootkit};
+use strider_ghostware::unix::unix_corpus;
 use strider_unixfs::UnixMachine;
 use strider_workload::populate_unix;
 
@@ -58,22 +58,10 @@ pub fn linux_rows() -> Vec<LinuxRow> {
     rows
 }
 
-/// Detection of a rootkit by each view on the same machine — the
-/// `ls`-vs-`echo *` asymmetry row for the tables.
-pub fn t0rnkit_view_matrix() -> (bool, bool) {
-    let mut m = UnixMachine::with_base_system("ux");
-    let rk = strider_ghostware::unix::T0rnkit;
-    let inf = rk.infect(&mut m);
-    let ls = m.ls_scan_all();
-    let glob = m.glob_scan_all();
-    let hidden_from_ls = inf.hidden_paths.iter().all(|p| !ls.contains(p));
-    let visible_to_glob = inf.hidden_paths.iter().all(|p| glob.contains(p));
-    (hidden_from_ls, visible_to_glob)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strider_ghostware::unix::UnixRootkit;
 
     #[test]
     fn all_four_rootkits_detected_outside_with_bounded_noise() {
@@ -104,8 +92,11 @@ mod tests {
 
     #[test]
     fn t0rnkit_asymmetry() {
-        let (hidden_from_ls, visible_to_glob) = t0rnkit_view_matrix();
-        assert!(hidden_from_ls);
-        assert!(visible_to_glob);
+        let mut m = UnixMachine::with_base_system("ux");
+        let inf = strider_ghostware::unix::T0rnkit.infect(&mut m);
+        let ls = m.ls_scan_all();
+        let glob = m.glob_scan_all();
+        assert!(inf.hidden_paths.iter().all(|p| !ls.contains(p)));
+        assert!(inf.hidden_paths.iter().all(|p| glob.contains(p)));
     }
 }

@@ -122,25 +122,23 @@ pub fn measured_io_rows() -> Result<Vec<MeasuredIoRow>, NtStatus> {
         .collect())
 }
 
-/// The paper's headline ranges, checked by tests and printed alongside.
-pub mod paper_ranges {
-    /// Inside-the-box file scan on the seven ordinary machines.
-    pub const FILE_SCAN_ORDINARY_S: (f64, f64) = (30.0, 420.0);
-    /// The heavily-used workstation's file scan (≈ 38 min).
-    pub const FILE_SCAN_WORKSTATION_S: (f64, f64) = (1500.0, 2700.0);
-    /// Hidden-ASEP scan.
-    pub const REGISTRY_SCAN_S: (f64, f64) = (18.0, 63.0);
-    /// Process+module scan.
-    pub const PROCESS_SCAN_S: (f64, f64) = (1.0, 5.0);
-    /// WinPE boot overhead.
-    pub const WINPE_BOOT_S: (f64, f64) = (90.0, 180.0);
-    /// Blue-screen dump overhead.
-    pub const DUMP_S: (f64, f64) = (15.0, 45.0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The paper's headline ranges.
+    /// Inside-the-box file scan on the seven ordinary machines.
+    const FILE_SCAN_ORDINARY_S: (f64, f64) = (30.0, 420.0);
+    /// The heavily-used workstation's file scan (≈ 38 min).
+    const FILE_SCAN_WORKSTATION_S: (f64, f64) = (1500.0, 2700.0);
+    /// Hidden-ASEP scan.
+    const REGISTRY_SCAN_S: (f64, f64) = (18.0, 63.0);
+    /// Process+module scan.
+    const PROCESS_SCAN_S: (f64, f64) = (1.0, 5.0);
+    /// WinPE boot overhead.
+    const WINPE_BOOT_S: (f64, f64) = (90.0, 180.0);
+    /// Blue-screen dump overhead.
+    const DUMP_S: (f64, f64) = (15.0, 45.0);
 
     #[test]
     fn every_row_lands_in_paper_ranges() {
@@ -148,9 +146,9 @@ mod tests {
         assert_eq!(rows.len(), 8);
         for (i, r) in rows.iter().enumerate() {
             let file_range = if i == 7 {
-                paper_ranges::FILE_SCAN_WORKSTATION_S
+                FILE_SCAN_WORKSTATION_S
             } else {
-                paper_ranges::FILE_SCAN_ORDINARY_S
+                FILE_SCAN_ORDINARY_S
             };
             assert!(
                 r.file_scan_s >= file_range.0 && r.file_scan_s <= file_range.1,
@@ -159,28 +157,25 @@ mod tests {
                 r.file_scan_s
             );
             assert!(
-                r.registry_scan_s >= paper_ranges::REGISTRY_SCAN_S.0
-                    && r.registry_scan_s <= paper_ranges::REGISTRY_SCAN_S.1,
+                r.registry_scan_s >= REGISTRY_SCAN_S.0 && r.registry_scan_s <= REGISTRY_SCAN_S.1,
                 "{}: registry {:.0}s",
                 r.machine,
                 r.registry_scan_s
             );
             assert!(
-                r.process_scan_s >= paper_ranges::PROCESS_SCAN_S.0
-                    && r.process_scan_s <= paper_ranges::PROCESS_SCAN_S.1,
+                r.process_scan_s >= PROCESS_SCAN_S.0 && r.process_scan_s <= PROCESS_SCAN_S.1,
                 "{}: process {:.1}s",
                 r.machine,
                 r.process_scan_s
             );
             assert!(
-                r.winpe_boot_s >= paper_ranges::WINPE_BOOT_S.0
-                    && r.winpe_boot_s <= paper_ranges::WINPE_BOOT_S.1,
+                r.winpe_boot_s >= WINPE_BOOT_S.0 && r.winpe_boot_s <= WINPE_BOOT_S.1,
                 "{}: boot {:.0}s",
                 r.machine,
                 r.winpe_boot_s
             );
             assert!(
-                r.dump_s >= paper_ranges::DUMP_S.0 && r.dump_s <= paper_ranges::DUMP_S.1,
+                r.dump_s >= DUMP_S.0 && r.dump_s <= DUMP_S.1,
                 "{}: dump {:.0}s",
                 r.machine,
                 r.dump_s

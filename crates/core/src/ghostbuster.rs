@@ -21,7 +21,7 @@ use strider_winapi::{CallContext, ChainEntry, Machine};
 
 /// The image name GhostBuster runs under — itself a targetable artifact,
 /// which is what motivates the DLL-injection extension.
-pub const GHOSTBUSTER_IMAGE: &str = "ghostbuster.exe";
+const GHOSTBUSTER_IMAGE: &str = "ghostbuster.exe";
 
 /// Results of a full sweep across all four resource types.
 #[derive(Debug, Clone)]
@@ -310,7 +310,7 @@ pub struct SweepBreakers([CircuitBreaker; 4]);
 impl SweepBreakers {
     /// Breakers configured from the policy's threshold/cool-down knobs,
     /// ticking on the policy clock.
-    pub fn from_policy(policy: &ScanPolicy) -> Self {
+    fn from_policy(policy: &ScanPolicy) -> Self {
         SweepBreakers(Pipeline::ALL.map(|_| {
             CircuitBreaker::new(
                 policy.clock().clone(),

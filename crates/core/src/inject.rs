@@ -29,7 +29,7 @@ pub struct PerProcessReport {
 
 impl PerProcessReport {
     /// Whether this process was being lied to.
-    pub fn was_lied_to(&self) -> bool {
+    fn was_lied_to(&self) -> bool {
         !self.files.net_detections().is_empty() || !self.processes.net_detections().is_empty()
     }
 }
@@ -53,23 +53,6 @@ impl InjectedSweepReport {
     /// Whether any process anywhere was lied to.
     pub fn is_infected(&self) -> bool {
         !self.lied_to().is_empty()
-    }
-
-    /// Union of all hidden-file details across hosts.
-    pub fn all_hidden_files(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .per_process
-            .iter()
-            .flat_map(|r| {
-                r.files
-                    .net_detections()
-                    .into_iter()
-                    .map(|d| d.detail.clone())
-            })
-            .collect();
-        out.sort();
-        out.dedup();
-        out
     }
 }
 
@@ -144,10 +127,11 @@ mod tests {
             .collect();
         assert!(liars.contains(&"taskmgr.exe"));
         assert!(liars.contains(&"explorer.exe"));
-        assert!(report
-            .all_hidden_files()
+        assert!(report.per_process.iter().any(|r| r
+            .files
+            .net_detections()
             .iter()
-            .any(|f| f.contains("targbot")));
+            .any(|d| d.detail.contains("targbot"))));
     }
 
     #[test]
@@ -160,10 +144,11 @@ mod tests {
         // Every *other* process is lied to; injection exposes it.
         let report = injected_sweep(&m).unwrap();
         assert!(report.is_infected());
-        assert!(report
-            .all_hidden_files()
+        assert!(report.per_process.iter().any(|r| r
+            .files
+            .net_detections()
             .iter()
-            .any(|f| f.contains("sneaky")));
+            .any(|d| d.detail.contains("sneaky"))));
     }
 
     #[test]

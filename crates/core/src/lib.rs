@@ -124,7 +124,7 @@ pub use diff::cross_view_diff;
 pub use drivers::{DriverAnomaly, DriverFinding, DriverScanner};
 pub use files::FileScanner;
 pub use ghostbuster::{
-    GhostBuster, PipelineCheckpoint, SweepBreakers, SweepCheckpoint, SweepReport, GHOSTBUSTER_IMAGE,
+    GhostBuster, PipelineCheckpoint, SweepBreakers, SweepCheckpoint, SweepReport,
 };
 pub use hookscan::{install_benign_wrapper, HookFinding, HookScanner};
 pub use inject::{injected_sweep, InjectedSweepReport, PerProcessReport};
@@ -138,7 +138,7 @@ pub use process::{AdvancedSource, ProcessScanner};
 pub use registry::{OutsideRegistryMode, RegistryScanner};
 pub use report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
 pub use scanfile::{parse_scan_file, write_scan_file, ScanFileError};
-pub use signature::{Signature, SignatureHit, SignatureScanner};
+pub use signature::{SignatureHit, SignatureScanner};
 pub use snapshot::{FileFact, HookFact, ModuleFact, ProcessFact, ScanMeta, Snapshot, ViewKind};
 pub use strider_support::alert::{
     AlertCondition, AlertEngine, AlertLog, AlertRule, AlertState, AlertTransition, Exposition,
@@ -149,9 +149,9 @@ pub use strider_support::obs::{
     MonotonicClock, Telemetry, TelemetryReport,
 };
 pub use strider_support::task::{
-    BreakerState, CancellationToken, CircuitBreaker, Deadline, Interrupt, Supervision, TimeBudget,
+    BreakerState, CancellationToken, CircuitBreaker, Deadline, Interrupt, Supervision,
 };
-pub use unixgb::{UnixBinaryIntegrity, UnixDetection, UnixGhostBuster, UnixReport};
+pub use unixgb::{UnixDetection, UnixGhostBuster, UnixReport};
 
 /// Convenient re-exports.
 pub mod prelude {
@@ -164,7 +164,7 @@ pub mod prelude {
         NoiseClass, NoiseFilter, OutsideRegistryMode, Pipeline, PipelineCheckpoint, PipelineStatus,
         ProcessScanner, RegistryScanner, ResourceKind, ScanMeta, ScanPolicy, Severity,
         SignatureScanner, Snapshot, Supervision, SweepBaseline, SweepBreakers, SweepCheckpoint,
-        SweepHealth, SweepMonitor, SweepReport, Telemetry, TelemetryReport, TimeBudget, TimeSeries,
+        SweepHealth, SweepMonitor, SweepReport, Telemetry, TelemetryReport, TimeSeries,
         UnixGhostBuster, ViewKind,
     };
 }

@@ -389,11 +389,6 @@ impl SweepMonitor {
         self.rebuild_rules();
     }
 
-    /// How many monitored sweeps have run (baseline excluded).
-    pub fn sweeps_run(&self) -> u64 {
-        self.sweeps_run
-    }
-
     fn clock(&self) -> Arc<dyn Clock> {
         self.detector.policy().clock().clone()
     }
@@ -769,7 +764,7 @@ mod tests {
         assert_eq!(observations.len(), 3);
         assert!(observations.iter().all(|o| o.incidents.is_empty()));
         assert!(observations.iter().all(|o| o.transitions.is_empty()));
-        assert_eq!(monitor.sweeps_run(), 3);
+        assert_eq!(monitor.sweeps_run, 3);
         let suspicious = &monitor.core.series()["sweep.suspicious"];
         assert_eq!(suspicious.len(), 3);
         assert_eq!(suspicious.last(), Some(0.0));

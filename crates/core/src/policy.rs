@@ -95,7 +95,7 @@ impl EvasionHardening {
 
     /// Appearances a finding needs to count as stable rather than
     /// flickering.
-    pub fn majority(&self) -> u32 {
+    fn majority(&self) -> u32 {
         self.passes() / 2 + 1
     }
 
@@ -257,12 +257,6 @@ impl ScanPolicy {
         }
     }
 
-    /// Sets the retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Sets the backoff schedule: `base_ns` doubling per attempt, capped at
     /// `max_ns`.
     pub fn with_backoff(mut self, base_ns: u64, max_ns: u64) -> Self {
@@ -329,7 +323,7 @@ impl ScanPolicy {
 
     /// The backoff before retry number `attempt` (0-based): `base << attempt`,
     /// saturating, capped at [`backoff_max_ns`](Self::backoff_max_ns).
-    pub fn backoff_for(&self, attempt: u32) -> u64 {
+    fn backoff_for(&self, attempt: u32) -> u64 {
         let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
         self.backoff_base_ns
             .saturating_mul(factor)
@@ -410,7 +404,7 @@ impl ScanPolicy {
     /// # Errors
     ///
     /// Propagates the first failing pass.
-    pub fn stabilize<E>(
+    fn stabilize<E>(
         &self,
         mut scan: impl FnMut() -> Result<DiffReport, E>,
     ) -> Result<DiffReport, E> {
@@ -425,7 +419,7 @@ impl ScanPolicy {
         Ok(prev)
     }
 
-    /// The hardened replacement for [`ScanPolicy::stabilize`]: with
+    /// The hardened replacement for `ScanPolicy::stabilize`: with
     /// [`hardening`](Self::hardening) unset this *is* `stabilize`; with it
     /// set, the scan runs `quorum_passes` times and every finding is
     /// majority-voted.
@@ -696,11 +690,6 @@ impl SweepHealth {
             .collect()
     }
 
-    /// Total salvage defects across all pipelines.
-    pub fn total_defects(&self) -> u64 {
-        self.each().map(|(_, s)| s.defect_count()).sum()
-    }
-
     /// Every pipeline with its status, in sweep order.
     pub fn each(&self) -> impl Iterator<Item = (Pipeline, &PipelineStatus)> {
         Pipeline::ALL.into_iter().map(|p| (p, self.status(p)))
@@ -785,10 +774,12 @@ mod tests {
     #[test]
     fn fault_retry_gives_up_after_the_budget() {
         let clock = Arc::new(FakeClock::default());
-        let policy = ScanPolicy::strict()
-            .with_retries(2)
-            .with_backoff(10, 1_000)
-            .with_clock(clock.clone());
+        let policy = ScanPolicy {
+            retries: 2,
+            ..ScanPolicy::strict()
+        }
+        .with_backoff(10, 1_000)
+        .with_clock(clock.clone());
         let mut calls = 0;
         let result: Result<(), _> = policy.supervised_retry(&Supervision::unsupervised(), || {
             calls += 1;
@@ -962,7 +953,7 @@ mod tests {
         };
         assert!(!health.is_all_ok());
         assert_eq!(health.degraded_pipelines(), vec!["processes"]);
-        assert_eq!(health.total_defects(), 2);
+        assert_eq!(health.each().map(|(_, s)| s.defect_count()).sum::<u64>(), 2);
         let rendered = health.to_string();
         assert!(
             rendered.contains("registry: salvaged (2 defects)"),

@@ -426,7 +426,7 @@ impl RegistryScanner {
     /// enumerated through the API chain. Slower than the ASEP scan (the
     /// paper's 18–63 s vs minutes trade-off) but catches hiding outside
     /// the auto-start catalog.
-    pub fn full_high_scan(
+    fn full_high_scan(
         &self,
         machine: &Machine,
         ctx: &CallContext,
@@ -469,7 +469,7 @@ impl RegistryScanner {
     /// # Errors
     ///
     /// Fails when a hive copy does not parse.
-    pub fn full_low_scan(&self, machine: &Machine) -> Result<Snapshot<String>, NtStatus> {
+    fn full_low_scan(&self, machine: &Machine) -> Result<Snapshot<String>, NtStatus> {
         let span = self.telemetry.span("registry.full_low_scan");
         let mut meta = ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now());
         let mut facts = Vec::new();
@@ -489,7 +489,7 @@ impl RegistryScanner {
     }
 
     /// Diffs full-tree snapshots into a report.
-    pub fn diff_full(&self, truth: &Snapshot<String>, lie: &Snapshot<String>) -> DiffReport {
+    fn diff_full(&self, truth: &Snapshot<String>, lie: &Snapshot<String>) -> DiffReport {
         let span = self.telemetry.span("registry.diff");
         let report = cross_view_diff(truth, lie, |key, display: &String| Detection {
             kind: ResourceKind::AsepHook,

@@ -154,11 +154,6 @@ impl NoiseFilter {
         Self::default()
     }
 
-    /// Adds a site-specific churn location.
-    pub fn add_pattern(&mut self, pattern: &str) {
-        self.churn_patterns.push(pattern.to_ascii_lowercase());
-    }
-
     /// Classifies a path-shaped identity.
     pub fn classify_path(&self, path: &str) -> NoiseClass {
         let lower = path.to_ascii_lowercase();
@@ -231,14 +226,6 @@ impl DiffReport {
             .iter()
             .filter(|d| d.noise == NoiseClass::Flickering)
             .count()
-    }
-
-    /// The scan-pair time gap in ticks — the FP driver.
-    pub fn scan_gap(&self) -> u64 {
-        self.truth_meta
-            .taken_at
-            .gap_since(self.lie_meta.taken_at)
-            .max(self.lie_meta.taken_at.gap_since(self.truth_meta.taken_at))
     }
 
     /// Counts detections per file category (Figure 3's columns).
@@ -367,16 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_patterns_extend_the_filter() {
-        let mut f = NoiseFilter::new();
-        f.add_pattern("\\sitelocal\\spool\\");
-        assert_eq!(
-            f.classify_path("C:\\SiteLocal\\Spool\\x.tmp"),
-            NoiseClass::LikelyServiceChurn
-        );
-    }
-
-    #[test]
     fn report_counters() {
         let report = DiffReport {
             truth_meta: ScanMeta::new(ViewKind::LowLevelMft, Tick(10)),
@@ -403,7 +380,6 @@ mod tests {
         assert!(report.has_detections());
         assert_eq!(report.net_detections().len(), 2);
         assert_eq!(report.noise_detections().len(), 1);
-        assert_eq!(report.scan_gap(), 3);
         assert_eq!(report.category_counts(), (1, 1, 1));
         let rendered = report.to_string();
         assert!(rendered.contains("2 hidden"));

@@ -14,7 +14,7 @@ use strider_winapi::{CallContext, ChainEntry, Machine};
 
 /// A known-bad content signature.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Signature {
+struct Signature {
     /// Detection name.
     pub name: String,
     /// Byte pattern looked for in file contents.
@@ -62,7 +62,7 @@ impl SignatureScanner {
     }
 
     /// Adds a signature.
-    pub fn add_signature(&mut self, name: &str, pattern: &[u8]) {
+    fn add_signature(&mut self, name: &str, pattern: &[u8]) {
         self.signatures.push(Signature {
             name: name.to_string(),
             pattern: pattern.to_vec(),

@@ -35,11 +35,6 @@ pub enum ViewKind {
 }
 
 impl ViewKind {
-    /// Whether this view is "the truth side" relative to a high-level scan.
-    pub fn is_truth_side(self) -> bool {
-        !matches!(self, ViewKind::HighLevelWin32 | ViewKind::HighLevelNative)
-    }
-
     /// The high-level view a query chain entered at `entry` produces.
     pub(crate) fn high_level(entry: ChainEntry) -> Self {
         match entry {
@@ -324,14 +319,6 @@ mod tests {
             Snapshot::from_json(&JsonValue::parse(PINNED_JSON).unwrap()).unwrap();
         assert_eq!(parsed.to_json().render(), PINNED_JSON);
         assert_eq!(parsed.meta, s.meta);
-    }
-
-    #[test]
-    fn truth_side_classification() {
-        assert!(!ViewKind::HighLevelWin32.is_truth_side());
-        assert!(!ViewKind::HighLevelNative.is_truth_side());
-        assert!(ViewKind::LowLevelMft.is_truth_side());
-        assert!(ViewKind::OutsideDump.is_truth_side());
     }
 
     #[test]

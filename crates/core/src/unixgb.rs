@@ -92,52 +92,6 @@ impl UnixGhostBuster {
     }
 }
 
-/// A Tripwire-style binary-integrity baseline for Unix: compares utility
-/// binaries against known-good contents. Catches utility-replacement
-/// rootkits (T0rnkit) but not LKM interception, which never touches the
-/// binaries — the mechanism-vs-behaviour trade-off again.
-#[derive(Debug, Clone, Default)]
-pub struct UnixBinaryIntegrity {
-    known_good: Vec<(String, Vec<u8>)>,
-}
-
-impl UnixBinaryIntegrity {
-    /// Creates an empty baseline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the current contents of the given binaries as known-good.
-    pub fn baseline(machine: &UnixMachine, paths: &[&str]) -> Self {
-        let known_good = paths
-            .iter()
-            .filter_map(|p| {
-                machine
-                    .fs()
-                    .read(p)
-                    .ok()
-                    .map(|data| (p.to_string(), data.to_vec()))
-            })
-            .collect();
-        Self { known_good }
-    }
-
-    /// Binaries whose contents no longer match the baseline.
-    pub fn modified_binaries(&self, machine: &UnixMachine) -> Vec<String> {
-        self.known_good
-            .iter()
-            .filter(|(path, good)| {
-                machine
-                    .fs()
-                    .read(path)
-                    .map(|d| d != good.as_slice())
-                    .unwrap_or(true)
-            })
-            .map(|(path, _)| path.clone())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,32 +147,6 @@ mod tests {
             (1..=4).contains(&fp),
             "paper: four or fewer FPs, mostly temp/log files; got {fp}"
         );
-    }
-
-    #[test]
-    fn binary_integrity_catches_t0rnkit_but_not_lkms() {
-        let mut m = UnixMachine::with_base_system("u");
-        let baseline = UnixBinaryIntegrity::baseline(&m, &["/bin/ls", "/bin/ps", "/bin/sh"]);
-        T0rnkit.infect(&mut m);
-        let modified = baseline.modified_binaries(&m);
-        assert_eq!(modified, vec!["/bin/ls".to_string()]);
-
-        let mut m2 = UnixMachine::with_base_system("u2");
-        let baseline2 = UnixBinaryIntegrity::baseline(&m2, &["/bin/ls", "/bin/ps", "/bin/sh"]);
-        Superkit.infect(&mut m2);
-        assert!(
-            baseline2.modified_binaries(&m2).is_empty(),
-            "LKM interception touches no binaries"
-        );
-        // But the cross-view diff catches both (earlier tests).
-    }
-
-    #[test]
-    fn integrity_flags_deleted_binaries_too() {
-        let mut m = UnixMachine::with_base_system("u");
-        let baseline = UnixBinaryIntegrity::baseline(&m, &["/bin/ps"]);
-        m.fs_mut().remove("/bin/ps").unwrap();
-        assert_eq!(baseline.modified_binaries(&m), vec!["/bin/ps".to_string()]);
     }
 
     #[test]

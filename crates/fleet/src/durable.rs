@@ -8,13 +8,13 @@
 //! [`FleetCheckpoint`], then one O(1) appended record per completed shard,
 //! so per-shard cost is independent of fleet size.
 //!
-//! Recovery ([`recover_state`]) replays the journal: the last intact
+//! Recovery (`recover_state`) replays the journal: the last intact
 //! `fleet` record is the base, and every later `shard` / `quarantine`
 //! record overlays it in order. Torn tails and bit flips are absorbed one
 //! layer down by the record store's checksums and generation fallback —
 //! by the time records reach this module they are intact.
 
-use crate::registry::{FleetRegistry, ShardId};
+use crate::registry::FleetRegistry;
 use crate::report::{CheckpointMismatch, FleetCheckpoint};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,13 +128,6 @@ pub struct DurableFleetState {
     pub quarantined: BTreeMap<u32, QuarantineRecord>,
 }
 
-impl DurableFleetState {
-    /// The quarantined shards, in shard order.
-    pub fn quarantined_shards(&self) -> Vec<ShardId> {
-        self.quarantined.keys().map(|&i| ShardId(i)).collect()
-    }
-}
-
 /// Why a durable sweep or resume failed.
 #[derive(Debug)]
 pub enum DurableSweepError {
@@ -232,7 +225,7 @@ pub(crate) fn quarantine_record(record: &QuarantineRecord) -> String {
 /// Propagates store I/O failures; reports
 /// [`DurableSweepError::Corrupt`] when a checksummed record's payload is
 /// not the JSON this module writes.
-pub fn recover_state(store: &RecordStore) -> Result<Option<DurableFleetState>, DurableSweepError> {
+fn recover_state(store: &RecordStore) -> Result<Option<DurableFleetState>, DurableSweepError> {
     let recovered = store.recover()?;
     let mut parsed = Vec::with_capacity(recovered.records.len());
     for record in &recovered.records {
@@ -356,7 +349,10 @@ mod tests {
 
         let state = FleetCheckpoint::resume(&fleet, &store).unwrap().unwrap();
         assert_eq!(state.checkpoint.shards.len(), 3);
-        assert_eq!(state.quarantined_shards(), vec![ShardId(2)]);
+        assert_eq!(
+            state.quarantined.keys().copied().collect::<Vec<_>>(),
+            vec![2]
+        );
         assert_eq!(state.quarantined[&2].reason, "files pipeline degraded");
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -94,8 +94,7 @@ mod scheduler;
 mod trace;
 
 pub use durable::{
-    recover_state, DurabilityMode, DurableFleetState, DurableSweepError, FleetHealPolicy,
-    QuarantineRecord,
+    DurabilityMode, DurableFleetState, DurableSweepError, FleetHealPolicy, QuarantineRecord,
 };
 pub use monitor::{FleetAlertPolicy, FleetIncident, FleetMonitor, FleetObservation, ShardFailure};
 pub use registry::{FleetMachine, FleetRegistry, FleetSpec, ShardId};

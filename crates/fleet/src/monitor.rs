@@ -320,11 +320,6 @@ impl FleetMonitor {
         self.recorder.snapshot()
     }
 
-    /// How many fleet passes have run (baselines excluded).
-    pub fn passes_run(&self) -> u64 {
-        self.passes_run
-    }
-
     /// The per-shard monitor, once baselines are recorded.
     pub fn shard(&self, shard: ShardId) -> Option<&SweepMonitor> {
         self.shards.get(shard.0 as usize)
@@ -592,7 +587,7 @@ mod tests {
         assert_eq!(passes.len(), 2);
         assert!(passes.iter().all(|p| p.incidents.is_empty()));
         assert!(passes.iter().all(|p| p.transitions.is_empty()));
-        assert_eq!(monitor.passes_run(), 2);
+        assert_eq!(monitor.passes_run, 2);
         let infected = &monitor.core.series()["fleet.infected"];
         assert_eq!(infected.len(), 2);
         assert_eq!(infected.last(), Some(0.0));

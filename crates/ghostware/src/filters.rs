@@ -128,18 +128,6 @@ pub fn scrub_value_data(value_name: &str, remove: &str) -> Arc<dyn QueryFilter> 
     })
 }
 
-/// A filter that removes process rows by pid — process hiders that match on
-/// pid rather than name (FU's `-ph <pid>` interface, though FU itself uses
-/// DKOM and needs no filter).
-pub fn hide_pids(pids: Vec<u32>) -> Arc<dyn QueryFilter> {
-    Arc::new(move |_: &CallContext, _: &Query, rows: &mut Vec<Row>| {
-        drop_rows(
-            rows,
-            |r| matches!(r, Row::Process(p) if pids.contains(&p.pid.0)),
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,25 +327,5 @@ mod tests {
                 Ok(())
             },
         );
-    }
-
-    #[test]
-    fn hide_pids_only_affects_process_rows() {
-        let f = hide_pids(vec![8]);
-        let mut rows = vec![
-            Row::Process(ProcessRow {
-                pid: Pid(8),
-                image_name: "g.exe".into(),
-                image_path: "C:\\g.exe".into(),
-            }),
-            Row::Process(ProcessRow {
-                pid: Pid(12),
-                image_name: "ok.exe".into(),
-                image_path: "C:\\ok.exe".into(),
-            }),
-            file_row("C:\\a.txt"),
-        ];
-        assert!(f.filter(&ctx(), &Query::ProcessList, &mut rows));
-        assert_eq!(rows.len(), 2);
     }
 }

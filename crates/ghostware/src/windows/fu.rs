@@ -30,7 +30,7 @@ impl Fu {
     /// # Errors
     ///
     /// Fails when the pid does not exist or is already unlinked.
-    pub fn hide_process(machine: &mut Machine, pid: Pid) -> Result<(), NtStatus> {
+    fn hide_process(machine: &mut Machine, pid: Pid) -> Result<(), NtStatus> {
         machine
             .kernel_mut()
             .dkom_unlink(pid)

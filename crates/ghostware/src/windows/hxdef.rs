@@ -38,7 +38,7 @@ impl Default for HackerDefender {
 impl HackerDefender {
     /// Renders the `hxdef100.ini` contents the sample drops and then parses
     /// back for its hide table — configuration-driven hiding, as shipped.
-    pub fn render_ini(&self) -> String {
+    fn render_ini(&self) -> String {
         let mut ini = String::from("[Hidden Table]\r\nhxdef*\r\n");
         for p in &self.extra_patterns {
             ini.push_str(p);
@@ -51,7 +51,7 @@ impl HackerDefender {
     /// Parses hide patterns out of an ini's `[Hidden Table]` section
     /// (wildcards reduced to substring stems, as the real parser effectively
     /// treats leading/trailing `*`).
-    pub fn parse_ini_patterns(ini: &str) -> Vec<String> {
+    fn parse_ini_patterns(ini: &str) -> Vec<String> {
         let mut patterns = Vec::new();
         let mut in_table = false;
         for line in ini.lines() {

@@ -11,16 +11,13 @@
 //! Extraction is generic over a [`KeyView`], so the same catalog logic runs
 //! against:
 //!
-//! * the live tree with Win32 semantics ([`Win32KeyView`]) — corrupt values
-//!   skipped, names truncated at embedded `NUL`s, as RegEdit would show them;
-//! * the live tree with native semantics ([`NativeKeyView`]) — full counted
-//!   names (used below the Win32 boundary in the API chain);
+//! * the live tree as the (hookable) Registry APIs enumerate it — a view the
+//!   detector supplies, with corrupt values skipped and names truncated at
+//!   embedded `NUL`s, as RegEdit would show them;
 //! * raw parsed hive bytes ([`RawKeyView`]) — the low-level truth, including
 //!   salvaged corrupt values.
 
 use crate::format::{RawHive, RawKey};
-use crate::key::Key;
-use crate::registry::Registry;
 use std::fmt;
 use strider_nt_core::{NtPath, NtString};
 
@@ -318,80 +315,6 @@ fn render_raw_data(type_code: u32, data: &[u8]) -> String {
     }
 }
 
-/// Native-semantics view over the live tree: full counted names, corrupt
-/// values *hidden* (the live configuration manager fails to materialize
-/// their data, so RegEdit shows nothing — the paper's FP mechanism).
-#[derive(Debug, Clone, Copy)]
-pub struct NativeKeyView<'a>(pub &'a Key);
-
-impl<'a> KeyView for NativeKeyView<'a> {
-    fn subkey(&self, name: &NtString) -> Option<Self> {
-        self.0.subkey(name).map(NativeKeyView)
-    }
-
-    fn subkeys(&self) -> Vec<(NtString, Self)> {
-        self.0
-            .subkeys
-            .iter()
-            .map(|k| (k.name.clone(), NativeKeyView(k)))
-            .collect()
-    }
-
-    fn values(&self) -> Vec<ViewedValue> {
-        self.0
-            .values
-            .iter()
-            .filter(|v| !v.corrupt_data)
-            .map(|v| ViewedValue {
-                name: v.name.clone(),
-                target: v.data.to_display_string(),
-                corrupt: false,
-            })
-            .collect()
-    }
-
-    fn render_name(&self, name: &NtString) -> String {
-        name.to_display_string()
-    }
-}
-
-/// Win32-semantics view over the live tree: names truncated at embedded
-/// `NUL`s, corrupt values hidden. This is what RegEdit and the Win32
-/// enumeration APIs show.
-#[derive(Debug, Clone, Copy)]
-pub struct Win32KeyView<'a>(pub &'a Key);
-
-impl<'a> KeyView for Win32KeyView<'a> {
-    fn subkey(&self, name: &NtString) -> Option<Self> {
-        self.0.subkey(name).map(Win32KeyView)
-    }
-
-    fn subkeys(&self) -> Vec<(NtString, Self)> {
-        self.0
-            .subkeys
-            .iter()
-            .map(|k| (k.name.clone(), Win32KeyView(k)))
-            .collect()
-    }
-
-    fn values(&self) -> Vec<ViewedValue> {
-        self.0
-            .values
-            .iter()
-            .filter(|v| !v.corrupt_data)
-            .map(|v| ViewedValue {
-                name: v.name.clone(),
-                target: v.data.to_display_string(),
-                corrupt: false,
-            })
-            .collect()
-    }
-
-    fn render_name(&self, name: &NtString) -> String {
-        name.to_win32_lossy()
-    }
-}
-
 /// Raw view over parsed hive bytes: the low-level truth. Full counted names,
 /// corrupt records salvaged and flagged.
 #[derive(Debug, Clone, Copy)]
@@ -431,19 +354,6 @@ impl<'a> KeyView for RawKeyView<'a> {
     }
 }
 
-/// Extracts hooks from the live Registry with Win32 (RegEdit) semantics —
-/// useful for the outside-the-box scan where hive files are mounted under a
-/// clean OS and scanned with the ordinary APIs.
-pub fn extract_live_win32(reg: &Registry, catalog: &[AsepLocation]) -> Vec<AsepHook> {
-    extract_hooks_with(
-        |path| {
-            let (hive, rel) = reg.resolve(path)?;
-            hive.root().descend(&rel).map(Win32KeyView)
-        },
-        catalog,
-    )
-}
-
 /// Extracts hooks from raw parsed hives — the low-level inside-the-box scan.
 /// `hives` pairs each mount path with its parsed image.
 pub fn extract_raw(hives: &[(NtPath, RawHive)], catalog: &[AsepLocation]) -> Vec<AsepHook> {
@@ -470,7 +380,58 @@ strider_support::impl_json!(struct AsepHook { asep_id, entry, target, key_path, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{Value, ValueData};
+    use crate::key::{Key, Value, ValueData};
+    use crate::registry::Registry;
+
+    /// Win32-semantics view over the live tree: names truncated at embedded
+    /// `NUL`s, corrupt values hidden. This is what RegEdit and the Win32
+    /// enumeration APIs show.
+    #[derive(Debug, Clone, Copy)]
+    struct Win32KeyView<'a>(&'a Key);
+
+    impl<'a> KeyView for Win32KeyView<'a> {
+        fn subkey(&self, name: &NtString) -> Option<Self> {
+            self.0.subkey(name).map(Win32KeyView)
+        }
+
+        fn subkeys(&self) -> Vec<(NtString, Self)> {
+            self.0
+                .subkeys
+                .iter()
+                .map(|k| (k.name.clone(), Win32KeyView(k)))
+                .collect()
+        }
+
+        fn values(&self) -> Vec<ViewedValue> {
+            self.0
+                .values
+                .iter()
+                .filter(|v| !v.corrupt_data)
+                .map(|v| ViewedValue {
+                    name: v.name.clone(),
+                    target: v.data.to_display_string(),
+                    corrupt: false,
+                })
+                .collect()
+        }
+
+        fn render_name(&self, name: &NtString) -> String {
+            name.to_win32_lossy()
+        }
+    }
+
+    /// Extracts hooks from the live Registry with Win32 (RegEdit) semantics —
+    /// useful for the outside-the-box scan where hive files are mounted under a
+    /// clean OS and scanned with the ordinary APIs.
+    fn extract_live_win32(reg: &Registry, catalog: &[AsepLocation]) -> Vec<AsepHook> {
+        extract_hooks_with(
+            |path| {
+                let (hive, rel) = reg.resolve(path)?;
+                hive.root().descend(&rel).map(Win32KeyView)
+            },
+            catalog,
+        )
+    }
 
     fn p(s: &str) -> NtPath {
         s.parse().unwrap()

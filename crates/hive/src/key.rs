@@ -116,7 +116,7 @@ impl Key {
     }
 
     /// Mutable variant of [`Key::subkey`].
-    pub fn subkey_mut(&mut self, name: &NtString) -> Option<&mut Key> {
+    fn subkey_mut(&mut self, name: &NtString) -> Option<&mut Key> {
         self.subkeys
             .iter_mut()
             .find(|k| k.name.eq_ignore_case(name))

@@ -40,7 +40,7 @@
 //! reg.set_value(&run, "updater", ValueData::sz("C:\\windows\\updater.exe"))?;
 //!
 //! // Low-level view: serialize the hive, re-parse the raw bytes.
-//! let hive = reg.hive_containing(&run).unwrap();
+//! let (hive, _) = reg.resolve(&run).unwrap();
 //! let raw = strider_hive::RawHive::parse(&hive.to_bytes())?;
 //! assert!(raw.all_values().iter().any(|(_, v)| v.name.to_win32_lossy() == "updater"));
 //! # Ok(())

@@ -1,6 +1,6 @@
 //! Mounted hives and the full Registry forest.
 
-use crate::format::{write_hive, RawHive};
+use crate::format::write_hive;
 use crate::key::{Key, Value, ValueData};
 use std::fmt;
 use strider_nt_core::{NtPath, NtString, Tick};
@@ -44,7 +44,7 @@ impl std::error::Error for RegistryError {}
 /// `HKLM\SOFTWARE` by `...\config\software`, and the per-user hive by
 /// `ntuser.dat`, exactly as the paper describes. [`Hive::to_bytes`] renders
 /// the binary image written to that backing file; the low-level scan parses
-/// those bytes with [`RawHive`].
+/// those bytes with [`RawHive`](crate::RawHive).
 #[derive(Debug, Clone)]
 pub struct Hive {
     mount: NtPath,
@@ -88,22 +88,13 @@ impl Hive {
     }
 
     /// Mutable access to the root key.
-    pub fn root_mut(&mut self) -> &mut Key {
+    fn root_mut(&mut self) -> &mut Key {
         &mut self.root
     }
 
     /// Serializes the hive to its binary on-disk format.
     pub fn to_bytes(&self) -> Vec<u8> {
         write_hive(&self.root)
-    }
-
-    /// Parses backing-file bytes into a raw (offline) view.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::HiveFormatError`] from the raw parser.
-    pub fn parse_bytes(bytes: &[u8]) -> Result<RawHive, crate::HiveFormatError> {
-        RawHive::parse(bytes)
     }
 }
 
@@ -183,7 +174,7 @@ impl Registry {
     /// # Errors
     ///
     /// Fails if a hive is already mounted at the same path.
-    pub fn mount_hive(&mut self, hive: Hive) -> Result<(), RegistryError> {
+    fn mount_hive(&mut self, hive: Hive) -> Result<(), RegistryError> {
         if self
             .hives
             .iter()
@@ -216,11 +207,6 @@ impl Registry {
             .filter(|(_, h)| path.starts_with(h.mount()))
             .max_by_key(|(_, h)| h.mount().components().len())
             .map(|(i, _)| i)
-    }
-
-    /// The hive containing `path`, if any.
-    pub fn hive_containing(&self, path: &NtPath) -> Option<&Hive> {
-        self.resolve(path).map(|(h, _)| h)
     }
 
     /// The key at `path`, if it exists.
@@ -373,6 +359,7 @@ strider_support::impl_json!(struct Registry { hives, now });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::RawHive;
 
     fn p(s: &str) -> NtPath {
         s.parse().unwrap()
@@ -386,10 +373,8 @@ mod tests {
     fn standard_layout_mounts_three_hives() {
         let reg = Registry::standard();
         assert_eq!(reg.hives().len(), 3);
-        assert!(reg
-            .hive_containing(&p("HKLM\\SOFTWARE\\Microsoft"))
-            .is_some());
-        assert!(reg.hive_containing(&p("HKCC\\x")).is_none());
+        assert!(reg.resolve(&p("HKLM\\SOFTWARE\\Microsoft")).is_some());
+        assert!(reg.resolve(&p("HKCC\\x")).is_none());
     }
 
     #[test]
@@ -475,8 +460,8 @@ mod tests {
         let run = p("HKLM\\SOFTWARE\\Microsoft\\Windows\\CurrentVersion\\Run");
         reg.create_key(&run).unwrap();
         reg.set_value(&run, "x", ValueData::sz("x.exe")).unwrap();
-        let hive = reg.hive_containing(&run).unwrap();
-        let raw = Hive::parse_bytes(&hive.to_bytes()).unwrap();
+        let (hive, _) = reg.resolve(&run).unwrap();
+        let raw = RawHive::parse(&hive.to_bytes()).unwrap();
         assert_eq!(raw.all_values().len(), 1);
     }
 }

@@ -219,7 +219,7 @@ impl Kernel {
     /// # Errors
     ///
     /// Fails when the process does not exist.
-    pub fn add_thread(&mut self, pid: Pid) -> Result<Tid, KernelError> {
+    fn add_thread(&mut self, pid: Pid) -> Result<Tid, KernelError> {
         let proc = self
             .processes
             .get_mut(&pid.0)

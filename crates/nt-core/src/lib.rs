@@ -38,7 +38,7 @@ mod status;
 mod time;
 
 pub use io::IoStats;
-pub use name::{NtString, Win32NameError};
+pub use name::NtString;
 pub use path::{NtPath, ParseNtPathError, MAX_PATH};
 pub use status::NtStatus;
 pub use time::Tick;

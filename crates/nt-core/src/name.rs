@@ -172,7 +172,7 @@ impl NtString {
     /// # Errors
     ///
     /// Returns the first rule the name violates.
-    pub fn validate_win32(&self) -> Result<(), Win32NameError> {
+    fn validate_win32(&self) -> Result<(), Win32NameError> {
         if self.is_empty() {
             return Err(Win32NameError::Empty);
         }
@@ -244,7 +244,7 @@ impl fmt::Display for NtString {
 /// Names that violate these rules are fully addressable through the native
 /// API and NTFS, producing the "hidden by naming" class of ghostware files.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Win32NameError {
+enum Win32NameError {
     /// The name is empty.
     Empty,
     /// The counted string embeds a `NUL` code unit.
@@ -258,27 +258,6 @@ pub enum Win32NameError {
     /// The stem is a reserved DOS device name such as `CON` or `LPT1`.
     ReservedDeviceName(String),
 }
-
-impl fmt::Display for Win32NameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Win32NameError::Empty => write!(f, "name is empty"),
-            Win32NameError::EmbeddedNul => write!(f, "name contains an embedded NUL"),
-            Win32NameError::IllegalCharacter(c) => {
-                write!(f, "name contains illegal character {c:?}")
-            }
-            Win32NameError::ControlCharacter(c) => {
-                write!(f, "name contains control character U+{c:04X}")
-            }
-            Win32NameError::TrailingDotOrSpace => write!(f, "name ends with a dot or space"),
-            Win32NameError::ReservedDeviceName(n) => {
-                write!(f, "name stem is reserved device name {n}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for Win32NameError {}
 
 // ---------------------------------------------------------------------
 // JSON serialization (see `strider_support::json`, replacing the former
@@ -471,21 +450,5 @@ mod tests {
     #[test]
     fn empty_name_is_illegal() {
         assert_eq!(NtString::new().validate_win32(), Err(Win32NameError::Empty));
-    }
-
-    #[test]
-    fn error_display_is_nonempty_lowercase() {
-        for e in [
-            Win32NameError::Empty,
-            Win32NameError::EmbeddedNul,
-            Win32NameError::IllegalCharacter('?'),
-            Win32NameError::ControlCharacter(2),
-            Win32NameError::TrailingDotOrSpace,
-            Win32NameError::ReservedDeviceName("CON".into()),
-        ] {
-            let msg = e.to_string();
-            assert!(!msg.is_empty());
-            assert!(msg.chars().next().unwrap().is_lowercase());
-        }
     }
 }

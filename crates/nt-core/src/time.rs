@@ -18,7 +18,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// let boot = Tick::ZERO;
 /// let later = boot + 90;
-/// assert_eq!(later.gap_since(boot), 90);
+/// assert_eq!(later - boot, 90);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(pub u64);
@@ -26,12 +26,6 @@ pub struct Tick(pub u64);
 impl Tick {
     /// The clock value at machine boot.
     pub const ZERO: Tick = Tick(0);
-
-    /// Ticks elapsed since `earlier`, saturating at zero if `earlier` is
-    /// in the future.
-    pub fn gap_since(self, earlier: Tick) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl Add<u64> for Tick {
@@ -48,11 +42,13 @@ impl AddAssign<u64> for Tick {
     }
 }
 
+/// Ticks elapsed since `rhs`, saturating at zero if `rhs` is in the
+/// future.
 impl Sub for Tick {
     type Output = u64;
 
     fn sub(self, rhs: Tick) -> u64 {
-        self.gap_since(rhs)
+        self.0.saturating_sub(rhs.0)
     }
 }
 

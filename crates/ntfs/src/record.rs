@@ -15,9 +15,9 @@ use strider_nt_core::{FileRecordNumber, NtString, Tick};
 /// ```
 /// use strider_ntfs::FileAttributes;
 ///
-/// let a = FileAttributes::HIDDEN | FileAttributes::SYSTEM;
+/// let a = FileAttributes::HIDDEN | FileAttributes::DIRECTORY;
 /// assert!(a.contains(FileAttributes::HIDDEN));
-/// assert!(!a.contains(FileAttributes::READ_ONLY));
+/// assert!(!FileAttributes::NORMAL.contains(FileAttributes::HIDDEN));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FileAttributes(pub u32);
@@ -26,11 +26,11 @@ impl FileAttributes {
     /// No attributes set.
     pub const NORMAL: FileAttributes = FileAttributes(0);
     /// `FILE_ATTRIBUTE_READONLY`.
-    pub const READ_ONLY: FileAttributes = FileAttributes(0x0001);
+    const READ_ONLY: FileAttributes = FileAttributes(0x0001);
     /// `FILE_ATTRIBUTE_HIDDEN` — skipped by plain `dir`, shown by `dir /a`.
     pub const HIDDEN: FileAttributes = FileAttributes(0x0002);
     /// `FILE_ATTRIBUTE_SYSTEM`.
-    pub const SYSTEM: FileAttributes = FileAttributes(0x0004);
+    const SYSTEM: FileAttributes = FileAttributes(0x0004);
     /// `FILE_ATTRIBUTE_DIRECTORY`.
     pub const DIRECTORY: FileAttributes = FileAttributes(0x0010);
 
@@ -40,7 +40,7 @@ impl FileAttributes {
     }
 
     /// Returns `self` with the bits of `other` added.
-    pub fn with(self, other: FileAttributes) -> FileAttributes {
+    fn with(self, other: FileAttributes) -> FileAttributes {
         FileAttributes(self.0 | other.0)
     }
 }

@@ -446,27 +446,6 @@ impl NtfsVolume {
         Ok(())
     }
 
-    /// Updates attribute flags on an existing object.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the path is missing.
-    pub fn set_attributes(
-        &mut self,
-        path: &NtPath,
-        attributes: FileAttributes,
-    ) -> Result<(), NtfsError> {
-        let n = self.resolve(path)?;
-        let rec = self.records[n.0 as usize].as_mut().expect("resolved");
-        let dir_bit = rec.std_info.attributes.contains(FileAttributes::DIRECTORY);
-        rec.std_info.attributes = if dir_bit {
-            attributes | FileAttributes::DIRECTORY
-        } else {
-            attributes
-        };
-        Ok(())
-    }
-
     /// Removes a file (not a directory), freeing its MFT slot for reuse.
     ///
     /// # Errors
@@ -508,31 +487,6 @@ impl NtfsVolume {
         self.free.push(n.0 as usize);
         self.dir_index.remove(&n.0);
         Ok(())
-    }
-
-    /// Removes a directory and everything beneath it.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the path is missing or is the root.
-    pub fn remove_tree(&mut self, path: &NtPath) -> Result<(), NtfsError> {
-        let n = self.resolve(path)?;
-        if n == self.root() {
-            return Err(NtfsError::DirectoryNotEmpty(path.clone()));
-        }
-        let rec = self.record(n).expect("resolved");
-        if !rec.is_directory() {
-            return self.remove_file(path);
-        }
-        let children: Vec<NtPath> = rec
-            .children
-            .iter()
-            .filter_map(|&c| self.path_of(c))
-            .collect();
-        for child in children {
-            self.remove_tree(&child)?;
-        }
-        self.remove_dir(path)
     }
 
     /// Lists the children of the directory at `path` in index order.
@@ -708,16 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_tree_removes_recursively() {
-        let mut v = vol();
-        v.create_file(&p("C:\\windows\\system32\\a.dll"), b"")
-            .unwrap();
-        v.remove_tree(&p("C:\\windows")).unwrap();
-        assert!(!v.exists(&p("C:\\windows")));
-        assert_eq!(v.record_count(), 1); // only root
-    }
-
-    #[test]
     fn path_of_reconstructs_full_path() {
         let mut v = vol();
         let n = v
@@ -760,16 +704,6 @@ mod tests {
             v.add_stream(&p("C:\\host.txt"), "EVIL", b""),
             Err(NtfsError::AlreadyExists(_))
         ));
-    }
-
-    #[test]
-    fn set_attributes_preserves_directory_bit() {
-        let mut v = vol();
-        v.set_attributes(&p("C:\\windows"), FileAttributes::HIDDEN)
-            .unwrap();
-        let rec = v.lookup(&p("C:\\windows")).unwrap();
-        assert!(rec.is_directory());
-        assert!(rec.std_info.attributes.contains(FileAttributes::HIDDEN));
     }
 
     #[test]

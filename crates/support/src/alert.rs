@@ -7,13 +7,11 @@
 //!
 //! - [`TimeSeries`] — a bounded ring of `(t_ns, value)` samples on the
 //!   [`Clock`] seam, answering the windowed queries
-//!   alerting needs: [`delta`](TimeSeries::delta),
-//!   [`rate_per_sec`](TimeSeries::rate_per_sec),
-//!   [`quantile_over`](TimeSeries::quantile_over), and
-//!   [`absent_for`](TimeSeries::absent_for).
+//!   alerting needs: [`delta`](TimeSeries::delta) over a trailing
+//!   window, and whether a sample landed in it.
 //! - [`AlertEngine`] — evaluates declarative [`AlertRule`]s
-//!   ([`AlertCondition`]: threshold, ratio-vs-baseline, rate-of-change,
-//!   absence, quantile-over-window) with `for_ns` hysteresis through a
+//!   ([`AlertCondition`]: threshold, ratio-vs-baseline, absence) with
+//!   `for_ns` hysteresis through a
 //!   deterministic `Inactive → Pending → Firing → Inactive` state
 //!   machine, appending every transition to a bounded [`AlertLog`] and,
 //!   when given one, to a [`FlightRecorder`] so black boxes carry alert
@@ -50,7 +48,6 @@
 //! assert_eq!(engine.state("slow_scan"), Some(AlertState::Firing));
 //! ```
 
-use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 use crate::obs::{Clock, FlightEventKind, FlightRecorder, HistogramSketch, TelemetryReport};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -69,14 +66,12 @@ pub struct TimePoint {
     pub value: f64,
 }
 
-crate::impl_json!(struct TimePoint { at_ns, value });
-
 /// A bounded ring of timestamped samples.
 ///
 /// Pushing beyond capacity drops the oldest sample, so a continuous
 /// monitor can feed a series forever without growth. Capacity is
-/// clamped to at least 1 — both at construction and when deserialized —
-/// so a series can never be configured to silently retain nothing.
+/// clamped to at least 1, so a series can never be configured to
+/// silently retain nothing.
 ///
 /// Windowed queries take an explicit `now_ns` (the caller's clock
 /// reading) rather than consulting a clock themselves; that keeps the
@@ -124,11 +119,6 @@ impl TimeSeries {
         self.points.back().map(|p| p.value)
     }
 
-    /// The newest sample's timestamp, if any.
-    pub fn last_at(&self) -> Option<u64> {
-        self.points.back().map(|p| p.at_ns)
-    }
-
     /// All retained samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &TimePoint> {
         self.points.iter()
@@ -168,29 +158,10 @@ impl TimeSeries {
         Some(last.value - first.value)
     }
 
-    /// [`delta`](Self::delta) divided by the in-window time span, in
-    /// units per second; `None` when the span is zero or fewer than two
-    /// samples are in the window.
-    pub fn rate_per_sec(&self, window_ns: u64, now_ns: u64) -> Option<f64> {
-        let mut window = self.window(window_ns, now_ns);
-        let first = window.next()?;
-        let last = window.last()?;
-        let span_ns = last.at_ns.saturating_sub(first.at_ns);
-        if span_ns == 0 {
-            return None;
-        }
-        Some((last.value - first.value) / span_ns as f64 * 1e9)
-    }
-
-    /// Nearest-rank quantile over the trailing window's values.
-    pub fn quantile_over(&self, pct: f64, window_ns: u64, now_ns: u64) -> Option<f64> {
-        nearest_rank(self.window(window_ns, now_ns).map(|p| p.value), pct)
-    }
-
     /// Whether the series has received no sample inside the trailing
     /// window — true for an empty series, the staleness signal absence
     /// rules key on.
-    pub fn absent_for(&self, window_ns: u64, now_ns: u64) -> bool {
+    fn absent_for(&self, window_ns: u64, now_ns: u64) -> bool {
         let cutoff = now_ns.saturating_sub(window_ns);
         self.points.back().is_none_or(|p| p.at_ns < cutoff)
     }
@@ -210,26 +181,6 @@ pub fn nearest_rank(values: impl IntoIterator<Item = f64>, pct: f64) -> Option<f
     Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
-impl ToJson for TimeSeries {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("cap".to_string(), self.cap.to_json()),
-            ("points".to_string(), self.points.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TimeSeries {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let cap = usize::from_json(value.field("cap")?)?.max(1);
-        let mut points = VecDeque::<TimePoint>::from_json(value.field("points")?)?;
-        while points.len() > cap {
-            points.pop_front();
-        }
-        Ok(TimeSeries { cap, points })
-    }
-}
-
 // ---------------------------------------------------------------------
 // Rules
 // ---------------------------------------------------------------------
@@ -244,14 +195,6 @@ pub enum Severity {
     /// Needs attention now.
     Critical,
 }
-
-crate::impl_json!(
-    enum Severity {
-        Info,
-        Warning,
-        Critical,
-    }
-);
 
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -284,36 +227,18 @@ pub enum AlertCondition {
         /// Additive slack, so tiny baselines don't alert on noise.
         floor: f64,
     },
-    /// Rate of change over the trailing window strictly above a
-    /// per-second threshold.
-    RateAbove {
-        /// Threshold in value units per second.
-        per_sec: f64,
-        /// Trailing window the rate is computed over.
-        window_ns: u64,
-    },
     /// No sample has arrived inside the trailing window (a missing
     /// series counts as absent) — the staleness/liveness shape.
     Absent {
         /// Trailing window a sample must have landed in.
         window_ns: u64,
     },
-    /// Nearest-rank quantile over the trailing window strictly above
-    /// the threshold.
-    QuantileAbove {
-        /// Quantile in 0..=100 (e.g. 95.0).
-        pct: f64,
-        /// Trailing window the quantile is computed over.
-        window_ns: u64,
-        /// Threshold the quantile must stay at or under.
-        threshold: f64,
-    },
 }
 
 impl AlertCondition {
     /// Evaluates the condition, returning whether it is breached and the
     /// observed value that decided it (when one exists).
-    pub fn eval(&self, series: Option<&TimeSeries>, now_ns: u64) -> (bool, Option<f64>) {
+    fn eval(&self, series: Option<&TimeSeries>, now_ns: u64) -> (bool, Option<f64>) {
         match self {
             AlertCondition::Above(threshold) => match series.and_then(TimeSeries::last) {
                 Some(v) => (v > *threshold, Some(v)),
@@ -331,24 +256,10 @@ impl AlertCondition {
                 Some(v) => (v > baseline * factor + floor, Some(v)),
                 None => (false, None),
             },
-            AlertCondition::RateAbove { per_sec, window_ns } => {
-                match series.and_then(|s| s.rate_per_sec(*window_ns, now_ns)) {
-                    Some(rate) => (rate > *per_sec, Some(rate)),
-                    None => (false, None),
-                }
-            }
             AlertCondition::Absent { window_ns } => {
                 let absent = series.is_none_or(|s| s.absent_for(*window_ns, now_ns));
                 (absent, series.and_then(TimeSeries::last))
             }
-            AlertCondition::QuantileAbove {
-                pct,
-                window_ns,
-                threshold,
-            } => match series.and_then(|s| s.quantile_over(*pct, *window_ns, now_ns)) {
-                Some(q) => (q > *threshold, Some(q)),
-                None => (false, None),
-            },
         }
     }
 }
@@ -363,113 +274,10 @@ impl fmt::Display for AlertCondition {
                 factor,
                 floor,
             } => write!(f, "> {baseline} × {factor} + {floor}"),
-            AlertCondition::RateAbove { per_sec, window_ns } => {
-                write!(
-                    f,
-                    "rate > {per_sec}/s over {}",
-                    crate::obs::fmt_ns(*window_ns)
-                )
-            }
             AlertCondition::Absent { window_ns } => {
                 write!(f, "absent for {}", crate::obs::fmt_ns(*window_ns))
             }
-            AlertCondition::QuantileAbove {
-                pct,
-                window_ns,
-                threshold,
-            } => write!(
-                f,
-                "p{pct} over {} > {threshold}",
-                crate::obs::fmt_ns(*window_ns)
-            ),
         }
-    }
-}
-
-// Multi-field enum variants are beyond `impl_json!` — hand-written,
-// mirroring its `{"Variant": {...}}` shape so documents stay uniform.
-impl ToJson for AlertCondition {
-    fn to_json(&self) -> JsonValue {
-        let (variant, body) = match self {
-            AlertCondition::Above(t) => ("Above", t.to_json()),
-            AlertCondition::Below(t) => ("Below", t.to_json()),
-            AlertCondition::AboveBaseline {
-                baseline,
-                factor,
-                floor,
-            } => (
-                "AboveBaseline",
-                JsonValue::Obj(vec![
-                    ("baseline".to_string(), baseline.to_json()),
-                    ("factor".to_string(), factor.to_json()),
-                    ("floor".to_string(), floor.to_json()),
-                ]),
-            ),
-            AlertCondition::RateAbove { per_sec, window_ns } => (
-                "RateAbove",
-                JsonValue::Obj(vec![
-                    ("per_sec".to_string(), per_sec.to_json()),
-                    ("window_ns".to_string(), window_ns.to_json()),
-                ]),
-            ),
-            AlertCondition::Absent { window_ns } => (
-                "Absent",
-                JsonValue::Obj(vec![("window_ns".to_string(), window_ns.to_json())]),
-            ),
-            AlertCondition::QuantileAbove {
-                pct,
-                window_ns,
-                threshold,
-            } => (
-                "QuantileAbove",
-                JsonValue::Obj(vec![
-                    ("pct".to_string(), pct.to_json()),
-                    ("window_ns".to_string(), window_ns.to_json()),
-                    ("threshold".to_string(), threshold.to_json()),
-                ]),
-            ),
-        };
-        JsonValue::Obj(vec![(variant.to_string(), body)])
-    }
-}
-
-impl FromJson for AlertCondition {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        if let Some(t) = value.opt_field("Above") {
-            return Ok(AlertCondition::Above(f64::from_json(t)?));
-        }
-        if let Some(t) = value.opt_field("Below") {
-            return Ok(AlertCondition::Below(f64::from_json(t)?));
-        }
-        if let Some(body) = value.opt_field("AboveBaseline") {
-            return Ok(AlertCondition::AboveBaseline {
-                baseline: f64::from_json(body.field("baseline")?)?,
-                factor: f64::from_json(body.field("factor")?)?,
-                floor: f64::from_json(body.field("floor")?)?,
-            });
-        }
-        if let Some(body) = value.opt_field("RateAbove") {
-            return Ok(AlertCondition::RateAbove {
-                per_sec: f64::from_json(body.field("per_sec")?)?,
-                window_ns: u64::from_json(body.field("window_ns")?)?,
-            });
-        }
-        if let Some(body) = value.opt_field("Absent") {
-            return Ok(AlertCondition::Absent {
-                window_ns: u64::from_json(body.field("window_ns")?)?,
-            });
-        }
-        if let Some(body) = value.opt_field("QuantileAbove") {
-            return Ok(AlertCondition::QuantileAbove {
-                pct: f64::from_json(body.field("pct")?)?,
-                window_ns: u64::from_json(body.field("window_ns")?)?,
-                threshold: f64::from_json(body.field("threshold")?)?,
-            });
-        }
-        Err(JsonError(format!(
-            "no variant of AlertCondition matches {}",
-            value.kind()
-        )))
     }
 }
 
@@ -490,8 +298,6 @@ pub struct AlertRule {
     /// How loud the alert is.
     pub severity: Severity,
 }
-
-crate::impl_json!(struct AlertRule { name, metric, condition, for_ns, severity });
 
 impl AlertRule {
     /// A rule firing on first breach (`for_ns` 0) at
@@ -548,14 +354,6 @@ pub enum AlertState {
     Firing,
 }
 
-crate::impl_json!(
-    enum AlertState {
-        Inactive,
-        Pending,
-        Firing,
-    }
-);
-
 impl fmt::Display for AlertState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -584,8 +382,6 @@ pub struct AlertTransition {
     /// Human-readable context (the condition, hold time, resolution).
     pub detail: String,
 }
-
-crate::impl_json!(struct AlertTransition { at_ns, rule, severity, from, to, value, detail });
 
 impl fmt::Display for AlertTransition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -616,7 +412,7 @@ pub struct AlertLog {
 }
 
 /// Default [`AlertLog`] retention.
-pub const ALERT_LOG_CAPACITY: usize = 256;
+const ALERT_LOG_CAPACITY: usize = 256;
 
 impl Default for AlertLog {
     fn default() -> Self {
@@ -667,33 +463,6 @@ impl AlertLog {
     /// The newest transition, if any.
     pub fn last(&self) -> Option<&AlertTransition> {
         self.entries.back()
-    }
-}
-
-impl ToJson for AlertLog {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("cap".to_string(), self.cap.to_json()),
-            ("dropped".to_string(), self.dropped.to_json()),
-            ("entries".to_string(), self.entries.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AlertLog {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let cap = usize::from_json(value.field("cap")?)?.max(1);
-        let dropped = u64::from_json(value.field("dropped")?)?;
-        let mut entries = VecDeque::<AlertTransition>::from_json(value.field("entries")?)?;
-        let extra = entries.len().saturating_sub(cap);
-        for _ in 0..extra {
-            entries.pop_front();
-        }
-        Ok(AlertLog {
-            cap,
-            dropped: dropped + extra as u64,
-            entries,
-        })
     }
 }
 
@@ -963,7 +732,7 @@ impl Exposition {
     }
 
     /// Adds a counter sample with labels.
-    pub fn counter_with(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+    fn counter_with(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         let name = prom_name(name);
         let labels = Self::render_labels(labels);
         self.family(name.clone(), "counter")
@@ -1016,7 +785,7 @@ impl Exposition {
     /// Adds the alerting families for an engine: one
     /// `strider_alert_active{rule,severity}` gauge per rule (1 while
     /// firing) and one `strider_alert_transitions_total{rule}` counter.
-    pub fn alerts(&mut self, engine: &AlertEngine) {
+    fn alerts(&mut self, engine: &AlertEngine) {
         for rule in engine.rules() {
             let active = if engine.is_firing(&rule.name) {
                 1.0
@@ -1198,8 +967,9 @@ impl MonitorCore {
     }
 
     /// Adds every series' newest value to `expo` as a
-    /// `<prefix><metric>` gauge, then the active-alert families (see
-    /// [`Exposition::alerts`]).
+    /// `<prefix><metric>` gauge, then the active-alert families: one
+    /// `strider_alert_active{rule,severity}` gauge per rule (1 while
+    /// firing) and one `strider_alert_transitions_total{rule}` counter.
     pub fn expose(&self, expo: &mut Exposition, prefix: &str) {
         for (name, series) in &self.series {
             if let Some(value) = series.last() {
@@ -1254,7 +1024,7 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.values(), vec![2.0, 3.0, 4.0]);
         assert_eq!(s.last(), Some(4.0));
-        assert_eq!(s.last_at(), Some(400));
+        assert_eq!(s.samples().last().map(|p| p.at_ns), Some(400));
         assert_eq!(s.mean(), Some(3.0));
         assert_eq!(s.quantile(0.0), Some(2.0));
         assert_eq!(s.quantile(100.0), Some(4.0));
@@ -1262,25 +1032,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_clamps_to_one_even_through_json() {
+    fn zero_capacity_clamps_to_one() {
         let mut s = TimeSeries::new(0);
         s.push(10, 1.0);
         s.push(20, 2.0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.last(), Some(2.0));
-
-        // A hand-crafted document claiming cap 0 still decodes usable.
-        let doc = r#"{"cap": 0, "points": [{"at_ns": 1, "value": 9.5}]}"#;
-        let parsed = TimeSeries::from_json(&JsonValue::parse(doc).unwrap()).unwrap();
-        assert_eq!(parsed.capacity(), 1);
-        assert_eq!(parsed.last(), Some(9.5));
-    }
-
-    #[test]
-    fn time_series_round_trips_through_json() {
-        let s = series(&[(100, 1.5), (200, 2.5), (300, -3.0)]);
-        let parsed = TimeSeries::from_json(&JsonValue::parse(&s.to_json().render()).unwrap());
-        assert_eq!(parsed.unwrap(), s);
     }
 
     #[test]
@@ -1288,16 +1045,13 @@ mod tests {
         let s = series(&[(0, 10.0), (500, 20.0), (1_000, 26.0)]);
         // Window [400, 1000] sees the last two points.
         assert_eq!(s.delta(600, 1_000), Some(6.0));
-        let rate = s.rate_per_sec(600, 1_000).unwrap();
-        assert!((rate - 6.0 / 500.0 * 1e9).abs() < 1e-6);
         // Whole history.
         assert_eq!(s.delta(u64::MAX, 1_000), Some(16.0));
-        // One in-window sample → no delta/rate.
+        // One in-window sample → no delta.
         assert_eq!(s.delta(100, 1_000), None);
-        assert_eq!(s.rate_per_sec(100, 1_000), None);
-        // Quantiles over the window.
-        assert_eq!(s.quantile_over(100.0, 600, 1_000), Some(26.0));
-        assert_eq!(s.quantile_over(0.0, u64::MAX, 1_000), Some(10.0));
+        // The window keeps samples at or after the cutoff.
+        let kept: Vec<u64> = s.window(500, 1_000).map(|p| p.at_ns).collect();
+        assert_eq!(kept, vec![500, 1_000]);
     }
 
     #[test]
@@ -1309,36 +1063,33 @@ mod tests {
     }
 
     #[test]
-    fn rate_is_none_when_span_is_zero() {
-        let s = series(&[(100, 1.0), (100, 5.0)]);
-        assert_eq!(s.rate_per_sec(u64::MAX, 100), None);
-    }
+    fn conditions_eval_the_newest_sample_and_display() {
+        let s = series(&[(0, 500.0), (1_000, 20.0)]);
+        let baseline = AlertCondition::AboveBaseline {
+            baseline: 5.0,
+            factor: 3.0,
+            floor: 4.0,
+        };
+        let absent = AlertCondition::Absent { window_ns: 500 };
+        assert_eq!(
+            AlertCondition::Above(10.0).eval(Some(&s), 1_000),
+            (true, Some(20.0))
+        );
+        assert_eq!(
+            AlertCondition::Below(10.0).eval(Some(&s), 1_000),
+            (false, Some(20.0))
+        );
+        assert_eq!(baseline.eval(Some(&s), 1_000), (true, Some(20.0)));
+        assert_eq!(absent.eval(Some(&s), 1_200), (false, Some(20.0)));
+        assert_eq!(absent.eval(Some(&s), 2_000), (true, Some(20.0)));
+        // A missing series breaches only the absence condition.
+        assert_eq!(AlertCondition::Above(10.0).eval(None, 0), (false, None));
+        assert_eq!(absent.eval(None, 0), (true, None));
 
-    #[test]
-    fn conditions_serialize_and_round_trip() {
-        for condition in [
-            AlertCondition::Above(1.5),
-            AlertCondition::Below(-2.0),
-            AlertCondition::AboveBaseline {
-                baseline: 100.0,
-                factor: 3.0,
-                floor: 50.0,
-            },
-            AlertCondition::RateAbove {
-                per_sec: 10.0,
-                window_ns: 1_000,
-            },
-            AlertCondition::Absent { window_ns: 5_000 },
-            AlertCondition::QuantileAbove {
-                pct: 95.0,
-                window_ns: 2_000,
-                threshold: 7.0,
-            },
-        ] {
-            let json = condition.to_json().render();
-            let parsed = AlertCondition::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-            assert_eq!(parsed, condition);
-        }
+        assert_eq!(AlertCondition::Above(1.5).to_string(), "> 1.5");
+        assert_eq!(AlertCondition::Below(-2.0).to_string(), "< -2");
+        assert_eq!(baseline.to_string(), "> 5 × 3 + 4");
+        assert!(absent.to_string().starts_with("absent for "));
     }
 
     #[test]
@@ -1463,9 +1214,6 @@ mod tests {
         assert_eq!(log.dropped, 3);
         assert_eq!(log.total(), 5);
         assert_eq!(log.last().unwrap().at_ns, 4);
-        // Round-trip keeps the accounting.
-        let parsed = AlertLog::from_json(&JsonValue::parse(&log.to_json().render()).unwrap());
-        assert_eq!(parsed.unwrap(), log);
     }
 
     #[test]
@@ -1550,7 +1298,7 @@ mod tests {
     }
 
     #[test]
-    fn rule_round_trips_and_displays() {
+    fn rule_displays_name_metric_condition_and_hold() {
         let rule = AlertRule::new(
             "latency.files",
             "files.duration_ns",
@@ -1562,10 +1310,9 @@ mod tests {
         )
         .with_for_ns(2_000_000)
         .with_severity(Severity::Warning);
-        let parsed = AlertRule::from_json(&JsonValue::parse(&rule.to_json().render()).unwrap());
-        assert_eq!(parsed.unwrap(), rule);
         let line = rule.to_string();
-        assert!(line.contains("latency.files"));
-        assert!(line.contains("warning"));
+        assert!(
+            line.starts_with("latency.files [warning]: files.duration_ns > 1000 × 3 + 500 for ")
+        );
     }
 }

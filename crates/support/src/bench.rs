@@ -32,7 +32,6 @@
 
 use crate::json::{JsonValue, ToJson};
 use crate::obs::TelemetryReport;
-use crate::sync::Mutex;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -80,14 +79,6 @@ impl Criterion {
             throughput: None,
             scenarios: Vec::new(),
             phases: Vec::new(),
-        }
-    }
-
-    /// Prints a one-line summary of every report file written.
-    pub fn final_summary(&self) {
-        let written = written_files().lock();
-        for path in written.iter() {
-            eprintln!("bench report: {path}");
         }
     }
 }
@@ -213,7 +204,7 @@ impl BenchmarkGroup<'_> {
             eprintln!("bench: could not write {}: {error}", path.display());
             return;
         }
-        written_files().lock().push(path.display().to_string());
+        eprintln!("bench report: {}", path.display());
         self.criterion.groups_finished += 1;
     }
 
@@ -422,11 +413,6 @@ fn percentile(sorted: &[f64], pct: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-fn written_files() -> &'static Mutex<Vec<String>> {
-    static WRITTEN: std::sync::OnceLock<Mutex<Vec<String>>> = std::sync::OnceLock::new();
-    WRITTEN.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 /// Where `BENCH_*.json` files land: `STRIDER_BENCH_DIR` if set, otherwise
 /// the enclosing cargo workspace root, otherwise the current directory.
 pub fn report_dir() -> PathBuf {
@@ -575,7 +561,7 @@ fn exceeds(baseline: f64, fresh: f64, frac: f64, min_abs: f64) -> bool {
 /// Diffs one scenario's metrics, appending regressions into `out`.
 /// Metrics absent from either side (older baselines predate the alloc
 /// columns) are recorded as skipped rather than compared.
-pub fn compare_scenarios(
+fn compare_scenarios(
     group: &str,
     baseline: &JsonValue,
     fresh: &JsonValue,
@@ -622,7 +608,7 @@ pub fn compare_scenarios(
 /// Diffs two parsed `BENCH_<group>.json` reports, appending into `out`.
 /// Scenarios are matched by id; baseline scenarios missing from the
 /// fresh report are recorded as skipped.
-pub fn compare_reports(
+fn compare_reports(
     group: &str,
     baseline: &JsonValue,
     fresh: &JsonValue,
@@ -723,7 +709,6 @@ macro_rules! criterion_main {
         fn main() {
             let mut criterion = $crate::bench::Criterion::default();
             $($group(&mut criterion);)+
-            criterion.final_summary();
         }
     };
 }

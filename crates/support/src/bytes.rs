@@ -218,11 +218,6 @@ impl BytesMut {
         }
     }
 
-    /// Ensures space for at least `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
-    }
-
     /// Current length.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -241,14 +236,6 @@ impl BytesMut {
     /// Copies the contents into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.data.clone()
-    }
-
-    /// Converts into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::from(self.data),
-            start: 0,
-        }
     }
 }
 
@@ -366,15 +353,5 @@ mod tests {
     fn overrun_panics() {
         let mut cursor = Bytes::copy_from_slice(&[1]);
         cursor.get_u32_le();
-    }
-
-    #[test]
-    fn freeze_shares_without_copy() {
-        let mut buf = BytesMut::default();
-        buf.put_slice(b"shared");
-        let frozen = buf.freeze();
-        let cloned = frozen.clone();
-        assert_eq!(frozen, cloned);
-        assert_eq!(cloned.as_slice(), b"shared");
     }
 }

@@ -26,9 +26,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Disk sector size used for torn-write faults.
-pub const SECTOR_BYTES: usize = 512;
+const SECTOR_BYTES: usize = 512;
 /// Memory page size used for zeroed-page faults.
-pub const PAGE_BYTES: usize = 4096;
+const PAGE_BYTES: usize = 4096;
 
 // ---------------------------------------------------------------------
 // FaultPlan — deterministic image corruption
@@ -46,7 +46,7 @@ pub const PAGE_BYTES: usize = 4096;
 /// use strider_support::fault::FaultPlan;
 ///
 /// let image = vec![0xAAu8; 8192];
-/// let plan = FaultPlan::new(7).bit_flips(3).zeroed_pages(1);
+/// let plan = FaultPlan::new(7).bit_flips(3).torn_sectors(1);
 /// let a = plan.apply(&image);
 /// let b = plan.apply(&image);
 /// assert_eq!(a, b); // deterministic
@@ -85,12 +85,6 @@ impl FaultPlan {
     /// that landed stale or half-written data).
     pub fn torn_sectors(mut self, n: u32) -> Self {
         self.torn_sectors = n;
-        self
-    }
-
-    /// Zeroes `n` random 4 KiB pages (an unflushed page lost to a crash).
-    pub fn zeroed_pages(mut self, n: u32) -> Self {
-        self.zeroed_pages = n;
         self
     }
 
@@ -274,7 +268,7 @@ impl Stall {
     }
 
     /// Whether this stall never drains on its own.
-    pub fn is_forever(&self) -> bool {
+    fn is_forever(&self) -> bool {
         self.remaining() == u32::MAX
     }
 
@@ -490,11 +484,13 @@ mod tests {
     #[test]
     fn plans_are_deterministic() {
         let image: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let plan = FaultPlan::new(42)
-            .bit_flips(5)
-            .torn_sectors(2)
-            .zeroed_pages(1)
-            .truncate_to(0.8);
+        let plan = FaultPlan {
+            zeroed_pages: 1,
+            ..FaultPlan::new(42)
+                .bit_flips(5)
+                .torn_sectors(2)
+                .truncate_to(0.8)
+        };
         let a = plan.apply(&image);
         let b = plan.apply(&image);
         assert_eq!(a, b);
@@ -537,11 +533,13 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_images_never_panic() {
-        let plan = FaultPlan::random(9)
-            .bit_flips(10)
-            .torn_sectors(3)
-            .zeroed_pages(3)
-            .truncate_to(0.1);
+        let plan = FaultPlan {
+            zeroed_pages: 3,
+            ..FaultPlan::random(9)
+                .bit_flips(10)
+                .torn_sectors(3)
+                .truncate_to(0.1)
+        };
         assert_eq!(plan.apply(&[]), Vec::<u8>::new());
         for len in 1..40 {
             let image = vec![1u8; len];

@@ -86,19 +86,6 @@ impl JsonValue {
         }
     }
 
-    /// Looks up a member of an object, returning `None` when the value is
-    /// absent or `null` (used for `Option` fields and enum-variant probing).
-    pub fn opt_field(&self, name: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(members) => members
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .filter(|v| !matches!(v, JsonValue::Null)),
-            _ => None,
-        }
-    }
-
     /// A short description of the value's type, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -122,7 +109,7 @@ impl JsonValue {
     }
 
     /// The value as an `i64`.
-    pub fn as_i64(&self) -> Result<i64, JsonError> {
+    fn as_i64(&self) -> Result<i64, JsonError> {
         match self {
             JsonValue::Int(n) => Ok(*n),
             JsonValue::UInt(n) if *n <= i64::MAX as u64 => Ok(*n as i64),
@@ -141,7 +128,7 @@ impl JsonValue {
     }
 
     /// The value as a `bool`.
-    pub fn as_bool(&self) -> Result<bool, JsonError> {
+    fn as_bool(&self) -> Result<bool, JsonError> {
         match self {
             JsonValue::Bool(b) => Ok(*b),
             other => err(format!("expected bool, got {}", other.kind())),
@@ -865,7 +852,7 @@ macro_rules! impl_json {
         }
     };
     (@from_arm $value:ident, $ty:ident, $variant:ident($inner:ty)) => {
-        if let Some(data) = $value.opt_field(stringify!($variant)) {
+        if let Ok(data) = $value.field(stringify!($variant)) {
             return Ok($ty::$variant(
                 <$inner as $crate::json::FromJson>::from_json(data)?,
             ));

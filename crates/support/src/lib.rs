@@ -10,15 +10,15 @@
 //! |-----------|---------------|--------------------------------------------------------|
 //! | [`json`]  | `serde` + `serde_json` | [`json::ToJson`]/[`json::FromJson`] traits, a [`json::JsonValue`] tree, a strict parser/writer, and the [`impl_json!`](crate::impl_json) derive-replacement macro |
 //! | [`bytes`] | `bytes`       | [`bytes::Buf`]/[`bytes::BufMut`] traits plus [`bytes::Bytes`]/[`bytes::BytesMut`] with the little-endian accessors the binary formats use |
-//! | [`sync`]  | `parking_lot` + `crossbeam-channel` | [`sync::Mutex`]/[`sync::RwLock`] wrappers over `std::sync` with non-poisoning `lock()`/`read()`/`write()`, plus a bounded MPSC channel ([`sync::bounded`], [`sync::Sender`]/[`sync::Receiver`]) and the [`sync::run_isolated`] panic-isolating task runner |
+//! | [`sync`]  | `parking_lot` + `crossbeam-channel` | a [`sync::Mutex`] wrapper over `std::sync` with a non-poisoning `lock()`, plus a bounded MPSC channel ([`sync::bounded`], [`sync::Sender`]/[`sync::Receiver`]) and the [`sync::run_isolated`] panic-isolating task runner |
 //! | [`rng`]   | `rand`        | [`rng::SplitMix64`], a tiny seeded PRNG with `gen_range`-style helpers; deterministic across platforms |
 //! | [`check`] | `proptest`    | a shrinking property-test harness: [`check::check`], the [`check::Shrink`] trait, and the [`prop_assert!`](crate::prop_assert)/[`prop_assert_eq!`](crate::prop_assert_eq) macros |
 //! | [`mod@bench`] | `criterion`   | a mini benchmark harness with the `Criterion`/`benchmark_group`/`Bencher` API shape that writes `BENCH_<group>.json` files at the workspace root |
 //! | [`fault`] | (in-house)    | deterministic fault injection ([`fault::FaultPlan`], [`fault::TransientFaults`]) and the salvage-parse vocabulary ([`fault::Salvaged`], [`fault::Defect`]) used by the robustness layer |
 //! | [`obs`]   | `tracing` + `metrics` + `hdrhistogram` | a global-free [`obs::Telemetry`] registry: hierarchical spans (with stable per-thread ids) behind a [`obs::Clock`] seam, counters/gauges, bounded mergeable [`obs::HistogramSketch`] histograms, an always-on [`obs::FlightRecorder`] ring, and exporters writing `SCAN_TELEMETRY_<label>.json` reports and `SCAN_TRACE_<label>.json` Chrome traces |
-//! | [`task`]  | `tokio-util` + failsafe | cooperative supervision: a hierarchical [`task::CancellationToken`], [`task::Deadline`]/[`task::TimeBudget`] over the [`obs::Clock`] seam, and a Closed→Open→HalfOpen [`task::CircuitBreaker`] |
-//! | [`alert`] | `prometheus` + alertmanager rules | timestamped [`alert::TimeSeries`] with windowed queries, a declarative [`alert::AlertEngine`] (threshold/baseline/rate/absence/quantile [`alert::AlertRule`]s with `for_ns` hysteresis, bounded [`alert::AlertLog`]), and Prometheus-text [`alert::Exposition`] writing `TELEMETRY_EXPO_<label>.prom` snapshots |
-//! | [`prof`]  | `dhat`/`tracing-flame` (attribution core) | a counting `#[global_allocator]` ([`prof::CountingAlloc`]) with thread-local alloc/bytes/peak/wait counters, span-scoped attribution ([`prof::begin_scope`]), and the [`prof::PerfReport`] critical-path analyzer writing `SCAN_PERF_<label>.json` |
+//! | [`task`]  | `tokio-util` + failsafe | cooperative supervision: a hierarchical [`task::CancellationToken`], [`task::Deadline`] over the [`obs::Clock`] seam, and a Closed→Open→HalfOpen [`task::CircuitBreaker`] |
+//! | [`alert`] | `prometheus` + alertmanager rules | timestamped [`alert::TimeSeries`] with windowed queries, a declarative [`alert::AlertEngine`] (threshold/baseline/absence [`alert::AlertRule`]s with `for_ns` hysteresis, bounded [`alert::AlertLog`]), and Prometheus-text [`alert::Exposition`] writing `TELEMETRY_EXPO_<label>.prom` snapshots |
+//! | [`prof`]  | `dhat`/`tracing-flame` (attribution core) | a counting `#[global_allocator]` with thread-local alloc/bytes/peak/wait counters, span-scoped attribution ([`prof::begin_scope`]), and the [`prof::PerfReport`] critical-path analyzer writing `SCAN_PERF_<label>.json` |
 //! | [`store`] | `sled`/`redb` (durability core) | the durable state plane: a checksummed generational [`store::RecordStore`] with one write path (O(1) WAL appends), torn-tail recovery with generation fallback ([`store::Recovered`]), crash injection via [`fault::CrashPlan`], and the [`store::atomic_write_file`] commit primitive every [`store::Artifact`] export uses |
 //!
 //! The guiding rule is *API-shape compatibility where it is cheap, clarity

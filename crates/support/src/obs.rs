@@ -1052,7 +1052,7 @@ impl SpanGuard {
     }
 
     /// Records an event carrying a typed payload.
-    pub fn event_with(&self, name: &str, attrs: Vec<(String, AttrValue)>) {
+    fn event_with(&self, name: &str, attrs: Vec<(String, AttrValue)>) {
         let Some(inner) = &self.telemetry.inner else {
             return;
         };
@@ -1244,17 +1244,6 @@ impl TelemetryReport {
             walk(span, &mut totals);
         }
         totals
-    }
-
-    /// [`HistogramSketch::percentile`] of a named histogram's sketch
-    /// (within its ~1% relative bucket error; exact at the extremes).
-    pub fn histogram_percentile(&self, name: &str, pct: f64) -> Option<f64> {
-        self.histograms.get(name)?.percentile(pct)
-    }
-
-    /// Exact mean of a named histogram's samples.
-    pub fn histogram_mean(&self, name: &str) -> Option<f64> {
-        self.histograms.get(name)?.mean()
     }
 
     /// Pretty-prints the span forest, one span per line with durations and
@@ -1662,12 +1651,13 @@ mod tests {
         assert_eq!(report.gauges["depth"], 5.0);
         // Sketch-backed percentiles are within one bucket (~2%) of the
         // true sample; the extremes are exact (clamped to min/max).
-        let p50 = report.histogram_percentile("lat", 50.0).unwrap();
+        let lat = &report.histograms["lat"];
+        let p50 = lat.percentile(50.0).unwrap();
         assert!((p50 / 3.0 - 1.0).abs() < 0.02, "p50 = {p50}");
-        assert_eq!(report.histogram_percentile("lat", 100.0), Some(100.0));
-        assert_eq!(report.histogram_percentile("lat", 0.0), Some(1.0));
-        assert_eq!(report.histogram_mean("lat"), Some(22.0));
-        assert_eq!(report.histogram_percentile("missing", 50.0), None);
+        assert_eq!(lat.percentile(100.0), Some(100.0));
+        assert_eq!(lat.percentile(0.0), Some(1.0));
+        assert_eq!(lat.mean(), Some(22.0));
+        assert!(!report.histograms.contains_key("missing"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! claim like "this scan does not allocate" is only auditable if the
 //! workspace can *count*. This module is the measurement plane:
 //!
-//! * a hermetic counting [`CountingAlloc`] installed as the workspace
+//! * a hermetic counting allocator (`CountingAlloc`) installed as the workspace
 //!   `#[global_allocator]`: every allocation and deallocation updates
 //!   plain thread-local [`Cell`]s (no locks, no heap, no recursion), so
 //!   the counters cost a few adds per malloc and are exact per thread,
@@ -46,7 +46,7 @@ use std::path::PathBuf;
 /// updates the calling thread's counters. Installed once (here) as the
 /// `#[global_allocator]`, so every crate in the workspace — scanners,
 /// fleet, benches, tests — is counted without opting in.
-pub struct CountingAlloc;
+struct CountingAlloc;
 
 struct ThreadCounters {
     allocs: Cell<u64>,
@@ -276,7 +276,7 @@ impl ScopeToken {
 // ---------------------------------------------------------------------
 
 /// How many hotspots [`PerfReport::from_telemetry`] keeps.
-pub const PERF_TOP_K: usize = 8;
+const PERF_TOP_K: usize = 8;
 
 /// Per-span-name aggregate with self-time (inclusive duration minus the
 /// inclusive durations of direct children).
@@ -452,7 +452,7 @@ impl PerfReport {
     }
 
     /// The work/wait/alloc decomposition as one summary line.
-    pub fn summary(&self) -> String {
+    fn summary(&self) -> String {
         format!(
             "perf {}: wall {} (work {}, wait {}), {} allocs / {} (peak {})",
             self.label,

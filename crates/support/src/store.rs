@@ -74,12 +74,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Magic bytes opening every store file.
-pub const FILE_MAGIC: [u8; 8] = *b"STRSTOR\x01";
+const FILE_MAGIC: [u8; 8] = *b"STRSTOR\x01";
 /// Magic bytes opening every record frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"FRM\x01";
+const FRAME_MAGIC: [u8; 4] = *b"FRM\x01";
 /// Fixed frame bytes before the payload: magic + generation + length +
 /// checksum.
-pub const FRAME_HEADER_BYTES: usize = 4 + 8 + 4 + 8;
+const FRAME_HEADER_BYTES: usize = 4 + 8 + 4 + 8;
 
 fn frame_checksum(generation: u64, payload: &[u8]) -> u64 {
     let mut buf = Vec::with_capacity(12 + payload.len());
@@ -137,7 +137,7 @@ impl Recovered {
     }
 
     /// The newest valid generation, if any.
-    pub fn last_generation(&self) -> Option<u64> {
+    fn last_generation(&self) -> Option<u64> {
         self.records.last().map(|r| r.generation)
     }
 

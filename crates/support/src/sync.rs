@@ -1,10 +1,9 @@
-//! `Mutex`/`RwLock` wrappers replacing `parking_lot`, plus the bounded
-//! channel and isolation helpers the fleet fan-out rides on.
+//! A `Mutex` wrapper replacing `parking_lot`, plus the bounded channel
+//! and isolation helpers the fleet fan-out rides on.
 //!
 //! `strider-kernel` declared `parking_lot` for its non-poisoning lock API.
-//! These wrappers provide the same call shape over `std::sync`: `lock()`,
-//! `read()` and `write()` return guards directly instead of `Result`s, and
-//! a poisoned lock (a panic while held) is transparently recovered rather
+//! The wrapper provides the same call shape over `std::sync`: `lock()`
+//! returns the guard directly instead of a `Result`, and a poisoned lock (a panic while held) is transparently recovered rather
 //! than propagated — a simulated kernel that has already panicked is being
 //! torn down, and the detector's shared state is all plain data.
 //!
@@ -38,36 +37,6 @@ impl<T> Mutex<T> {
     }
 }
 
-/// A reader-writer lock with `parking_lot`-style `read()`/`write()`.
-#[derive(Debug, Default)]
-pub struct RwLock<T> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Acquires shared read access, recovering from poisoning.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access, recovering from poisoning.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 /// The sending half of a [`bounded`] channel. Clone one per producer
 /// thread; the channel closes when every sender has been dropped.
 #[derive(Debug, Clone)]
@@ -92,13 +61,8 @@ pub struct Receiver<T>(std::sync::mpsc::Receiver<T>);
 impl<T> Receiver<T> {
     /// Blocks for the next value; `None` once every sender has dropped
     /// and the buffer is drained — the loop-is-over signal.
-    pub fn recv(&self) -> Option<T> {
+    fn recv(&self) -> Option<T> {
         self.0.recv().ok()
-    }
-
-    /// Returns a value only if one is already buffered.
-    pub fn try_recv(&self) -> Option<T> {
-        self.0.try_recv().ok()
     }
 
     /// Drains the channel until it closes, oldest first.
@@ -201,19 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_allows_concurrent_readers() {
-        let lock = Arc::new(RwLock::new(vec![1, 2, 3]));
-        let reader = {
-            let lock = Arc::clone(&lock);
-            std::thread::spawn(move || lock.read().len())
-        };
-        assert_eq!(lock.read().len(), 3);
-        assert_eq!(reader.join().unwrap(), 3);
-        lock.write().push(4);
-        assert_eq!(lock.read().len(), 4);
-    }
-
-    #[test]
     fn run_isolated_returns_the_value_or_the_panic_message() {
         assert_eq!(run_isolated("adds", || 1 + 1), Ok(2));
         let owned = run_isolated("owned", || -> () { panic!("code {}", 42) });
@@ -242,7 +193,6 @@ mod tests {
         assert_eq!(rx.recv(), Some(3));
         producer.join().unwrap();
         assert_eq!(rx.recv(), None, "all senders dropped");
-        assert!(rx.try_recv().is_none());
     }
 
     #[test]

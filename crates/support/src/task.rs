@@ -94,7 +94,7 @@ impl CancellationToken {
 }
 
 // ---------------------------------------------------------------------
-// Deadlines and budgets
+// Deadlines
 // ---------------------------------------------------------------------
 
 /// An absolute point on a [`Clock`] after which a task must stop.
@@ -131,46 +131,13 @@ impl Deadline {
     }
 
     /// True once the clock has reached the deadline.
-    pub fn expired(&self) -> bool {
+    fn expired(&self) -> bool {
         self.clock.now_ns() >= self.at_ns
     }
 
     /// Nanoseconds left before expiry; zero once expired.
-    pub fn remaining_ns(&self) -> u64 {
+    fn remaining_ns(&self) -> u64 {
         self.at_ns.saturating_sub(self.clock.now_ns())
-    }
-}
-
-/// A relative time allowance that [`TimeBudget::start`]s into a [`Deadline`].
-///
-/// Budgets are plain data (clock-free), so policies can carry them and bind
-/// the clock only when a sweep actually begins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeBudget {
-    ns: u64,
-}
-
-impl TimeBudget {
-    /// A budget of `ns` nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
-        TimeBudget { ns }
-    }
-
-    /// A budget of `ms` milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
-        TimeBudget {
-            ns: ms.saturating_mul(1_000_000),
-        }
-    }
-
-    /// The budget in nanoseconds.
-    pub fn as_nanos(&self) -> u64 {
-        self.ns
-    }
-
-    /// Binds the budget to a clock, producing the absolute [`Deadline`].
-    pub fn start(&self, clock: Arc<dyn Clock>) -> Deadline {
-        Deadline::after(clock, self.ns)
     }
 }
 
@@ -434,12 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn time_budget_binds_to_a_clock_when_started() {
+    fn deadline_after_counts_from_the_current_reading() {
         let clock = fake();
         clock.advance(500);
-        let deadline = TimeBudget::from_millis(2).start(clock.clone());
+        let deadline = Deadline::after(clock.clone(), 2_000_000);
         assert_eq!(deadline.at_ns(), 500 + 2_000_000);
-        assert_eq!(TimeBudget::from_nanos(7).as_nanos(), 7);
+        assert_eq!(deadline.remaining_ns(), 2_000_000);
+        assert_eq!(Deadline::at(clock, 7).remaining_ns(), 0);
     }
 
     #[test]

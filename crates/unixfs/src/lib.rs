@@ -63,7 +63,7 @@ impl std::error::Error for UnixFsError {}
 
 /// One filesystem node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnixNode {
+struct UnixNode {
     /// Whether the node is a directory.
     pub is_dir: bool,
     /// File contents (empty for directories).
@@ -109,7 +109,7 @@ impl UnixFs {
     }
 
     /// Fetches a node.
-    pub fn node(&self, path: &str) -> Option<&UnixNode> {
+    fn node(&self, path: &str) -> Option<&UnixNode> {
         self.nodes.get(path)
     }
 
@@ -209,7 +209,7 @@ impl UnixFs {
     }
 
     /// All absolute file paths (directories excluded) — the offline truth.
-    pub fn all_files(&self) -> Vec<String> {
+    fn all_files(&self) -> Vec<String> {
         self.nodes
             .iter()
             .filter(|(_, n)| !n.is_dir)
@@ -218,7 +218,7 @@ impl UnixFs {
     }
 
     /// Number of nodes including directories.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 }
@@ -229,7 +229,7 @@ pub type DaemonFn = Box<dyn FnMut(&mut UnixFs, u64) + Send>;
 
 /// A loaded kernel module hooking `getdents` with hide patterns.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadedLkm {
+struct LoadedLkm {
     /// Module name (`knark`, `superkit`, …).
     pub name: String,
     /// Substring patterns removed from directory listings.
@@ -328,35 +328,11 @@ impl UnixMachine {
         });
     }
 
-    /// Unloads an LKM by name (remediation / clean boot).
-    pub fn unload_lkm(&mut self, name: &str) -> bool {
-        let before = self.lkms.len();
-        self.lkms.retain(|m| m.name != name);
-        self.lkms.len() != before
-    }
-
-    /// The loaded LKMs.
-    pub fn lkms(&self) -> &[LoadedLkm] {
-        &self.lkms
-    }
-
     /// Replaces `ls` with a trojaned version hiding the given patterns
     /// (T0rnkit-style).
     pub fn trojan_ls(&mut self, hide_patterns: &[&str]) {
         self.trojaned_ls = Some(hide_patterns.iter().map(|s| s.to_string()).collect());
         self.fs.create_file("/bin/ls", b"ELF trojaned ls");
-    }
-
-    /// Restores a clean `ls`.
-    pub fn restore_ls(&mut self) {
-        self.trojaned_ls = None;
-        self.fs.create_file("/bin/ls", b"ELF ls");
-    }
-
-    /// Whether `ls` is trojaned (detectable by binary hash comparison —
-    /// the Tripwire-style check, not the cross-view one).
-    pub fn ls_is_trojaned(&self) -> bool {
-        self.trojaned_ls.is_some()
     }
 
     /// Registers a background daemon run once per tick (e.g. an FTP daemon
@@ -403,7 +379,7 @@ impl UnixMachine {
 
     /// Lists one directory through direct `getdents` (the `echo *` view):
     /// bypasses the trojaned binary but not LKM hooks.
-    pub fn echo_star(&self, dir: &str) -> Vec<String> {
+    fn echo_star(&self, dir: &str) -> Vec<String> {
         self.getdents(dir)
     }
 
@@ -452,7 +428,7 @@ impl UnixMachine {
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::{DaemonFn, LoadedLkm, UnixFs, UnixFsError, UnixMachine, UnixNode};
+    pub use crate::{DaemonFn, UnixFs, UnixFsError, UnixMachine};
 }
 
 #[cfg(test)]
@@ -498,23 +474,9 @@ mod tests {
         let mut m = UnixMachine::with_base_system("u");
         m.fs_mut().create_file("/usr/src/.puta/t0rn", b"ELF");
         m.trojan_ls(&[".puta"]);
-        assert!(m.ls_is_trojaned());
         assert!(!m.ls("/usr/src").contains(&".puta".to_string()));
         // echo * bypasses the trojaned binary.
         assert!(m.echo_star("/usr/src").contains(&".puta".to_string()));
-        m.restore_ls();
-        assert!(m.ls("/usr/src").contains(&".puta".to_string()));
-    }
-
-    #[test]
-    fn unload_lkm_restores_visibility() {
-        let mut m = UnixMachine::with_base_system("u");
-        m.fs_mut().create_file("/tmp/.hidden", b"x");
-        m.load_lkm("knark", &[".hidden"]);
-        assert!(!m.ls("/tmp").contains(&".hidden".to_string()));
-        assert!(m.unload_lkm("knark"));
-        assert!(m.ls("/tmp").contains(&".hidden".to_string()));
-        assert!(!m.unload_lkm("knark"));
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub enum HookScope {
 
 impl HookScope {
     /// Whether the hook applies to a call from `ctx`.
-    pub fn applies_to(&self, ctx: &CallContext) -> bool {
+    fn applies_to(&self, ctx: &CallContext) -> bool {
         match self {
             HookScope::All => true,
             HookScope::ExceptCallers(names) => !names

@@ -770,30 +770,6 @@ impl Machine {
         }
     }
 
-    /// A plain `dir` listing (no `/a`): Win32 enumeration that additionally
-    /// drops entries carrying the *benign* HIDDEN attribute. GhostBuster's
-    /// own scans never use this — attribute hiding is honest metadata, not
-    /// ghostware — but casual users do, which is why attribute-hidden files
-    /// feel "hidden" without ever being a cross-view discrepancy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::query`].
-    pub fn plain_dir(&self, ctx: &CallContext, path: &NtPath) -> Result<Vec<Row>, NtStatus> {
-        let rows = self.query(
-            ctx,
-            &Query::DirectoryEnum { path: path.clone() },
-            ChainEntry::Win32,
-        )?;
-        Ok(rows
-            .into_iter()
-            .filter(|r| match r {
-                Row::File(f) => !f.attributes.contains(strider_ntfs::FileAttributes::HIDDEN),
-                _ => true,
-            })
-            .collect())
-    }
-
     // ------------------------------------------------------------------
     // File creation through the two API levels
     // ------------------------------------------------------------------
@@ -852,11 +828,6 @@ impl Machine {
     /// the device-level trouble that preceded the failure.
     pub fn set_flight_recorder(&mut self, recorder: FlightRecorder) {
         self.flight = Some(recorder);
-    }
-
-    /// Detaches the flight-recorder handle.
-    pub fn clear_flight_recorder(&mut self) {
-        self.flight = None;
     }
 
     /// A clone-handle view of in-flight scan activity, as observable from
@@ -978,7 +949,7 @@ impl Machine {
     /// # Errors
     ///
     /// Propagates volume errors creating the backing files.
-    pub fn persist_hives(&mut self) -> Result<(), NtStatus> {
+    fn persist_hives(&mut self) -> Result<(), NtStatus> {
         let hives: Vec<(NtPath, Vec<u8>)> = self
             .registry
             .hives()
@@ -1276,8 +1247,8 @@ mod tests {
             ]
         );
         assert!(dump.events.iter().all(|e| e.kind == FlightEventKind::Fault));
-        // Detached: reads stop logging.
-        m.clear_flight_recorder();
+        // Replaced: reads stop logging into the old recorder.
+        m.set_flight_recorder(FlightRecorder::off());
         assert!(m.try_crash_dump().is_ok());
         assert_eq!(recorder.snapshot().len(), dump.len());
     }
@@ -1649,7 +1620,7 @@ mod tests {
     }
 
     #[test]
-    fn plain_dir_drops_attribute_hidden_files_but_scans_do_not() {
+    fn attribute_hidden_files_stay_in_the_win32_listing() {
         let mut m = base();
         m.volume_mut()
             .create_file_with(
@@ -1659,8 +1630,6 @@ mod tests {
             )
             .unwrap();
         let ctx = m.context_for_name("explorer.exe").unwrap();
-        let plain = m.plain_dir(&ctx, &p("C:\\temp")).unwrap();
-        assert!(plain.is_empty(), "plain dir honours the attribute");
         let full = m
             .query(
                 &ctx,
@@ -1671,6 +1640,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(full.len(), 1, "dir /a-style enumeration shows it");
+        // Only a plain `dir` (no `/a`) would drop it, by this honest bit.
+        assert!(matches!(&full[0], Row::File(f)
+            if f.attributes.contains(strider_ntfs::FileAttributes::HIDDEN)));
     }
 
     #[test]

@@ -196,12 +196,6 @@ impl ScanTap {
         let run = self.inner.run.lock().unwrap_or_else(|e| e.into_inner());
         run.callers.iter().any(|c| c.contains(&needle))
     }
-
-    /// Recent distinct caller image names, newest last.
-    pub fn recent_callers(&self) -> Vec<String> {
-        let run = self.inner.run.lock().unwrap_or_else(|e| e.into_inner());
-        run.callers.clone()
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +217,7 @@ mod tests {
         assert_eq!(view.current_run(), (Some(QueryKind::Processes), 2));
         assert!(view.saw_caller("GHOSTBUSTER"));
         assert!(!view.saw_caller("winpe"));
-        assert_eq!(view.recent_callers().len(), 2);
+        assert_eq!(view.inner.run.lock().unwrap().callers.len(), 2);
     }
 
     #[test]
@@ -246,7 +240,7 @@ mod tests {
         for i in 0..40 {
             tap.record_query(QueryKind::Files, &format!("proc{i}.exe"));
         }
-        let callers = tap.recent_callers();
+        let callers = tap.inner.run.lock().unwrap().callers.clone();
         assert_eq!(callers.len(), RECENT_CALLERS);
         assert_eq!(callers.last().unwrap(), "proc39.exe");
     }

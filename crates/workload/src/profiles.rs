@@ -232,13 +232,6 @@ impl CostModel {
         75.0 + 55_000.0 / f64::from(self.profile.cpu_mhz)
     }
 
-    /// Extra wall time for a Remote Installation Service network boot — the
-    /// enterprise replacement for the CD boot (paper, Section 5). Faster
-    /// than optical media; dominated by the network loader.
-    pub fn ris_boot_seconds(&self) -> f64 {
-        45.0 + 30_000.0 / f64::from(self.profile.cpu_mhz)
-    }
-
     /// Extra wall time for the blue-screen kernel dump (paper: 15–45 s),
     /// proportional to RAM over disk throughput.
     pub fn dump_seconds(&self) -> f64 {

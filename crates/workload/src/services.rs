@@ -18,7 +18,7 @@ fn parse(path: String) -> NtPath {
 
 /// An anti-virus real-time scanner rotating its log files.
 #[derive(Debug)]
-pub struct AvScannerService {
+struct AvScannerService {
     period: u64,
     counter: u64,
 }
@@ -54,7 +54,7 @@ impl TickTask for AvScannerService {
 /// files — the chattiest noise source: the paper's one 7-false-positive
 /// machine was running CCM, and disabling it dropped the count to 2.
 #[derive(Debug)]
-pub struct CcmService {
+struct CcmService {
     period: u64,
     counter: u64,
     /// Whether the service is running (the paper's remediation disables it).
@@ -95,7 +95,7 @@ impl TickTask for CcmService {
 /// System Restore writing file-change log entries whenever monitored files
 /// changed recently.
 #[derive(Debug)]
-pub struct SystemRestoreService {
+struct SystemRestoreService {
     period: u64,
     counter: u64,
 }
@@ -130,7 +130,7 @@ impl TickTask for SystemRestoreService {
 /// The OS prefetcher: writes a `.pf` file the first time it sees a process
 /// image run.
 #[derive(Debug, Default)]
-pub struct PrefetchService {
+struct PrefetchService {
     seen: Vec<String>,
 }
 
@@ -178,7 +178,7 @@ impl TickTask for PrefetchService {
 
 /// The browser writing temporary internet files while the user browses.
 #[derive(Debug)]
-pub struct BrowserCacheService {
+struct BrowserCacheService {
     period: u64,
     counter: u64,
 }

@@ -15,8 +15,10 @@ else
     echo "==> cargo fmt not installed; skipping format check"
 fi
 
-# Information, not a gate: the line counts the ROADMAP size targets use.
-echo "==> line counts (scripts/loc)"
+# The line counts the ROADMAP size targets use (information), then the
+# caller report, which is a gate: scripts/loc exits 1 when any crate has a
+# public item that no other file names.
+echo "==> line counts and caller report (scripts/loc)"
 scripts/loc
 
 if cargo clippy --version >/dev/null 2>&1; then
