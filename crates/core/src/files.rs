@@ -1,7 +1,7 @@
 //! Hidden-file detection (paper, Section 2).
 
 use crate::diff::cross_view_diff;
-use crate::harden::{file_scan_decoys, DecoyPump, PassCounter};
+use crate::harden::{file_scan_decoys, DecoyPump, PassCounter, TruthMemo};
 use crate::instrument::{
     query_chain, record_chain, record_decoys, record_defects, record_view_entries, LatencyProbe,
 };
@@ -10,7 +10,7 @@ use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter
 use crate::snapshot::{FileFact, ScanMeta, Snapshot, ViewKind};
 use strider_nt_core::{NtPath, NtStatus, Tick};
 use strider_ntfs::VolumeImage;
-use strider_support::obs::Telemetry;
+use strider_support::obs::{SpanGuard, Telemetry};
 use strider_support::task::Supervision;
 use strider_winapi::{
     CallContext, ChainEntry, ChainStats, DiskImage, Machine, PerParent, Query, Row,
@@ -26,6 +26,7 @@ pub struct FileScanner {
     policy: ScanPolicy,
     supervision: Supervision,
     pass_counter: PassCounter,
+    truth_memo: TruthMemo<Vec<u8>, FileFact>,
 }
 
 impl FileScanner {
@@ -50,6 +51,8 @@ impl FileScanner {
     /// attached, the `files.defects` counter).
     pub fn with_policy(mut self, policy: ScanPolicy) -> Self {
         self.policy = policy;
+        // A kept truth was parsed under the old policy.
+        self.truth_memo = TruthMemo::default();
         self
     }
 
@@ -62,8 +65,10 @@ impl FileScanner {
         self.supervision = supervision;
         // A re-supervised scanner starts a fresh pipeline run: its quorum
         // passes must index hardening streams from 0 again, so sweep
-        // results stay seed-deterministic however runs are scheduled.
+        // results stay seed-deterministic however runs are scheduled. The
+        // truth memo belongs to one run too.
         self.pass_counter = PassCounter::default();
+        self.truth_memo = TruthMemo::default();
         self
     }
 
@@ -73,6 +78,7 @@ impl FileScanner {
     /// places the paper's conclusion lists as future work.
     pub fn with_ads_detection(mut self) -> Self {
         self.detect_ads = true;
+        self.truth_memo = TruthMemo::default();
         self
     }
 
@@ -160,6 +166,11 @@ impl FileScanner {
     /// privileged ghostware may tamper with — a truth *approximation*) and
     /// parse the MFT directly, reconstructing paths from parent references.
     ///
+    /// Every call reads the whole image. Under a policy that scans more
+    /// than once per pipeline run, a call whose image equals the previous
+    /// call's byte for byte skips the parse and returns the previous
+    /// snapshot with this call's time; its span carries `truth_reused`.
+    ///
     /// # Errors
     ///
     /// Fails when the read fails permanently (transient failures are
@@ -169,7 +180,19 @@ impl FileScanner {
         let bytes = self
             .policy
             .supervised_retry(&self.supervision, || machine.try_read_raw_volume_image())?;
-        self.scan_image_bytes(&bytes, ViewKind::LowLevelMft, machine.now())
+        let taken_at = machine.now();
+        let span = self.telemetry.span("files.low_scan");
+        let kept = self.truth_memo.last().filter(|kept| kept.bytes == bytes);
+        let snap = match &kept {
+            Some(kept) => kept.restamped(taken_at),
+            None => {
+                let snap = self.parse_image_bytes(&bytes, ViewKind::LowLevelMft, taken_at)?;
+                self.truth_memo.keep(&self.policy, bytes, &snap);
+                snap
+            }
+        };
+        self.record_truth(&span, &snap, kept.is_some());
+        Ok(snap)
     }
 
     /// The outside-the-box scan: parse a clean-boot disk image.
@@ -178,26 +201,25 @@ impl FileScanner {
     ///
     /// Fails when the image does not parse.
     pub fn outside_scan(&self, image: &DiskImage) -> Result<Snapshot<FileFact>, NtStatus> {
-        self.scan_image_bytes(&image.volume_image, ViewKind::OutsideDisk, image.taken_at)
+        let span = self.telemetry.span("files.outside_scan");
+        let snap =
+            self.parse_image_bytes(&image.volume_image, ViewKind::OutsideDisk, image.taken_at)?;
+        self.record_truth(&span, &snap, false);
+        Ok(snap)
     }
 
-    fn scan_image_bytes(
+    fn parse_image_bytes(
         &self,
         bytes: &[u8],
         view: ViewKind,
         taken_at: Tick,
     ) -> Result<Snapshot<FileFact>, NtStatus> {
-        let span_name = match view {
-            ViewKind::OutsideDisk => "files.outside_scan",
-            _ => "files.low_scan",
-        };
-        let span = self.telemetry.span(span_name);
         let (raw, defects) =
             self.policy
                 .parse_image(bytes, VolumeImage::parse, VolumeImage::parse_salvage)?;
         let mut meta = ScanMeta::new(view, taken_at);
         meta.io.record_sequential(raw.image_len());
-        record_defects(&self.telemetry, &span, "files", &mut meta.io, defects);
+        meta.io.record_defects(defects);
         let paths = raw.rendered_paths();
         let mut facts = Vec::with_capacity(paths.len());
         for (key, display, entry) in paths {
@@ -225,10 +247,18 @@ impl FileScanner {
                 },
             ));
         }
-        let snap = Snapshot::from_facts(meta, facts);
-        record_view_entries(&self.telemetry, &span, "files", &snap);
+        Ok(Snapshot::from_facts(meta, facts))
+    }
+
+    /// Records a truth snapshot on its scan's span and counters, the same
+    /// whether it was parsed or `reused` from the previous pass.
+    fn record_truth(&self, span: &SpanGuard, snap: &Snapshot<FileFact>, reused: bool) {
+        record_defects(&self.telemetry, span, "files", snap.meta.io.defects);
+        record_view_entries(&self.telemetry, span, "files", snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
-        Ok(snap)
+        if reused {
+            span.set_attr("truth_reused", true);
+        }
     }
 
     /// Diffs a truth-side snapshot against the high-level lie, classifying
@@ -480,5 +510,130 @@ mod tests {
         assert!(high.meta.io.api_calls > 5, "one call per directory");
         let low = s.low_scan(&m).unwrap();
         assert!(low.meta.io.bytes_read > 1000, "sequential image read");
+    }
+
+    /// Low-level scans of `machine` by one hardened scanner, with the
+    /// root span each scan opened.
+    fn hardened_low_scans(
+        machine: &Machine,
+        passes: usize,
+    ) -> (
+        Vec<Snapshot<FileFact>>,
+        strider_support::obs::TelemetryReport,
+    ) {
+        let telemetry = Telemetry::new();
+        let scanner = FileScanner::new()
+            .with_policy(ScanPolicy::hardened())
+            .with_telemetry(telemetry.clone());
+        let snaps = (0..passes)
+            .map(|_| scanner.low_scan(machine).unwrap())
+            .collect();
+        (snaps, telemetry.report())
+    }
+
+    fn json(snap: &Snapshot<FileFact>) -> String {
+        use strider_support::json::ToJson;
+        snap.to_json().render()
+    }
+
+    #[test]
+    fn a_repeated_truth_is_reused_and_equals_a_fresh_parse() {
+        let mut m = Machine::with_base_system("victim").unwrap();
+        HackerDefender::default().infect(&mut m).unwrap();
+        let (snaps, tel) = hardened_low_scans(&m, 2);
+        let fresh = FileScanner::new()
+            .with_policy(ScanPolicy::hardened())
+            .low_scan(&m)
+            .unwrap();
+        assert_eq!(json(&snaps[0]), json(&fresh));
+        assert_eq!(json(&snaps[1]), json(&fresh));
+        let [parsed, reused] = &tel.spans[..] else {
+            panic!("one root span per pass: {:?}", tel.spans);
+        };
+        assert_eq!(parsed.attr("truth_reused"), None);
+        assert_eq!(reused.attrs[..reused.attrs.len() - 1], parsed.attrs[..]);
+        assert_eq!(
+            reused.attrs.last(),
+            Some(&("truth_reused".to_string(), true.into()))
+        );
+        assert_eq!(
+            tel.counters["files.entries.LowLevelMft"],
+            2 * fresh.len() as u64
+        );
+    }
+
+    #[test]
+    fn a_reused_truth_carries_its_own_pass_time() {
+        let mut m = Machine::with_base_system("t").unwrap();
+        let scanner = FileScanner::new().with_policy(ScanPolicy::hardened());
+        let first = scanner.low_scan(&m).unwrap();
+        m.tick(5);
+        let second = scanner.low_scan(&m).unwrap();
+        assert_eq!(second.meta.taken_at, m.now());
+        assert_ne!(second.meta.taken_at, first.meta.taken_at);
+        let fresh = FileScanner::new().low_scan(&m).unwrap();
+        assert_eq!(json(&second), json(&fresh));
+    }
+
+    #[test]
+    fn a_file_created_between_passes_is_parsed_again() {
+        let mut m = Machine::with_base_system("t").unwrap();
+        let telemetry = Telemetry::new();
+        let scanner = FileScanner::new()
+            .with_policy(ScanPolicy::hardened())
+            .with_telemetry(telemetry.clone());
+        let before = scanner.low_scan(&m).unwrap();
+        m.volume_mut()
+            .create_file(&"C:\\late.txt".parse().unwrap(), b"x")
+            .unwrap();
+        let after = scanner.low_scan(&m).unwrap();
+        let again = scanner.low_scan(&m).unwrap();
+        assert!(!before.contains("c:\\late.txt"));
+        assert!(after.contains("c:\\late.txt"), "no stale truth comes back");
+        assert_eq!(json(&again), json(&after));
+        let reused: Vec<bool> = telemetry
+            .report()
+            .spans
+            .iter()
+            .map(|span| span.attr("truth_reused").is_some())
+            .collect();
+        assert_eq!(reused, [false, false, true]);
+    }
+
+    #[test]
+    fn a_reused_salvaged_truth_reports_the_same_defects() {
+        use strider_support::fault::FaultPlan;
+        let mut m = Machine::with_base_system("t").unwrap();
+        m.set_fault_injector(
+            strider_winapi::FaultInjector::new().corrupt_volume(FaultPlan::new(3).truncate_to(0.9)),
+        );
+        let (snaps, tel) = hardened_low_scans(&m, 2);
+        let defects = snaps[0].meta.io.defects;
+        assert!(defects > 0, "the corrupted image is salvaged");
+        assert_eq!(json(&snaps[0]), json(&snaps[1]));
+        assert_eq!(tel.counters["files.defects"], 2 * defects);
+        for span in &tel.spans {
+            assert_eq!(span.attr("defects"), Some(&defects.into()));
+        }
+        assert!(tel.spans[1].attr("truth_reused").is_some());
+    }
+
+    #[test]
+    fn a_single_pass_policy_or_a_new_run_keeps_nothing() {
+        let m = Machine::with_base_system("t").unwrap();
+        let telemetry = Telemetry::new();
+        let strict = FileScanner::new().with_telemetry(telemetry.clone());
+        strict.low_scan(&m).unwrap();
+        strict.low_scan(&m).unwrap();
+        let hardened = strict.with_policy(ScanPolicy::hardened());
+        hardened.low_scan(&m).unwrap();
+        let rerun = hardened.with_supervision(Supervision::unsupervised());
+        rerun.low_scan(&m).unwrap();
+        let report = telemetry.report();
+        assert_eq!(report.spans.len(), 4);
+        assert!(report
+            .spans
+            .iter()
+            .all(|span| span.attr("truth_reused").is_none()));
     }
 }

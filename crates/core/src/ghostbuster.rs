@@ -1076,4 +1076,89 @@ mod tests {
         let hooks = gb.hidden_hooks(&mut m).unwrap();
         assert!(hooks.is_empty());
     }
+
+    /// Two hardened sweeps on the fake clock, pinned as one digest over
+    /// every pipeline's report and status. The machine hides files, hooks
+    /// and a process from the lie and flickers under sensing; for the second
+    /// sweep it also serves a corrupted volume image and hive on every read,
+    /// so each quorum pass salvages the same damaged truth. Reading a truth
+    /// once or five times must not move a byte of either result.
+    #[test]
+    fn hardened_sweep_reports_are_pinned() {
+        use std::sync::Arc;
+        use strider_ghostware::{EvasiveGhostware, EvasiveTactic};
+        use strider_support::fault::FaultPlan;
+        use strider_support::json::ToJson;
+        use strider_support::obs::FakeClock;
+        use strider_winapi::FaultInjector;
+
+        let mut m = Machine::with_base_system("pinned").unwrap();
+        HackerDefender::default().infect(&mut m).unwrap();
+        EvasiveGhostware::new(EvasiveTactic::FlickerHiding {
+            seed: 41,
+            grace: 12,
+        })
+        .infect(&mut m)
+        .unwrap();
+        let policy = ScanPolicy::hardened().with_clock(Arc::new(FakeClock::new()));
+        let gb = GhostBuster::new().with_policy(policy);
+        let mut rendered = String::new();
+        let mut sweep = |m: &mut Machine| {
+            let report = gb.inside_sweep(m).unwrap();
+            let diffs = [
+                &report.files,
+                &report.hooks,
+                &report.processes,
+                &report.modules,
+            ];
+            for (p, diff) in Pipeline::ALL.into_iter().zip(diffs) {
+                let status = report.health.status(p).to_json().render();
+                rendered += &format!("{p}|{status}|{}\n", diff.to_json().render());
+            }
+            report
+        };
+        assert!(sweep(&mut m).is_infected());
+        let hive = m.registry().hives()[0].mount().clone();
+        m.set_fault_injector(
+            FaultInjector::new()
+                .corrupt_volume(FaultPlan::new(7).bit_flips(4))
+                .corrupt_hive(hive, FaultPlan::new(9).torn_sectors(1)),
+        );
+        let salvaged = sweep(&mut m);
+        assert_eq!(salvaged.health.degraded_pipelines(), Vec::<&str>::new());
+        assert!(
+            !salvaged.health.is_all_ok(),
+            "the corrupted truths are salvaged"
+        );
+        assert_eq!(
+            strider_support::rng::fnv1a(rendered.as_bytes()),
+            8189629332616118715,
+            "{rendered}"
+        );
+
+        // The pin holds while the memo is at work: each truth is parsed by
+        // the first of the five quorum passes and reused by the other four.
+        fn reuses(span: &strider_support::obs::SpanRecord, name: &str) -> [usize; 2] {
+            let own = usize::from(span.name == name);
+            let reused = own * usize::from(span.attr("truth_reused").is_some());
+            span.children
+                .iter()
+                .map(|child| reuses(child, name))
+                .fold([own, reused], |a, b| [a[0] + b[0], a[1] + b[1]])
+        }
+        let telemetry = Telemetry::new();
+        gb.clone()
+            .with_telemetry(telemetry.clone())
+            .inside_sweep(&mut m)
+            .unwrap();
+        let report = telemetry.report();
+        for name in ["files.low_scan", "registry.low_scan"] {
+            let [scans, reused] = report
+                .spans
+                .iter()
+                .map(|root| reuses(root, name))
+                .fold([0, 0], |a, b| [a[0] + b[0], a[1] + b[1]]);
+            assert_eq!((scans, reused), (5, 4), "{name}");
+        }
+    }
 }

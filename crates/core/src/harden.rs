@@ -1,6 +1,6 @@
 //! Scanner-side anti-evasion plumbing shared by the pipelines.
 //!
-//! Two pieces live here. [`DecoyPump`] interleaves discarded queries of
+//! Three pieces live here. [`DecoyPump`] interleaves discarded queries of
 //! *other* kinds into a scanner's real query stream, so the same-kind
 //! bursts that burst-sensing ghostware fingerprints never form (see
 //! [`EvasionHardening::decoy_every`]). [`PassCounter`] hands each scan
@@ -9,15 +9,24 @@
 //! the whole sequence stays derivable from the policy seed — the counter
 //! is reset whenever a scanner is re-supervised for a pipeline run, which
 //! keeps fleet shards deterministic regardless of work-stealing order.
+//! [`TruthMemo`] keeps the truth bytes a scanner's last pass read and the
+//! snapshot parsed from them, so a quorum pass that reads the same bytes
+//! again skips the parse; it is reset alongside the pass counter.
 //!
 //! [`EvasionHardening`]: crate::policy::EvasionHardening
 //! [`EvasionHardening::decoy_every`]: crate::policy::EvasionHardening::decoy_every
 //! [`EvasionHardening::pass_stream`]: crate::policy::EvasionHardening::pass_stream
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use strider_nt_core::Tick;
+use strider_support::sync::Mutex;
 use strider_winapi::{CallContext, ChainEntry, Machine, Query};
+
+use crate::policy::ScanPolicy;
+use crate::snapshot::Snapshot;
 
 /// Issues one discarded decoy query per `every` real queries, rotating
 /// through `rotation`. Call sites pass a rotation that excludes their own
@@ -111,6 +120,77 @@ impl PassCounter {
     /// The next pass index (0, 1, 2, … per counter instance).
     pub fn next(&self) -> u64 {
         self.inner.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// The truth bytes a scanner's last pass read, and the snapshot it parsed
+/// from them.
+///
+/// Each pass still does the full raw read (so I/O, injected faults, stalls
+/// and the ghostware's scan sensing are untouched); only when the bytes
+/// compare equal to the kept ones does the scanner skip the parse and hand
+/// back the kept snapshot, restamped. Equality is exact: no hash stands in
+/// for bytes the ghostware controls. The memo keeps anything only under a
+/// policy that can scan more than once per pipeline run, and the scanner
+/// replaces it with an empty one whenever it is re-supervised, so a memo
+/// never outlives its run. A clone starts empty.
+pub(crate) struct TruthMemo<B, T> {
+    last: Mutex<Option<Arc<KeptTruth<B, T>>>>,
+}
+
+/// One remembered truth: the raw bytes and the snapshot parsed from them.
+pub(crate) struct KeptTruth<B, T> {
+    pub bytes: B,
+    snapshot: Snapshot<T>,
+}
+
+impl<B, T: Clone> KeptTruth<B, T> {
+    /// The kept snapshot as a pass at `taken_at` would have parsed it: an
+    /// O(1) clone with only its time changed.
+    pub fn restamped(&self, taken_at: Tick) -> Snapshot<T> {
+        let mut snapshot = self.snapshot.clone();
+        snapshot.meta.taken_at = taken_at;
+        snapshot
+    }
+}
+
+impl<B, T> Default for TruthMemo<B, T> {
+    fn default() -> Self {
+        Self {
+            last: Mutex::new(None),
+        }
+    }
+}
+
+impl<B, T> fmt::Debug for TruthMemo<B, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kept = self.last.lock().is_some();
+        f.debug_struct("TruthMemo").field("kept", &kept).finish()
+    }
+}
+
+impl<B, T> Clone for TruthMemo<B, T> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<B, T: Clone> TruthMemo<B, T> {
+    /// The truth the previous pass kept, if any.
+    pub fn last(&self) -> Option<Arc<KeptTruth<B, T>>> {
+        self.last.lock().clone()
+    }
+
+    /// Keeps `bytes` and the snapshot parsed from them for the next pass,
+    /// when `policy` can run a pipeline's scan more than once; a
+    /// single-pass policy keeps nothing.
+    pub fn keep(&self, policy: &ScanPolicy, bytes: B, snapshot: &Snapshot<T>) {
+        if policy.repeats_passes() {
+            *self.last.lock() = Some(Arc::new(KeptTruth {
+                bytes,
+                snapshot: snapshot.clone(),
+            }));
+        }
     }
 }
 

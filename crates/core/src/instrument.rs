@@ -3,7 +3,7 @@
 //! report reads uniformly across files, registry, processes, and modules.
 
 use crate::snapshot::Snapshot;
-use strider_nt_core::{IoStats, NtStatus};
+use strider_nt_core::NtStatus;
 use strider_support::obs::{SpanGuard, Telemetry};
 use strider_winapi::{CallContext, ChainEntry, ChainStats, Machine, Query, Row};
 
@@ -71,17 +71,14 @@ pub(crate) fn record_view_entries<T>(
     );
 }
 
-/// Records a truth parse's salvage defects into its I/O stats and, if
-/// any, as the span's `defects` attribute and the `<pipeline>.defects`
-/// counter.
+/// Records a truth scan's salvage defects, if any, as the span's `defects`
+/// attribute and the `<pipeline>.defects` counter.
 pub(crate) fn record_defects(
     telemetry: &Telemetry,
     span: &SpanGuard,
     pipeline: &str,
-    io: &mut IoStats,
     defects: u64,
 ) {
-    io.record_defects(defects);
     if defects > 0 {
         span.set_attr("defects", defects);
         telemetry.counter_add(format_args!("{pipeline}.defects"), defects);

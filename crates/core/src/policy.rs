@@ -321,6 +321,12 @@ impl ScanPolicy {
         &self.clock
     }
 
+    /// Whether one pipeline run may scan more than once: a hardened quorum
+    /// always does, and a stabilization budget above 1 may.
+    pub(crate) fn repeats_passes(&self) -> bool {
+        self.hardening.is_some() || self.stabilization_passes > 1
+    }
+
     /// The backoff before retry number `attempt` (0-based): `base << attempt`,
     /// saturating, capped at [`backoff_max_ns`](Self::backoff_max_ns).
     fn backoff_for(&self, attempt: u32) -> u64 {
@@ -436,6 +442,12 @@ impl ScanPolicy {
     /// passes. Metadata comes from the final pass; detections are emitted
     /// in identity order, so a fixed hardening seed yields a byte-identical
     /// report.
+    ///
+    /// Every pass re-reads its truth source, but a pipeline run parses
+    /// each distinct truth image once: the file and Registry scanners keep
+    /// the bytes their last pass read, and a pass whose bytes are equal
+    /// reuses the snapshot parsed from them (its `low_scan` span carries
+    /// `truth_reused`). The reports are the same as with a parse per pass.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Hidden-ASEP and hidden-Registry detection (paper, Section 3).
 
 use crate::diff::cross_view_diff;
-use crate::harden::{registry_scan_decoys, DecoyPump, PassCounter};
+use crate::harden::{registry_scan_decoys, DecoyPump, PassCounter, TruthMemo};
 use crate::instrument::{
     query_chain, record_chain, record_decoys, record_defects, record_view_entries, LatencyProbe,
 };
@@ -149,6 +149,7 @@ pub struct RegistryScanner {
     policy: ScanPolicy,
     supervision: Supervision,
     pass_counter: PassCounter,
+    truth_memo: TruthMemo<Vec<(NtPath, Vec<u8>)>, HookFact>,
 }
 
 impl Default for RegistryScanner {
@@ -159,6 +160,7 @@ impl Default for RegistryScanner {
             policy: ScanPolicy::default(),
             supervision: Supervision::unsupervised(),
             pass_counter: PassCounter::default(),
+            truth_memo: TruthMemo::default(),
         }
     }
 }
@@ -183,6 +185,8 @@ impl RegistryScanner {
     /// counter).
     pub fn with_policy(mut self, policy: ScanPolicy) -> Self {
         self.policy = policy;
+        // A kept truth was parsed under the old policy.
+        self.truth_memo = TruthMemo::default();
         self
     }
 
@@ -194,8 +198,9 @@ impl RegistryScanner {
     pub fn with_supervision(mut self, supervision: Supervision) -> Self {
         self.supervision = supervision;
         // A re-supervised scanner starts a fresh pipeline run; see
-        // `harden::PassCounter`.
+        // `harden::PassCounter`. The truth memo belongs to one run too.
         self.pass_counter = PassCounter::default();
+        self.truth_memo = TruthMemo::default();
         self
     }
 
@@ -280,14 +285,19 @@ impl RegistryScanner {
         for hive in hives {
             let (mount, bytes) = hive?;
             io.record_sequential(bytes.as_ref().len() as u64);
-            let (raw, found) =
-                self.policy
-                    .parse_image(bytes.as_ref(), RawHive::parse, RawHive::parse_salvage)?;
+            let (raw, found) = self.parse_hive(bytes.as_ref())?;
             defects += found;
             parsed.push((mount, raw));
         }
-        record_defects(&self.telemetry, span, "registry", io, defects);
+        io.record_defects(defects);
+        record_defects(&self.telemetry, span, "registry", defects);
         Ok(parsed)
+    }
+
+    /// Parses one hive's bytes per the policy, with its defect count.
+    fn parse_hive(&self, bytes: &[u8]) -> Result<(RawHive, u64), NtStatus> {
+        self.policy
+            .parse_image(bytes, RawHive::parse, RawHive::parse_salvage)
     }
 
     /// Copies each mounted hive from inside the box, checking the
@@ -309,23 +319,71 @@ impl RegistryScanner {
     /// privileged ghostware may tamper with) and parse them with the
     /// forensic parser.
     ///
+    /// Every call copies every hive. Under a policy that scans more than
+    /// once per pipeline run, a call whose `(mount, bytes)` copies all
+    /// equal the previous call's skips the parse and returns the previous
+    /// snapshot with this call's time; its span carries `truth_reused`.
+    ///
     /// # Errors
     ///
     /// Fails when a hive copy fails permanently (transient failures are
     /// retried per the [`ScanPolicy`]) or does not parse with salvage off.
     pub fn low_scan(&self, machine: &Machine) -> Result<Snapshot<HookFact>, NtStatus> {
         let span = self.telemetry.span("registry.low_scan");
+        let kept = self.truth_memo.last();
         let mut io = IoStats::default();
-        let parsed = self.parse_hives(&span, &mut io, self.copied_hives(machine))?;
-        let hooks = asep::extract_raw(&parsed, &self.catalog);
-        let mut snap = Snapshot::new(ScanMeta::new(ViewKind::LowLevelHiveParse, machine.now()));
-        snap.meta.io = io;
-        snap.meta.io.record_entries(hooks.len() as u64);
-        for hook in hooks {
-            snap.insert(hook.identity(), hook);
+        let mut copies: Vec<(NtPath, Vec<u8>)> = Vec::new();
+        let mut parsed = Vec::new();
+        let mut defects = 0;
+        // While every copy repeats the previous call's, its parse waits: the
+        // kept snapshot may serve whole. From the first copy that differs,
+        // the waiting copies and each later one are parsed on arrival, so a
+        // strict parse still fails before the next hive is copied.
+        let mut parse_pending = |copies: &[(NtPath, Vec<u8>)], parsed: &mut Vec<_>| {
+            for (mount, bytes) in &copies[parsed.len()..] {
+                let (raw, found) = self.parse_hive(bytes)?;
+                defects += found;
+                parsed.push((mount.clone(), raw));
+            }
+            Ok::<_, NtStatus>(())
+        };
+        for copy in self.copied_hives(machine) {
+            let copy = copy?;
+            io.record_sequential(copy.1.len() as u64);
+            let i = copies.len();
+            copies.push(copy);
+            let repeats = parsed.is_empty()
+                && kept
+                    .as_ref()
+                    .is_some_and(|kept| kept.bytes.get(i) == copies.get(i));
+            if !repeats {
+                parse_pending(&copies, &mut parsed)?;
+            }
         }
+        let taken_at = machine.now();
+        let reused = kept.filter(|kept| parsed.is_empty() && kept.bytes == copies);
+        let snap = match &reused {
+            Some(kept) => kept.restamped(taken_at),
+            None => {
+                parse_pending(&copies, &mut parsed)?;
+                io.record_defects(defects);
+                let hooks = asep::extract_raw(&parsed, &self.catalog);
+                let mut snap = Snapshot::new(ScanMeta::new(ViewKind::LowLevelHiveParse, taken_at));
+                snap.meta.io = io;
+                snap.meta.io.record_entries(hooks.len() as u64);
+                for hook in hooks {
+                    snap.insert(hook.identity(), hook);
+                }
+                self.truth_memo.keep(&self.policy, copies, &snap);
+                snap
+            }
+        };
+        record_defects(&self.telemetry, &span, "registry", snap.meta.io.defects);
         record_view_entries(&self.telemetry, &span, "registry", &snap);
         span.set_attr("bytes_read", snap.meta.io.bytes_read);
+        if reused.is_some() {
+            span.set_attr("truth_reused", true);
+        }
         Ok(snap)
     }
 
@@ -797,5 +855,132 @@ mod tests {
         assert!(high.meta.io.api_calls > 5);
         let low = s.low_scan(&m).unwrap();
         assert!(low.meta.io.bytes_read > 100);
+    }
+
+    fn json(snap: &Snapshot<HookFact>) -> String {
+        use strider_support::json::ToJson;
+        snap.to_json().render()
+    }
+
+    /// The hive holding the `Run` key, which the tests below write to or
+    /// corrupt: a later hive than the first, so the parse of the hives
+    /// before it has waited when it turns out to differ.
+    fn software() -> NtPath {
+        "HKLM\\SOFTWARE".parse().unwrap()
+    }
+
+    #[test]
+    fn a_repeated_truth_is_reused_and_equals_a_fresh_parse() {
+        let mut m = Machine::with_base_system("victim").unwrap();
+        HackerDefender::default().infect(&mut m).unwrap();
+        let telemetry = Telemetry::new();
+        let scanner = RegistryScanner::new()
+            .with_policy(ScanPolicy::hardened())
+            .with_telemetry(telemetry.clone());
+        let first = scanner.low_scan(&m).unwrap();
+        let second = scanner.low_scan(&m).unwrap();
+        let fresh = RegistryScanner::new().low_scan(&m).unwrap();
+        assert_eq!(json(&first), json(&fresh));
+        assert_eq!(json(&second), json(&fresh));
+        let tel = telemetry.report();
+        let [parsed, reused] = &tel.spans[..] else {
+            panic!("one root span per pass: {:?}", tel.spans);
+        };
+        assert_eq!(parsed.attr("truth_reused"), None);
+        assert_eq!(reused.attrs[..reused.attrs.len() - 1], parsed.attrs[..]);
+        assert_eq!(reused.attr("truth_reused"), Some(&true.into()));
+        assert_eq!(
+            tel.counters["registry.entries.LowLevelHiveParse"],
+            2 * fresh.len() as u64
+        );
+    }
+
+    #[test]
+    fn a_hive_value_written_between_passes_is_parsed_again() {
+        let mut m = Machine::with_base_system("t").unwrap();
+        let telemetry = Telemetry::new();
+        let scanner = RegistryScanner::new()
+            .with_policy(ScanPolicy::hardened())
+            .with_telemetry(telemetry.clone());
+        let before = scanner.low_scan(&m).unwrap();
+        let run: NtPath = "HKLM\\SOFTWARE\\Microsoft\\Windows\\CurrentVersion\\Run"
+            .parse()
+            .unwrap();
+        m.registry_mut()
+            .set_value(&run, "late", ValueData::sz("C:\\late.exe"))
+            .unwrap();
+        let after = scanner.low_scan(&m).unwrap();
+        let again = scanner.low_scan(&m).unwrap();
+        let late = |snap: &Snapshot<HookFact>| snap.iter().any(|(_, h)| h.target == "C:\\late.exe");
+        assert!(!late(&before));
+        assert!(late(&after), "no stale truth comes back");
+        assert_eq!(
+            json(&after),
+            json(&RegistryScanner::new().low_scan(&m).unwrap())
+        );
+        assert_eq!(json(&again), json(&after));
+        let reused: Vec<bool> = telemetry
+            .report()
+            .spans
+            .iter()
+            .map(|span| span.attr("truth_reused").is_some())
+            .collect();
+        assert_eq!(reused, [false, false, true]);
+    }
+
+    #[test]
+    fn a_reused_salvaged_truth_reports_the_same_defects() {
+        use strider_support::fault::FaultPlan;
+        let mut m = Machine::with_base_system("t").unwrap();
+        let len = m.try_copy_hive_bytes(&software()).unwrap().len();
+        m.set_fault_injector(
+            strider_winapi::FaultInjector::new()
+                .corrupt_hive(software(), FaultPlan::new(7).zero_range(len / 3, 64)),
+        );
+        let telemetry = Telemetry::new();
+        let scanner = RegistryScanner::new()
+            .with_policy(ScanPolicy::hardened())
+            .with_telemetry(telemetry.clone());
+        let first = scanner.low_scan(&m).unwrap();
+        let second = scanner.low_scan(&m).unwrap();
+        let defects = first.meta.io.defects;
+        assert!(defects > 0, "the corrupted hive is salvaged");
+        assert_eq!(json(&first), json(&second));
+        let tel = telemetry.report();
+        assert_eq!(tel.counters["registry.defects"], 2 * defects);
+        for span in &tel.spans {
+            assert_eq!(span.attr("defects"), Some(&defects.into()));
+        }
+        assert!(tel.spans[1].attr("truth_reused").is_some());
+    }
+
+    #[test]
+    fn a_strict_parse_failure_still_stops_the_copies_at_the_bad_hive() {
+        use strider_support::fault::FaultPlan;
+        // Strict parsing with stabilization: the memo is armed, and the
+        // first pass keeps a clean truth. The second pass copies hives
+        // whose parse waits until SOFTWARE differs; its parse fails there,
+        // before any later hive is copied, exactly as without a memo.
+        let mut m = Machine::with_base_system("t").unwrap();
+        let policy = ScanPolicy::strict().with_stabilization(3);
+        let scanner = RegistryScanner::new().with_policy(policy.clone());
+        scanner.low_scan(&m).unwrap();
+        let len = m.try_copy_hive_bytes(&software()).unwrap().len();
+        m.set_fault_injector(
+            strider_winapi::FaultInjector::new()
+                .corrupt_hive(software(), FaultPlan::new(7).zero_range(len / 3, 64)),
+        );
+        let reads = |scanner: &RegistryScanner| {
+            let before = m.scan_tap().raw_reads();
+            let result = scanner.low_scan(&m);
+            (
+                result.map(|snap| json(&snap)),
+                m.scan_tap().raw_reads() - before,
+            )
+        };
+        let remembered = reads(&scanner);
+        let fresh = reads(&RegistryScanner::new().with_policy(policy));
+        assert!(matches!(remembered.0, Err(NtStatus::CorruptStructure(_))));
+        assert_eq!(remembered, fresh);
     }
 }

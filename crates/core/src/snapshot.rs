@@ -1,6 +1,7 @@
 //! Scan snapshots: what a view saw, when, and at what I/O cost.
 
 use std::fmt;
+use std::sync::Arc;
 use strider_nt_core::{IoStats, Pid, Tick};
 use strider_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use strider_winapi::ChainEntry;
@@ -91,11 +92,18 @@ impl ScanMeta {
 /// identities, pids); values are display facts. The facts are one vector
 /// sorted by key with each key once, so lookups are binary searches and
 /// two snapshots diff by a single merge-join.
+///
+/// The facts sit behind an [`Arc`], so a clone costs O(1) whatever the
+/// snapshot's size: it shares the facts and copies only the metadata. A
+/// scanner whose quorum pass reads the same truth bytes as its previous
+/// pass hands back such a clone, restamped, instead of parsing again.
+/// [`Snapshot::insert`] copies the facts first if a clone still shares
+/// them.
 #[derive(Debug, Clone)]
 pub struct Snapshot<T> {
     /// Scan metadata.
     pub meta: ScanMeta,
-    facts: Vec<(String, T)>,
+    facts: Arc<Vec<(String, T)>>,
 }
 
 impl<T> Snapshot<T> {
@@ -103,7 +111,7 @@ impl<T> Snapshot<T> {
     pub fn new(meta: ScanMeta) -> Self {
         Self {
             meta,
-            facts: Vec::new(),
+            facts: Arc::default(),
         }
     }
 
@@ -122,15 +130,9 @@ impl<T> Snapshot<T> {
             }
             repeat
         });
-        Self { meta, facts }
-    }
-
-    /// Inserts a fact under its identity key. Last write wins, as with
-    /// repeated directory entries in a rescan.
-    pub fn insert(&mut self, key: String, fact: T) {
-        match self.position(&key) {
-            Ok(i) => self.facts[i].1 = fact,
-            Err(i) => self.facts.insert(i, (key, fact)),
+        Self {
+            meta,
+            facts: Arc::new(facts),
         }
     }
 
@@ -161,6 +163,20 @@ impl<T> Snapshot<T> {
     /// Iterates `(identity, fact)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &T)> {
         self.facts.iter().map(|(key, fact)| (key, fact))
+    }
+}
+
+impl<T: Clone> Snapshot<T> {
+    /// Inserts a fact under its identity key. Last write wins, as with
+    /// repeated directory entries in a rescan. Facts a clone still shares
+    /// are copied first.
+    pub fn insert(&mut self, key: String, fact: T) {
+        let i = self.position(&key);
+        let facts = Arc::make_mut(&mut self.facts);
+        match i {
+            Ok(i) => facts[i].1 = fact,
+            Err(i) => facts.insert(i, (key, fact)),
+        }
     }
 }
 
@@ -281,6 +297,21 @@ mod tests {
         assert!(s.contains("c:\\a"));
         assert!(s.get("c:\\a").is_some());
         assert_eq!(s.meta.taken_at, Tick(3));
+    }
+
+    #[test]
+    fn a_clone_shares_its_facts_until_one_side_inserts() {
+        let mut original: Snapshot<String> =
+            Snapshot::new(ScanMeta::new(ViewKind::LowLevelMft, Tick(1)));
+        original.insert("a".into(), "A".into());
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.facts, &copy.facts), "an O(1) clone");
+        copy.insert("b".into(), "B".into());
+        copy.insert("a".into(), "A2".into());
+        assert_eq!(original.len(), 1);
+        assert_eq!(original.get("a").map(String::as_str), Some("A"));
+        assert_eq!(copy.len(), 2);
+        assert_eq!(copy.get("a").map(String::as_str), Some("A2"));
     }
 
     /// A `Snapshot<FileFact>`'s JSON encoding, pinned byte for byte: `facts`

@@ -32,6 +32,7 @@
 
 use crate::json::{JsonValue, ToJson};
 use crate::obs::TelemetryReport;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -61,17 +62,16 @@ pub enum BatchSize {
     PerIteration,
 }
 
-/// Harness entry point, one per bench binary.
+/// Harness entry point, one per bench binary. A group borrows it mutably,
+/// so one group runs at a time.
 #[derive(Debug, Default)]
-pub struct Criterion {
-    groups_finished: usize,
-}
+pub struct Criterion;
 
 impl Criterion {
     /// Starts a named group; its results land in `BENCH_<name>.json`.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            criterion: self,
+            _criterion: PhantomData,
             name: name.into(),
             warm_up: Duration::from_millis(300),
             measurement: Duration::from_secs(1),
@@ -85,7 +85,7 @@ impl Criterion {
 
 /// A named collection of benchmark scenarios sharing configuration.
 pub struct BenchmarkGroup<'c> {
-    criterion: &'c mut Criterion,
+    _criterion: PhantomData<&'c mut Criterion>,
     name: String,
     warm_up: Duration,
     measurement: Duration,
@@ -205,7 +205,6 @@ impl BenchmarkGroup<'_> {
             return;
         }
         eprintln!("bench report: {}", path.display());
-        self.criterion.groups_finished += 1;
     }
 
     fn to_json(&self) -> JsonValue {
@@ -707,7 +706,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:ident),+ $(,)?) => {
         fn main() {
-            let mut criterion = $crate::bench::Criterion::default();
+            let mut criterion = $crate::bench::Criterion;
             $($group(&mut criterion);)+
         }
     };
@@ -736,7 +735,7 @@ mod tests {
         // The env var is process-global; this is the only test that sets it.
         std::env::set_var("STRIDER_BENCH_DIR", &dir);
 
-        let mut criterion = Criterion::default();
+        let mut criterion = Criterion;
         let mut group = criterion.benchmark_group("selftest");
         group.warm_up_time(Duration::from_millis(5));
         group.measurement_time(Duration::from_millis(20));

@@ -241,7 +241,7 @@ pub struct Machine {
     image_tampers: Vec<(String, Arc<dyn RawImageTamper>)>,
     tick_tasks: Vec<Box<dyn TickTask>>,
     faults: Option<FaultInjector>,
-    flight: Option<FlightRecorder>,
+    flight: FlightRecorder,
     tap: ScanTap,
 }
 
@@ -272,7 +272,7 @@ impl Machine {
             image_tampers: Vec::new(),
             tick_tasks: Vec::new(),
             faults: None,
-            flight: None,
+            flight: FlightRecorder::off(),
             tap: ScanTap::new(),
         }
     }
@@ -825,9 +825,10 @@ impl Machine {
     /// Attaches a flight-recorder handle: the `try_*` truth-source reads
     /// log every injected stall, transient failure, and applied
     /// corruption plan into it, so a degraded pipeline's black box shows
-    /// the device-level trouble that preceded the failure.
+    /// the device-level trouble that preceded the failure. A machine starts
+    /// with [`FlightRecorder::off`], which records nothing.
     pub fn set_flight_recorder(&mut self, recorder: FlightRecorder) {
-        self.flight = Some(recorder);
+        self.flight = recorder;
     }
 
     /// A clone-handle view of in-flight scan activity, as observable from
@@ -838,12 +839,6 @@ impl Machine {
     /// outside-the-box capture is invisible from inside the box.
     pub fn scan_tap(&self) -> ScanTap {
         self.tap.clone()
-    }
-
-    fn flight_fault(&self, what: &str, detail: &str) {
-        if let Some(recorder) = &self.flight {
-            recorder.fault(what, detail);
-        }
     }
 
     /// Reads the raw volume image from inside the box, as the low-level
@@ -908,11 +903,11 @@ impl Machine {
         };
         if let Some(armed) = self.faults.as_ref().map(|f| f.source(source)) {
             if armed.stall.poll_pending() {
-                self.flight_fault(what, "stalled (Pending)");
+                self.flight.fault(what, "stalled (Pending)");
                 return Err(NtStatus::Pending);
             }
             if armed.transient.should_fail() {
-                self.flight_fault(what, "transient DeviceNotReady");
+                self.flight.fault(what, "transient DeviceNotReady");
                 return Err(NtStatus::DeviceNotReady);
             }
         }
@@ -923,9 +918,10 @@ impl Machine {
         };
         match mount {
             Some(mount) => {
-                self.flight_fault(what, &format!("corruption plan applied to {mount}"));
+                self.flight
+                    .fault(what, &format!("corruption plan applied to {mount}"));
             }
-            None => self.flight_fault(what, "corruption plan applied"),
+            None => self.flight.fault(what, "corruption plan applied"),
         }
         Ok(plan.apply(&bytes))
     }

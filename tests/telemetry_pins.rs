@@ -444,6 +444,9 @@ modules: counter sweep.degraded.modules
 modules: mark modules
 ";
 
+// The supervised policy's second stabilization pass reads the same truth
+// bytes as the first, so its `files.low_scan` and `registry.low_scan`
+// events carry `truth_reused` and the first pass's events do not.
 const FLEET_TRACE_EVENTS: &str = r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"fleet-scheduler"}}
 {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"fleet-worker-0"}}
 {"name":"enqueue shard-000","cat":"fleet","ph":"i","ts":0.0,"pid":1,"tid":0,"s":"t","args":{"worker":0}}
@@ -475,7 +478,7 @@ const FLEET_TRACE_EVENTS: &str = r#"{"name":"thread_name","ph":"M","pid":1,"tid"
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":3,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"files.high_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":3,"args":{"view":"HighLevelWin32","entries":124,"api_calls":23,"queries":23,"diverted_queries":2,"diverted_at":"NtdllCode"}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":3,"args":{"allocs":"*","alloc_bytes":"*"}}
-{"name":"files.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":3,"args":{"view":"LowLevelMft","entries":127,"bytes_read":18925}}
+{"name":"files.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":3,"args":{"view":"LowLevelMft","entries":127,"bytes_read":18925,"truth_reused":true}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":3,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"files.diff","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":3,"args":{"hidden":3,"noise":0}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":3,"args":{"allocs":"*","alloc_bytes":"*"}}
@@ -498,7 +501,7 @@ const FLEET_TRACE_EVENTS: &str = r#"{"name":"thread_name","ph":"M","pid":1,"tid"
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":4,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"registry.high_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":4,"args":{"view":"HighLevelWin32","entries":7,"api_calls":10,"queries":16,"diverted_queries":1,"diverted_at":"NtdllCode"}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":4,"args":{"allocs":"*","alloc_bytes":"*"}}
-{"name":"registry.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":4,"args":{"view":"LowLevelHiveParse","entries":9,"bytes_read":7410}}
+{"name":"registry.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":4,"args":{"view":"LowLevelHiveParse","entries":9,"bytes_read":7410,"truth_reused":true}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":4,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"registry.diff","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":4,"args":{"hidden":2,"noise":0}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":4,"args":{"allocs":"*","alloc_bytes":"*"}}
@@ -566,7 +569,7 @@ const FLEET_TRACE_EVENTS: &str = r#"{"name":"thread_name","ph":"M","pid":1,"tid"
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":8,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"files.high_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":8,"args":{"view":"HighLevelWin32","entries":124,"api_calls":23,"queries":23,"diverted_queries":0}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":8,"args":{"allocs":"*","alloc_bytes":"*"}}
-{"name":"files.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":8,"args":{"view":"LowLevelMft","entries":124,"bytes_read":18601}}
+{"name":"files.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":8,"args":{"view":"LowLevelMft","entries":124,"bytes_read":18601,"truth_reused":true}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":8,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"files.diff","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":8,"args":{"hidden":0,"noise":0}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":8,"args":{"allocs":"*","alloc_bytes":"*"}}
@@ -586,7 +589,7 @@ const FLEET_TRACE_EVENTS: &str = r#"{"name":"thread_name","ph":"M","pid":1,"tid"
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":9,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"registry.high_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":9,"args":{"view":"HighLevelWin32","entries":7,"api_calls":10,"queries":16,"diverted_queries":0}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":9,"args":{"allocs":"*","alloc_bytes":"*"}}
-{"name":"registry.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":9,"args":{"view":"LowLevelHiveParse","entries":7,"bytes_read":7134}}
+{"name":"registry.low_scan","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":9,"args":{"view":"LowLevelHiveParse","entries":7,"bytes_read":7134,"truth_reused":true}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":9,"args":{"allocs":"*","alloc_bytes":"*"}}
 {"name":"registry.diff","cat":"scan","ph":"X","ts":200.0,"dur":0.0,"pid":1,"tid":9,"args":{"hidden":0,"noise":0}}
 {"name":"mem","cat":"scan","ph":"C","ts":200.0,"pid":1,"tid":9,"args":{"allocs":"*","alloc_bytes":"*"}}
