@@ -119,10 +119,14 @@ impl<T> Snapshot<T> {
     /// key repeats, the last fact wins, exactly as repeated
     /// [`Snapshot::insert`]s behave. Builders whose size grows with the
     /// machine use this rather than `insert`, which costs O(n) per call.
+    /// Facts that arrive in key order (as both file views emit them) cost
+    /// one O(n) pass: they are checked, not sorted.
     pub fn from_facts(meta: ScanMeta, mut facts: Vec<(String, T)>) -> Self {
         // Stable: equal keys keep their arrival order, so the run's last
         // element is the last write.
-        facts.sort_by(|a, b| a.0.cmp(&b.0));
+        if !facts.is_sorted_by(|a, b| a.0 <= b.0) {
+            facts.sort_by(|a, b| a.0.cmp(&b.0));
+        }
         facts.dedup_by(|later, kept| {
             let repeat = later.0 == kept.0;
             if repeat {

@@ -23,7 +23,7 @@
 use crate::key::{Key, Value, ValueData};
 use std::fmt;
 use strider_nt_core::{NtString, Tick};
-use strider_support::bytes::{Buf, BufMut, BytesMut};
+use strider_support::bytes::{Buf, BufMut};
 use strider_support::fault::{Defect, DefectKind, Salvaged};
 
 const MAGIC: &[u8; 8] = b"SREGF1\0\0";
@@ -37,24 +37,23 @@ const TAG_DB: u16 = 0x6264; // "db"
 /// Serializes a key tree to hive bytes. The `root` key's own name is stored
 /// so offline mounting can label the tree.
 pub(crate) fn write_hive(root: &Key) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(4096);
+    let mut buf = Vec::with_capacity(4096);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u32_le(0); // root offset backpatched below
     let root_off = write_key(&mut buf, root);
-    let bytes = buf.as_mut();
-    bytes[12..16].copy_from_slice(&root_off.to_le_bytes());
-    buf.to_vec()
+    buf[12..16].copy_from_slice(&root_off.to_le_bytes());
+    buf
 }
 
-fn put_name(buf: &mut BytesMut, name: &NtString) {
+fn put_name(buf: &mut Vec<u8>, name: &NtString) {
     buf.put_u16_le(name.len() as u16);
     for &u in name.units() {
         buf.put_u16_le(u);
     }
 }
 
-fn write_key(buf: &mut BytesMut, key: &Key) -> u32 {
+fn write_key(buf: &mut Vec<u8>, key: &Key) -> u32 {
     // Children first so the parent can reference their offsets.
     let subkey_offs: Vec<u32> = key.subkeys.iter().map(|k| write_key(buf, k)).collect();
     let value_offs: Vec<u32> = key.values.iter().map(|v| write_value(buf, v)).collect();
@@ -117,7 +116,7 @@ fn encode_data(data: &ValueData) -> Vec<u8> {
     }
 }
 
-fn write_value(buf: &mut BytesMut, value: &Value) -> u32 {
+fn write_value(buf: &mut Vec<u8>, value: &Value) -> u32 {
     let data = encode_data(&value.data);
     let data_off = buf.len() as u32;
     buf.put_u16_le(TAG_DB);
@@ -609,11 +608,8 @@ fn read_name(s: &mut &[u8], context: &'static str) -> Result<NtString, HiveForma
     if s.remaining() < len * 2 {
         return Err(HiveFormatError::Truncated { context });
     }
-    let mut units = Vec::with_capacity(len);
-    for _ in 0..len {
-        units.push(s.get_u16_le());
-    }
-    Ok(NtString::from_units(&units))
+    let units: Vec<u16> = (0..len).map(|_| s.get_u16_le()).collect();
+    Ok(NtString::from(units))
 }
 
 #[cfg(test)]

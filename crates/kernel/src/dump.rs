@@ -15,7 +15,7 @@ use crate::kernel::Kernel;
 use crate::process::{Driver, Ethread, ModuleEntry, ThreadState};
 use std::fmt;
 use strider_nt_core::{NtPath, NtString, Pid, Tick, Tid};
-use strider_support::bytes::{Buf, BufMut, BytesMut};
+use strider_support::bytes::{Buf, BufMut};
 use strider_support::fault::{Defect, DefectKind, Salvaged};
 
 const MAGIC: &[u8; 8] = b"SDMP1\0\0\0";
@@ -37,7 +37,7 @@ pub(crate) fn write_dump(k: &Kernel) -> Vec<u8> {
     let scrubbed = |pid: Pid| scrub_pids.contains(&pid);
     let module_scrubbed = |m: &ModuleEntry| scrub_modules.iter().any(|n| n.eq_ignore_case(&m.name));
 
-    let mut buf = BytesMut::with_capacity(4096);
+    let mut buf = Vec::with_capacity(4096);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
 
@@ -94,7 +94,7 @@ pub(crate) fn write_dump(k: &Kernel) -> Vec<u8> {
         .map(|h| skip_scrubbed_forward(k, h, &scrub_pids))
         .unwrap_or(NO_PID);
     buf.put_u32_le(head);
-    buf.to_vec()
+    buf
 }
 
 fn skip_scrubbed_forward(k: &Kernel, from: Pid, scrub: &[Pid]) -> u32 {
@@ -131,14 +131,14 @@ fn patch_link(k: &Kernel, link: Option<Pid>, scrub: &[Pid], forward: bool) -> u3
     NO_PID
 }
 
-fn put_name(buf: &mut BytesMut, name: &NtString) {
+fn put_name(buf: &mut Vec<u8>, name: &NtString) {
     buf.put_u16_le(name.len() as u16);
     for &u in name.units() {
         buf.put_u16_le(u);
     }
 }
 
-fn put_path(buf: &mut BytesMut, path: &NtPath) {
+fn put_path(buf: &mut Vec<u8>, path: &NtPath) {
     let root = path.root().as_bytes();
     buf.put_u16_le(root.len() as u16);
     buf.put_slice(root);
@@ -513,11 +513,8 @@ fn get_name(s: &mut &[u8], context: &'static str) -> Result<NtString, DumpError>
     if s.remaining() < len * 2 {
         return Err(DumpError::Truncated { context });
     }
-    let mut units = Vec::with_capacity(len);
-    for _ in 0..len {
-        units.push(s.get_u16_le());
-    }
-    Ok(NtString::from_units(&units))
+    let units: Vec<u16> = (0..len).map(|_| s.get_u16_le()).collect();
+    Ok(NtString::from(units))
 }
 
 fn get_path(s: &mut &[u8], context: &'static str) -> Result<NtPath, DumpError> {

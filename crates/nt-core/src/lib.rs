@@ -32,12 +32,14 @@
 #![warn(missing_docs)]
 
 mod io;
+mod keyorder;
 mod name;
 mod path;
 mod status;
 mod time;
 
 pub use io::IoStats;
+pub use keyorder::{key_order, Placed, TreeSlot, NO_NODE, ROOT_PARENT};
 pub use name::NtString;
 pub use path::{NtPath, ParseNtPathError, MAX_PATH};
 pub use status::NtStatus;

@@ -120,10 +120,22 @@ impl NtString {
     /// A case-folded exact key for case-insensitive maps, preserving embedded
     /// `NUL`s (NT name comparison is case-insensitive but NUL-significant).
     pub fn fold_key(&self) -> Vec<u16> {
-        self.units
-            .iter()
-            .map(|&u| fold_unit(u).map_or(u, |c| c as u16))
-            .collect()
+        self.units.iter().map(|&u| fold_key_unit(u)).collect()
+    }
+
+    /// Calls `f` with [`NtString::fold_key`], folded into a stack buffer:
+    /// a name longer than NTFS allows (255 units) is the only one that
+    /// allocates.
+    pub fn with_fold_key<R>(&self, f: impl FnOnce(&[u16]) -> R) -> R {
+        const NTFS_NAME_MAX: usize = 255;
+        if self.units.len() > NTFS_NAME_MAX {
+            return f(&self.fold_key());
+        }
+        let mut folded = [0u16; NTFS_NAME_MAX];
+        for (slot, &u) in folded.iter_mut().zip(&self.units) {
+            *slot = fold_key_unit(u);
+        }
+        f(&folded[..self.units.len()])
     }
 
     /// Appends the case-folded key as text to `out`, one character per code
@@ -159,7 +171,9 @@ impl NtString {
 
     /// Case-insensitive equality per NT name-comparison rules.
     pub fn eq_ignore_case(&self, other: &NtString) -> bool {
-        self.fold_key() == other.fold_key()
+        self.units.len() == other.units.len()
+            && (self.units.iter().zip(&other.units))
+                .all(|(&a, &b)| fold_key_unit(a) == fold_key_unit(b))
     }
 
     /// Validates the name against the Win32 layer's file-naming rules.
@@ -219,11 +233,25 @@ fn fold_unit(u: u16) -> Option<char> {
     char::from_u32(u as u32).map(|c| c.to_ascii_lowercase())
 }
 
+/// One unit of [`NtString::fold_key`]: folded, or itself for a lone
+/// surrogate.
+fn fold_key_unit(u: u16) -> u16 {
+    fold_unit(u).map_or(u, |c| c as u16)
+}
+
 impl From<&str> for NtString {
     fn from(s: &str) -> Self {
         Self {
             units: s.encode_utf16().collect(),
         }
+    }
+}
+
+impl From<Vec<u16>> for NtString {
+    /// Takes raw UTF-16 code units, which may include `NUL`s, without
+    /// copying them.
+    fn from(units: Vec<u16>) -> Self {
+        Self { units }
     }
 }
 

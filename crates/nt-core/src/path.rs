@@ -87,6 +87,11 @@ impl NtPath {
         p
     }
 
+    /// Removes and returns the final component; `None` at the root.
+    pub fn pop(&mut self) -> Option<NtString> {
+        self.components.pop()
+    }
+
     /// Number of components below the root.
     pub fn depth(&self) -> usize {
         self.components.len()

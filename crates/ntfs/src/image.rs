@@ -11,8 +11,10 @@ use crate::record::FileAttributes;
 use crate::volume::NtfsVolume;
 use std::collections::HashMap;
 use std::fmt;
-use strider_nt_core::{FileRecordNumber, NtPath, NtString, Tick};
-use strider_support::bytes::{Buf, BufMut, Bytes, BytesMut};
+use strider_nt_core::{
+    key_order, FileRecordNumber, NtPath, NtString, Tick, TreeSlot, NO_NODE, ROOT_PARENT,
+};
+use strider_support::bytes::{Buf, BufMut};
 use strider_support::fault::{Defect, DefectKind, Salvaged};
 
 const MAGIC: &[u8; 8] = b"SNTFS1\0\0";
@@ -20,7 +22,7 @@ const VERSION: u32 = 1;
 
 /// Serializes a live volume to its raw image bytes.
 pub(crate) fn write_image(vol: &NtfsVolume) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(4096);
+    let mut buf = Vec::with_capacity(4096);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
     let label = vol.label().as_bytes();
@@ -54,10 +56,10 @@ pub(crate) fn write_image(vol: &NtfsVolume) -> Vec<u8> {
             }
         }
     }
-    buf.to_vec()
+    buf
 }
 
-fn put_name(buf: &mut BytesMut, name: &NtString) {
+fn put_name(buf: &mut Vec<u8>, name: &NtString) {
     buf.put_u16_le(name.len() as u16);
     for &u in name.units() {
         buf.put_u16_le(u);
@@ -134,6 +136,23 @@ impl RawFileEntry {
     }
 }
 
+/// One entry of [`VolumeImage::rendered_paths`], its path rendered.
+#[derive(Debug)]
+pub struct RenderedPath<'a> {
+    /// The path's [`NtPath::fold_key`].
+    pub key: String,
+    /// The path's display form.
+    pub display: String,
+    /// The entry.
+    pub entry: &'a RawFileEntry,
+    /// The entry's index in [`VolumeImage::entries`].
+    pub index: usize,
+    /// Whether the entry sits at its key's place among the entries before
+    /// it that do. Orphans, names holding a `\` and the subtrees of
+    /// sibling directories whose names fold equal do not.
+    pub in_key_order: bool,
+}
+
 /// A parsed raw volume image: the truth the low-level file scan works from.
 ///
 /// # Examples
@@ -165,7 +184,7 @@ impl VolumeImage {
     /// Returns [`ImageError`] if the bytes are truncated or the header is
     /// not a supported volume image.
     pub fn parse(bytes: &[u8]) -> Result<Self, ImageError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         let image_len = bytes.len() as u64;
         let (label, slot_count) = parse_header(&mut buf)?;
         let mut entries = Vec::new();
@@ -189,7 +208,7 @@ impl VolumeImage {
     /// image damaged in the header salvages to an empty entry list.
     pub fn parse_salvage(bytes: &[u8]) -> Salvaged<Self> {
         let image_len = bytes.len() as u64;
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         let (label, slot_count) = match parse_header(&mut buf) {
             Ok(header) => header,
             Err(e) => {
@@ -261,53 +280,61 @@ impl VolumeImage {
         self.paths_internal(true)
     }
 
-    /// [`VolumeImage::all_paths`], rendered: each entry's
-    /// `(path.fold_key(), path.to_string(), entry)` in the same order, without
-    /// building the paths. An entry whose parent chain reaches the root
-    /// renders its strings once, from its parent's rendering; an orphaned
-    /// entry renders its [`VolumeImage::all_paths`] path.
-    pub fn rendered_paths(&self) -> Vec<(String, String, &RawFileEntry)> {
+    /// [`VolumeImage::all_paths`], rendered: each entry's path as
+    /// `(path.fold_key(), path.to_string())`, without building the paths,
+    /// and in key order. An entry whose parent chain reaches the root
+    /// renders its strings once, from its parent's rendering, in the order
+    /// [`key_order`] emits the tree; an orphaned entry renders its
+    /// [`VolumeImage::all_paths`] path, after every entry that reaches the
+    /// root. Entries that are not at their key's place say so.
+    pub fn rendered_paths(&self) -> Vec<RenderedPath<'_>> {
         let mut walk = ParentWalk::new(&self.entries);
-        let mut chain = Vec::new();
+        // Entry `k` heads tree node `k + 1`; node 0 is the root.
+        let slots: Vec<TreeSlot> = (self.entries.iter().enumerate())
+            .map(|(k, entry)| TreeSlot {
+                node: match (entry.number.0, entry.parent.0) {
+                    (0, _) => NO_NODE,
+                    (_, 0) => 0,
+                    (_, parent) => walk
+                        .by_number
+                        .get(&parent)
+                        .map_or(NO_NODE, |&p| p as u32 + 1),
+                },
+                heads: k as u32 + 1,
+            })
+            .collect();
+        let placed = key_order(self.entries.len() + 1, &slots, |k| {
+            self.entries[k].name.units()
+        });
         let root_key = self.label.to_ascii_lowercase();
-        // Renderings of entries whose chains reach the root, by entry index.
-        let mut rendered: Vec<Option<(String, String)>> = vec![None; self.entries.len()];
-        for start in 0..self.entries.len() {
-            if self.entries[start].number.0 == 0 || rendered[start].is_some() {
-                continue;
-            }
-            let mut parent = match walk.walk(start, |k| rendered[k].is_some(), &mut chain) {
-                WalkEnd::Root => None,
-                WalkEnd::Known(k) => Some(k),
-                WalkEnd::Orphaned => continue,
+        let rendered = |(key, display), index: usize, in_key_order| RenderedPath {
+            key,
+            display,
+            entry: &self.entries[index],
+            index,
+            in_key_order,
+        };
+        let mut out: Vec<RenderedPath<'_>> = Vec::with_capacity(self.entries.len());
+        let mut reached = vec![false; self.entries.len()];
+        for p in placed {
+            let index = p.item as usize;
+            let name = &self.entries[index].name;
+            let strings = match p.parent {
+                ROOT_PARENT => name.render_under(&root_key, &self.label),
+                at => name.render_under(&out[at as usize].key, &out[at as usize].display),
             };
-            // Every record on a chain that reaches the root reaches it too:
-            // render them farthest first, each from its parent.
-            for &k in chain.iter().rev().chain(std::iter::once(&start)) {
-                let (parent_key, parent_display) = match parent.and_then(|p| rendered[p].as_ref()) {
-                    Some((key, display)) => (key.as_str(), display.as_str()),
-                    None => (root_key.as_str(), self.label.as_str()),
-                };
-                rendered[k] = Some(
-                    self.entries[k]
-                        .name
-                        .render_under(parent_key, parent_display),
-                );
-                parent = Some(k);
+            reached[index] = true;
+            out.push(rendered(strings, index, p.in_key_order));
+        }
+        let mut chain = Vec::new();
+        for (index, entry) in self.entries.iter().enumerate() {
+            if entry.number.0 != 0 && !reached[index] {
+                let path = self.path_of(&mut walk, index, &mut chain);
+                let strings = (path.fold_key(), path.to_display_string());
+                out.push(rendered(strings, index, false));
             }
         }
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, entry)| entry.number.0 != 0)
-            .map(|(i, entry)| match rendered[i].take() {
-                Some((key, display)) => (key, display, entry),
-                None => {
-                    let path = self.path_of(&mut walk, i, &mut chain);
-                    (path.fold_key(), path.to_display_string(), entry)
-                }
-            })
-            .collect()
+        out
     }
 
     fn paths_internal(&self, include_dirs: bool) -> Vec<(NtPath, &RawFileEntry)> {
@@ -329,9 +356,10 @@ impl VolumeImage {
     /// The full path of `entries[start]`: under the label when its parent
     /// chain reaches the root, under `<orphaned>` otherwise.
     fn path_of(&self, walk: &mut ParentWalk<'_>, start: usize, chain: &mut Vec<usize>) -> NtPath {
-        let root = match walk.walk(start, |_| false, chain) {
-            WalkEnd::Orphaned => "<orphaned>",
-            _ => &self.label,
+        let root = if walk.reaches_root(start, chain) {
+            &self.label
+        } else {
+            "<orphaned>"
         };
         let names = chain
             .iter()
@@ -340,16 +368,6 @@ impl VolumeImage {
             .map(|&k| self.entries[k].name.clone());
         NtPath::from_components(root, names)
     }
-}
-
-/// How a parent walk ended.
-enum WalkEnd {
-    /// At the volume root (record 0).
-    Root,
-    /// At an ancestor the caller already knows, by entry index.
-    Known(usize),
-    /// At a missing parent, or at a record already on the chain (a cycle).
-    Orphaned,
 }
 
 /// The one parent-walk rule, shared by every path reconstruction.
@@ -378,47 +396,34 @@ impl<'a> ParentWalk<'a> {
     }
 
     /// Follows parent references up from `entries[start]`, pushing each
-    /// ancestor's index (nearest first) into `chain`, until the root, an
-    /// ancestor `known` accepts (not pushed), a missing parent, or a record
+    /// ancestor's index (nearest first) into `chain`, and says whether the
+    /// walk ended at the root rather than at a missing parent or a record
     /// already on the chain. Each record is visited at most once, so a walk
     /// costs at most one step per entry even on a cyclic chain.
-    fn walk(
-        &mut self,
-        start: usize,
-        known: impl Fn(usize) -> bool,
-        chain: &mut Vec<usize>,
-    ) -> WalkEnd {
+    fn reaches_root(&mut self, start: usize, chain: &mut Vec<usize>) -> bool {
         chain.clear();
         self.walks += 1;
         self.on_chain[start] = self.walks;
         let mut cur = self.entries[start].parent.0;
         while cur != 0 {
             let Some(&k) = self.by_number.get(&cur) else {
-                return WalkEnd::Orphaned;
+                return false;
             };
             if self.on_chain[k] == self.walks {
-                return WalkEnd::Orphaned;
-            }
-            if known(k) {
-                return WalkEnd::Known(k);
+                return false;
             }
             self.on_chain[k] = self.walks;
             chain.push(k);
             cur = self.entries[k].parent.0;
         }
-        WalkEnd::Root
+        true
     }
 }
 
 /// Reads the image header, returning the volume label and slot count. All
 /// reads are length-checked.
-fn parse_header(buf: &mut Bytes) -> Result<(String, u64), ImageError> {
-    if buf.remaining() < 8 {
-        return Err(ImageError::Truncated { context: "magic" });
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+fn parse_header(buf: &mut &[u8]) -> Result<(String, u64), ImageError> {
+    if &take::<8>(buf, "magic")? != MAGIC {
         return Err(ImageError::BadMagic);
     }
     let version = get_u32(buf, "version")?;
@@ -429,8 +434,9 @@ fn parse_header(buf: &mut Bytes) -> Result<(String, u64), ImageError> {
     if buf.remaining() < label_len {
         return Err(ImageError::Truncated { context: "label" });
     }
-    let label_bytes = buf.copy_to_bytes(label_len);
-    let label = String::from_utf8_lossy(&label_bytes).into_owned();
+    let (label_bytes, rest) = buf.split_at(label_len);
+    let label = String::from_utf8_lossy(label_bytes).into_owned();
+    *buf = rest;
     let slot_count = get_u64(buf, "slot count")?;
     Ok((label, slot_count))
 }
@@ -439,8 +445,8 @@ fn parse_header(buf: &mut Bytes) -> Result<(String, u64), ImageError> {
 /// offset field is checked against the bytes actually remaining before it is
 /// honored, so arbitrary field values cannot cause out-of-bounds reads or
 /// oversized allocations.
-fn parse_entry(buf: &mut Bytes) -> Result<Option<RawFileEntry>, ImageError> {
-    let in_use = get_u8(buf, "in-use flag")?;
+fn parse_entry(buf: &mut &[u8]) -> Result<Option<RawFileEntry>, ImageError> {
+    let in_use = take::<1>(buf, "in-use flag")?[0];
     if in_use == 0 {
         return Ok(None);
     }
@@ -455,7 +461,7 @@ fn parse_entry(buf: &mut Bytes) -> Result<Option<RawFileEntry>, ImageError> {
     let mut data_len = 0u64;
     let mut ads_names = Vec::new();
     for _ in 0..stream_count {
-        let named = get_u8(buf, "stream name flag")?;
+        let named = take::<1>(buf, "stream name flag")?[0];
         if named == 1 {
             ads_names.push(get_name(buf, "stream name")?);
         }
@@ -481,44 +487,32 @@ fn parse_entry(buf: &mut Bytes) -> Result<Option<RawFileEntry>, ImageError> {
     }))
 }
 
-fn get_u8(buf: &mut Bytes, context: &'static str) -> Result<u8, ImageError> {
-    if buf.remaining() < 1 {
-        return Err(ImageError::Truncated { context });
-    }
-    Ok(buf.get_u8())
+/// Reads the next `N` bytes, or fails naming what was being read.
+fn take<const N: usize>(buf: &mut &[u8], context: &'static str) -> Result<[u8; N], ImageError> {
+    let (head, rest) = (buf.split_first_chunk::<N>()).ok_or(ImageError::Truncated { context })?;
+    *buf = rest;
+    Ok(*head)
 }
 
-fn get_u16(buf: &mut Bytes, context: &'static str) -> Result<u16, ImageError> {
-    if buf.remaining() < 2 {
-        return Err(ImageError::Truncated { context });
-    }
-    Ok(buf.get_u16_le())
+fn get_u16(buf: &mut &[u8], context: &'static str) -> Result<u16, ImageError> {
+    take(buf, context).map(u16::from_le_bytes)
 }
 
-fn get_u32(buf: &mut Bytes, context: &'static str) -> Result<u32, ImageError> {
-    if buf.remaining() < 4 {
-        return Err(ImageError::Truncated { context });
-    }
-    Ok(buf.get_u32_le())
+fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, ImageError> {
+    take(buf, context).map(u32::from_le_bytes)
 }
 
-fn get_u64(buf: &mut Bytes, context: &'static str) -> Result<u64, ImageError> {
-    if buf.remaining() < 8 {
-        return Err(ImageError::Truncated { context });
-    }
-    Ok(buf.get_u64_le())
+fn get_u64(buf: &mut &[u8], context: &'static str) -> Result<u64, ImageError> {
+    take(buf, context).map(u64::from_le_bytes)
 }
 
-fn get_name(buf: &mut Bytes, context: &'static str) -> Result<NtString, ImageError> {
+fn get_name(buf: &mut &[u8], context: &'static str) -> Result<NtString, ImageError> {
     let len = get_u16(buf, context)? as usize;
     if buf.remaining() < len * 2 {
         return Err(ImageError::Truncated { context });
     }
-    let mut units = Vec::with_capacity(len);
-    for _ in 0..len {
-        units.push(buf.get_u16_le());
-    }
-    Ok(NtString::from_units(&units))
+    let units: Vec<u16> = (0..len).map(|_| buf.get_u16_le()).collect();
+    Ok(NtString::from(units))
 }
 
 #[cfg(test)]

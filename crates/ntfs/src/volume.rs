@@ -188,16 +188,15 @@ impl NtfsVolume {
     }
 
     fn child_by_name(&self, dir: FileRecordNumber, name: &NtString) -> Option<FileRecordNumber> {
-        let key = name.fold_key();
         if let Some(index) = self.dir_index.get(&dir.0) {
-            return index.get(&key).copied();
+            return name.with_fold_key(|key| index.get(key).copied());
         }
         // Index not built (e.g. after deserialization): fall back to linear.
         let rec = self.record(dir)?;
         rec.children
             .iter()
             .copied()
-            .find(|&c| self.record(c).is_some_and(|r| r.name.fold_key() == key))
+            .find(|&c| self.record(c).is_some_and(|r| r.name.eq_ignore_case(name)))
     }
 
     fn validate_ntfs_name(name: &NtString) -> Result<(), NtfsError> {

@@ -196,18 +196,35 @@ fn removed_files_never_reappear_in_the_image() {
     );
 }
 
-/// `raw.rendered_paths()` renders exactly `raw.all_paths()`: the same
-/// entries in the same order, each key `path.fold_key()` and each display
-/// `path.to_string()`. Returns how many of the entries were orphaned.
+/// `raw.rendered_paths()` renders exactly `raw.all_paths()`: every entry
+/// once, each key `path.fold_key()` and each display `path.to_string()`,
+/// and the entries it places in key order come out sorted by key. Returns
+/// how many of the entries were orphaned.
 fn rendered_paths_match_all_paths(raw: &VolumeImage) -> Result<usize, String> {
     let paths = raw.all_paths();
     let rendered = raw.rendered_paths();
     prop_assert_eq!(rendered.len(), paths.len());
-    for ((path, entry), (key, display, rendered_entry)) in paths.iter().zip(&rendered) {
-        prop_assert!(std::ptr::eq(*entry, *rendered_entry));
-        prop_assert_eq!(key, &path.fold_key());
-        prop_assert_eq!(display, &path.to_string());
+    // `all_paths` lists every entry but the root records, in entry order.
+    let mut listed = paths.iter();
+    let mut by_index: Vec<_> = (raw.entries().iter())
+        .map(|entry| (entry.number.0 != 0).then(|| listed.next()).flatten())
+        .collect();
+    for r in &rendered {
+        let Some((path, entry)) = by_index[r.index].take() else {
+            return Err(format!("entry {} rendered twice", r.index));
+        };
+        prop_assert!(std::ptr::eq(*entry, r.entry));
+        prop_assert_eq!(&r.key, &path.fold_key());
+        prop_assert_eq!(&r.display, &path.to_string());
     }
+    let placed: Vec<&String> = (rendered.iter())
+        .filter(|r| r.in_key_order)
+        .map(|r| &r.key)
+        .collect();
+    prop_assert!(
+        placed.windows(2).all(|w| w[0] <= w[1]),
+        "entries placed in key order are not sorted"
+    );
     Ok(paths
         .iter()
         .filter(|(path, _)| path.root() == "<orphaned>")
@@ -334,7 +351,7 @@ fn rendered_paths_equal_all_paths_on_mutated_and_cyclic_images() {
     let displays: Vec<String> = raw
         .rendered_paths()
         .into_iter()
-        .map(|(_, d, _)| d)
+        .map(|r| r.display)
         .collect();
     assert_eq!(displays, ["<orphaned>\\b\\a", "<orphaned>\\a\\b"]);
 }
