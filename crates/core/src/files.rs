@@ -9,9 +9,9 @@ use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
 use crate::snapshot::{FileFact, ScanMeta, Snapshot, ViewKind};
 use strider_nt_core::{
-    key_order, NtPath, NtStatus, NtString, Tick, TreeSlot, NO_NODE, ROOT_PARENT,
+    key_order, NtPath, NtStatus, NtString, Placed, Tick, TreeSlot, NO_NODE, ROOT_PARENT,
 };
-use strider_ntfs::VolumeImage;
+use strider_ntfs::{Placement, VolumeImage};
 use strider_support::obs::{SpanGuard, Telemetry};
 use strider_support::task::Supervision;
 use strider_winapi::{
@@ -166,10 +166,14 @@ impl FileScanner {
     /// privileged ghostware may tamper with — a truth *approximation*) and
     /// parse the MFT directly, reconstructing paths from parent references.
     ///
-    /// Every call reads the whole image. Under a policy that scans more
-    /// than once per pipeline run, a call whose image equals the previous
-    /// call's byte for byte skips the parse and returns the previous
-    /// snapshot with this call's time; its span carries `truth_reused`.
+    /// Every call reads the whole image. Under a single-pass policy the
+    /// bytes are released as soon as they are parsed, so the facts are
+    /// rendered with one copy of the volume alive. Under a policy that
+    /// scans more than once per pipeline run, the bytes and the snapshot
+    /// are kept until the next call: one whose image equals them byte for
+    /// byte skips the parse and returns the kept snapshot with this call's
+    /// time (its span carries `truth_reused`); one whose image differs
+    /// releases them before it parses.
     ///
     /// # Errors
     ///
@@ -186,8 +190,12 @@ impl FileScanner {
         let snap = match &kept {
             Some(kept) => kept.restamped(taken_at),
             None => {
-                let snap = self.parse_image_bytes(&bytes, ViewKind::LowLevelMft, taken_at)?;
-                self.truth_memo.keep(&self.policy, bytes, &snap);
+                self.truth_memo.forget();
+                let parsed = self.parse_volume(&bytes)?;
+                // Only a memo-armed policy reads the bytes past the parse.
+                let bytes = self.policy.repeats_passes().then_some(bytes);
+                let snap = self.snapshot_of(parsed, ViewKind::LowLevelMft, taken_at);
+                self.truth_memo.keep(bytes, &snap);
                 snap
             }
         };
@@ -202,59 +210,72 @@ impl FileScanner {
     /// Fails when the image does not parse.
     pub fn outside_scan(&self, image: &DiskImage) -> Result<Snapshot<FileFact>, NtStatus> {
         let span = self.telemetry.span("files.outside_scan");
-        let snap =
-            self.parse_image_bytes(&image.volume_image, ViewKind::OutsideDisk, image.taken_at)?;
+        let parsed = self.parse_volume(&image.volume_image)?;
+        let snap = self.snapshot_of(parsed, ViewKind::OutsideDisk, image.taken_at);
         self.record_truth(&span, &snap, false);
         Ok(snap)
     }
 
-    fn parse_image_bytes(
+    /// The parsed volume and its defect count, per the policy's salvage
+    /// setting.
+    fn parse_volume(&self, bytes: &[u8]) -> Result<(VolumeImage, u64), NtStatus> {
+        (self.policy).parse_image(bytes, VolumeImage::parse, VolumeImage::parse_salvage)
+    }
+
+    /// The snapshot of a parsed volume: the entries that reach the root
+    /// rendered in key order, each from its directory's rendering, then
+    /// the orphans; what is not at its key's place, and the stream
+    /// pseudo-entries, merged in by arrival.
+    fn snapshot_of(
         &self,
-        bytes: &[u8],
+        (raw, defects): (VolumeImage, u64),
         view: ViewKind,
         taken_at: Tick,
-    ) -> Result<Snapshot<FileFact>, NtStatus> {
-        let (raw, defects) =
-            self.policy
-                .parse_image(bytes, VolumeImage::parse, VolumeImage::parse_salvage)?;
+    ) -> Snapshot<FileFact> {
         let mut meta = ScanMeta::new(view, taken_at);
         meta.io.record_sequential(raw.image_len());
         meta.io.record_defects(defects);
-        let mut paths = raw.rendered_paths();
-        let mut facts = Vec::with_capacity(paths.len());
+        let Placement { tree, orphans } = raw.placement();
+        let entries = raw.entries();
+        let fact = |k: usize, path| FileFact {
+            path,
+            is_dir: entries[k].is_directory(),
+            size: entries[k].data_len,
+            created: Some(entries[k].created),
+        };
+        let root = (raw.label().to_ascii_lowercase(), raw.label());
+        let name = |k: usize| &entries[k].name;
+        let mut facts = render_placed(&tree, (&root.0, root.1), name, fact);
+        for (k, path) in &orphans {
+            facts.push((path.fold_key(), fact(*k, path.to_display_string())));
+        }
+        meta.io.record_entries(facts.len() as u64);
+        // Fact `i`'s entry, and whether it is at its key's place.
+        let entry_of = |i: usize| match tree.get(i) {
+            Some(p) => (p.item as usize, p.in_key_order),
+            None => (orphans[i - tree.len()].0, false),
+        };
         let mut streams = Vec::new();
-        for rendered in &mut paths {
-            meta.io.record_entries(1);
-            let key = std::mem::take(&mut rendered.key);
-            let entry = rendered.entry;
-            if self.detect_ads {
-                for (k, ads) in entry.ads_names.iter().enumerate() {
-                    let fact = FileFact {
-                        path: format!("{}:{}", rendered.display, ads.to_display_string()),
+        if self.detect_ads {
+            for (i, (key, fact)) in facts.iter().enumerate() {
+                let k = entry_of(i).0;
+                for (s, ads) in entries[k].ads_names.iter().enumerate() {
+                    let stream = FileFact {
+                        path: format!("{}:{}", fact.path, ads.to_display_string()),
                         is_dir: false,
                         size: 0,
-                        created: Some(entry.created),
+                        created: fact.created,
                     };
                     let key = format!("{key}:{}", String::from_utf16_lossy(&ads.fold_key()));
-                    streams.push((arrival(rendered.index, k), (key, fact)));
+                    streams.push((arrival(k, s), (key, stream)));
                 }
             }
-            facts.push((
-                key,
-                FileFact {
-                    path: std::mem::take(&mut rendered.display),
-                    is_dir: entry.is_directory(),
-                    size: entry.data_len,
-                    created: Some(entry.created),
-                },
-            ));
         }
-        let facts = merge_backstop(facts, streams, |k| {
-            let rendered = &paths[k];
-            let arrival = arrival(rendered.index, ITSELF);
-            (rendered.in_key_order, arrival)
+        let facts = merge_backstop(facts, streams, |i| {
+            let (k, in_key_order) = entry_of(i);
+            (in_key_order, arrival(k, ITSELF))
         });
-        Ok(Snapshot::from_facts(meta, facts))
+        Snapshot::from_facts(meta, facts)
     }
 
     /// Records a truth snapshot on its scan's span and counters, the same
@@ -444,29 +465,43 @@ impl Walk {
     fn into_facts(self, root_key: &str, root_display: &str) -> Vec<(String, FileFact)> {
         let rows = &self.rows;
         let placed = key_order(self.nodes as usize, &self.slots, |i| rows[i].name.units());
-        let mut facts: Vec<(String, FileFact)> = Vec::with_capacity(placed.len());
-        for p in &placed {
-            let row = &rows[p.item as usize];
-            let (key, path) = match p.parent {
-                ROOT_PARENT => row.name.render_under(root_key, root_display),
-                at => {
-                    let (dir_key, dir) = &facts[at as usize];
-                    row.name.render_under(dir_key, &dir.path)
-                }
-            };
-            let fact = FileFact {
-                path,
-                is_dir: row.is_dir,
-                size: row.size,
-                created: None,
-            };
-            facts.push((key, fact));
-        }
+        let fact = |i: usize, path| FileFact {
+            path,
+            is_dir: rows[i].is_dir,
+            size: rows[i].size,
+            created: None,
+        };
+        let facts = render_placed(&placed, (root_key, root_display), |i| &rows[i].name, fact);
         merge_backstop(facts, self.strays, |k| {
             let p = placed[k];
             (p.in_key_order, arrival(p.item as usize, ITSELF))
         })
     }
+}
+
+/// The one render loop of both file views: the items of a tree in the
+/// order [`key_order`] `placed` them, each named `name(item)` and rendered
+/// from its directory's rendering (or the root's), its fact built by
+/// `fact(item, display)`.
+fn render_placed<'a>(
+    placed: &[Placed],
+    (root_key, root_display): (&str, &str),
+    name: impl Fn(usize) -> &'a NtString,
+    fact: impl Fn(usize, String) -> FileFact,
+) -> Vec<(String, FileFact)> {
+    let mut facts: Vec<(String, FileFact)> = Vec::with_capacity(placed.len());
+    for p in placed {
+        let item = p.item as usize;
+        let (key, display) = match p.parent {
+            ROOT_PARENT => name(item).render_under(root_key, root_display),
+            at => {
+                let (dir_key, dir) = &facts[at as usize];
+                name(item).render_under(dir_key, &dir.path)
+            }
+        };
+        facts.push((key, fact(item, display)));
+    }
+    facts
 }
 
 /// A fact's arrival order, as the backstop compares it: by `index`, then
@@ -921,8 +956,7 @@ mod tests {
     /// The render-then-sort MFT parse: every entry's
     /// [`VolumeImage::all_paths`] path, in entry order, then sorted.
     fn reference_parse(s: &FileScanner, bytes: &[u8]) -> Result<Snapshot<FileFact>, NtStatus> {
-        let (raw, defects) =
-            (s.policy).parse_image(bytes, VolumeImage::parse, VolumeImage::parse_salvage)?;
+        let (raw, defects) = s.parse_volume(bytes)?;
         let mut meta = ScanMeta::new(ViewKind::OutsideDisk, Tick(9));
         meta.io.record_sequential(raw.image_len());
         meta.io.record_defects(defects);
@@ -1094,7 +1128,8 @@ mod tests {
                     FileScanner::new()
                 };
                 let bytes = mft_image(records);
-                let got = scanner.parse_image_bytes(&bytes, ViewKind::OutsideDisk, Tick(9));
+                let got = (scanner.parse_volume(&bytes))
+                    .map(|parsed| scanner.snapshot_of(parsed, ViewKind::OutsideDisk, Tick(9)));
                 let want = reference_parse(&scanner, &bytes);
                 let (got, want) = (got.map_err(|e| e.to_string())?, want.unwrap());
                 prop_assert_eq!(facts_of(&got), facts_of(&want));
@@ -1232,10 +1267,9 @@ mod tests {
         // A directory `a` holding `b`, which has one stream, and an
         // orphaned `a` whose parent record is missing.
         let records = [(0, vec![0], 1), (1, vec![2], 2), (0, vec![3], 0x40)];
-        let snap = FileScanner::new()
-            .with_ads_detection()
-            .parse_image_bytes(&mft_image(&records), ViewKind::OutsideDisk, Tick(9))
-            .unwrap();
+        let scanner = FileScanner::new().with_ads_detection();
+        let parsed = scanner.parse_volume(&mft_image(&records)).unwrap();
+        let snap = scanner.snapshot_of(parsed, ViewKind::OutsideDisk, Tick(9));
         let keys: Vec<&String> = snap.iter().map(|(key, _)| key).collect();
         assert_eq!(keys, ["<orphaned>\\a", "c:\\a", "c:\\a\\b", "c:\\a\\b:aa"]);
     }

@@ -25,7 +25,6 @@ use strider_nt_core::Tick;
 use strider_support::sync::Mutex;
 use strider_winapi::{CallContext, ChainEntry, Machine, Query};
 
-use crate::policy::ScanPolicy;
 use crate::snapshot::Snapshot;
 
 /// Issues one discarded decoy query per `every` real queries, rotating
@@ -181,11 +180,18 @@ impl<B, T: Clone> TruthMemo<B, T> {
         self.last.lock().clone()
     }
 
-    /// Keeps `bytes` and the snapshot parsed from them for the next pass,
-    /// when `policy` can run a pipeline's scan more than once; a
-    /// single-pass policy keeps nothing.
-    pub fn keep(&self, policy: &ScanPolicy, bytes: B, snapshot: &Snapshot<T>) {
-        if policy.repeats_passes() {
+    /// Lets go of the kept truth: a pass whose bytes differ from it calls
+    /// this before it parses, so the stale truth is not held beside the new.
+    pub fn forget(&self) {
+        // Dropped once the lock is released.
+        let _stale = self.last.lock().take();
+    }
+
+    /// Keeps `bytes` and the snapshot parsed from them for the next pass.
+    /// A single-pass policy, which never compares them, passes `None` and
+    /// keeps nothing.
+    pub fn keep(&self, bytes: Option<B>, snapshot: &Snapshot<T>) {
+        if let Some(bytes) = bytes {
             *self.last.lock() = Some(Arc::new(KeptTruth {
                 bytes,
                 snapshot: snapshot.clone(),

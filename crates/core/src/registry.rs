@@ -322,7 +322,8 @@ impl RegistryScanner {
     /// Every call copies every hive. Under a policy that scans more than
     /// once per pipeline run, a call whose `(mount, bytes)` copies all
     /// equal the previous call's skips the parse and returns the previous
-    /// snapshot with this call's time; its span carries `truth_reused`.
+    /// snapshot with this call's time; its span carries `truth_reused`. A
+    /// call whose copies differ lets go of the kept ones before it parses.
     ///
     /// # Errors
     ///
@@ -330,7 +331,7 @@ impl RegistryScanner {
     /// retried per the [`ScanPolicy`]) or does not parse with salvage off.
     pub fn low_scan(&self, machine: &Machine) -> Result<Snapshot<HookFact>, NtStatus> {
         let span = self.telemetry.span("registry.low_scan");
-        let kept = self.truth_memo.last();
+        let mut kept = self.truth_memo.last();
         let mut io = IoStats::default();
         let mut copies: Vec<(NtPath, Vec<u8>)> = Vec::new();
         let mut parsed = Vec::new();
@@ -352,19 +353,20 @@ impl RegistryScanner {
             io.record_sequential(copy.1.len() as u64);
             let i = copies.len();
             copies.push(copy);
-            let repeats = parsed.is_empty()
-                && kept
-                    .as_ref()
-                    .is_some_and(|kept| kept.bytes.get(i) == copies.get(i));
+            let repeats = (kept.as_ref()).is_some_and(|kept| kept.bytes.get(i) == copies.get(i));
             if !repeats {
+                // A changed truth: let go of the kept one before parsing.
+                kept = None;
+                self.truth_memo.forget();
                 parse_pending(&copies, &mut parsed)?;
             }
         }
         let taken_at = machine.now();
-        let reused = kept.filter(|kept| parsed.is_empty() && kept.bytes == copies);
+        let reused = kept.filter(|kept| kept.bytes == copies);
         let snap = match &reused {
             Some(kept) => kept.restamped(taken_at),
             None => {
+                self.truth_memo.forget();
                 parse_pending(&copies, &mut parsed)?;
                 io.record_defects(defects);
                 let hooks = asep::extract_raw(&parsed, &self.catalog);
@@ -374,7 +376,7 @@ impl RegistryScanner {
                 for hook in hooks {
                     snap.insert(hook.identity(), hook);
                 }
-                self.truth_memo.keep(&self.policy, copies, &snap);
+                (self.truth_memo).keep(self.policy.repeats_passes().then_some(copies), &snap);
                 snap
             }
         };

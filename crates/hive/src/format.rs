@@ -23,7 +23,7 @@
 use crate::key::{Key, Value, ValueData};
 use std::fmt;
 use strider_nt_core::{NtString, Tick};
-use strider_support::bytes::{Buf, BufMut};
+use strider_support::bytes::{read_units, BufMut, FromLe};
 use strider_support::fault::{Defect, DefectKind, Salvaged};
 
 const MAGIC: &[u8; 8] = b"SREGF1\0\0";
@@ -279,11 +279,11 @@ fn parse_header(bytes: &[u8]) -> Result<u32, HiveFormatError> {
         return Err(HiveFormatError::BadMagic);
     }
     let mut s = &bytes[8..16];
-    let version = read_u32(&mut s, "header version")?;
+    let version = read::<u32>(&mut s, "header version")?;
     if version != VERSION {
         return Err(HiveFormatError::BadVersion(version));
     }
-    read_u32(&mut s, "header root offset")
+    read::<u32>(&mut s, "header root offset")
 }
 
 impl RawHive {
@@ -429,7 +429,7 @@ impl<'a> Parser<'a> {
     fn parse_key(&mut self, off: u32) -> Result<RawKey, HiveFormatError> {
         self.bump()?;
         let mut s = self.slice_from(off, "key cell")?;
-        let tag = read_u16(&mut s, "key tag")?;
+        let tag = read::<u16>(&mut s, "key tag")?;
         if tag != TAG_NK {
             return Err(HiveFormatError::BadCell {
                 offset: off,
@@ -437,9 +437,9 @@ impl<'a> Parser<'a> {
             });
         }
         let name = read_name(&mut s, "key name")?;
-        let timestamp = Tick(read_u64(&mut s, "key timestamp")?);
-        let subkey_list_off = read_u32(&mut s, "subkey list offset")?;
-        let value_list_off = read_u32(&mut s, "value list offset")?;
+        let timestamp = Tick(read::<u64>(&mut s, "key timestamp")?);
+        let subkey_list_off = read::<u32>(&mut s, "subkey list offset")?;
+        let value_list_off = read::<u32>(&mut s, "value list offset")?;
 
         let mut subkeys = Vec::new();
         if subkey_list_off != 0 {
@@ -467,7 +467,7 @@ impl<'a> Parser<'a> {
     fn parse_key_salvage(&mut self, off: u32) -> Result<RawKey, HiveFormatError> {
         self.bump()?;
         let mut s = self.slice_from(off, "key cell")?;
-        let tag = read_u16(&mut s, "key tag")?;
+        let tag = read::<u16>(&mut s, "key tag")?;
         if tag != TAG_NK {
             return Err(HiveFormatError::BadCell {
                 offset: off,
@@ -475,9 +475,9 @@ impl<'a> Parser<'a> {
             });
         }
         let name = read_name(&mut s, "key name")?;
-        let timestamp = Tick(read_u64(&mut s, "key timestamp")?);
-        let subkey_list_off = read_u32(&mut s, "subkey list offset")?;
-        let value_list_off = read_u32(&mut s, "value list offset")?;
+        let timestamp = Tick(read::<u64>(&mut s, "key timestamp")?);
+        let subkey_list_off = read::<u32>(&mut s, "subkey list offset")?;
+        let value_list_off = read::<u32>(&mut s, "value list offset")?;
 
         let mut subkeys = Vec::new();
         if subkey_list_off != 0 {
@@ -523,22 +523,22 @@ impl<'a> Parser<'a> {
     ) -> Result<Vec<u32>, HiveFormatError> {
         self.bump()?;
         let mut s = self.slice_from(off, context)?;
-        let tag = read_u16(&mut s, context)?;
+        let tag = read::<u16>(&mut s, context)?;
         if tag != want_tag {
             return Err(HiveFormatError::BadCell {
                 offset: off,
                 expected: if want_tag == TAG_LF { "lf" } else { "vl" },
             });
         }
-        let count = read_u32(&mut s, context)?;
+        let count = read::<u32>(&mut s, context)?;
         // The count is untrusted: bound the allocation by the bytes that
         // could actually back it before reserving anything.
-        if s.remaining() / 4 < count as usize {
+        if s.len() / 4 < count as usize {
             return Err(HiveFormatError::Truncated { context });
         }
         let mut offs = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            offs.push(read_u32(&mut s, context)?);
+            offs.push(read::<u32>(&mut s, context)?);
         }
         Ok(offs)
     }
@@ -546,7 +546,7 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self, off: u32) -> Result<RawValue, HiveFormatError> {
         self.bump()?;
         let mut s = self.slice_from(off, "value cell")?;
-        let tag = read_u16(&mut s, "value tag")?;
+        let tag = read::<u16>(&mut s, "value tag")?;
         if tag != TAG_VK {
             return Err(HiveFormatError::BadCell {
                 offset: off,
@@ -554,19 +554,19 @@ impl<'a> Parser<'a> {
             });
         }
         let name = read_name(&mut s, "value name")?;
-        let type_code = read_u32(&mut s, "value type")?;
-        let declared_len = read_u32(&mut s, "value declared length")?;
-        let data_off = read_u32(&mut s, "value data offset")?;
+        let type_code = read::<u32>(&mut s, "value type")?;
+        let declared_len = read::<u32>(&mut s, "value declared length")?;
+        let data_off = read::<u32>(&mut s, "value data offset")?;
 
         let mut d = self.slice_from(data_off, "data cell")?;
-        let dtag = read_u16(&mut d, "data tag")?;
+        let dtag = read::<u16>(&mut d, "data tag")?;
         if dtag != TAG_DB {
             return Err(HiveFormatError::BadCell {
                 offset: data_off,
                 expected: "db",
             });
         }
-        let stored_len = read_u32(&mut d, "data stored length")? as usize;
+        let stored_len = read::<u32>(&mut d, "data stored length")? as usize;
         if d.len() < stored_len {
             return Err(HiveFormatError::Truncated { context: "data" });
         }
@@ -582,34 +582,15 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn read_u16(s: &mut &[u8], context: &'static str) -> Result<u16, HiveFormatError> {
-    if s.remaining() < 2 {
-        return Err(HiveFormatError::Truncated { context });
-    }
-    Ok(s.get_u16_le())
-}
-
-fn read_u32(s: &mut &[u8], context: &'static str) -> Result<u32, HiveFormatError> {
-    if s.remaining() < 4 {
-        return Err(HiveFormatError::Truncated { context });
-    }
-    Ok(s.get_u32_le())
-}
-
-fn read_u64(s: &mut &[u8], context: &'static str) -> Result<u64, HiveFormatError> {
-    if s.remaining() < 8 {
-        return Err(HiveFormatError::Truncated { context });
-    }
-    Ok(s.get_u64_le())
+/// A length-checked read, failing with what was being read.
+fn read<T: FromLe>(s: &mut &[u8], context: &'static str) -> Result<T, HiveFormatError> {
+    T::read_le(s).ok_or(HiveFormatError::Truncated { context })
 }
 
 fn read_name(s: &mut &[u8], context: &'static str) -> Result<NtString, HiveFormatError> {
-    let len = read_u16(s, context)? as usize;
-    if s.remaining() < len * 2 {
-        return Err(HiveFormatError::Truncated { context });
-    }
-    let units: Vec<u16> = (0..len).map(|_| s.get_u16_le()).collect();
-    Ok(NtString::from(units))
+    read_units(s)
+        .map(NtString::from)
+        .ok_or(HiveFormatError::Truncated { context })
 }
 
 #[cfg(test)]

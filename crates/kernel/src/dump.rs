@@ -15,7 +15,7 @@ use crate::kernel::Kernel;
 use crate::process::{Driver, Ethread, ModuleEntry, ThreadState};
 use std::fmt;
 use strider_nt_core::{NtPath, NtString, Pid, Tick, Tid};
-use strider_support::bytes::{Buf, BufMut};
+use strider_support::bytes::{read_slice, read_units, BufMut, FromLe};
 use strider_support::fault::{Defect, DefectKind, Salvaged};
 
 const MAGIC: &[u8; 8] = b"SDMP1\0\0\0";
@@ -247,22 +247,22 @@ impl MemoryDump {
     pub fn parse(bytes: &[u8]) -> Result<Self, DumpError> {
         let mut s = bytes;
         parse_header(&mut s)?;
-        let proc_count = get_u32(&mut s, "process count")?;
+        let proc_count = get::<u32>(&mut s, "process count")?;
         let mut processes = Vec::with_capacity(capped(proc_count, MIN_PROCESS_BYTES, s));
         for _ in 0..proc_count {
             processes.push(parse_process(&mut s)?);
         }
-        let thread_count = get_u32(&mut s, "thread table count")?;
+        let thread_count = get::<u32>(&mut s, "thread table count")?;
         let mut threads = Vec::with_capacity(capped(thread_count, MIN_THREAD_BYTES, s));
         for _ in 0..thread_count {
             threads.push(parse_thread(&mut s)?);
         }
-        let driver_count = get_u32(&mut s, "driver count")?;
+        let driver_count = get::<u32>(&mut s, "driver count")?;
         let mut drivers = Vec::with_capacity(capped(driver_count, MIN_DRIVER_BYTES, s));
         for _ in 0..driver_count {
             drivers.push(parse_driver(&mut s)?);
         }
-        let head_raw = get_u32(&mut s, "apl head")?;
+        let head_raw = get::<u32>(&mut s, "apl head")?;
         Ok(Self {
             processes,
             threads,
@@ -295,7 +295,7 @@ impl MemoryDump {
                     match $expr {
                         Ok(v) => v,
                         Err(e) => {
-                            let offset = total - s.remaining() as u64;
+                            let offset = total - s.len() as u64;
                             defects.push(defect_for(&e, offset, total));
                             break 'walk;
                         }
@@ -303,19 +303,19 @@ impl MemoryDump {
                 };
             }
             try_salvage!(parse_header(&mut s));
-            let proc_count = try_salvage!(get_u32(&mut s, "process count"));
+            let proc_count = try_salvage!(get::<u32>(&mut s, "process count"));
             for _ in 0..proc_count {
                 processes.push(try_salvage!(parse_process(&mut s)));
             }
-            let thread_count = try_salvage!(get_u32(&mut s, "thread table count"));
+            let thread_count = try_salvage!(get::<u32>(&mut s, "thread table count"));
             for _ in 0..thread_count {
                 threads.push(try_salvage!(parse_thread(&mut s)));
             }
-            let driver_count = try_salvage!(get_u32(&mut s, "driver count"));
+            let driver_count = try_salvage!(get::<u32>(&mut s, "driver count"));
             for _ in 0..driver_count {
                 drivers.push(try_salvage!(parse_driver(&mut s)));
             }
-            let head_raw = try_salvage!(get_u32(&mut s, "apl head"));
+            let head_raw = try_salvage!(get::<u32>(&mut s, "apl head"));
             apl_head = (head_raw != NO_PID).then_some(Pid(head_raw));
         }
         Salvaged {
@@ -391,20 +391,15 @@ const MIN_DRIVER_BYTES: usize = 14; // name len + path lens + load time
 /// Caps an untrusted record count by the records the remaining bytes could
 /// possibly hold, so pre-allocation is bounded by the input size.
 fn capped(count: u32, min_record: usize, s: &[u8]) -> usize {
-    (count as usize).min(s.remaining() / min_record)
+    (count as usize).min(s.len() / min_record)
 }
 
 /// Validates the dump magic and version. All reads are length-checked.
 fn parse_header(s: &mut &[u8]) -> Result<(), DumpError> {
-    if s.remaining() < 8 {
-        return Err(DumpError::Truncated { context: "magic" });
-    }
-    let mut magic = [0u8; 8];
-    s.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &get::<[u8; 8]>(s, "magic")? != MAGIC {
         return Err(DumpError::BadMagic);
     }
-    let version = get_u32(s, "version")?;
+    let version = get::<u32>(s, "version")?;
     if version != VERSION {
         return Err(DumpError::BadVersion(version));
     }
@@ -417,28 +412,28 @@ fn parse_header(s: &mut &[u8]) -> Result<(), DumpError> {
 /// by the bytes that could back it, so arbitrary values cannot cause
 /// out-of-bounds access or allocations larger than the input describes.
 fn parse_process(s: &mut &[u8]) -> Result<DumpProcess, DumpError> {
-    let pid = Pid(get_u32(s, "pid")?);
-    let parent_raw = get_u32(s, "parent")?;
+    let pid = Pid(get::<u32>(s, "pid")?);
+    let parent_raw = get::<u32>(s, "parent")?;
     let image_name = get_name(s, "image name")?;
     let image_path = get_path(s, "image path")?;
-    let created = Tick(get_u64(s, "created")?);
-    let in_apl = get_u8(s, "in_apl")? == 1;
-    let next_raw = get_u32(s, "apl next")?;
-    let prev_raw = get_u32(s, "apl prev")?;
+    let created = Tick(get::<u64>(s, "created")?);
+    let in_apl = get::<u8>(s, "in_apl")? == 1;
+    let next_raw = get::<u32>(s, "apl next")?;
+    let prev_raw = get::<u32>(s, "apl prev")?;
     let mut lists: [Vec<ModuleEntry>; 2] = [Vec::new(), Vec::new()];
     for list in &mut lists {
-        let count = get_u32(s, "module count")?;
+        let count = get::<u32>(s, "module count")?;
         for _ in 0..count {
-            let base = get_u64(s, "module base")?;
+            let base = get::<u64>(s, "module base")?;
             let name = get_name(s, "module name")?;
             let path = get_name(s, "module path")?;
             list.push(ModuleEntry { base, name, path });
         }
     }
-    let tcount = get_u32(s, "thread count")?;
+    let tcount = get::<u32>(s, "thread count")?;
     let mut threads = Vec::with_capacity(capped(tcount, 4, s));
     for _ in 0..tcount {
-        threads.push(Tid(get_u32(s, "tid")?));
+        threads.push(Tid(get::<u32>(s, "tid")?));
     }
     let [peb_modules, kernel_modules] = lists;
     Ok(DumpProcess {
@@ -458,9 +453,9 @@ fn parse_process(s: &mut &[u8]) -> Result<DumpProcess, DumpError> {
 
 /// Reads one thread-table record.
 fn parse_thread(s: &mut &[u8]) -> Result<Ethread, DumpError> {
-    let tid = Tid(get_u32(s, "tid")?);
-    let owner = Pid(get_u32(s, "owner")?);
-    let state = match get_u8(s, "state")? {
+    let tid = Tid(get::<u32>(s, "tid")?);
+    let owner = Pid(get::<u32>(s, "owner")?);
+    let state = match get::<u8>(s, "state")? {
         1 => ThreadState::Running,
         2 => ThreadState::Waiting,
         _ => ThreadState::Ready,
@@ -472,7 +467,7 @@ fn parse_thread(s: &mut &[u8]) -> Result<Ethread, DumpError> {
 fn parse_driver(s: &mut &[u8]) -> Result<Driver, DumpError> {
     let name = get_name(s, "driver name")?;
     let image_path = get_path(s, "driver path")?;
-    let loaded_at = Tick(get_u64(s, "driver load time")?);
+    let loaded_at = Tick(get::<u64>(s, "driver load time")?);
     Ok(Driver {
         name,
         image_path,
@@ -480,52 +475,23 @@ fn parse_driver(s: &mut &[u8]) -> Result<Driver, DumpError> {
     })
 }
 
-fn get_u8(s: &mut &[u8], context: &'static str) -> Result<u8, DumpError> {
-    if s.remaining() < 1 {
-        return Err(DumpError::Truncated { context });
-    }
-    Ok(s.get_u8())
-}
-
-fn get_u16(s: &mut &[u8], context: &'static str) -> Result<u16, DumpError> {
-    if s.remaining() < 2 {
-        return Err(DumpError::Truncated { context });
-    }
-    Ok(s.get_u16_le())
-}
-
-fn get_u32(s: &mut &[u8], context: &'static str) -> Result<u32, DumpError> {
-    if s.remaining() < 4 {
-        return Err(DumpError::Truncated { context });
-    }
-    Ok(s.get_u32_le())
-}
-
-fn get_u64(s: &mut &[u8], context: &'static str) -> Result<u64, DumpError> {
-    if s.remaining() < 8 {
-        return Err(DumpError::Truncated { context });
-    }
-    Ok(s.get_u64_le())
+/// A length-checked read, failing with what was being read.
+fn get<T: FromLe>(s: &mut &[u8], context: &'static str) -> Result<T, DumpError> {
+    T::read_le(s).ok_or(DumpError::Truncated { context })
 }
 
 fn get_name(s: &mut &[u8], context: &'static str) -> Result<NtString, DumpError> {
-    let len = get_u16(s, context)? as usize;
-    if s.remaining() < len * 2 {
-        return Err(DumpError::Truncated { context });
-    }
-    let units: Vec<u16> = (0..len).map(|_| s.get_u16_le()).collect();
-    Ok(NtString::from(units))
+    read_units(s)
+        .map(NtString::from)
+        .ok_or(DumpError::Truncated { context })
 }
 
 fn get_path(s: &mut &[u8], context: &'static str) -> Result<NtPath, DumpError> {
-    let root_len = get_u16(s, context)? as usize;
-    if s.remaining() < root_len {
-        return Err(DumpError::Truncated { context });
-    }
-    let root_bytes = &s[..root_len];
+    let root_len = get::<u16>(s, context)?;
+    let root_bytes =
+        read_slice(s, usize::from(root_len)).ok_or(DumpError::Truncated { context })?;
     let root = String::from_utf8_lossy(root_bytes).into_owned();
-    s.advance(root_len);
-    let count = get_u16(s, context)?;
+    let count = get::<u16>(s, context)?;
     // Each component is at least its 2-byte length prefix.
     let mut comps = Vec::with_capacity(capped(u32::from(count), 2, s));
     for _ in 0..count {

@@ -155,7 +155,9 @@ impl NtString {
     /// The fold key and display form of `dir.join(self)`, rendered from
     /// `dir`'s own [`NtPath::fold_key`](crate::NtPath::fold_key) and
     /// [`NtPath::to_display_string`](crate::NtPath::to_display_string):
-    /// one allocation each, and no path is built.
+    /// one allocation each, and no path is built. A name of ASCII units
+    /// other than `NUL`, which fold by lowercasing and display as
+    /// themselves, is written unit by unit without decoding.
     pub fn render_under(&self, dir_key: &str, dir_display: &str) -> (String, String) {
         let mut key = String::with_capacity(dir_key.len() + 1 + self.len());
         key.push_str(dir_key);
@@ -163,9 +165,15 @@ impl NtString {
         let mut display = String::with_capacity(dir_display.len() + 1 + self.len());
         display.push_str(dir_display);
         display.push('\\');
-        // A `String` sink never fails.
-        let _ = self.write_fold_key(&mut key);
-        let _ = self.write_display(&mut display);
+        if self.units.iter().all(|&u| (1..=0x7F).contains(&u)) {
+            let bytes = || self.units.iter().map(|&u| char::from(u as u8));
+            key.extend(bytes().map(|c| c.to_ascii_lowercase()));
+            display.extend(bytes());
+        } else {
+            // A `String` sink never fails.
+            let _ = self.write_fold_key(&mut key);
+            let _ = self.write_display(&mut display);
+        }
         (key, display)
     }
 

@@ -12,9 +12,9 @@ use crate::volume::NtfsVolume;
 use std::collections::HashMap;
 use std::fmt;
 use strider_nt_core::{
-    key_order, FileRecordNumber, NtPath, NtString, Tick, TreeSlot, NO_NODE, ROOT_PARENT,
+    key_order, FileRecordNumber, NtPath, NtString, Placed, Tick, TreeSlot, NO_NODE,
 };
-use strider_support::bytes::{Buf, BufMut};
+use strider_support::bytes::{read_slice, read_units, BufMut, FromLe};
 use strider_support::fault::{Defect, DefectKind, Salvaged};
 
 const MAGIC: &[u8; 8] = b"SNTFS1\0\0";
@@ -136,24 +136,28 @@ impl RawFileEntry {
     }
 }
 
-/// One entry of [`VolumeImage::rendered_paths`], its path rendered.
+/// Where the entries of a [`VolumeImage`] render their paths from; see
+/// [`VolumeImage::placement`].
 #[derive(Debug)]
-pub struct RenderedPath<'a> {
-    /// The path's [`NtPath::fold_key`].
-    pub key: String,
-    /// The path's display form.
-    pub display: String,
-    /// The entry.
-    pub entry: &'a RawFileEntry,
-    /// The entry's index in [`VolumeImage::entries`].
-    pub index: usize,
-    /// Whether the entry sits at its key's place among the entries before
-    /// it that do. Orphans, names holding a `\` and the subtrees of
-    /// sibling directories whose names fold equal do not.
-    pub in_key_order: bool,
+pub struct Placement {
+    /// The entries whose parent chain reaches the root, as [`key_order`]
+    /// emits them: [`Placed::item`] indexes [`VolumeImage::entries`], and
+    /// [`Placed::parent`] is the position here of the directory the entry
+    /// renders under, or [`ROOT_PARENT`](strider_nt_core::ROOT_PARENT) for the
+    /// volume label.
+    pub tree: Vec<Placed>,
+    /// Every other entry but the root records, in entry order, with its
+    /// `<orphaned>` path.
+    pub orphans: Vec<(usize, NtPath)>,
 }
 
 /// A parsed raw volume image: the truth the low-level file scan works from.
+///
+/// It owns every entry it recovered and borrows nothing from the bytes it
+/// was parsed from, so a caller may release the image as soon as
+/// [`VolumeImage::parse`] returns. [`VolumeImage::placement`] builds the
+/// record-number map that links entries to their parents and drops it
+/// once the tree slots are built.
 ///
 /// # Examples
 ///
@@ -212,7 +216,7 @@ impl VolumeImage {
         let (label, slot_count) = match parse_header(&mut buf) {
             Ok(header) => header,
             Err(e) => {
-                let offset = image_len - buf.remaining() as u64;
+                let offset = image_len - buf.len() as u64;
                 return Salvaged {
                     value: Self {
                         label: String::new(),
@@ -226,7 +230,7 @@ impl VolumeImage {
         let mut entries = Vec::new();
         let mut defects = Vec::new();
         for _ in 0..slot_count {
-            let offset = image_len - buf.remaining() as u64;
+            let offset = image_len - buf.len() as u64;
             match parse_entry(&mut buf) {
                 Ok(Some(entry)) => entries.push(entry),
                 Ok(None) => {}
@@ -280,77 +284,56 @@ impl VolumeImage {
         self.paths_internal(true)
     }
 
-    /// [`VolumeImage::all_paths`], rendered: each entry's path as
-    /// `(path.fold_key(), path.to_string())`, without building the paths,
-    /// and in key order. An entry whose parent chain reaches the root
-    /// renders its strings once, from its parent's rendering, in the order
-    /// [`key_order`] emits the tree; an orphaned entry renders its
-    /// [`VolumeImage::all_paths`] path, after every entry that reaches the
-    /// root. Entries that are not at their key's place say so.
-    pub fn rendered_paths(&self) -> Vec<RenderedPath<'_>> {
-        let mut walk = ParentWalk::new(&self.entries);
-        // Entry `k` heads tree node `k + 1`; node 0 is the root.
-        let slots: Vec<TreeSlot> = (self.entries.iter().enumerate())
+    /// Places every entry but the root records for rendering its path
+    /// from its parent's: the entries that reach the root in key order, so
+    /// that each renders once from its directory's rendering, and the
+    /// orphans with their [`VolumeImage::all_paths`] paths. Together they
+    /// hold each entry [`VolumeImage::all_paths`] lists exactly once.
+    pub fn placement(&self) -> Placement {
+        let slots = self.slots();
+        let tree = key_order(self.entries.len() + 1, &slots, |k| {
+            self.entries[k].name.units()
+        });
+        let mut reached = vec![false; self.entries.len()];
+        for p in &tree {
+            reached[p.item as usize] = true;
+        }
+        let (mut walk, mut chain) = (ParentWalk::new(&slots), Vec::new());
+        let orphans = (0..self.entries.len())
+            .filter(|&k| self.entries[k].number.0 != 0 && !reached[k])
+            .map(|k| (k, self.path_of(&mut walk, k, &mut chain)))
+            .collect();
+        Placement { tree, orphans }
+    }
+
+    /// Entry `k`'s place in the MFT tree: it heads node `k + 1` (node 0 is
+    /// the root) and is listed in its parent record's node. The
+    /// record-number map this is built from is dropped on return.
+    fn slots(&self) -> Vec<TreeSlot> {
+        // The last entry, should a damaged image repeat a number.
+        let by_number: HashMap<u64, usize> = (self.entries.iter().enumerate())
+            .map(|(k, e)| (e.number.0, k))
+            .collect();
+        (self.entries.iter().enumerate())
             .map(|(k, entry)| TreeSlot {
                 node: match (entry.number.0, entry.parent.0) {
                     (0, _) => NO_NODE,
                     (_, 0) => 0,
-                    (_, parent) => walk
-                        .by_number
-                        .get(&parent)
-                        .map_or(NO_NODE, |&p| p as u32 + 1),
+                    (_, parent) => by_number.get(&parent).map_or(NO_NODE, |&p| p as u32 + 1),
                 },
                 heads: k as u32 + 1,
             })
-            .collect();
-        let placed = key_order(self.entries.len() + 1, &slots, |k| {
-            self.entries[k].name.units()
-        });
-        let root_key = self.label.to_ascii_lowercase();
-        let rendered = |(key, display), index: usize, in_key_order| RenderedPath {
-            key,
-            display,
-            entry: &self.entries[index],
-            index,
-            in_key_order,
-        };
-        let mut out: Vec<RenderedPath<'_>> = Vec::with_capacity(self.entries.len());
-        let mut reached = vec![false; self.entries.len()];
-        for p in placed {
-            let index = p.item as usize;
-            let name = &self.entries[index].name;
-            let strings = match p.parent {
-                ROOT_PARENT => name.render_under(&root_key, &self.label),
-                at => name.render_under(&out[at as usize].key, &out[at as usize].display),
-            };
-            reached[index] = true;
-            out.push(rendered(strings, index, p.in_key_order));
-        }
-        let mut chain = Vec::new();
-        for (index, entry) in self.entries.iter().enumerate() {
-            if entry.number.0 != 0 && !reached[index] {
-                let path = self.path_of(&mut walk, index, &mut chain);
-                let strings = (path.fold_key(), path.to_display_string());
-                out.push(rendered(strings, index, false));
-            }
-        }
-        out
+            .collect()
     }
 
     fn paths_internal(&self, include_dirs: bool) -> Vec<(NtPath, &RawFileEntry)> {
-        let mut walk = ParentWalk::new(&self.entries);
-        let mut chain = Vec::new();
-        let mut out = Vec::new();
-        for (i, entry) in self.entries.iter().enumerate() {
-            if entry.number.0 == 0 {
-                continue; // root itself
-            }
-            if entry.is_directory() && !include_dirs {
-                continue;
-            }
-            out.push((self.path_of(&mut walk, i, &mut chain), entry));
-        }
-        out
+        let slots = self.slots();
+        let (mut walk, mut chain) = (ParentWalk::new(&slots), Vec::new());
+        // Record 0 is the root itself.
+        (self.entries.iter().enumerate())
+            .filter(|(_, entry)| entry.number.0 != 0 && (include_dirs || !entry.is_directory()))
+            .map(|(k, entry)| (self.path_of(&mut walk, k, &mut chain), entry))
+            .collect()
     }
 
     /// The full path of `entries[start]`: under the label when its parent
@@ -370,51 +353,45 @@ impl VolumeImage {
     }
 }
 
-/// The one parent-walk rule, shared by every path reconstruction.
+/// The one parent-walk rule, shared by every path reconstruction: it
+/// follows the parent links of [`VolumeImage::slots`].
 struct ParentWalk<'a> {
-    entries: &'a [RawFileEntry],
-    /// Record number → entry index (the last entry, should a damaged image
-    /// repeat a number).
-    by_number: HashMap<u64, usize>,
+    slots: &'a [TreeSlot],
     /// `on_chain[k] == walks` while entry `k` is on the current walk's chain.
     on_chain: Vec<u64>,
     walks: u64,
 }
 
 impl<'a> ParentWalk<'a> {
-    fn new(entries: &'a [RawFileEntry]) -> Self {
+    fn new(slots: &'a [TreeSlot]) -> Self {
         Self {
-            entries,
-            by_number: entries
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.number.0, i))
-                .collect(),
-            on_chain: vec![0; entries.len()],
+            slots,
+            on_chain: vec![0; slots.len()],
             walks: 0,
         }
     }
 
-    /// Follows parent references up from `entries[start]`, pushing each
-    /// ancestor's index (nearest first) into `chain`, and says whether the
-    /// walk ended at the root rather than at a missing parent or a record
-    /// already on the chain. Each record is visited at most once, so a walk
-    /// costs at most one step per entry even on a cyclic chain.
+    /// Follows parent links up from entry `start`, pushing each ancestor's
+    /// index (nearest first) into `chain`, and says whether the walk ended
+    /// at the root rather than at a missing parent or a record already on
+    /// the chain. Each record is visited at most once, so a walk costs at
+    /// most one step per entry even on a cyclic chain.
     fn reaches_root(&mut self, start: usize, chain: &mut Vec<usize>) -> bool {
         chain.clear();
         self.walks += 1;
         self.on_chain[start] = self.walks;
-        let mut cur = self.entries[start].parent.0;
-        while cur != 0 {
-            let Some(&k) = self.by_number.get(&cur) else {
+        let mut node = self.slots[start].node;
+        while node != 0 {
+            if node == NO_NODE {
                 return false;
-            };
+            }
+            let k = node as usize - 1;
             if self.on_chain[k] == self.walks {
                 return false;
             }
             self.on_chain[k] = self.walks;
             chain.push(k);
-            cur = self.entries[k].parent.0;
+            node = self.slots[k].node;
         }
         true
     }
@@ -423,21 +400,18 @@ impl<'a> ParentWalk<'a> {
 /// Reads the image header, returning the volume label and slot count. All
 /// reads are length-checked.
 fn parse_header(buf: &mut &[u8]) -> Result<(String, u64), ImageError> {
-    if &take::<8>(buf, "magic")? != MAGIC {
+    if &get::<[u8; 8]>(buf, "magic")? != MAGIC {
         return Err(ImageError::BadMagic);
     }
-    let version = get_u32(buf, "version")?;
+    let version = get(buf, "version")?;
     if version != VERSION {
         return Err(ImageError::BadVersion(version));
     }
-    let label_len = get_u16(buf, "label length")? as usize;
-    if buf.remaining() < label_len {
-        return Err(ImageError::Truncated { context: "label" });
-    }
-    let (label_bytes, rest) = buf.split_at(label_len);
+    let label_len = get::<u16>(buf, "label length")?;
+    let label_bytes = read_slice(buf, usize::from(label_len));
+    let label_bytes = label_bytes.ok_or(ImageError::Truncated { context: "label" })?;
     let label = String::from_utf8_lossy(label_bytes).into_owned();
-    *buf = rest;
-    let slot_count = get_u64(buf, "slot count")?;
+    let slot_count = get(buf, "slot count")?;
     Ok((label, slot_count))
 }
 
@@ -446,32 +420,32 @@ fn parse_header(buf: &mut &[u8]) -> Result<(String, u64), ImageError> {
 /// honored, so arbitrary field values cannot cause out-of-bounds reads or
 /// oversized allocations.
 fn parse_entry(buf: &mut &[u8]) -> Result<Option<RawFileEntry>, ImageError> {
-    let in_use = take::<1>(buf, "in-use flag")?[0];
+    let in_use: u8 = get(buf, "in-use flag")?;
     if in_use == 0 {
         return Ok(None);
     }
-    let number = FileRecordNumber(get_u64(buf, "record number")?);
-    let sequence = get_u16(buf, "sequence")?;
-    let created = Tick(get_u64(buf, "created")?);
-    let modified = Tick(get_u64(buf, "modified")?);
-    let attributes = FileAttributes(get_u32(buf, "attributes")?);
-    let parent = FileRecordNumber(get_u64(buf, "parent")?);
+    let number = FileRecordNumber(get(buf, "record number")?);
+    let sequence = get(buf, "sequence")?;
+    let created = Tick(get(buf, "created")?);
+    let modified = Tick(get(buf, "modified")?);
+    let attributes = FileAttributes(get(buf, "attributes")?);
+    let parent = FileRecordNumber(get(buf, "parent")?);
     let name = get_name(buf, "name")?;
-    let stream_count = get_u16(buf, "stream count")?;
+    let stream_count: u16 = get(buf, "stream count")?;
     let mut data_len = 0u64;
     let mut ads_names = Vec::new();
     for _ in 0..stream_count {
-        let named = take::<1>(buf, "stream name flag")?[0];
+        let named: u8 = get(buf, "stream name flag")?;
         if named == 1 {
             ads_names.push(get_name(buf, "stream name")?);
         }
-        let len = get_u64(buf, "stream length")?;
-        if (buf.remaining() as u64) < len {
-            return Err(ImageError::Truncated {
-                context: "stream data",
-            });
-        }
-        buf.advance(len as usize);
+        let len: u64 = get(buf, "stream length")?;
+        let data = usize::try_from(len)
+            .ok()
+            .and_then(|len| read_slice(buf, len));
+        data.ok_or(ImageError::Truncated {
+            context: "stream data",
+        })?;
         data_len += len;
     }
     Ok(Some(RawFileEntry {
@@ -487,32 +461,15 @@ fn parse_entry(buf: &mut &[u8]) -> Result<Option<RawFileEntry>, ImageError> {
     }))
 }
 
-/// Reads the next `N` bytes, or fails naming what was being read.
-fn take<const N: usize>(buf: &mut &[u8], context: &'static str) -> Result<[u8; N], ImageError> {
-    let (head, rest) = (buf.split_first_chunk::<N>()).ok_or(ImageError::Truncated { context })?;
-    *buf = rest;
-    Ok(*head)
-}
-
-fn get_u16(buf: &mut &[u8], context: &'static str) -> Result<u16, ImageError> {
-    take(buf, context).map(u16::from_le_bytes)
-}
-
-fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, ImageError> {
-    take(buf, context).map(u32::from_le_bytes)
-}
-
-fn get_u64(buf: &mut &[u8], context: &'static str) -> Result<u64, ImageError> {
-    take(buf, context).map(u64::from_le_bytes)
+/// A length-checked read, failing with what was being read.
+fn get<T: FromLe>(buf: &mut &[u8], context: &'static str) -> Result<T, ImageError> {
+    T::read_le(buf).ok_or(ImageError::Truncated { context })
 }
 
 fn get_name(buf: &mut &[u8], context: &'static str) -> Result<NtString, ImageError> {
-    let len = get_u16(buf, context)? as usize;
-    if buf.remaining() < len * 2 {
-        return Err(ImageError::Truncated { context });
-    }
-    let units: Vec<u16> = (0..len).map(|_| buf.get_u16_le()).collect();
-    Ok(NtString::from(units))
+    read_units(buf)
+        .map(NtString::from)
+        .ok_or(ImageError::Truncated { context })
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ mod image;
 mod record;
 mod volume;
 
-pub use image::{ImageError, RawFileEntry, RenderedPath, VolumeImage};
+pub use image::{ImageError, Placement, RawFileEntry, VolumeImage};
 pub use record::{DataStream, FileAttributes, FileRecord, StandardInformation};
 pub use strider_support::fault::{Defect, DefectKind, Salvaged};
 pub use volume::{NtfsError, NtfsVolume};

@@ -2,36 +2,68 @@
 //!
 //! The binary formats in this workspace — the NTFS volume image
 //! (`strider-ntfs::image`), the Registry hive format (`strider-hive::format`)
-//! and the kernel crash dump (`strider-kernel::dump`) — used `bytes::{Buf,
-//! BufMut}` purely as a little-endian cursor API. This module provides
-//! exactly that subset, over the standard buffers, so no image is copied on
-//! its way to or from its parser:
+//! and the kernel crash dump (`strider-kernel::dump`) — are written with
+//! [`BufMut`] and read with one length-checked reader, so no image is
+//! copied on its way to or from its parser:
 //!
 //! * [`BufMut`] for `Vec<u8>` — appends with `put_u8` / `put_u16_le` /
 //!   `put_u32_le` / `put_u64_le` / `put_slice`; a writer returns the `Vec`
 //!   it built,
-//! * [`Buf`] for `&[u8]` — a consuming reader with `get_*_le`, `remaining`,
-//!   `advance` and `copy_to_slice`; a parser reads through `&mut &[u8]`.
-//!
-//! Out-of-range reads panic, matching the upstream crate's contract; all
-//! parsers in the workspace check [`Buf::remaining`] before reading.
+//! * [`FromLe::read_le`], [`read_slice`] and [`read_units`] — reads through
+//!   `&mut &[u8]` that return `None` when the bytes run out, which each
+//!   parser maps to its own `Truncated { context }` error.
 
-/// Read-side cursor operations (subset of `bytes::Buf`).
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Skips `count` bytes. Panics if fewer remain.
-    fn advance(&mut self, count: usize);
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8;
-    /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16;
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32;
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64;
-    /// Fills `dst` from the cursor.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
+/// A little-endian value a parser reads: a fixed-size byte array or an
+/// unsigned integer.
+pub trait FromLe: Sized {
+    /// Reads the value from the front of `buf` and consumes it; `None`,
+    /// consuming nothing, when fewer bytes remain than the value needs.
+    fn read_le(buf: &mut &[u8]) -> Option<Self>;
+}
+
+impl<const N: usize> FromLe for [u8; N] {
+    fn read_le(buf: &mut &[u8]) -> Option<Self> {
+        let (head, rest) = buf.split_first_chunk::<N>()?;
+        *buf = rest;
+        Some(*head)
+    }
+}
+
+macro_rules! from_le_bytes {
+    ($($int:ty),*) => {$(
+        impl FromLe for $int {
+            fn read_le(buf: &mut &[u8]) -> Option<Self> {
+                FromLe::read_le(buf).map(<$int>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+from_le_bytes!(u8, u16, u32, u64);
+
+/// The next `len` bytes of `buf`, consumed; `None`, consuming nothing, when
+/// fewer remain.
+pub fn read_slice<'a>(buf: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
+    if buf.len() < len {
+        return None;
+    }
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    Some(head)
+}
+
+/// A counted UTF-16 name: a little-endian `u16` unit count, then the units.
+/// `None` when the bytes run out; a count whose units do not all follow is
+/// still consumed.
+pub fn read_units(buf: &mut &[u8]) -> Option<Vec<u16>> {
+    let len = u16::read_le(buf)?;
+    let units = read_slice(buf, usize::from(len) * 2)?;
+    Some(
+        units
+            .chunks_exact(2)
+            .map(|u| u16::from_le_bytes([u[0], u[1]]))
+            .collect(),
+    )
 }
 
 /// Write-side append operations (subset of `bytes::BufMut`).
@@ -46,46 +78,6 @@ pub trait BufMut {
     fn put_u64_le(&mut self, value: u64);
     /// Appends a slice.
     fn put_slice(&mut self, src: &[u8]);
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn advance(&mut self, count: usize) {
-        assert!(count <= self.len(), "slice underflow");
-        *self = &self[count..];
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        let value = self[0];
-        *self = &self[1..];
-        value
-    }
-
-    fn get_u16_le(&mut self) -> u16 {
-        let value = u16::from_le_bytes(self[..2].try_into().unwrap());
-        *self = &self[2..];
-        value
-    }
-
-    fn get_u32_le(&mut self) -> u32 {
-        let value = u32::from_le_bytes(self[..4].try_into().unwrap());
-        *self = &self[4..];
-        value
-    }
-
-    fn get_u64_le(&mut self) -> u64 {
-        let value = u64::from_le_bytes(self[..8].try_into().unwrap());
-        *self = &self[8..];
-        value
-    }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(&self[..dst.len()]);
-        *self = &self[dst.len()..];
-    }
 }
 
 impl BufMut for Vec<u8> {
@@ -121,47 +113,40 @@ mod tests {
         buf.put_u16_le(0x1234);
         buf.put_u32_le(0xDEADBEEF);
         buf.put_u64_le(0x0102030405060708);
+        buf.put_u16_le(2);
+        buf.put_slice(&[b'h', 0, b'i', 0]);
         buf.put_slice(b"tail");
 
         let mut cursor: &[u8] = &buf;
-        assert_eq!(cursor.remaining(), 1 + 2 + 4 + 8 + 4);
-        assert_eq!(cursor.get_u8(), 0xAB);
-        assert_eq!(cursor.get_u16_le(), 0x1234);
-        assert_eq!(cursor.get_u32_le(), 0xDEADBEEF);
-        assert_eq!(cursor.get_u64_le(), 0x0102030405060708);
-        let mut tail = [0u8; 4];
-        cursor.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"tail");
-        assert_eq!(cursor.remaining(), 0);
+        assert_eq!(u8::read_le(&mut cursor), Some(0xAB));
+        assert_eq!(u16::read_le(&mut cursor), Some(0x1234));
+        assert_eq!(u32::read_le(&mut cursor), Some(0xDEADBEEF));
+        assert_eq!(u64::read_le(&mut cursor), Some(0x0102030405060708));
+        assert_eq!(
+            read_units(&mut cursor),
+            Some(vec![u16::from(b'h'), u16::from(b'i')])
+        );
+        assert_eq!(read_slice(&mut cursor, 4), Some(&b"tail"[..]));
+        assert!(cursor.is_empty());
     }
 
     #[test]
-    fn slice_buf_advances_through_reads() {
-        let data = [1u8, 0, 2, 0, 0, 0, 9];
-        let mut s: &[u8] = &data;
-        assert_eq!(s.get_u16_le(), 1);
-        assert_eq!(s.get_u32_le(), 2);
-        assert_eq!(s.remaining(), 1);
-        let mut one = [0u8; 1];
-        s.copy_to_slice(&mut one);
-        assert_eq!(one[0], 9);
-        assert_eq!(s.remaining(), 0);
-    }
-
-    #[test]
-    fn advance_skips_bytes() {
-        let data = [1u8, 2, 3, 4, 5];
+    fn a_short_read_is_none_and_consumes_nothing() {
+        let data = [1u8, 2, 3];
         let mut cursor: &[u8] = &data;
-        cursor.advance(3);
-        assert_eq!(cursor.get_u8(), 4);
-        assert_eq!(cursor, [5]);
+        assert_eq!(u32::read_le(&mut cursor), None);
+        assert_eq!(<[u8; 4]>::read_le(&mut cursor), None);
+        assert_eq!(read_slice(&mut cursor, 4), None);
+        assert_eq!(cursor, data);
+        assert_eq!(<[u8; 2]>::read_le(&mut cursor), Some([1, 2]));
+        assert_eq!(cursor, [3]);
     }
 
     #[test]
-    #[should_panic(expected = "underflow")]
-    fn overrun_panics() {
-        let data = [1u8];
+    fn a_name_short_of_its_units_consumes_its_count() {
+        let data = [3u8, 0, b'a', 0];
         let mut cursor: &[u8] = &data;
-        cursor.advance(4);
+        assert_eq!(read_units(&mut cursor), None);
+        assert_eq!(cursor, [b'a', 0]);
     }
 }

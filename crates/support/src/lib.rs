@@ -9,7 +9,7 @@
 //! | module    | replaces      | subset provided                                        |
 //! |-----------|---------------|--------------------------------------------------------|
 //! | [`json`]  | `serde` + `serde_json` | [`json::ToJson`]/[`json::FromJson`] traits, a [`json::JsonValue`] tree, a strict parser/writer, and the [`impl_json!`](crate::impl_json) derive-replacement macro |
-//! | [`bytes`] | `bytes`       | the [`bytes::Buf`]/[`bytes::BufMut`] little-endian accessors the binary formats use, for `&[u8]` readers and `Vec<u8>` writers |
+//! | [`bytes`] | `bytes`       | the [`bytes::BufMut`] little-endian writer for `Vec<u8>`, and the one length-checked reader ([`bytes::FromLe`], [`bytes::read_slice`], [`bytes::read_units`]) all three binary formats parse with |
 //! | [`sync`]  | `parking_lot` + `crossbeam-channel` | a [`sync::Mutex`] wrapper over `std::sync` with a non-poisoning `lock()`, plus a bounded MPSC channel ([`sync::bounded`], [`sync::Sender`]/[`sync::Receiver`]) and the [`sync::run_isolated`] panic-isolating task runner |
 //! | [`rng`]   | `rand`        | [`rng::SplitMix64`], a tiny seeded PRNG with `gen_range`-style helpers; deterministic across platforms |
 //! | [`check`] | `proptest`    | a shrinking property-test harness: [`check::check`], the [`check::Shrink`] trait, and the [`prop_assert!`](crate::prop_assert)/[`prop_assert_eq!`](crate::prop_assert_eq) macros |

@@ -49,16 +49,20 @@ cargo test -q --offline --workspace
 # two appended generations — `append` is the store's only write path) run
 # again under fixed seeds so CI failures reproduce byte-for-byte. Override
 # with FAULT_SEED=<n> to explore a different schedule.
-echo "==> pinned-seed runs (chaos sweeps, crash matrix, key order)"
+echo "==> pinned-seed runs (chaos sweeps, crash matrix, key order, MFT placement)"
 FAULT_SEED="${FAULT_SEED:-20260807}" cargo test -q --offline --test properties \
     fault_chaos_sweeps_always_terminate_with_consistent_health
 FAULT_SEED="${FAULT_SEED:-20260809}" cargo test -q --offline --test properties \
     -- fault_crash_matrix fault_bit_flipped
 # Key-order equivalence: both file views emitted from their trees (walk
 # listings edited by a hook, hardened shuffles; generated MFT records with
-# orphans, cycles and streams) equal the render-then-sort reference.
+# orphans, cycles and streams) equal the render-then-sort reference, and
+# the MFT placement the truth scan renders from (generated, large, mutated
+# and cyclic images) places exactly the entries `all_paths` builds.
 FAULT_SEED="${FAULT_SEED:-20261019}" cargo test -q --offline -p strider-ghostbuster --lib \
     key_ordered_
+FAULT_SEED="${FAULT_SEED:-20261019}" cargo test -q --offline --test properties \
+    placement_equals_all_paths
 
 # Self-validating examples: each asserts its own scenario end to end and
 # re-reads what it exported, so running it green IS the check; the file

@@ -9,7 +9,8 @@
 //! those cases with an early `Ok(())`.
 
 use strider_ghostbuster_repro::prelude::*;
-use strider_nt_core::{NtPath, NtString, Tick};
+use strider_nt_core::{NtPath, NtString, Tick, ROOT_PARENT};
+use strider_ntfs::Placement;
 use strider_support::check::{check, gen, Config};
 use strider_support::fault::FaultPlan;
 use strider_support::rng::SplitMix64;
@@ -196,39 +197,53 @@ fn removed_files_never_reappear_in_the_image() {
     );
 }
 
-/// `raw.rendered_paths()` renders exactly `raw.all_paths()`: every entry
-/// once, each key `path.fold_key()` and each display `path.to_string()`,
-/// and the entries it places in key order come out sorted by key. Returns
-/// how many of the entries were orphaned.
-fn rendered_paths_match_all_paths(raw: &VolumeImage) -> Result<usize, String> {
+/// `raw.placement()` places exactly `raw.all_paths()`: every entry once;
+/// each tree entry, rendered from its directory's rendering as the file
+/// scanners render it, has key `path.fold_key()` and display
+/// `path.to_string()`, and those it places in key order come out sorted by
+/// key; each orphan carries its `<orphaned>` path. Returns how many of the
+/// entries were orphaned.
+fn placement_matches_all_paths(raw: &VolumeImage) -> Result<usize, String> {
     let paths = raw.all_paths();
-    let rendered = raw.rendered_paths();
-    prop_assert_eq!(rendered.len(), paths.len());
+    let Placement { tree, orphans } = raw.placement();
+    prop_assert_eq!(tree.len() + orphans.len(), paths.len());
     // `all_paths` lists every entry but the root records, in entry order.
     let mut listed = paths.iter();
     let mut by_index: Vec<_> = (raw.entries().iter())
         .map(|entry| (entry.number.0 != 0).then(|| listed.next()).flatten())
         .collect();
-    for r in &rendered {
-        let Some((path, entry)) = by_index[r.index].take() else {
-            return Err(format!("entry {} rendered twice", r.index));
+    let mut take = |index: usize| {
+        by_index[index]
+            .take()
+            .ok_or(format!("entry {index} placed twice"))
+    };
+    let root_key = raw.label().to_ascii_lowercase();
+    let mut rendered: Vec<(String, String)> = Vec::with_capacity(tree.len());
+    for p in &tree {
+        let name = &raw.entries()[p.item as usize].name;
+        let (key, display) = match p.parent {
+            ROOT_PARENT => name.render_under(&root_key, raw.label()),
+            at => name.render_under(&rendered[at as usize].0, &rendered[at as usize].1),
         };
-        prop_assert!(std::ptr::eq(*entry, r.entry));
-        prop_assert_eq!(&r.key, &path.fold_key());
-        prop_assert_eq!(&r.display, &path.to_string());
+        let (path, _) = take(p.item as usize)?;
+        prop_assert_eq!(&key, &path.fold_key());
+        prop_assert_eq!(&display, &path.to_string());
+        rendered.push((key, display));
     }
-    let placed: Vec<&String> = (rendered.iter())
-        .filter(|r| r.in_key_order)
-        .map(|r| &r.key)
+    for (index, path) in &orphans {
+        let (want, _) = take(*index)?;
+        prop_assert_eq!(path, want);
+        prop_assert_eq!(path.root(), "<orphaned>");
+    }
+    let placed: Vec<&String> = (tree.iter().zip(&rendered))
+        .filter(|(p, _)| p.in_key_order)
+        .map(|(_, (key, _))| key)
         .collect();
     prop_assert!(
         placed.windows(2).all(|w| w[0] <= w[1]),
         "entries placed in key order are not sorted"
     );
-    Ok(paths
-        .iter()
-        .filter(|(path, _)| path.root() == "<orphaned>")
-        .count())
+    Ok(orphans.len())
 }
 
 /// A volume holding a generated tree, with odd-length components in upper
@@ -279,35 +294,35 @@ fn repoint_parent(image: &mut [u8], child: &RawFileEntry, parent: u64) {
 }
 
 #[test]
-fn rendered_paths_equal_all_paths_on_generated_trees() {
+fn placement_equals_all_paths_on_generated_trees() {
     check(
-        "rendered_paths_equal_all_paths_on_generated_trees",
-        Config::with_cases(64),
+        "placement_equals_all_paths_on_generated_trees",
+        fault_config(64),
         |rng| (file_tree(rng), gen::vec_of(rng, 0, 4, nt_name_parts)),
         |(tree, extra)| {
             let vol = tree_volume(tree, extra);
             let raw = VolumeImage::parse(&vol.to_image()).unwrap();
-            prop_assert_eq!(rendered_paths_match_all_paths(&raw)?, 0);
+            prop_assert_eq!(placement_matches_all_paths(&raw)?, 0);
             Ok(())
         },
     );
 }
 
 #[test]
-fn rendered_paths_equal_all_paths_on_the_large_workload() {
+fn placement_equals_all_paths_on_the_large_workload() {
     let mut machine = Machine::with_base_system("victim").unwrap();
     populate(&mut machine, &WorkloadSpec::large(42)).unwrap();
     let raw = VolumeImage::parse(&machine.try_read_raw_volume_image().unwrap()).unwrap();
     assert!(raw.entries().len() > 30_000);
-    assert_eq!(rendered_paths_match_all_paths(&raw), Ok(0));
+    assert_eq!(placement_matches_all_paths(&raw), Ok(0));
 }
 
 #[test]
-fn rendered_paths_equal_all_paths_on_mutated_and_cyclic_images() {
+fn placement_equals_all_paths_on_mutated_and_cyclic_images() {
     let mut orphaned = 0;
     check(
-        "rendered_paths_equal_all_paths_on_mutated_and_cyclic_images",
-        Config::with_cases(2_000),
+        "placement_equals_all_paths_on_mutated_and_cyclic_images",
+        fault_config(2_000),
         |rng| (file_tree(rng), rng.next_u64()),
         |(tree, seed)| {
             let vol = tree_volume(tree, &[]);
@@ -329,7 +344,7 @@ fn rendered_paths_equal_all_paths_on_mutated_and_cyclic_images() {
                 let at = rng.next_below(image.len() as u64) as usize;
                 image[at] = rng.next_u8();
             }
-            orphaned += rendered_paths_match_all_paths(&VolumeImage::parse_salvage(&image).value)?;
+            orphaned += placement_matches_all_paths(&VolumeImage::parse_salvage(&image).value)?;
             Ok(())
         },
     );
@@ -347,11 +362,9 @@ fn rendered_paths_equal_all_paths_on_mutated_and_cyclic_images() {
     let b = raw.entries()[2].clone();
     repoint_parent(&mut image, &a, b.number.0);
     let raw = VolumeImage::parse(&image).unwrap();
-    assert_eq!(rendered_paths_match_all_paths(&raw), Ok(2));
-    let displays: Vec<String> = raw
-        .rendered_paths()
-        .into_iter()
-        .map(|r| r.display)
+    assert_eq!(placement_matches_all_paths(&raw), Ok(2));
+    let displays: Vec<String> = (raw.placement().orphans.iter())
+        .map(|(_, path)| path.to_string())
         .collect();
     assert_eq!(displays, ["<orphaned>\\b\\a", "<orphaned>\\a\\b"]);
 }
@@ -938,6 +951,29 @@ fn bounded_parse<T>(
         input.len()
     );
     Ok(())
+}
+
+/// Heap bytes per image byte the inside-the-box file truth scan of the
+/// 30k-file workload may peak at. Under the strict policy the scan holds
+/// the image only until it is parsed, then renders the facts from the
+/// parsed entries: it peaks at 2.6 bytes per image byte, where holding the
+/// image and a rendered copy of every path beside the facts took 4.3.
+const TRUTH_SCAN_PEAK_PER_IMAGE_BYTE: f64 = 3.0;
+
+#[test]
+fn file_truth_scan_peak_is_bounded_by_the_image() {
+    let mut machine = Machine::with_base_system("victim").unwrap();
+    populate(&mut machine, &WorkloadSpec::large(42)).unwrap();
+    let image_len = machine.try_read_raw_volume_image().unwrap().len() as f64;
+    let scanner = FileScanner::new().with_policy(ScanPolicy::strict());
+    let scope = strider_support::prof::begin_scope();
+    let truth = scanner.low_scan(&machine).unwrap();
+    let peak = scope.end().peak_bytes as f64;
+    assert!(truth.len() > 30_000);
+    assert!(
+        peak <= TRUTH_SCAN_PEAK_PER_IMAGE_BYTE * image_len,
+        "low_scan peaked at {peak} B for a {image_len} B image"
+    );
 }
 
 #[test]

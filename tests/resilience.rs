@@ -243,6 +243,59 @@ fn machine_with_one_shot_hider() -> Machine {
     m
 }
 
+/// Which of four low scans by one memo-armed strict scanner reused the
+/// previous pass's truth: the first pass keeps its truth, the second reads
+/// a changed one that fails its parse, and the last two read the first
+/// pass's bytes again.
+fn reused_around_a_failed_parse(
+    mut m: Machine,
+    corrupt: FaultInjector,
+    telemetry: &Telemetry,
+    low_scan: impl Fn(&Machine) -> bool,
+) -> Vec<bool> {
+    assert!(low_scan(&m));
+    m.set_fault_injector(corrupt);
+    assert!(!low_scan(&m), "the changed truth fails its strict parse");
+    m.clear_fault_injector();
+    assert!(low_scan(&m) && low_scan(&m));
+    (telemetry.report().spans.iter())
+        .map(|span| span.attr("truth_reused").is_some())
+        .collect()
+}
+
+// A pass whose truth differs from the kept one lets go of it before it
+// parses, so a failed parse leaves the memo empty: the pass after it
+// parses the first pass's bytes again rather than reusing them, and keeps
+// them for the last pass.
+#[test]
+fn fault_a_changed_file_truth_is_released_before_its_parse() {
+    let telemetry = Telemetry::new();
+    let scanner = FileScanner::new()
+        .with_policy(ScanPolicy::strict().with_stabilization(2))
+        .with_telemetry(telemetry.clone());
+    let corrupt = FaultInjector::new().corrupt_volume(FaultPlan::new(3).truncate_to(0.9));
+    let m = Machine::with_base_system("t").unwrap();
+    let low_scan = |m: &Machine| scanner.low_scan(m).is_ok();
+    let reused = reused_around_a_failed_parse(m, corrupt, &telemetry, low_scan);
+    assert_eq!(reused, [false, false, false, true]);
+}
+
+#[test]
+fn fault_a_changed_registry_truth_is_released_before_its_parse() {
+    let telemetry = Telemetry::new();
+    let scanner = RegistryScanner::new()
+        .with_policy(ScanPolicy::strict().with_stabilization(2))
+        .with_telemetry(telemetry.clone());
+    let m = Machine::with_base_system("t").unwrap();
+    let software: NtPath = "HKLM\\SOFTWARE".parse().unwrap();
+    let len = m.try_copy_hive_bytes(&software).unwrap().len();
+    let plan = FaultPlan::new(7).zero_range(len / 3, 64);
+    let corrupt = FaultInjector::new().corrupt_hive(software, plan);
+    let low_scan = |m: &Machine| scanner.low_scan(m).is_ok();
+    let reused = reused_around_a_failed_parse(m, corrupt, &telemetry, low_scan);
+    assert_eq!(reused, [false, false, false, true]);
+}
+
 #[test]
 fn fault_single_pass_sweep_reports_one_shot_flicker() {
     let mut m = machine_with_one_shot_hider();
