@@ -62,7 +62,7 @@ FAULT_SEED="${FAULT_SEED:-20260809}" cargo test -q --offline --test properties \
 FAULT_SEED="${FAULT_SEED:-20261019}" cargo test -q --offline -p strider-ghostbuster --lib \
     key_ordered_
 FAULT_SEED="${FAULT_SEED:-20261019}" cargo test -q --offline --test properties \
-    placement_equals_all_paths
+    rendered_paths_equal_all_paths
 
 # Self-validating examples: each asserts its own scenario end to end and
 # re-reads what it exported, so running it green IS the check; the file

@@ -294,9 +294,9 @@ fn repoint_parent(image: &mut [u8], child: &RawFileEntry, parent: u64) {
 }
 
 #[test]
-fn placement_equals_all_paths_on_generated_trees() {
+fn rendered_paths_equal_all_paths_on_generated_trees() {
     check(
-        "placement_equals_all_paths_on_generated_trees",
+        "rendered_paths_equal_all_paths_on_generated_trees",
         fault_config(64),
         |rng| (file_tree(rng), gen::vec_of(rng, 0, 4, nt_name_parts)),
         |(tree, extra)| {
@@ -309,7 +309,7 @@ fn placement_equals_all_paths_on_generated_trees() {
 }
 
 #[test]
-fn placement_equals_all_paths_on_the_large_workload() {
+fn rendered_paths_equal_all_paths_on_the_large_workload() {
     let mut machine = Machine::with_base_system("victim").unwrap();
     populate(&mut machine, &WorkloadSpec::large(42)).unwrap();
     let raw = VolumeImage::parse(&machine.try_read_raw_volume_image().unwrap()).unwrap();
@@ -318,10 +318,10 @@ fn placement_equals_all_paths_on_the_large_workload() {
 }
 
 #[test]
-fn placement_equals_all_paths_on_mutated_and_cyclic_images() {
+fn rendered_paths_equal_all_paths_on_mutated_and_cyclic_images() {
     let mut orphaned = 0;
     check(
-        "placement_equals_all_paths_on_mutated_and_cyclic_images",
+        "rendered_paths_equal_all_paths_on_mutated_and_cyclic_images",
         fault_config(2_000),
         |rng| (file_tree(rng), rng.next_u64()),
         |(tree, seed)| {
