@@ -3,7 +3,7 @@
 use crate::diff::cross_view_diff;
 use crate::harden::{file_scan_decoys, DecoyPump, PassCounter, TruthMemo};
 use crate::instrument::{
-    query_chain, record_chain, record_decoys, record_defects, record_view_entries, LatencyProbe,
+    query_chain, record_chain, record_decoys, record_truth, record_view_entries, LatencyProbe,
 };
 use crate::policy::{interrupt_status, ScanPolicy};
 use crate::report::{Detection, DiffReport, FileCategory, NoiseClass, NoiseFilter, ResourceKind};
@@ -12,7 +12,7 @@ use strider_nt_core::{
     key_order, NtPath, NtStatus, NtString, Placed, Tick, TreeSlot, NO_NODE, ROOT_PARENT,
 };
 use strider_ntfs::{Placement, VolumeImage};
-use strider_support::obs::{SpanGuard, Telemetry};
+use strider_support::obs::Telemetry;
 use strider_support::task::Supervision;
 use strider_winapi::{
     CallContext, ChainEntry, ChainStats, DiskImage, FileRow, Machine, PerParent, Query, Row,
@@ -166,14 +166,15 @@ impl FileScanner {
     /// privileged ghostware may tamper with — a truth *approximation*) and
     /// parse the MFT directly, reconstructing paths from parent references.
     ///
-    /// Every call reads the whole image. Under a single-pass policy the
-    /// bytes are released as soon as they are parsed, so the facts are
-    /// rendered with one copy of the volume alive. Under a policy that
-    /// scans more than once per pipeline run, the bytes and the snapshot
-    /// are kept until the next call: one whose image equals them byte for
-    /// byte skips the parse and returns the kept snapshot with this call's
-    /// time (its span carries `truth_reused`); one whose image differs
-    /// releases them before it parses.
+    /// Every call reads the whole image, the one part of the scanner's
+    /// truth reader. Under a single-pass policy the bytes are released as
+    /// soon as they are parsed, so the facts are rendered with one copy of
+    /// the volume alive. Under a policy that scans more than once per
+    /// pipeline run, the bytes and the snapshot are kept until the next
+    /// call: one whose image equals them byte for byte skips the parse and
+    /// returns the kept snapshot with this call's time (its span carries
+    /// `truth_reused`); one whose image differs releases them before it
+    /// parses.
     ///
     /// # Errors
     ///
@@ -186,20 +187,14 @@ impl FileScanner {
             .supervised_retry(&self.supervision, || machine.try_read_raw_volume_image())?;
         let taken_at = machine.now();
         let span = self.telemetry.span("files.low_scan");
-        let kept = self.truth_memo.last().filter(|kept| kept.bytes == bytes);
-        let snap = match &kept {
-            Some(kept) => kept.restamped(taken_at),
-            None => {
-                self.truth_memo.forget();
-                let parsed = self.parse_volume(&bytes)?;
-                // Only a memo-armed policy reads the bytes past the parse.
-                let bytes = self.policy.repeats_passes().then_some(bytes);
-                let snap = self.snapshot_of(parsed, ViewKind::LowLevelMft, taken_at);
-                self.truth_memo.keep(bytes, &snap);
-                snap
-            }
-        };
-        self.record_truth(&span, &snap, kept.is_some());
+        let (snap, reused) = self.truth_memo.read(
+            self.policy.repeats_passes(),
+            taken_at,
+            [Ok(bytes)],
+            |bytes| self.parse_volume(bytes),
+            |mut parsed| self.snapshot_of(parsed.remove(0), ViewKind::LowLevelMft, taken_at),
+        )?;
+        record_truth(&self.telemetry, &span, "files", &snap, reused);
         Ok(snap)
     }
 
@@ -212,7 +207,7 @@ impl FileScanner {
         let span = self.telemetry.span("files.outside_scan");
         let parsed = self.parse_volume(&image.volume_image)?;
         let snap = self.snapshot_of(parsed, ViewKind::OutsideDisk, image.taken_at);
-        self.record_truth(&span, &snap, false);
+        record_truth(&self.telemetry, &span, "files", &snap, false);
         Ok(snap)
     }
 
@@ -276,17 +271,6 @@ impl FileScanner {
             (in_key_order, arrival(k, ITSELF))
         });
         Snapshot::from_facts(meta, facts)
-    }
-
-    /// Records a truth snapshot on its scan's span and counters, the same
-    /// whether it was parsed or `reused` from the previous pass.
-    fn record_truth(&self, span: &SpanGuard, snap: &Snapshot<FileFact>, reused: bool) {
-        record_defects(&self.telemetry, span, "files", snap.meta.io.defects);
-        record_view_entries(&self.telemetry, span, "files", snap);
-        span.set_attr("bytes_read", snap.meta.io.bytes_read);
-        if reused {
-            span.set_attr("truth_reused", true);
-        }
     }
 
     /// Diffs a truth-side snapshot against the high-level lie, classifying

@@ -836,7 +836,9 @@ impl GhostBuster {
         };
         let [processes, modules] = match dump {
             Ok((dump, dump_defects)) => {
-                let proc_truth = self.processes.outside_scan(&dump, self.advanced.is_some());
+                let mut proc_truth = self.processes.outside_scan(&dump, self.advanced.is_some());
+                // A dump holds no time: date it with the disk image, as modules are.
+                proc_truth.meta.taken_at = image.taken_at;
                 let module_truth =
                     self.processes
                         .outside_module_scan(&dump, &proc_lie, image.taken_at);

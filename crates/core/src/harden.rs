@@ -9,9 +9,12 @@
 //! the whole sequence stays derivable from the policy seed — the counter
 //! is reset whenever a scanner is re-supervised for a pipeline run, which
 //! keeps fleet shards deterministic regardless of work-stealing order.
-//! [`TruthMemo`] keeps the truth bytes a scanner's last pass read and the
-//! snapshot parsed from them, so a quorum pass that reads the same bytes
-//! again skips the parse; it is reset alongside the pass counter.
+//! [`TruthMemo`] is the one reader of the file and Registry truth: it
+//! takes a pass's raw parts (the volume image, or one copy per hive) as
+//! they are read and owns the whole reuse decision, so a quorum pass whose
+//! parts all repeat the previous pass's skips the parse, and one whose
+//! parts differ releases the kept truth before it parses; it is reset
+//! alongside the pass counter.
 //!
 //! [`EvasionHardening`]: crate::policy::EvasionHardening
 //! [`EvasionHardening::decoy_every`]: crate::policy::EvasionHardening::decoy_every
@@ -21,7 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use strider_nt_core::Tick;
+use strider_nt_core::{NtStatus, Tick};
 use strider_support::sync::Mutex;
 use strider_winapi::{CallContext, ChainEntry, Machine, Query};
 
@@ -122,81 +125,98 @@ impl PassCounter {
     }
 }
 
-/// The truth bytes a scanner's last pass read, and the snapshot it parsed
-/// from them.
+/// The one reader of a scanner's truth, and the truth its last pass read:
+/// the raw parts and the snapshot built from them.
 ///
-/// Each pass still does the full raw read (so I/O, injected faults, stalls
-/// and the ghostware's scan sensing are untouched); only when the bytes
-/// compare equal to the kept ones does the scanner skip the parse and hand
-/// back the kept snapshot, restamped. Equality is exact: no hash stands in
-/// for bytes the ghostware controls. The memo keeps anything only under a
-/// policy that can scan more than once per pipeline run, and the scanner
-/// replaces it with an empty one whenever it is re-supervised, so a memo
-/// never outlives its run. A clone starts empty.
-pub(crate) struct TruthMemo<B, T> {
-    last: Mutex<Option<Arc<KeptTruth<B, T>>>>,
+/// A part is one raw read: the volume image, or one `(mount, bytes)` copy
+/// per hive. Every pass reads every part (so I/O, injected faults, stalls
+/// and the ghostware's scan sensing are untouched). Without a kept truth
+/// each part is parsed on arrival and released. With one, parts equal to
+/// the kept ones wait unparsed; the first part that differs releases the
+/// kept truth, and the waiting parts and every later one are parsed on
+/// arrival, so a strict parse fails before the next part is read. When
+/// every part repeats, the kept snapshot serves with this pass's time.
+/// Equality is exact: no hash stands in for bytes the ghostware controls.
+/// Only a policy that can scan more than once per pipeline run keeps a
+/// truth, and the scanner replaces the memo with an empty one whenever it
+/// is re-supervised, so a memo never outlives its run. A clone starts
+/// empty.
+pub(crate) struct TruthMemo<P, T> {
+    kept: Mutex<Option<KeptTruth<P, T>>>,
 }
 
-/// One remembered truth: the raw bytes and the snapshot parsed from them.
-pub(crate) struct KeptTruth<B, T> {
-    pub bytes: B,
-    snapshot: Snapshot<T>,
-}
+/// One remembered truth: the raw parts and the snapshot built from them.
+type KeptTruth<P, T> = Arc<(Vec<P>, Snapshot<T>)>;
 
-impl<B, T: Clone> KeptTruth<B, T> {
-    /// The kept snapshot as a pass at `taken_at` would have parsed it: an
-    /// O(1) clone with only its time changed.
-    pub fn restamped(&self, taken_at: Tick) -> Snapshot<T> {
-        let mut snapshot = self.snapshot.clone();
-        snapshot.meta.taken_at = taken_at;
-        snapshot
-    }
-}
-
-impl<B, T> Default for TruthMemo<B, T> {
+impl<P, T> Default for TruthMemo<P, T> {
     fn default() -> Self {
         Self {
-            last: Mutex::new(None),
+            kept: Mutex::new(None),
         }
     }
 }
 
-impl<B, T> fmt::Debug for TruthMemo<B, T> {
+impl<P, T> fmt::Debug for TruthMemo<P, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kept = self.last.lock().is_some();
+        let kept = self.kept.lock().is_some();
         f.debug_struct("TruthMemo").field("kept", &kept).finish()
     }
 }
 
-impl<B, T> Clone for TruthMemo<B, T> {
+impl<P, T> Clone for TruthMemo<P, T> {
     fn clone(&self) -> Self {
         Self::default()
     }
 }
 
-impl<B, T: Clone> TruthMemo<B, T> {
-    /// The truth the previous pass kept, if any.
-    pub fn last(&self) -> Option<Arc<KeptTruth<B, T>>> {
-        self.last.lock().clone()
-    }
-
-    /// Lets go of the kept truth: a pass whose bytes differ from it calls
-    /// this before it parses, so the stale truth is not held beside the new.
-    pub fn forget(&self) {
-        // Dropped once the lock is released.
-        let _stale = self.last.lock().take();
-    }
-
-    /// Keeps `bytes` and the snapshot parsed from them for the next pass.
-    /// A single-pass policy, which never compares them, passes `None` and
-    /// keeps nothing.
-    pub fn keep(&self, bytes: Option<B>, snapshot: &Snapshot<T>) {
-        if let Some(bytes) = bytes {
-            *self.last.lock() = Some(Arc::new(KeptTruth {
-                bytes,
-                snapshot: snapshot.clone(),
-            }));
+impl<P: PartialEq, T: Clone> TruthMemo<P, T> {
+    /// One pass's truth, taken at `taken_at`: reads `parts` in order,
+    /// parses them with `parse` as the kept truth allows, and builds the
+    /// snapshot from the parses with `build`; with `keep`, the parts and
+    /// the snapshot are kept for the next pass. Also returns whether the
+    /// kept snapshot served.
+    ///
+    /// # Errors
+    ///
+    /// The first failing read or parse; no later part is read.
+    pub fn read<Q>(
+        &self,
+        keep: bool,
+        taken_at: Tick,
+        parts: impl IntoIterator<Item = Result<P, NtStatus>>,
+        mut parse: impl FnMut(&P) -> Result<Q, NtStatus>,
+        build: impl FnOnce(Vec<Q>) -> Snapshot<T>,
+    ) -> Result<(Snapshot<T>, bool), NtStatus> {
+        let mut kept = self.kept.lock().clone();
+        let (mut waiting, mut parsed, mut keeping) = (Vec::new(), Vec::new(), Vec::new());
+        let mut parse_waiting = |waiting: &mut Vec<P>| {
+            for part in waiting.drain(..) {
+                parsed.push(parse(&part)?);
+                keeping.extend(keep.then_some(part));
+            }
+            Ok::<_, NtStatus>(())
+        };
+        for part in parts {
+            waiting.push(part?);
+            kept = kept.filter(|kept| kept.0.get(waiting.len() - 1) == waiting.last());
+            if kept.is_none() {
+                // Let go of a changed truth before parsing.
+                *self.kept.lock() = None;
+                parse_waiting(&mut waiting)?;
+            }
         }
+        if let Some(kept) = kept.filter(|kept| kept.0.len() == waiting.len()) {
+            let mut snapshot = kept.1.clone();
+            snapshot.meta.taken_at = taken_at;
+            return Ok((snapshot, true));
+        }
+        *self.kept.lock() = None;
+        parse_waiting(&mut waiting)?;
+        let snapshot = build(parsed);
+        if keep {
+            *self.kept.lock() = Some(Arc::new((keeping, snapshot.clone())));
+        }
+        Ok((snapshot, false))
     }
 }
 

@@ -71,17 +71,26 @@ pub(crate) fn record_view_entries<T>(
     );
 }
 
-/// Records a truth scan's salvage defects, if any, as the span's `defects`
-/// attribute and the `<pipeline>.defects` counter.
-pub(crate) fn record_defects(
+/// Records a truth snapshot on its scan's span and counters, the same
+/// whether it was parsed or `reused` from the previous pass: its salvage
+/// defects, if any (the `defects` attribute and `<pipeline>.defects`
+/// counter), its view and entries, its bytes read, and `truth_reused`.
+pub(crate) fn record_truth<T>(
     telemetry: &Telemetry,
     span: &SpanGuard,
     pipeline: &str,
-    defects: u64,
+    snap: &Snapshot<T>,
+    reused: bool,
 ) {
+    let defects = snap.meta.io.defects;
     if defects > 0 {
         span.set_attr("defects", defects);
         telemetry.counter_add(format_args!("{pipeline}.defects"), defects);
+    }
+    record_view_entries(telemetry, span, pipeline, snap);
+    span.set_attr("bytes_read", snap.meta.io.bytes_read);
+    if reused {
+        span.set_attr("truth_reused", true);
     }
 }
 

@@ -444,10 +444,14 @@ impl ScanPolicy {
     /// report.
     ///
     /// Every pass re-reads its truth source, but a pipeline run parses
-    /// each distinct truth image once: the file and Registry scanners keep
-    /// the bytes their last pass read, and a pass whose bytes are equal
-    /// reuses the snapshot parsed from them (its `low_scan` span carries
-    /// `truth_reused`). The reports are the same as with a parse per pass.
+    /// each distinct truth image once: the file and Registry scanners read
+    /// their truth as parts (the volume image, or one copy per hive) and
+    /// keep the parts their last pass read. A pass lets the parts equal to
+    /// the kept ones wait unparsed; if all of them repeat it reuses the
+    /// kept snapshot (its `low_scan` span carries `truth_reused`), and at
+    /// the first part that differs it releases the kept truth, then parses
+    /// the waiting and later parts. The reports are the same as with a
+    /// parse per pass.
     ///
     /// # Errors
     ///

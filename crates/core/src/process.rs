@@ -134,7 +134,9 @@ impl ProcessScanner {
         snap
     }
 
-    /// The outside-the-box scan over a crash-dump image.
+    /// The outside-the-box scan over a crash-dump image. A dump carries no
+    /// capture time, so the snapshot is stamped [`Tick::ZERO`] for the
+    /// caller to date.
     pub fn outside_scan(&self, dump: &MemoryDump, advanced: bool) -> Snapshot<ProcessFact> {
         let span = self.telemetry.span("processes.outside_scan");
         span.set_attr("advanced", advanced);

@@ -237,6 +237,11 @@ fn winpe_flow_module_truth_comes_from_the_dump_kernel_lists() {
     assert_eq!(truth.view, ViewKind::OutsideDump);
     assert_eq!(truth.taken_at, Tick(464), "the disk image's capture time");
     assert_eq!(
+        report.processes.truth_meta.taken_at,
+        Tick(464),
+        "the process truth carries the disk image's capture time too"
+    );
+    assert_eq!(
         truth.io.entries, 0,
         "the dump parse is charged to processes"
     );

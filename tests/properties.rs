@@ -976,6 +976,52 @@ fn file_truth_scan_peak_is_bounded_by_the_image() {
     );
 }
 
+/// Heap bytes per byte of hive copies the strict inside-the-box Registry
+/// truth scan of the 30k-file workload may peak at. It peaks at 6,171,174 B
+/// for 1,189,846 B of copies, 5.19 (4.70 on the medium workload): the peak
+/// is the parse of the 1.19 MB SOFTWARE hive beside its copy, not the
+/// copies themselves.
+const REGISTRY_SCAN_PEAK_PER_HIVE_BYTE: f64 = 6.0;
+
+#[test]
+fn registry_truth_scan_peak_is_bounded_by_the_hive_copies() {
+    let mut machine = Machine::with_base_system("victim").unwrap();
+    populate(&mut machine, &WorkloadSpec::large(42)).unwrap();
+    let hive_bytes: usize = (machine.registry().hives().iter())
+        .map(|hive| machine.try_copy_hive_bytes(hive.mount()).unwrap().len())
+        .sum();
+    let scanner = RegistryScanner::new().with_policy(ScanPolicy::strict());
+    let scope = strider_support::prof::begin_scope();
+    let truth = scanner.low_scan(&machine).unwrap();
+    let peak = scope.end().peak_bytes as f64;
+    assert!(!truth.is_empty());
+    assert!(
+        peak <= REGISTRY_SCAN_PEAK_PER_HIVE_BYTE * hive_bytes as f64,
+        "low_scan peaked at {peak} B for {hive_bytes} B of hive copies"
+    );
+}
+
+/// Heap bytes per dump byte a crash-dump capture and its parse may peak
+/// at, on the 30k-file workload: they peak at 144,542 B for a 40,112 B
+/// dump, 3.60.
+const DUMP_PEAK_PER_DUMP_BYTE: f64 = 4.0;
+
+#[test]
+fn dump_capture_and_parse_peak_is_bounded_by_the_dump() {
+    let mut machine = Machine::with_base_system("victim").unwrap();
+    populate(&mut machine, &WorkloadSpec::large(42)).unwrap();
+    let scope = strider_support::prof::begin_scope();
+    let bytes = machine.try_crash_dump().unwrap();
+    let dump_len = bytes.len() as f64;
+    let dump = MemoryDump::parse(&bytes).unwrap();
+    let peak = scope.end().peak_bytes as f64;
+    assert!(!dump.processes_via_apl().is_empty());
+    assert!(
+        peak <= DUMP_PEAK_PER_DUMP_BYTE * dump_len,
+        "the dump peaked at {peak} B for a {dump_len} B dump"
+    );
+}
+
 #[test]
 fn fault_corrupted_volume_images_never_panic_either_parser() {
     check(
