@@ -952,8 +952,10 @@ impl GhostBuster {
 /// *any* capture was hidden at some point during the window, so it must not
 /// count as honestly visible. Flicker-hiding ghostware that dodges a single
 /// pre-reboot capture by coin-flip cannot dodge the intersection of K. The
-/// final capture supplies the metadata (its I/O totals already include the
-/// earlier passes' machine-side work).
+/// final capture supplies the metadata: each `high_scan` starts a fresh
+/// [`ScanMeta`](crate::snapshot::ScanMeta), so its I/O totals count that
+/// capture's own work only, as the inside quorum's report counts its last
+/// pass.
 fn intersect_captures<T: Clone>(
     mut captures: Vec<crate::snapshot::Snapshot<T>>,
 ) -> crate::snapshot::Snapshot<T> {

@@ -1,11 +1,13 @@
 //! Hidden-process and hidden-module detection (paper, Section 4).
 
 use crate::diff::cross_view_diff;
-use crate::instrument::{query_chain, record_chain, record_view_entries, LatencyProbe};
+use crate::instrument::{
+    query_chain, record_chain, record_truth, record_view_entries, LatencyProbe,
+};
 use crate::policy::interrupt_status;
 use crate::report::{Detection, DiffReport, NoiseClass, ResourceKind};
 use crate::snapshot::{ModuleFact, ProcessFact, ScanMeta, Snapshot, ViewKind};
-use strider_kernel::{MemoryDump, ModuleEntry};
+use strider_kernel::{Eprocess, MemoryDump};
 use strider_nt_core::{NtStatus, NtString, Pid, Tick};
 use strider_support::obs::{SpanGuard, Telemetry};
 use strider_support::task::Supervision;
@@ -123,13 +125,8 @@ impl ProcessScanner {
         view: ViewKind,
         pids: Vec<Pid>,
     ) -> Snapshot<ProcessFact> {
-        let mut snap = Snapshot::new(ScanMeta::new(view, machine.now()));
-        for pid in pids {
-            if let Some(p) = machine.kernel().process(pid) {
-                snap.meta.io.record_entries(1);
-                insert_process(&mut snap, pid, &p.image_name, p.image_path.to_string());
-            }
-        }
+        let meta = ScanMeta::new(view, machine.now());
+        let snap = process_truth(meta, pids, |pid| machine.kernel().process(pid));
         record_view_entries(&self.telemetry, span, "processes", &snap);
         snap
     }
@@ -140,22 +137,16 @@ impl ProcessScanner {
     pub fn outside_scan(&self, dump: &MemoryDump, advanced: bool) -> Snapshot<ProcessFact> {
         let span = self.telemetry.span("processes.outside_scan");
         span.set_attr("advanced", advanced);
-        let mut snap = Snapshot::new(ScanMeta::new(ViewKind::OutsideDump, Tick::ZERO));
-        snap.meta.io.record_sequential(dump.byte_len());
+        let mut meta = ScanMeta::new(ViewKind::OutsideDump, Tick::ZERO);
+        meta.io.record_sequential(dump.byte_len());
         let mut pids = dump.processes_via_apl();
         if advanced {
             pids.extend(dump.processes_via_threads());
             pids.sort();
             pids.dedup();
         }
-        for pid in pids {
-            if let Some(p) = dump.process(pid) {
-                snap.meta.io.record_entries(1);
-                insert_process(&mut snap, pid, &p.image_name, p.image_path.to_string());
-            }
-        }
-        record_view_entries(&self.telemetry, &span, "processes", &snap);
-        span.set_attr("bytes_read", snap.meta.io.bytes_read);
+        let snap = process_truth(meta, pids, |pid| dump.process(pid));
+        record_truth(&self.telemetry, &span, "processes", &snap, false);
         snap
     }
 
@@ -256,9 +247,7 @@ impl ProcessScanner {
             machine.now(),
         ));
         let kernel = machine.kernel();
-        let entries = insert_kernel_modules(&mut snap, visible, |pid| {
-            kernel.process(pid).map(|p| p.kernel_modules.as_slice())
-        });
+        let entries = insert_kernel_modules(&mut snap, visible, |pid| kernel.process(pid));
         snap.meta.io.record_entries(entries);
         record_view_entries(&self.telemetry, &span, "modules", &snap);
         snap
@@ -273,9 +262,7 @@ impl ProcessScanner {
         taken_at: Tick,
     ) -> Snapshot<ModuleFact> {
         let mut snap = Snapshot::new(ScanMeta::new(ViewKind::OutsideDump, taken_at));
-        insert_kernel_modules(&mut snap, visible, |pid| {
-            dump.process(pid).map(|p| p.kernel_modules.as_slice())
-        });
+        insert_kernel_modules(&mut snap, visible, |pid| dump.process(pid));
         snap
     }
 
@@ -354,16 +341,31 @@ fn insert_module(
     );
 }
 
-/// Inserts the kernel module list `modules_of` finds for each process in
-/// `visible`, returning how many modules it visited.
+/// The processes among `pids` that `lookup` finds, each counted as one
+/// entry read: the one loop behind the live and the dump process truths.
+fn process_truth<'a>(
+    meta: ScanMeta,
+    pids: Vec<Pid>,
+    lookup: impl Fn(Pid) -> Option<&'a Eprocess>,
+) -> Snapshot<ProcessFact> {
+    let mut snap = Snapshot::new(meta);
+    for p in pids.into_iter().filter_map(lookup) {
+        snap.meta.io.record_entries(1);
+        insert_process(&mut snap, p.pid, &p.image_name, p.image_path.to_string());
+    }
+    snap
+}
+
+/// Inserts the kernel module list of each process in `visible` that
+/// `lookup` finds, returning how many modules it visited.
 fn insert_kernel_modules<'a>(
     snap: &mut Snapshot<ModuleFact>,
     visible: &Snapshot<ProcessFact>,
-    modules_of: impl Fn(Pid) -> Option<&'a [ModuleEntry]>,
+    lookup: impl Fn(Pid) -> Option<&'a Eprocess>,
 ) -> u64 {
     let mut visited = 0;
     for (_, owner) in visible.iter() {
-        for m in modules_of(owner.pid).unwrap_or_default() {
+        for m in lookup(owner.pid).map_or(&[][..], |p| &p.kernel_modules) {
             visited += 1;
             insert_module(snap, owner, &m.name, &m.path);
         }

@@ -18,6 +18,7 @@
 //!   salvaged corrupt values.
 
 use crate::format::{RawHive, RawKey};
+use crate::registry::mounted_at;
 use std::fmt;
 use strider_nt_core::{NtPath, NtString};
 
@@ -354,20 +355,18 @@ impl<'a> KeyView for RawKeyView<'a> {
     }
 }
 
+/// The raw key at `path` in parsed hives, resolved as a mounted Registry
+/// resolves it: through the hive mounted deepest above the path. `hives`
+/// pairs each mount path with its parsed image.
+pub fn raw_key<'a>(hives: &'a [(NtPath, RawHive)], path: &NtPath) -> Option<&'a RawKey> {
+    let ((_, raw), rel) = mounted_at(hives, |(mount, _)| mount, path)?;
+    raw.descend(rel)
+}
+
 /// Extracts hooks from raw parsed hives — the low-level inside-the-box scan.
 /// `hives` pairs each mount path with its parsed image.
 pub fn extract_raw(hives: &[(NtPath, RawHive)], catalog: &[AsepLocation]) -> Vec<AsepHook> {
-    extract_hooks_with(
-        |path| {
-            let (mount, raw) = hives
-                .iter()
-                .filter(|(m, _)| path.starts_with(m))
-                .max_by_key(|(m, _)| m.components().len())?;
-            let rel = path.components()[mount.components().len()..].to_vec();
-            raw.descend(&rel).map(RawKeyView)
-        },
-        catalog,
-    )
+    extract_hooks_with(|path| raw_key(hives, path).map(RawKeyView), catalog)
 }
 
 // ---------------------------------------------------------------------

@@ -43,6 +43,7 @@ pub(crate) fn write_hive(root: &Key) -> Vec<u8> {
     buf.put_u32_le(0); // root offset backpatched below
     let root_off = write_key(&mut buf, root);
     buf[12..16].copy_from_slice(&root_off.to_le_bytes());
+    buf.shrink_to_fit();
     buf
 }
 

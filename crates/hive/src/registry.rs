@@ -87,11 +87,6 @@ impl Hive {
         &self.root
     }
 
-    /// Mutable access to the root key.
-    fn root_mut(&mut self) -> &mut Key {
-        &mut self.root
-    }
-
     /// Serializes the hive to its binary on-disk format.
     pub fn to_bytes(&self) -> Vec<u8> {
         write_hive(&self.root)
@@ -194,19 +189,8 @@ impl Registry {
     /// Finds the hive whose mount point is a prefix of `path` (longest wins),
     /// together with the path components relative to the hive root.
     pub fn resolve(&self, path: &NtPath) -> Option<(&Hive, Vec<NtString>)> {
-        let idx = self.resolve_index(path)?;
-        let hive = &self.hives[idx];
-        let rel = path.components()[hive.mount().components().len()..].to_vec();
-        Some((hive, rel))
-    }
-
-    fn resolve_index(&self, path: &NtPath) -> Option<usize> {
-        self.hives
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| path.starts_with(h.mount()))
-            .max_by_key(|(_, h)| h.mount().components().len())
-            .map(|(i, _)| i)
+        let (hive, rel) = mounted_at(&self.hives, |h| h.mount(), path)?;
+        Some((hive, rel.to_vec()))
     }
 
     /// The key at `path`, if it exists.
@@ -221,13 +205,10 @@ impl Registry {
     }
 
     fn key_at_mut(&mut self, path: &NtPath) -> Result<&mut Key, RegistryError> {
-        let idx = self
-            .resolve_index(path)
+        let (hive, rel) = mounted_at(&mut self.hives, |h| h.mount(), path)
             .ok_or_else(|| RegistryError::NoHiveForPath(path.clone()))?;
-        let hive = &mut self.hives[idx];
-        let rel = path.components()[hive.mount().components().len()..].to_vec();
-        hive.root_mut()
-            .descend_mut(&rel)
+        hive.root
+            .descend_mut(rel)
             .ok_or_else(|| RegistryError::KeyNotFound(path.clone()))
     }
 
@@ -238,14 +219,11 @@ impl Registry {
     /// Fails only when no hive covers the path.
     pub fn create_key(&mut self, path: &NtPath) -> Result<(), RegistryError> {
         let now = self.now;
-        let idx = self
-            .resolve_index(path)
+        let (hive, rel) = mounted_at(&mut self.hives, |h| h.mount(), path)
             .ok_or_else(|| RegistryError::NoHiveForPath(path.clone()))?;
-        let hive = &mut self.hives[idx];
-        let rel = path.components()[hive.mount().components().len()..].to_vec();
-        let mut cur = hive.root_mut();
-        for c in &rel {
-            cur = cur.subkey_or_create(c, now);
+        let mut key = &mut hive.root;
+        for c in rel {
+            key = key.subkey_or_create(c, now);
         }
         Ok(())
     }
@@ -346,6 +324,21 @@ impl Registry {
     pub fn value_count(&self) -> usize {
         self.hives.iter().map(|h| h.root().value_count()).sum()
     }
+}
+
+/// The entry mounted deepest above `path` and the components below its
+/// mount: the one rule by which live hives and parsed hive copies resolve.
+pub(crate) fn mounted_at<T>(
+    entries: impl IntoIterator<Item = T>,
+    mount: impl Fn(&T) -> &NtPath,
+    path: &NtPath,
+) -> Option<(T, &[NtString])> {
+    let depth = |entry: &T| mount(entry).components().len();
+    let entry = (entries.into_iter())
+        .filter(|entry| path.starts_with(mount(entry)))
+        .max_by_key(&depth)?;
+    let rel = &path.components()[depth(&entry)..];
+    Some((entry, rel))
 }
 
 // ---------------------------------------------------------------------

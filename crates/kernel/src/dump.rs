@@ -7,12 +7,13 @@
 //! "future ghostware" may trap: [`write_dump`] honours any registered
 //! scrubbers, so the dump is explicitly a *truth approximation*.
 //!
-//! The parser is independent of the kernel's in-memory representation and
-//! re-derives both process views (APL walk and thread-table sweep) from the
-//! dumped bytes alone.
+//! The parser reads the dumped bytes back into the kernel's own object
+//! types ([`Eprocess`], [`Ethread`], [`Driver`]) and re-derives both process
+//! views (APL walk and thread-table sweep) from those bytes alone, through
+//! the same walk and sweep the live kernel runs.
 
 use crate::kernel::Kernel;
-use crate::process::{Driver, Ethread, ModuleEntry, ThreadState};
+use crate::process::{self, Driver, Eprocess, Ethread, ModuleEntry, ThreadState};
 use std::fmt;
 use strider_nt_core::{NtPath, NtString, Pid, Tick, Tid};
 use strider_support::bytes::{read_slice, read_units, BufMut, FromLe};
@@ -89,30 +90,13 @@ pub(crate) fn write_dump(k: &Kernel) -> Vec<u8> {
         buf.put_u64_le(d.loaded_at.0);
     }
 
-    let head = k
-        .apl_head()
-        .map(|h| skip_scrubbed_forward(k, h, &scrub_pids))
-        .unwrap_or(NO_PID);
-    buf.put_u32_le(head);
+    buf.put_u32_le(patch_link(k, k.apl_head(), &scrub_pids, true));
+    buf.shrink_to_fit();
     buf
 }
 
-fn skip_scrubbed_forward(k: &Kernel, from: Pid, scrub: &[Pid]) -> u32 {
-    let mut cur = Some(from);
-    let mut hops = 0usize;
-    while let Some(pid) = cur {
-        if !scrub.contains(&pid) {
-            return pid.0;
-        }
-        cur = k.process(pid).and_then(|p| p.apl_next);
-        hops += 1;
-        if hops > 1_000_000 {
-            break;
-        }
-    }
-    NO_PID
-}
-
+/// The first pid from `link` on, following the APL forward or backward,
+/// that no scrubber erases.
 fn patch_link(k: &Kernel, link: Option<Pid>, scrub: &[Pid], forward: bool) -> u32 {
     let mut cur = link;
     let mut hops = 0usize;
@@ -185,33 +169,6 @@ fn defect_for(e: &DumpError, offset: u64, total: u64) -> Defect {
     Defect::new(kind, offset, total.saturating_sub(offset), context)
 }
 
-/// One process recovered from a dump.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DumpProcess {
-    /// Process id.
-    pub pid: Pid,
-    /// Parent pid.
-    pub parent: Option<Pid>,
-    /// Image file name.
-    pub image_name: NtString,
-    /// Full image path.
-    pub image_path: NtPath,
-    /// Creation time.
-    pub created: Tick,
-    /// Linked into the APL at dump time.
-    pub in_apl: bool,
-    /// APL forward link.
-    pub apl_next: Option<Pid>,
-    /// APL backward link.
-    pub apl_prev: Option<Pid>,
-    /// User-mode loader module list.
-    pub peb_modules: Vec<ModuleEntry>,
-    /// Kernel mapped-image list.
-    pub kernel_modules: Vec<ModuleEntry>,
-    /// Thread ids.
-    pub threads: Vec<Tid>,
-}
-
 /// A parsed kernel memory dump.
 ///
 /// # Examples
@@ -231,7 +188,8 @@ pub struct DumpProcess {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryDump {
-    processes: Vec<DumpProcess>,
+    /// In dump order, so a pid that repeats resolves to its first record.
+    processes: Vec<Eprocess>,
     threads: Vec<Ethread>,
     drivers: Vec<Driver>,
     apl_head: Option<Pid>,
@@ -331,12 +289,12 @@ impl MemoryDump {
     }
 
     /// All processes recovered from the dump's object table.
-    pub fn processes(&self) -> &[DumpProcess] {
+    pub fn processes(&self) -> &[Eprocess] {
         &self.processes
     }
 
     /// A process by pid.
-    pub fn process(&self, pid: Pid) -> Option<&DumpProcess> {
+    pub fn process(&self, pid: Pid) -> Option<&Eprocess> {
         self.processes.iter().find(|p| p.pid == pid)
     }
 
@@ -357,26 +315,12 @@ impl MemoryDump {
 
     /// Walks the dumped Active Process List by following links.
     pub fn processes_via_apl(&self) -> Vec<Pid> {
-        let mut out = Vec::new();
-        let mut cur = self.apl_head;
-        let mut hops = 0;
-        while let Some(pid) = cur {
-            out.push(pid);
-            cur = self.process(pid).and_then(|p| p.apl_next);
-            hops += 1;
-            if hops > self.processes.len() + 1 {
-                break;
-            }
-        }
-        out
+        process::apl_walk(self.apl_head, self.processes.len(), |pid| self.process(pid))
     }
 
     /// Sweeps the dumped thread table for owning processes (advanced mode).
     pub fn processes_via_threads(&self) -> Vec<Pid> {
-        let mut pids: Vec<Pid> = self.threads.iter().map(|t| t.owner).collect();
-        pids.sort();
-        pids.dedup();
-        pids
+        process::thread_owners(self.threads.iter())
     }
 }
 
@@ -411,7 +355,7 @@ fn parse_header(s: &mut &[u8]) -> Result<(), DumpError> {
 /// sizes a pre-allocation (here and in [`get_path`]) is first [`capped`]
 /// by the bytes that could back it, so arbitrary values cannot cause
 /// out-of-bounds access or allocations larger than the input describes.
-fn parse_process(s: &mut &[u8]) -> Result<DumpProcess, DumpError> {
+fn parse_process(s: &mut &[u8]) -> Result<Eprocess, DumpError> {
     let pid = Pid(get::<u32>(s, "pid")?);
     let parent_raw = get::<u32>(s, "parent")?;
     let image_name = get_name(s, "image name")?;
@@ -436,7 +380,7 @@ fn parse_process(s: &mut &[u8]) -> Result<DumpProcess, DumpError> {
         threads.push(Tid(get::<u32>(s, "tid")?));
     }
     let [peb_modules, kernel_modules] = lists;
-    Ok(DumpProcess {
+    Ok(Eprocess {
         pid,
         parent: (parent_raw != NO_PID).then_some(Pid(parent_raw)),
         image_name,

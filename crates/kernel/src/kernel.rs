@@ -1,7 +1,7 @@
 //! The simulated kernel: object tables, the Active Process List, DKOM.
 
 use crate::dump;
-use crate::process::{Driver, Eprocess, Ethread, ModuleEntry, ThreadState};
+use crate::process::{self, Driver, Eprocess, Ethread, ModuleEntry, ThreadState};
 use crate::ssdt::Ssdt;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -295,18 +295,7 @@ impl Kernel {
     /// Walks the Active Process List by following the links from the head —
     /// the "truth approximation" behind process enumeration.
     pub fn active_process_list(&self) -> Vec<Pid> {
-        let mut out = Vec::new();
-        let mut cur = self.apl_head;
-        let mut hops = 0;
-        while let Some(pid) = cur {
-            out.push(pid);
-            cur = self.processes.get(&pid.0).and_then(|p| p.apl_next);
-            hops += 1;
-            if hops > self.processes.len() + 1 {
-                break; // corrupted links; stop rather than loop forever
-            }
-        }
-        out
+        process::apl_walk(self.apl_head, self.processes.len(), |pid| self.process(pid))
     }
 
     /// FU-style DKOM: unlinks a process from the Active Process List while
@@ -365,10 +354,7 @@ impl Kernel {
     /// Deduplicated owners of every schedulable thread — the advanced-mode
     /// low-level scan. DKOM-hidden processes reappear here.
     pub fn processes_via_threads(&self) -> Vec<Pid> {
-        let mut pids: Vec<Pid> = self.threads.values().map(|t| t.owner).collect();
-        pids.sort();
-        pids.dedup();
-        pids
+        process::thread_owners(self.threads.values())
     }
 
     /// The subsystem handle table — an alternative advanced-mode source.

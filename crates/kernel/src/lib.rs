@@ -47,7 +47,7 @@ mod kernel;
 mod process;
 mod ssdt;
 
-pub use dump::{DumpError, DumpProcess, MemoryDump};
+pub use dump::{DumpError, MemoryDump};
 pub use kernel::{DumpScrub, Kernel, KernelError};
 pub use process::{Driver, Eprocess, Ethread, ModuleEntry, ThreadState};
 pub use ssdt::{Ssdt, SsdtEntry, SyscallId};

@@ -109,6 +109,36 @@ impl fmt::Display for Eprocess {
     }
 }
 
+/// Walks an Active Process List from `head` by following the forward
+/// links of the processes `lookup` finds among `count` objects, live or
+/// dumped. Corrupted links stop the walk after `count + 1` hops rather
+/// than loop forever.
+pub(crate) fn apl_walk<'a>(
+    head: Option<Pid>,
+    count: usize,
+    lookup: impl Fn(Pid) -> Option<&'a Eprocess>,
+) -> Vec<Pid> {
+    let mut out = Vec::new();
+    let mut cur = head;
+    while let Some(pid) = cur {
+        out.push(pid);
+        if out.len() > count + 1 {
+            break;
+        }
+        cur = lookup(pid).and_then(|p| p.apl_next);
+    }
+    out
+}
+
+/// The deduplicated owners of a thread table, live or dumped — the
+/// advanced-mode sweep. DKOM-hidden processes reappear here.
+pub(crate) fn thread_owners<'a>(threads: impl Iterator<Item = &'a Ethread>) -> Vec<Pid> {
+    let mut pids: Vec<Pid> = threads.map(|t| t.owner).collect();
+    pids.sort();
+    pids.dedup();
+    pids
+}
+
 /// A loaded kernel driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Driver {

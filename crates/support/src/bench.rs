@@ -488,6 +488,10 @@ pub struct MetricRegression {
     pub fresh: f64,
     /// The fractional growth that was allowed.
     pub allowed_frac: f64,
+    /// For a `mean_ns` regression, the baseline and fresh `(p50_ns,
+    /// min_ns)`: a mean that moved while the median and the minimum held
+    /// points at a few slow samples (a bimodal run), not a slower scan.
+    pub p50_and_min: Option<[(f64, f64); 2]>,
 }
 
 impl std::fmt::Display for MetricRegression {
@@ -502,7 +506,14 @@ impl std::fmt::Display for MetricRegression {
             self.fresh,
             (self.fresh / self.baseline.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
             self.allowed_frac * 100.0,
-        )
+        )?;
+        match self.p50_and_min {
+            Some([(b50, bmin), (f50, fmin)]) => write!(
+                f,
+                " [p50_ns {b50:.1} -> {f50:.1}, min_ns {bmin:.1} -> {fmin:.1}]"
+            ),
+            None => Ok(()),
+        }
     }
 }
 
@@ -582,11 +593,11 @@ fn compare_scenarios(
         ("bytes_per_op", thresholds.alloc_frac, thresholds.min_bytes),
     ];
     out.scenarios += 1;
+    let field = |side: &JsonValue, metric| side.field(metric).and_then(JsonValue::as_f64);
+    let p50_and_min = |side| Some((field(side, "p50_ns").ok()?, field(side, "min_ns").ok()?));
+    let time_shape = p50_and_min(baseline).zip(p50_and_min(fresh));
     for (metric, frac, min_abs) in metrics {
-        let (Ok(b), Ok(f)) = (
-            baseline.field(metric).and_then(JsonValue::as_f64),
-            fresh.field(metric).and_then(JsonValue::as_f64),
-        ) else {
+        let (Ok(b), Ok(f)) = (field(baseline, metric), field(fresh, metric)) else {
             out.skipped.push(format!("{group}/{id} {metric} (absent)"));
             continue;
         };
@@ -599,6 +610,9 @@ fn compare_scenarios(
                 baseline: b,
                 fresh: f,
                 allowed_frac: frac,
+                p50_and_min: time_shape
+                    .filter(|_| metric == "mean_ns")
+                    .map(|(b, f)| [b, f]),
             });
         }
     }
@@ -837,6 +851,39 @@ mod tests {
             out.render()
         );
         assert!(out.regressions[0].to_string().contains("g/s mean_ns"));
+    }
+
+    #[test]
+    fn a_mean_only_time_regression_shows_the_held_p50_and_min() {
+        let scenario = |mean: f64| {
+            JsonValue::parse(&format!(
+                r#"{{"group":"g","scenarios":[{{"id":"s","mean_ns":{mean},"p50_ns":21000.0,"min_ns":20000.0}}]}}"#
+            ))
+            .unwrap()
+        };
+        // Two slow samples in ten lift the mean by 60%; p50 and min hold.
+        let mut out = BenchComparison::default();
+        let thresholds = DiffThresholds::default();
+        compare_reports(
+            "g",
+            &scenario(21_000.0),
+            &scenario(33_600.0),
+            &thresholds,
+            &mut out,
+        );
+        assert_eq!(out.regressions.len(), 1);
+        let regression = &out.regressions[0];
+        assert_eq!(regression.metric, "mean_ns");
+        let held = (21_000.0, 20_000.0);
+        assert_eq!(regression.p50_and_min, Some([held, held]));
+        assert!(
+            out.render().contains(
+                "mean_ns: 21000.0 -> 33600.0 (+60.0%, allowed 50%) \
+                 [p50_ns 21000.0 -> 21000.0, min_ns 20000.0 -> 20000.0]"
+            ),
+            "{}",
+            out.render()
+        );
     }
 
     #[test]

@@ -514,21 +514,30 @@ fn crash_dump_roundtrip_matches_live_views() {
         |rng| rng.next_u8(),
         |&unlink_mask| {
             let mut k = Kernel::with_base_processes();
+            let explorer = k.find_by_name("explorer.exe")[0];
             let mut pids = Vec::new();
-            for i in 0..4 {
-                pids.push(
-                    k.spawn(&format!("x{i}.exe"), "C:\\x.exe".parse().unwrap(), None)
-                        .unwrap(),
-                );
+            for i in 0..4u64 {
+                k.set_clock(Tick(i + 1));
+                let path = "C:\\x.exe".parse().unwrap();
+                pids.push(k.spawn(&format!("x{i}.exe"), path, Some(explorer)).unwrap());
             }
             for (i, &pid) in pids.iter().enumerate() {
                 if unlink_mask & (1 << i) != 0 {
                     k.dkom_unlink(pid).unwrap();
                 }
             }
+            // One spawned process loads a module and another dies.
+            let loaded = usize::from(unlink_mask >> 4) % 4;
+            let killed = (loaded + 1 + usize::from(unlink_mask >> 6) % 3) % 4;
+            k.load_module(pids[loaded], "y.dll", "C:\\y.dll").unwrap();
+            k.kill(pids[killed]).unwrap();
             let dump = MemoryDump::parse(&k.crash_dump()).unwrap();
             prop_assert_eq!(dump.processes_via_apl(), k.active_process_list());
             prop_assert_eq!(dump.processes_via_threads(), k.processes_via_threads());
+            // The dump carries the kernel's own objects, record for record:
+            // parent, created, both module lists, threads and links.
+            let live: Vec<_> = k.processes().cloned().collect();
+            prop_assert_eq!(dump.processes(), live.as_slice());
             Ok(())
         },
     );
@@ -977,11 +986,11 @@ fn file_truth_scan_peak_is_bounded_by_the_image() {
 }
 
 /// Heap bytes per byte of hive copies the strict inside-the-box Registry
-/// truth scan of the 30k-file workload may peak at. It peaks at 6,171,174 B
-/// for 1,189,846 B of copies, 5.19 (4.70 on the medium workload): the peak
-/// is the parse of the 1.19 MB SOFTWARE hive beside its copy, not the
-/// copies themselves.
-const REGISTRY_SCAN_PEAK_PER_HIVE_BYTE: f64 = 6.0;
+/// truth scan of the 30k-file workload may peak at. It peaks at 5,263,034 B
+/// for 1,189,846 B of copies, 4.42: the peak is the parse of the 1.19 MB
+/// SOFTWARE hive beside its copy, not the copies themselves, and each copy
+/// is sized to its bytes.
+const REGISTRY_SCAN_PEAK_PER_HIVE_BYTE: f64 = 5.0;
 
 #[test]
 fn registry_truth_scan_peak_is_bounded_by_the_hive_copies() {
@@ -1002,9 +1011,9 @@ fn registry_truth_scan_peak_is_bounded_by_the_hive_copies() {
 }
 
 /// Heap bytes per dump byte a crash-dump capture and its parse may peak
-/// at, on the 30k-file workload: they peak at 144,542 B for a 40,112 B
-/// dump, 3.60.
-const DUMP_PEAK_PER_DUMP_BYTE: f64 = 4.0;
+/// at, on the 30k-file workload: they peak at 119,118 B for a 40,112 B
+/// dump, 2.97, with the dump sized to its bytes.
+const DUMP_PEAK_PER_DUMP_BYTE: f64 = 3.5;
 
 #[test]
 fn dump_capture_and_parse_peak_is_bounded_by_the_dump() {
